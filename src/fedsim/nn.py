@@ -124,11 +124,12 @@ def init_params(dims: Dims, rng: np.random.Generator) -> ParamSet:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    e = np.exp(x[~pos])
-    out[~pos] = e / (1.0 + e)
+    # 0.5 * (1 + tanh(x / 2)) is the logistic function without exp, so it
+    # cannot overflow and needs no sign masks; built in one new array.
+    out = x * 0.5
+    np.tanh(out, out=out)
+    out += 1.0
+    out *= 0.5
     return out
 
 

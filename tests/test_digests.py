@@ -41,15 +41,15 @@ BASE = dict(
 # variant -> (rounds.csv sha256, summary.json sha256)
 DIGESTS = {
     "fedavg": (
-        "878d346a6a674578bebda4323e57107be03005ffe73ef3278d69c07723861d1b",
+        "dfa6d476fcee47400f2c8d97aa93aa0623bf8b3521a96d1c3342083af54ae2a2",
         "2955b5cdb8071831bcfbf4a4052dab7a51f50702fb25942738060cb25e4cc70f",
     ),
     "fedcab": (
-        "45a4846947ff596a4fd19266dc338ef218adf2d2c264a16b1e6fba06e4e565ea",
+        "a493e40cbc56f0a805d50263dc3dc1464896f3b042939218a10cd2a7d7d518cc",
         "246463462e8b8c8d030bd34329034120829885204762d67ef009c8623c564834",
     ),
     "feddecab": (
-        "8f538589fb4750960a3a4da76f95f3c91d6da198a3669b6133e924791a4d732a",
+        "be7397d3fba2a497386a7103982e288fc309558254488312d5d4bbf581b33f46",
         "08c0556b77d2b8bea48814e08da809f3a814a3938080621faebc104adfb4e124",
     ),
 }
