@@ -9,6 +9,17 @@ Recurrent block layout: the stacked input ``z = [x, h]`` multiplies a single
 ``(I+H) x 4H`` matrix stored row-major, followed by a ``4H`` bias; gate
 columns are ordered input | forget | candidate | output. Head block layout:
 ``H x O`` weights row-major, then ``O`` bias.
+
+Gate math per step, with ``a = z @ W + b`` split into the four gate slabs::
+
+    i, f, o = sigmoid(a_i), sigmoid(a_f), sigmoid(a_o)
+    g = tanh(a_g)
+    c = f * c_prev + i * g
+    h = o * tanh(c)
+
+where ``sigmoid(x) = 0.5 * (1 + tanh(x / 2))``. That form equals the logistic
+``1 / (1 + exp(-x))`` to within 2.2e-16, never overflows, and needs one
+elementwise pass where the exp form needs sign masks.
 """
 
 from __future__ import annotations
@@ -169,13 +180,16 @@ def _run_lstm(model: ParamSet, inputs: np.ndarray, keep_cache: bool):
     cache = [] if keep_cache else None
     for t in range(n_steps):
         z = np.concatenate([inputs[:, t, :], h], axis=1)
-        a = z @ w + b
-        gi = _sigmoid(a[:, :H])
-        gf = _sigmoid(a[:, H : 2 * H])
+        a = z @ w
+        a += b
+        # input and forget gates are adjacent columns: one sigmoid over both
+        g_if = _sigmoid(a[:, : 2 * H])
+        gi, gf = g_if[:, :H], g_if[:, H:]
         gg = np.tanh(a[:, 2 * H : 3 * H])
         go = _sigmoid(a[:, 3 * H :])
         c_prev = c
-        c = gf * c_prev + gi * gg
+        c = gf * c_prev
+        c += gi * gg
         hc = np.tanh(c)
         h = go * hc
         if keep_cache:
@@ -316,7 +330,7 @@ def backward(
         )
         grad_w += z.T @ d_a
         grad_b += d_a.sum(axis=0)
-        d_h = (d_a @ w.T)[:, I:]
+        d_h = d_a @ w[I:].T
 
     grad_lstm = np.concatenate([grad_w.ravel(), grad_b])
 
