@@ -17,12 +17,14 @@ from fedsim.nn import (
     param_distribution,
     sgd_step,
 )
+from fedsim.nn import _run_lstm, _sigmoid
 
 from oracles import (
     finite_difference_gradient,
     gradcheck_relative_error,
     kl_scalar,
     lstm_forward_scalar,
+    sigmoid_scalar,
 )
 
 
@@ -155,6 +157,39 @@ class TestBackward:
         biased = backward(model, batch, bias_target=model)
         assert np.array_equal(plain.fc_block, biased.fc_block)
         assert np.array_equal(plain.lstm_block, biased.lstm_block)
+
+
+class TestGateEdgeCases:
+    def saturated_model(self, dims, seed):
+        # gate biases of +-1e3 dwarf the weight terms, so every pre-activation
+        # sits near +-1e3 and every gate saturates
+        model = random_model(dims, seed)
+        lstm = model.lstm_block.copy()
+        n_bias = 4 * dims.n_hidden
+        lstm[-n_bias:] = np.where(np.arange(n_bias) % 2, 1e3, -1e3)
+        return ParamSet(lstm, model.fc_block, dims)
+
+    def test_saturated_gates_stay_finite_without_fp_errors(self):
+        dims = Dims(2, 6, 2)
+        model = self.saturated_model(dims, seed=21)
+        batch = random_batch(dims, 5, 4, seed=22)
+        with np.errstate(all="raise"):
+            preds, hidden = forward(model, batch)
+            grads = backward(model, batch)
+            _, cache = _run_lstm(model, batch.inputs, keep_cache=True)
+        assert np.all(np.isfinite(preds)) and np.all(np.isfinite(hidden))
+        assert np.all(np.isfinite(grads.flat()))
+        for _, gi, gf, gg, go, _, _ in cache:
+            for gate in (gi, gf, go):
+                assert np.all((gate >= 0.0) & (gate <= 1.0))
+            assert np.all(np.abs(gg) <= 1.0)
+
+    def test_sigmoid_matches_scalar_oracle(self):
+        # absolute error: far below zero the tanh form gives exactly 0, where
+        # the logistic is tiny but positive (about 4e-18 at -40)
+        grid = np.linspace(-40.0, 40.0, 8001)
+        expected = np.array([sigmoid_scalar(x) for x in grid])
+        assert np.max(np.abs(_sigmoid(grid) - expected)) <= 1e-15
 
 
 class TestSgdStep:
