@@ -34,9 +34,11 @@ def _cmd_run(args) -> int:
     config = _load_config(args)
     result = run_experiment(config)
     paths = emit_reports(result, args.out)
+    best = result.best_rmse()
+    best_text = "n/a" if best is None else f"{best:.6f}"
     print(
         f"{config.variant}: {len(result.logs)} rounds, "
-        f"final RMSE {result.final_rmse():.6f}, best {result.best_rmse():.6f}"
+        f"final RMSE {result.final_rmse():.6f}, best {best_text}"
     )
     print(f"wrote {paths['rounds']}, {paths['summary']}, {paths['curves']}")
     return 0

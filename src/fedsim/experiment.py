@@ -9,6 +9,7 @@ across repeated runs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -126,8 +127,13 @@ class ExperimentResult:
     def final_rmse(self) -> float:
         return self.logs[-1].rmse_global
 
-    def best_rmse(self) -> float:
-        return min(log.rmse_global for log in self.logs)
+    def best_rmse(self) -> float | None:
+        """Lowest global RMSE of any round; NaN rounds are skipped, and None
+        means every round was NaN."""
+        return min(
+            (log.rmse_global for log in self.logs if not math.isnan(log.rmse_global)),
+            default=None,
+        )
 
     def final_client_rmse(self) -> dict[int, float]:
         """Latest logged per-client holdout error for every client seen."""

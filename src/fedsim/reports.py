@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from pathlib import Path
 
 from .errors import ConfigError
@@ -151,12 +152,14 @@ def read_rounds_csv(path: str | Path) -> list[RoundLog]:
 
 
 def summary_dict(result: ExperimentResult) -> dict:
+    final = result.final_rmse()
     return {
         "variant": result.config.variant,
         "seed": result.config.seed,
         "rounds": len(result.logs),
         "n_clients": result.config.n_clients,
-        "final_rmse": result.final_rmse(),
+        # strict JSON has no NaN: a final round without an RMSE is null
+        "final_rmse": None if math.isnan(final) else final,
         "best_rmse": result.best_rmse(),
         "final_client_rmse": {
             str(cid): value for cid, value in sorted(result.final_client_rmse().items())
@@ -189,8 +192,9 @@ def write_curves_svg(
     plot_w = width - margin_l - margin_r
     plot_h = height - margin_t - margin_b
     xs = [x for pts in series.values() for x, _ in pts]
-    ys = [y for pts in series.values() for _, y in pts if y == y]  # drop NaN
-    if not xs or not ys:
+    # NaN rounds are dropped; a run whose every round is NaN gets bare axes
+    ys = [y for pts in series.values() for _, y in pts if y == y] or [0.0]
+    if not xs:
         raise ConfigError("series contain no plottable points")
     x_lo, x_hi = min(xs), max(xs)
     y_lo, y_hi = min(ys), max(ys)

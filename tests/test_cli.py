@@ -1,5 +1,6 @@
 import json
 
+from fedsim import cli
 from fedsim.cli import main
 from fedsim.config import ExperimentConfig
 from fedsim.data import parse_csv
@@ -53,6 +54,17 @@ class TestRunCommand:
         main(["run", "--config", str(config), "--out", str(out)])
         summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
         assert summary["seed"] == 123
+
+    def test_run_whose_every_round_is_nan_prints_no_best(self, tmp_path, monkeypatch, capsys):
+        # 3 revealed points per round never fill a 7-point window in round 1,
+        # so the only round's RMSE is NaN and there is no best RMSE
+        monkeypatch.setattr(cli, "run_experiment", cli.run_local_only)
+        config = write_config(tmp_path, seq_len=6, reveal_slice_points=3, rounds=1)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+        assert "best n/a" in capsys.readouterr().out
+        summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
+        assert summary["best_rmse"] is None
 
     def test_invalid_config_returns_error_code(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

@@ -1,10 +1,11 @@
 import json
+import math
 
 import pytest
 
 from fedsim.config import ExperimentConfig
 from fedsim.errors import ConfigError
-from fedsim.experiment import run_experiment
+from fedsim.experiment import run_experiment, run_local_only
 from fedsim.reports import (
     collect_series,
     emit_reports,
@@ -37,6 +38,32 @@ def tiny_result(**overrides):
     )
     base.update(overrides)
     return run_experiment(ExperimentConfig(**base))
+
+
+def nan_first_round_config(**overrides):
+    """local_only where round 1 reveals 6 points, too few for a 7-point
+    window, so no client has a holdout RMSE and the round's RMSE is NaN."""
+    base = dict(
+        variant="local_only",
+        n_clients=4,
+        synth_vehicles=4,
+        synth_points_each=80,
+        hidden=6,
+        rounds=3,
+        scenario="constant",
+        constant_p=1.0,
+        reveal_slice_points=3,
+        seed=7,
+    )
+    base.update(overrides)
+    return ExperimentConfig(**base)
+
+
+def strict_json(text):
+    def reject(token):
+        raise ValueError(f"{token} is not valid strict JSON")
+
+    return json.loads(text, parse_constant=reject)
 
 
 class TestRoundsCsv:
@@ -98,6 +125,22 @@ class TestSummaryJson:
         assert summary["final_rmse"] == result.final_rmse()
         assert summary["best_rmse"] <= summary["final_rmse"] or True
         assert summary["config"]["seed"] == 1
+
+    def test_nan_round_is_skipped_by_best_rmse(self, tmp_path):
+        result = run_local_only(nan_first_round_config())
+        rmse = [log.rmse_global for log in result.logs]
+        assert math.isnan(rmse[0]) and all(math.isfinite(v) for v in rmse[1:])
+        assert result.best_rmse() == min(rmse[1:])
+        paths = emit_reports(result, tmp_path / "run")
+        summary = strict_json(paths["summary"].read_text(encoding="utf-8"))
+        assert summary["best_rmse"] == min(rmse[1:])
+
+    def test_all_nan_rounds_write_null(self, tmp_path):
+        result = run_local_only(nan_first_round_config(rounds=1))
+        assert result.best_rmse() is None
+        paths = emit_reports(result, tmp_path / "run")
+        summary = strict_json(paths["summary"].read_text(encoding="utf-8"))
+        assert summary["best_rmse"] is None and summary["final_rmse"] is None
 
 
 class TestCurvesSvg:
