@@ -11,7 +11,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+import numbers
+import types
+import typing
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 from .errors import ConfigError
@@ -102,6 +105,11 @@ class ExperimentConfig:
         self.validate()
 
     def validate(self) -> None:
+        hints = typing.get_type_hints(type(self))
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not _matches_type(value, hints[f.name]):
+                raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown variant {self.variant!r}, expected one of {VARIANTS}")
         if self.scenario not in SCENARIOS:
@@ -144,6 +152,19 @@ class ExperimentConfig:
             raise ConfigError(f"unknown rmse_units {self.rmse_units!r}")
         if min(self.n_in, self.hidden, self.n_out, self.seq_len, self.batch_size) < 1:
             raise ConfigError("model dims, seq_len and batch_size must be >= 1")
+        if self.alpha_dir <= 0:
+            raise ConfigError(f"alpha_dir must be > 0, got {self.alpha_dir}")
+        if not 0.0 <= self.p_low <= self.p_high <= 1.0:
+            raise ConfigError(
+                f"need 0 <= p_low <= p_high <= 1, got {self.p_low}, {self.p_high}"
+            )
+        if self.gamma <= 0:
+            raise ConfigError(f"gamma must be > 0, got {self.gamma}")
+        for box in self.weak_areas:
+            if len(box) != 4:
+                raise ConfigError(
+                    f"each weak area must be [lat_min, lat_max, lon_min, lon_max], got {box}"
+                )
 
     # resolved knobs -------------------------------------------------------
 
@@ -218,3 +239,22 @@ class ExperimentConfig:
 
     def with_overrides(self, **kwargs) -> "ExperimentConfig":
         return replace(self, **kwargs)
+
+
+def _matches_type(value, hint) -> bool:
+    """Whether a config value fits its field annotation. JSON booleans are
+    not numbers, and an int is accepted where a float is expected."""
+    if typing.get_origin(hint) in (typing.Union, types.UnionType):
+        return any(_matches_type(value, arg) for arg in typing.get_args(hint))
+    if hint is type(None):
+        return value is None
+    if hint is bool or isinstance(value, bool):
+        return hint is bool and isinstance(value, bool)
+    if hint is int:
+        return isinstance(value, numbers.Integral)
+    if hint is float:
+        return isinstance(value, numbers.Real)
+    if typing.get_origin(hint) is list:
+        (item,) = typing.get_args(hint)
+        return isinstance(value, list) and all(_matches_type(v, item) for v in value)
+    return isinstance(value, hint)

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from fedsim import cli
 from fedsim.cli import main
 from fedsim.config import ExperimentConfig
@@ -72,6 +74,28 @@ class TestRunCommand:
         code = main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+
+class TestConfigErrors:
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"rounds": "5"},
+            {"budget": "x"},
+            {"offline_train_every_round": 1},
+            {"weak_areas": [[0.0, 1.0]]},
+            {"alpha_dir": 0},
+            {"p_low": 0.9, "p_high": 0.2},
+            {"gamma": 0},
+        ],
+    )
+    def test_bad_field_is_an_error_with_exit_code_2(self, tmp_path, capsys, bad):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(bad), encoding="utf-8")
+        code = main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / "o").exists()
 
 
 class TestLocalOnlyCommand:

@@ -79,6 +79,16 @@ class TestValidation:
             dict(rmse_units="miles"),
             dict(dataset="csv"),  # missing data_path
             dict(dataset="parquet", data_path="x"),
+            dict(rounds="5"),
+            dict(rounds=5.0),
+            dict(seed=True),
+            dict(budget="20"),
+            dict(offline_train_every_round=1),
+            dict(weak_areas=[[0.0, 1.0]]),
+            dict(weak_areas=[["a", 1.0, 2.0, 3.0]]),
+            dict(alpha_dir=0.0),
+            dict(p_low=0.9, p_high=0.2),
+            dict(gamma=0.0),
         ],
     )
     def test_rejects(self, bad):
