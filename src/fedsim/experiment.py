@@ -467,6 +467,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
     logs: list[RoundLog] = []
     aborted = False
+    # holdout RMSE of global_model, reset when aggregation replaces the model;
+    # a round that aggregates nothing reuses it instead of re-scoring
+    global_rmse: float | None = None
     for t in range(1, config.rounds + 1):
         eta = config.eta_at(t)
         if t == 1:
@@ -519,7 +522,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                     client.model, client.hold_inputs, client.hold_targets
                 )
         if aborted:
-            log.rmse_global = _holdout_rmse(config, bbox, global_model, holdout[0], holdout[1])
+            if global_rmse is None:
+                global_rmse = _holdout_rmse(config, bbox, global_model, *holdout)
+            log.rmse_global = global_rmse
             logs.append(log)
             break
 
@@ -562,6 +567,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                 global_model = aggregate(uploaded, weights=sizes)
             else:
                 global_model = aggregate(uploaded)
+            global_rmse = None
 
         if ranked_mode:
             decay_compensators(comp, participants)
@@ -584,7 +590,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                         client.rng_train,
                     )
 
-        log.rmse_global = _holdout_rmse(config, bbox, global_model, holdout[0], holdout[1])
+        if global_rmse is None:
+            global_rmse = _holdout_rmse(config, bbox, global_model, *holdout)
+        log.rmse_global = global_rmse
         logs.append(log)
 
     return ExperimentResult(config=config, logs=logs, global_model=global_model, bbox=bbox)

@@ -12,6 +12,8 @@ import hashlib
 
 import pytest
 
+import fedsim.experiment
+import fedsim.training
 from fedsim.config import ExperimentConfig
 from fedsim.experiment import run_experiment
 from fedsim.reports import emit_reports
@@ -55,6 +57,13 @@ DIGESTS = {
 }
 
 
+# rounds.csv of a feddecab run where every client goes offline after round 1,
+# so rounds 2-4 aggregate nothing; pinned before unchanged global models
+# stopped being re-scored
+EMPTY_SELECTION = dict(BASE, variant="feddecab", p_offline=1.0, p_recover=0.0, rounds=4)
+EMPTY_SELECTION_ROUNDS_SHA256 = "ccc2187916dcb9ee740cc1940d10c6a3109c77ccb82b8b48e0f4db88f7c0fad7"
+
+
 def _sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -65,3 +74,22 @@ def test_outputs_match_pinned_digests(variant, tmp_path):
     paths = emit_reports(result, tmp_path)
     got = (_sha256(paths["rounds"]), _sha256(paths["summary"]))
     assert got == DIGESTS[variant]
+
+
+def test_rounds_that_aggregate_nothing_reuse_the_global_rmse(tmp_path, monkeypatch):
+    n_forward = 0
+    original = fedsim.training.forward
+
+    def counting_forward(model, batch):
+        nonlocal n_forward
+        n_forward += 1
+        return original(model, batch)
+
+    monkeypatch.setattr(fedsim.training, "forward", counting_forward)
+    monkeypatch.setattr(fedsim.experiment, "forward", counting_forward)
+    result = run_experiment(ExperimentConfig(**EMPTY_SELECTION))
+    assert result.logs[0].selected and not any(log.selected for log in result.logs[1:])
+    # one holdout eval per trained client, and one global eval (round 1)
+    assert n_forward == sum(len(log.client_rmse) for log in result.logs) + 1
+    paths = emit_reports(result, tmp_path)
+    assert _sha256(paths["rounds"]) == EMPTY_SELECTION_ROUNDS_SHA256
