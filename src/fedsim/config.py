@@ -243,7 +243,8 @@ class ExperimentConfig:
 
 def _matches_type(value, hint) -> bool:
     """Whether a config value fits its field annotation. JSON booleans are
-    not numbers, and an int is accepted where a float is expected."""
+    not numbers, an int is accepted where a float is expected, and a float
+    must be finite (a NaN would reach summary.json as invalid JSON)."""
     if typing.get_origin(hint) in (typing.Union, types.UnionType):
         return any(_matches_type(value, arg) for arg in typing.get_args(hint))
     if hint is type(None):
@@ -253,7 +254,7 @@ def _matches_type(value, hint) -> bool:
     if hint is int:
         return isinstance(value, numbers.Integral)
     if hint is float:
-        return isinstance(value, numbers.Real)
+        return isinstance(value, numbers.Real) and math.isfinite(value)
     if typing.get_origin(hint) is list:
         (item,) = typing.get_args(hint)
         return isinstance(value, list) and all(_matches_type(v, item) for v in value)

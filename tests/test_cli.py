@@ -84,6 +84,7 @@ class TestConfigErrors:
             {"budget": "x"},
             {"offline_train_every_round": 1},
             {"weak_areas": [[0.0, 1.0]]},
+            {"alpha_dir": float("nan")},
             {"alpha_dir": 0},
             {"p_low": 0.9, "p_high": 0.2},
             {"gamma": 0},

@@ -86,6 +86,8 @@ class TestValidation:
             dict(offline_train_every_round=1),
             dict(weak_areas=[[0.0, 1.0]]),
             dict(weak_areas=[["a", 1.0, 2.0, 3.0]]),
+            dict(alpha_dir=float("nan")),
+            dict(eta0=float("inf")),
             dict(alpha_dir=0.0),
             dict(p_low=0.9, p_high=0.2),
             dict(gamma=0.0),
