@@ -135,8 +135,7 @@ def init_params(dims: Dims, rng: np.random.Generator) -> ParamSet:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # 0.5 * (1 + tanh(x / 2)) is the logistic function without exp, so it
-    # cannot overflow and needs no sign masks; built in one new array.
+    # tanh form of the logistic (see the module docstring), in one new array
     out = x * 0.5
     np.tanh(out, out=out)
     out += 1.0
