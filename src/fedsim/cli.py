@@ -11,7 +11,7 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .data import SYNTH_KINDS, synth_trajectories, write_csv
-from .errors import FedsimError
+from .errors import ConfigError, FedsimError
 from .experiment import run_experiment, run_local_only
 from .nn import Dims, ParamSet, TrainBatch, backward, batch_objective, init_params
 from .reports import collect_series, emit_reports, write_curves_svg
@@ -26,7 +26,10 @@ def _load_config(args) -> ExperimentConfig:
             overrides[name] = value
     env_seed = os.environ.get("FEDSIM_SEED")
     if env_seed is not None:
-        overrides["seed"] = int(env_seed)
+        try:
+            overrides["seed"] = int(env_seed)
+        except ValueError:
+            raise ConfigError(f"FEDSIM_SEED must be an integer, got {env_seed!r}") from None
     return config.with_overrides(**overrides) if overrides else config
 
 

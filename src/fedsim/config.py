@@ -228,11 +228,13 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ExperimentConfig":
-        with Path(path).open(encoding="utf-8") as fh:
-            try:
+        try:
+            with Path(path).open(encoding="utf-8") as fh:
                 raw = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
+        except OSError as exc:
+            raise ConfigError(f"{path}: cannot read config ({exc.strerror})") from exc
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
         if not isinstance(raw, dict):
             raise ConfigError(f"{path}: config must be a JSON object")
         return cls.from_dict(raw)

@@ -99,6 +99,20 @@ class TestConfigErrors:
         assert not (tmp_path / "o").exists()
 
 
+    def test_unreadable_config_file_is_an_error(self, tmp_path, capsys):
+        missing = tmp_path / "missing.json"
+        code = main(["run", "--config", str(missing), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_non_integer_env_seed_is_an_error(self, tmp_path, monkeypatch, capsys):
+        config = write_config(tmp_path)
+        monkeypatch.setenv("FEDSIM_SEED", "abc")
+        code = main(["run", "--config", str(config), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "FEDSIM_SEED" in capsys.readouterr().err
+
+
 class TestLocalOnlyCommand:
     def test_local_only_runs(self, tmp_path, capsys):
         config = write_config(tmp_path)
