@@ -17,6 +17,7 @@ import typing
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
+from .data import SYNTH_KINDS
 from .errors import ConfigError
 
 VARIANTS = ("fedavg", "fedprox", "fedcab", "feddecab", "fedprox_plus", "local_only")
@@ -160,6 +161,16 @@ class ExperimentConfig:
             )
         if self.gamma <= 0:
             raise ConfigError(f"gamma must be > 0, got {self.gamma}")
+        if not 0.0 < self.datasize_percentile < 100.0:
+            raise ConfigError(
+                f"datasize_percentile must be in (0, 100), got {self.datasize_percentile}"
+            )
+        if self.synth_kind not in SYNTH_KINDS:
+            raise ConfigError(
+                f"unknown synth_kind {self.synth_kind!r}, expected one of {SYNTH_KINDS}"
+            )
+        if self.vehicles_per_client < 1:
+            raise ConfigError(f"vehicles_per_client must be >= 1, got {self.vehicles_per_client}")
         for box in self.weak_areas:
             if len(box) != 4:
                 raise ConfigError(

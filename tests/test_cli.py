@@ -88,6 +88,9 @@ class TestConfigErrors:
             {"alpha_dir": 0},
             {"p_low": 0.9, "p_high": 0.2},
             {"gamma": 0},
+            {"datasize_percentile": 0},
+            {"synth_kind": "spiral"},
+            {"vehicles_per_client": 0},
         ],
     )
     def test_bad_field_is_an_error_with_exit_code_2(self, tmp_path, capsys, bad):

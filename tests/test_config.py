@@ -91,6 +91,9 @@ class TestValidation:
             dict(alpha_dir=0.0),
             dict(p_low=0.9, p_high=0.2),
             dict(gamma=0.0),
+            dict(datasize_percentile=100.0),
+            dict(synth_kind="spiral"),
+            dict(vehicles_per_client=0),
         ],
     )
     def test_rejects(self, bad):
