@@ -101,7 +101,6 @@ class TestConfigErrors:
         assert capsys.readouterr().err.startswith("error:")
         assert not (tmp_path / "o").exists()
 
-
     def test_unreadable_config_file_is_an_error(self, tmp_path, capsys):
         missing = tmp_path / "missing.json"
         code = main(["run", "--config", str(missing), "--out", str(tmp_path / "o")])

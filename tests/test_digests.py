@@ -3,9 +3,10 @@
 The determinism tests compare two runs inside one process, so a change that
 moves the numerics between commits would pass them. These digests pin the
 bytes across commits: one uniform-selection run (fedavg), one ranked run
-(fedcab) and one with peer rounds (feddecab). The pinned values hold for a
-float64 numpy build on x86-64; a change that alters any output bit must
-re-pin them and say why in CHANGES.md.
+(fedcab) and one with peer rounds (feddecab). The values were taken with
+numpy 2.4 and OpenBLAS on x86-64; another BLAS may round GEMMs differently.
+A change that alters any output bit must re-pin them and say why in
+CHANGES.md.
 """
 
 import hashlib
