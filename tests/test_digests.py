@@ -1,12 +1,13 @@
-"""Golden digests: sha256 of rounds.csv and summary.json for three tiny runs.
+"""Golden digests: sha256 of rounds.csv and summary.json for tiny runs.
 
 The determinism tests compare two runs inside one process, so a change that
 moves the numerics between commits would pass them. These digests pin the
 bytes across commits: one uniform-selection run (fedavg), one ranked run
-(fedcab) and one with peer rounds (feddecab). The values were taken with
-numpy 2.4 and OpenBLAS on x86-64; another BLAS may round GEMMs differently.
-A change that alters any output bit must re-pin them and say why in
-CHANGES.md.
+(fedcab), one with peer rounds (feddecab), both proximal variants, the
+isolated local_only baseline, and fedavg with offline clients training every
+round. The values were taken with numpy 2.4 and OpenBLAS on x86-64; another
+BLAS may round GEMMs differently. A change that alters any output bit must
+re-pin them and say why in CHANGES.md.
 """
 
 import hashlib
@@ -16,7 +17,7 @@ import pytest
 import fedsim.experiment
 import fedsim.training
 from fedsim.config import ExperimentConfig
-from fedsim.experiment import run_experiment
+from fedsim.experiment import run_experiment, run_local_only
 from fedsim.reports import emit_reports
 
 BASE = dict(
@@ -41,7 +42,20 @@ BASE = dict(
     seed=5,
 )
 
-# variant -> (rounds.csv sha256, summary.json sha256)
+# case -> overrides of BASE. No BASE client trains on more than 7 windows, one
+# batch at batch_size=8, and the proximal pull is zero on a round's first
+# step; so the proximal variants run at batch_size=4, where the pull acts.
+CASES = {
+    "fedavg": dict(variant="fedavg"),
+    "fedcab": dict(variant="fedcab"),
+    "feddecab": dict(variant="feddecab"),
+    "fedprox": dict(variant="fedprox", batch_size=4),
+    "fedprox_plus": dict(variant="fedprox_plus", batch_size=4),
+    "local_only": dict(variant="local_only"),
+    "fedavg_offline": dict(variant="fedavg", offline_train_every_round=True),
+}
+
+# case -> (rounds.csv sha256, summary.json sha256)
 DIGESTS = {
     "fedavg": (
         "dfa6d476fcee47400f2c8d97aa93aa0623bf8b3521a96d1c3342083af54ae2a2",
@@ -54,6 +68,22 @@ DIGESTS = {
     "feddecab": (
         "be7397d3fba2a497386a7103982e288fc309558254488312d5d4bbf581b33f46",
         "08c0556b77d2b8bea48814e08da809f3a814a3938080621faebc104adfb4e124",
+    ),
+    "fedprox": (
+        "a403b7d8865754df55cc4c385f6429b2771be9adbe5301c166ad9be89ae98c2b",
+        "abd448c8fa905b8d96cc55ee44a5e221d6908695bbbdaf82261c29ffeb2228b1",
+    ),
+    "fedprox_plus": (
+        "b326b619e77d03d27c8c5a900df9716e32436eaec57dc9007784a96f1e78133e",
+        "b8206990e46e6ea81ea6b8030700adc8198dca79f9711166390463aa1189b946",
+    ),
+    "local_only": (
+        "804ceccc0248ade120cf7390db84b2d8f57a31ae763ce3ef0fc594350703f6d1",
+        "624cef4f3d2cd6ce709c3f47fed8473bb94bc3c86a2964f7646b36d5e1e00537",
+    ),
+    "fedavg_offline": (
+        "279831935ead16ce931c3d69bb51d7f9d6d0d71feea837e3dce8cf8e2674b818",
+        "886b4c64d727386a51a53ce8910f5c7e8dd65acc71d70fc9891c1c93a5e178ae",
     ),
 }
 
@@ -69,12 +99,26 @@ def _sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-@pytest.mark.parametrize("variant", sorted(DIGESTS))
-def test_outputs_match_pinned_digests(variant, tmp_path):
-    result = run_experiment(ExperimentConfig(variant=variant, **BASE))
-    paths = emit_reports(result, tmp_path)
-    got = (_sha256(paths["rounds"]), _sha256(paths["summary"]))
-    assert got == DIGESTS[variant]
+def _rounds_and_summary_sha256(overrides, out_dir) -> tuple[str, str]:
+    config = ExperimentConfig(**dict(BASE, **overrides))
+    # local_only has no server and still runs its own round loop
+    run = run_local_only if config.variant == "local_only" else run_experiment
+    paths = emit_reports(run(config), out_dir)
+    return _sha256(paths["rounds"]), _sha256(paths["summary"])
+
+
+@pytest.mark.parametrize("case", sorted(DIGESTS))
+def test_outputs_match_pinned_digests(case, tmp_path):
+    assert _rounds_and_summary_sha256(CASES[case], tmp_path) == DIGESTS[case]
+
+
+@pytest.mark.parametrize("proximal,plain", [("fedprox", "fedavg"), ("fedprox_plus", "fedcab")])
+def test_proximal_pins_differ_from_their_plain_variant(proximal, plain, tmp_path):
+    # the same batches without the proximal pull: equal bytes would mean the
+    # pinned proximal run never exercised the penalty
+    rounds_sha, _ = _rounds_and_summary_sha256(dict(CASES[proximal], variant=plain), tmp_path)
+    assert rounds_sha != DIGESTS[proximal][0]
+    assert DIGESTS[proximal][0] not in (DIGESTS["fedavg"][0], DIGESTS["fedcab"][0])
 
 
 def test_rounds_that_aggregate_nothing_reuse_the_global_rmse(tmp_path, monkeypatch):
