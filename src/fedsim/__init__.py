@@ -2,72 +2,10 @@
 for time-series trajectory prediction, with ranked client selection and
 peer collaboration among offline clients."""
 
-from .availability import (
-    AvailabilityPlan,
-    RevealState,
-    WeakArea,
-    assign_by_datasize,
-    assign_random,
-    assign_regional,
-    reveal_round,
-)
-from .collab import CollabCache, collaborative_local_update, evaluate_candidates
 from .config import ExperimentConfig
-from .connectivity import (
-    LinkState,
-    build_neighbor_graph,
-    charge_upload,
-    participation,
-    step_connectivity,
-)
-from .data import (
-    BBox,
-    ClientDataset,
-    Trajectory,
-    make_windows,
-    parse_csv,
-    parse_tdrive,
-    partition_by_vehicle,
-    partition_equal,
-    synth_trajectories,
-    write_csv,
-)
-from .errors import BudgetError, ConfigError, FedsimError, NumericError, ParseError
-from .experiment import (
-    ExperimentResult,
-    RoundLog,
-    aggregate,
-    local_update,
-    run_experiment,
-    run_local_only,
-)
-from .nn import (
-    Dims,
-    GradientSet,
-    ParamSet,
-    TrainBatch,
-    backward,
-    fc_extract,
-    fc_inject,
-    forward,
-    init_params,
-    kl_divergence,
-    mse_loss,
-    param_distribution,
-    sgd_step,
-)
-from .ranking import (
-    CompensatorState,
-    RankEntry,
-    decay_compensators,
-    rank_positions,
-    select_top_k,
-    solve_quadratic,
-    straggler_boost,
-    weight_early,
-    weight_late,
-)
-from .reports import emit_reports, read_rounds_csv, write_curves_svg, write_rounds_csv
-from .training import evaluate_rmse, train_local
+from .errors import FedsimError
+from .experiment import run_experiment
+from .nn import backward  # fedbench/test_harness.py checks the tracer rewraps this binding
+from .reports import emit_reports
 
 __version__ = "0.1.0"

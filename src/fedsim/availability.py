@@ -61,23 +61,25 @@ class AvailabilityPlan:
 class RevealState:
     """Progress of the streaming reveal over one client's training stream.
 
-    Points in [0, cursor) have been processed; each is in exactly one of the
-    available/lost masks, and neither mask ever shrinks.
+    Points in [0, cursor) have been processed; each is either available or
+    lost, and neither set ever shrinks.
     """
 
     n_points: int
     slice_size: int
     cursor: int = 0
     available: np.ndarray = field(default=None)
-    lost: np.ndarray = field(default=None)
 
     def __post_init__(self):
         if self.slice_size < 1:
             raise ConfigError("slice size must be >= 1")
         if self.available is None:
             self.available = np.zeros(self.n_points, dtype=bool)
-        if self.lost is None:
-            self.lost = np.zeros(self.n_points, dtype=bool)
+
+    @property
+    def lost(self) -> np.ndarray:
+        """Processed points that did not join the available set."""
+        return (np.arange(self.n_points) < self.cursor) & ~self.available
 
     @property
     def n_available(self) -> int:
@@ -86,9 +88,6 @@ class RevealState:
     @property
     def n_lost(self) -> int:
         return int(self.lost.sum())
-
-    def available_indices(self) -> np.ndarray:
-        return np.flatnonzero(self.available)
 
 
 def assign_random(n_points: int, alpha_dir: float, rng: np.random.Generator) -> np.ndarray:
@@ -162,6 +161,5 @@ def reveal_round(
     joined = draws < plan.probs[start:stop]
     idx = np.arange(start, stop)
     state.available[idx[joined]] = True
-    state.lost[idx[~joined]] = True
     state.cursor = stop
     return idx[joined]

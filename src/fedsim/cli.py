@@ -12,7 +12,7 @@ import numpy as np
 from .config import ExperimentConfig
 from .data import SYNTH_KINDS, synth_trajectories, write_csv
 from .errors import ConfigError, FedsimError
-from .experiment import run_experiment, run_local_only
+from .experiment import run_experiment
 from .nn import Dims, ParamSet, TrainBatch, backward, batch_objective, init_params
 from .reports import collect_series, emit_reports, write_curves_svg
 
@@ -42,18 +42,6 @@ def _cmd_run(args) -> int:
     print(
         f"{config.variant}: {len(result.logs)} rounds, "
         f"final RMSE {result.final_rmse():.6f}, best {best_text}"
-    )
-    print(f"wrote {paths['rounds']}, {paths['summary']}, {paths['curves']}")
-    return 0
-
-
-def _cmd_local_only(args) -> int:
-    config = _load_config(args).with_overrides(variant="local_only")
-    result = run_local_only(config)
-    paths = emit_reports(result, args.out)
-    print(
-        f"local_only: {len(result.logs)} rounds, "
-        f"mean per-client RMSE {result.final_rmse():.6f}"
     )
     print(f"wrote {paths['rounds']}, {paths['summary']}, {paths['curves']}")
     return 0
@@ -133,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
     local.add_argument("--out", required=True)
     local.add_argument("--seed", type=int, default=None)
     local.add_argument("--rounds", type=int, default=None)
-    local.set_defaults(func=_cmd_local_only)
+    local.set_defaults(func=_cmd_run, variant="local_only")
 
     grad = sub.add_parser("gradcheck", help="finite-difference check of the gradients")
     grad.add_argument("--trials", type=int, default=20)

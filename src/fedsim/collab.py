@@ -1,4 +1,4 @@
-"""Peer collaboration for offline clients: head exchange and joint updates.
+"""Peer collaboration for offline clients: head exchange and candidate scoring.
 
 Offline clients trade only head blocks with geographic neighbors. Each client
 computes its sequence embedding once, scores every candidate head (its own
@@ -8,14 +8,11 @@ anchor for subsequent local updates.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
-from .nn import Dims, ParamSet, apply_fc, fc_inject, lstm_hidden, mse_loss
-from .training import train_local
+from .nn import ParamSet, apply_fc, fc_inject, lstm_hidden, mse_loss
 
 
 @dataclass
@@ -54,57 +51,7 @@ def evaluate_candidates(
     )
 
 
-def collaborative_local_update(
-    model: ParamSet,
-    cache: CollabCache | None,
-    inputs: np.ndarray,
-    targets: np.ndarray,
-    epochs: int,
-    eta: float,
-    batch_size: int,
-    rng: np.random.Generator,
-) -> ParamSet:
-    """Local SGD pulled toward the cached collaborative model, if any.
-
-    Without a cache this is a plain local update: the divergence penalty only
-    exists once a peer exchange has happened.
-    """
-    anchor = cache.model if cache is not None else None
-    return train_local(
-        model, inputs, targets, epochs, eta, batch_size, rng, kl_anchor=anchor
-    )
-
-
 def head_payload_values(n_neighbors: int, dims) -> int:
     """Values received in one exchange: one head block per neighbor."""
     return n_neighbors * dims.fc_size
 
-
-def serialize_fc_head(fc_block: np.ndarray, dims: Dims) -> str:
-    """Wire format for a head block: a dims header plus the ordered values.
-
-    The in-process exchange never serializes, but a networked deployment can
-    adopt this format as-is; floats survive the round trip exactly.
-    """
-    if fc_block.shape != (dims.fc_size,):
-        raise ConfigError(f"head has {fc_block.size} values, dims say {dims.fc_size}")
-    return json.dumps(
-        {"hidden": dims.n_hidden, "outputs": dims.n_out, "values": fc_block.tolist()}
-    )
-
-
-def parse_fc_head(payload: str) -> tuple[np.ndarray, int, int]:
-    """Inverse of :func:`serialize_fc_head`; returns (values, hidden, outputs)."""
-    try:
-        raw = json.loads(payload)
-        hidden = int(raw["hidden"])
-        outputs = int(raw["outputs"])
-        values = np.asarray(raw["values"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed head payload: {exc}") from exc
-    if values.shape != (hidden * outputs + outputs,):
-        raise ConfigError(
-            f"head payload has {values.size} values, header says "
-            f"{hidden * outputs + outputs}"
-        )
-    return values, hidden, outputs

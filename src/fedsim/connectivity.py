@@ -7,7 +7,7 @@ outcomes. Budgets cap server uploads only; offline computation is free.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,12 +18,10 @@ from .errors import BudgetError, ConfigError
 class LinkState:
     """One client's connectivity record.
 
-    ``budget_remaining`` of None means an unlimited budget. ``history`` holds
-    one online/offline flag per elapsed round.
+    ``budget_remaining`` of None means an unlimited budget.
     """
 
     online: bool = True
-    history: list[bool] = field(default_factory=list)
     n_uploads: int = 0
     budget_remaining: int | None = None
     last_position: np.ndarray | None = None
@@ -55,7 +53,6 @@ def step_connectivity(
             state.online = draw >= p_offline
         else:
             state.online = draw < p_recover
-        state.history.append(state.online)
         if state.online:
             online.append(cid)
             if not was_online:
@@ -63,15 +60,6 @@ def step_connectivity(
         else:
             offline.append(cid)
     return online, recovered, offline
-
-
-def mark_all_online(states: dict[int, LinkState]) -> tuple[list[int], list[int], list[int]]:
-    """Round-1 convention: every client starts online, nobody has recovered."""
-    ids = sorted(states)
-    for cid in ids:
-        states[cid].online = True
-        states[cid].history.append(True)
-    return ids, [], []
 
 
 def participation(n_uploads: int, t: int) -> float:

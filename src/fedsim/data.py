@@ -208,13 +208,6 @@ class BBox:
         out[..., 1] = (coords[..., 1] - self.lon_min) / (self.lon_max - self.lon_min)
         return out
 
-    def denormalize(self, unit_coords: np.ndarray) -> np.ndarray:
-        unit_coords = np.asarray(unit_coords, dtype=float)
-        out = np.empty_like(unit_coords)
-        out[..., 0] = unit_coords[..., 0] * (self.lat_max - self.lat_min) + self.lat_min
-        out[..., 1] = unit_coords[..., 1] * (self.lon_max - self.lon_min) + self.lon_min
-        return out
-
     def scale(self) -> np.ndarray:
         """Per-axis degree extent; converts unit-square errors back to degrees."""
         return np.array([self.lat_max - self.lat_min, self.lon_max - self.lon_min])

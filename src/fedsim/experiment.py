@@ -1,10 +1,10 @@
 """The experiment engine: data preparation, the round loop, and evaluation.
 
 One engine runs every algorithm variant; variants only toggle the selection
-mode, the peer-collaboration rounds, and the proximal penalty. All
-randomness flows from per-purpose generators spawned off the config seed, one
-set per client, so results are independent of evaluation order and identical
-across repeated runs.
+mode, the peer-collaboration rounds, and the proximal penalty, and local_only
+runs it with no server at all. All randomness flows from per-purpose
+generators spawned off the config seed, one set per client, so results are
+independent of evaluation order and identical across repeated runs.
 """
 
 from __future__ import annotations
@@ -24,13 +24,12 @@ from .availability import (
     datasize_threshold,
     reveal_round,
 )
-from .collab import CollabCache, collaborative_local_update, evaluate_candidates, head_payload_values
+from .collab import CollabCache, evaluate_candidates, head_payload_values
 from .config import ExperimentConfig
 from .connectivity import (
     LinkState,
     build_neighbor_graph,
     charge_upload,
-    mark_all_online,
     participation,
     step_connectivity,
 )
@@ -161,35 +160,6 @@ def aggregate(models: list[ParamSet], weights: list[float] | None = None) -> Par
     lstm = sum(wi * m.lstm_block for wi, m in zip(w, models))
     fc = sum(wi * m.fc_block for wi, m in zip(w, models))
     return ParamSet(lstm, fc, dims)
-
-
-def local_update(
-    init: ParamSet,
-    global_model: ParamSet,
-    inputs: np.ndarray,
-    targets: np.ndarray,
-    epochs: int,
-    eta: float,
-    batch_size: int,
-    rng: np.random.Generator,
-    prox_mu: float = 0.0,
-    kl_anchor: ParamSet | None = None,
-) -> tuple[ParamSet, float]:
-    """One client-side update; returns the new model and its divergence
-    from the round's global model (full flattened parameter distributions)."""
-    updated = train_local(
-        init,
-        inputs,
-        targets,
-        epochs,
-        eta,
-        batch_size,
-        rng,
-        kl_anchor=kl_anchor,
-        prox_mu=prox_mu,
-        prox_ref=init.copy() if prox_mu > 0 else None,
-    )
-    return updated, model_divergence(updated, global_model)
 
 
 # ---------------------------------------------------------------------------
@@ -399,6 +369,28 @@ def _sample_eval_batch(client: ClientRuntime, usable: np.ndarray, batch_size: in
     return client.train_inputs[picked], client.train_targets[picked]
 
 
+def _train_client(
+    config: ExperimentConfig,
+    client: ClientRuntime,
+    usable: np.ndarray,
+    eta: float,
+    kl_anchor: ParamSet | None = None,
+    prox_mu: float = 0.0,
+) -> ParamSet:
+    """Local SGD of the client's model over its usable training windows."""
+    return train_local(
+        client.model,
+        client.train_inputs[usable],
+        client.train_targets[usable],
+        config.epochs,
+        eta,
+        config.batch_size,
+        client.rng_train,
+        kl_anchor=kl_anchor,
+        prox_mu=prox_mu,
+    )
+
+
 def _decentralized_round(
     config: ExperimentConfig,
     clients: dict[int, ClientRuntime],
@@ -418,17 +410,10 @@ def _decentralized_round(
         client = clients[u]
         usable = client.usable_window_indices()
         if usable.size:
+            # pulled toward the cached collaborative model once one exists
+            anchor = client.cache.model if client.cache is not None else None
             try:
-                client.model = collaborative_local_update(
-                    client.model,
-                    client.cache,
-                    client.train_inputs[usable],
-                    client.train_targets[usable],
-                    config.epochs,
-                    eta,
-                    config.batch_size,
-                    client.rng_train,
-                )
+                client.model = _train_client(config, client, usable, eta, kl_anchor=anchor)
             except NumericError:
                 # divergence aborts this client's peer round only
                 log.events.append(f"numeric_abort_peer:{u}")
@@ -446,11 +431,99 @@ def _decentralized_round(
         log.collab_sources[u] = client.cache.source_id
 
 
+def _offline_training(
+    config: ExperimentConfig,
+    clients: dict[int, ClientRuntime],
+    offline: list[int],
+    eta: float,
+    log: RoundLog,
+) -> None:
+    """Plain local SGD for offline clients in rounds without a peer pass."""
+    for u in sorted(offline):
+        client = clients[u]
+        usable = client.usable_window_indices()
+        if usable.size:
+            try:
+                client.model = _train_client(config, client, usable, eta)
+            except NumericError:
+                # divergence skips this client's offline update only
+                log.events.append(f"numeric_abort_offline:{u}")
+
+
+def _server_round(
+    config: ExperimentConfig,
+    clients: dict[int, ClientRuntime],
+    trained: dict[int, float],
+    comp: CompensatorState,
+    rng_select: np.random.Generator,
+    log: RoundLog,
+) -> ParamSet | None:
+    """Rank, select and aggregate the clients trained this round.
+
+    ``trained`` maps each trained client to its divergence from the global
+    model. Returns the new global model, or None when nobody was selected.
+    """
+    participants = [cid for cid in sorted(trained) if clients[cid].link.can_upload]
+    for cid in sorted(trained):
+        if not clients[cid].link.can_upload:
+            log.events.append(f"budget_exhausted:{cid}")
+    m_t = len(participants)
+    log.entries = [
+        RankEntry(
+            client_id=cid,
+            divergence=trained[cid],
+            participation=participation(clients[cid].link.n_uploads, log.t),
+            n_updates=clients[cid].link.n_uploads,
+        )
+        for cid in participants
+    ]
+
+    if m_t == 0:
+        log.events.append("empty_selection")
+        log.selected = []
+    elif log.ranked:
+        build_rank_entries(log.entries, comp, m_t)
+        if config.selection_mode == "proportional":
+            log.selected = sample_proportional(log.entries, config.k_selected, rng_select)
+        else:
+            log.selected = select_top_k(log.entries, config.k_selected)
+    else:
+        take = min(config.k_selected, m_t)
+        picked = rng_select.choice(np.array(participants), size=take, replace=False)
+        log.selected = sorted(int(c) for c in picked)
+
+    for cid in log.selected:
+        charge_upload(clients[cid].link)
+
+    new_global = None
+    if log.selected:
+        uploaded = [clients[cid].model for cid in sorted(log.selected)]
+        if config.aggregate_by_datasize:
+            sizes = [float(clients[cid].n_points) for cid in sorted(log.selected)]
+            new_global = aggregate(uploaded, weights=sizes)
+        else:
+            new_global = aggregate(uploaded)
+
+    if log.ranked:
+        decay_compensators(comp, participants)
+        log.alpha = comp.alpha
+    return new_global
+
+
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
-    """Execute the full round loop for any server-aggregating variant."""
-    if config.variant == "local_only":
-        raise ConfigError("use run_local_only for the local_only variant")
+    """Execute the full round loop for any variant.
+
+    local_only is the same loop with no server: every client starts from its
+    own initialization, stays online, and never ranks, uploads or meets a peer;
+    its round RMSE is the mean per-client holdout error and it has no global
+    model.
+    """
     clients, global_model, bbox, holdout, rng_select = prepare_clients(config)
+    isolated = config.variant == "local_only"
+    if isolated:
+        for client in clients.values():
+            client.model = init_params(global_model.dims, client.rng_train)
+        global_model = None
     comp = CompensatorState(
         alpha=config.alpha0,
         delta_alpha=config.alpha_step,
@@ -458,7 +531,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         gamma=config.gamma,
         beta0=config.beta0,
     )
-    ranked_mode = config.selection_mode in ("ranked", "proportional")
+    ranked_mode = not isolated and config.selection_mode in ("ranked", "proportional")
     states = {cid: clients[cid].link for cid in clients}
     rngs_conn = {cid: clients[cid].rng_conn for cid in clients}
 
@@ -472,8 +545,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     global_rmse: float | None = None
     for t in range(1, config.rounds + 1):
         eta = config.eta_at(t)
-        if t == 1:
-            online, recovered, offline = mark_all_online(states)
+        if t == 1 or isolated:
+            # every client starts online and nobody has recovered
+            online, recovered, offline = sorted(clients), [], []
         else:
             online, recovered, offline = step_connectivity(
                 states, config.p_offline, config.p_recover, rngs_conn
@@ -486,155 +560,56 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         trained: dict[int, float] = {}
         for cid in online:
             client = clients[cid]
-            if cid in recovered_set:
+            kl_anchor = None
+            if isolated or cid in recovered_set:
                 log.provenance[cid] = "local"
-                kl_anchor = client.cache.model if client.cache is not None else None
+                # a client resuming its own model is pulled toward its cached
+                # peer model; one that got the global push is not
+                if client.cache is not None:
+                    kl_anchor = client.cache.model
             else:
                 client.model = global_model.copy()
                 log.provenance[cid] = "global"
-                kl_anchor = None
             usable = client.usable_window_indices()
             if usable.size == 0:
                 log.provenance[cid] = "skip"
                 log.events.append(f"no_usable_windows:{cid}")
                 continue
             try:
-                client.model, divergence = local_update(
-                    client.model,
-                    global_model,
-                    client.train_inputs[usable],
-                    client.train_targets[usable],
-                    config.epochs,
-                    eta,
-                    config.batch_size,
-                    client.rng_train,
-                    prox_mu=config.proximal_mu,
-                    kl_anchor=kl_anchor,
+                client.model = _train_client(
+                    config, client, usable, eta, kl_anchor, config.proximal_mu
                 )
             except NumericError:
                 # divergence aborts the run; logs so far are kept
                 log.events.append(f"numeric_abort:client={cid}")
                 aborted = True
                 break
-            trained[cid] = divergence
+            if not isolated:
+                trained[cid] = model_divergence(client.model, global_model)
             if client.hold_inputs.shape[0]:
                 log.client_rmse[cid] = evaluate_rmse(
                     client.model, client.hold_inputs, client.hold_targets
                 )
-        if aborted:
+
+        if not (aborted or isolated):
+            new_global = _server_round(config, clients, trained, comp, rng_select, log)
+            if new_global is not None:
+                global_model, global_rmse = new_global, None
+            if config.is_decentral_round(t):
+                _decentralized_round(config, clients, offline, eta, log)
+            elif config.offline_train_every_round:
+                _offline_training(config, clients, offline, eta, log)
+
+        if isolated:
+            # no global model exists; report the mean per-client holdout error
+            scores = list(log.client_rmse.values())
+            log.rmse_global = float(np.mean(scores)) if scores else float("nan")
+        else:
             if global_rmse is None:
                 global_rmse = _holdout_rmse(config, bbox, global_model, *holdout)
             log.rmse_global = global_rmse
-            logs.append(log)
+        logs.append(log)
+        if aborted:
             break
 
-        participants = [cid for cid in sorted(trained) if clients[cid].link.can_upload]
-        for cid in sorted(trained):
-            if not clients[cid].link.can_upload:
-                log.events.append(f"budget_exhausted:{cid}")
-        m_t = len(participants)
-        log.entries = [
-            RankEntry(
-                client_id=cid,
-                divergence=trained[cid],
-                participation=participation(clients[cid].link.n_uploads, t),
-                n_updates=clients[cid].link.n_uploads,
-            )
-            for cid in participants
-        ]
-
-        if m_t == 0:
-            log.events.append("empty_selection")
-            log.selected = []
-        elif ranked_mode:
-            build_rank_entries(log.entries, comp, m_t)
-            if config.selection_mode == "proportional":
-                log.selected = sample_proportional(log.entries, config.k_selected, rng_select)
-            else:
-                log.selected = select_top_k(log.entries, config.k_selected)
-        else:
-            take = min(config.k_selected, m_t)
-            picked = rng_select.choice(np.array(participants), size=take, replace=False)
-            log.selected = sorted(int(c) for c in picked)
-
-        for cid in log.selected:
-            charge_upload(clients[cid].link)
-
-        if log.selected:
-            uploaded = [clients[cid].model for cid in sorted(log.selected)]
-            if config.aggregate_by_datasize:
-                sizes = [float(clients[cid].n_points) for cid in sorted(log.selected)]
-                global_model = aggregate(uploaded, weights=sizes)
-            else:
-                global_model = aggregate(uploaded)
-            global_rmse = None
-
-        if ranked_mode:
-            decay_compensators(comp, participants)
-            log.alpha = comp.alpha
-
-        if config.is_decentral_round(t):
-            _decentralized_round(config, clients, offline, eta, log)
-        elif config.offline_train_every_round:
-            for u in sorted(offline):
-                client = clients[u]
-                usable = client.usable_window_indices()
-                if usable.size:
-                    client.model = train_local(
-                        client.model,
-                        client.train_inputs[usable],
-                        client.train_targets[usable],
-                        config.epochs,
-                        eta,
-                        config.batch_size,
-                        client.rng_train,
-                    )
-
-        if global_rmse is None:
-            global_rmse = _holdout_rmse(config, bbox, global_model, *holdout)
-        log.rmse_global = global_rmse
-        logs.append(log)
-
     return ExperimentResult(config=config, logs=logs, global_model=global_model, bbox=bbox)
-
-
-def run_local_only(config: ExperimentConfig) -> ExperimentResult:
-    """Isolated training baseline: same data, rounds, and update counts, but
-    no aggregation and no information exchange of any kind."""
-    clients, global_model, bbox, holdout, _ = prepare_clients(config)
-    for client in clients.values():
-        # local-only clients never see the shared initialization
-        client.model = init_params(global_model.dims, client.rng_train)
-    _reveal_all(clients)
-    logs: list[RoundLog] = []
-    for t in range(1, config.rounds + 1):
-        eta = config.eta_at(t)
-        ids = sorted(clients)
-        log = RoundLog(t=t, eta=eta, online=ids, recovered=[], offline=[])
-        _reveal_all(clients)
-        per_client = []
-        for cid in ids:
-            client = clients[cid]
-            usable = client.usable_window_indices()
-            if usable.size == 0:
-                log.provenance[cid] = "skip"
-                log.events.append(f"no_usable_windows:{cid}")
-                continue
-            log.provenance[cid] = "local"
-            client.model = train_local(
-                client.model,
-                client.train_inputs[usable],
-                client.train_targets[usable],
-                config.epochs,
-                eta,
-                config.batch_size,
-                client.rng_train,
-            )
-            if client.hold_inputs.shape[0]:
-                rmse = evaluate_rmse(client.model, client.hold_inputs, client.hold_targets)
-                log.client_rmse[cid] = rmse
-                per_client.append(rmse)
-        # no global model exists; report the mean per-client holdout error
-        log.rmse_global = float(np.mean(per_client)) if per_client else float("nan")
-        logs.append(log)
-    return ExperimentResult(config=config, logs=logs, global_model=None, bbox=bbox)

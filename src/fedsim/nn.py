@@ -94,9 +94,6 @@ class ParamSet:
         return cls(vec[: dims.lstm_size].copy(), vec[dims.lstm_size :].copy(), dims)
 
 
-# Gradients share the parameter layout exactly.
-GradientSet = ParamSet
-
 
 @dataclass
 class TrainBatch:
@@ -281,7 +278,7 @@ def backward(
     model: ParamSet,
     batch: TrainBatch,
     bias_target: ParamSet | None = None,
-) -> GradientSet:
+) -> ParamSet:
     """Gradients of the batch objective with respect to every parameter.
 
     The objective is the mean squared error of the predictions; when
@@ -339,7 +336,7 @@ def backward(
 
     if not (np.all(np.isfinite(grad_lstm)) and np.all(np.isfinite(grad_fc))):
         raise NumericError("non-finite gradient")
-    return GradientSet(grad_lstm, grad_fc, d)
+    return ParamSet(grad_lstm, grad_fc, d)
 
 
 def batch_objective(
@@ -358,7 +355,7 @@ def batch_objective(
     return loss
 
 
-def sgd_step(model: ParamSet, grads: GradientSet, eta: float) -> ParamSet:
+def sgd_step(model: ParamSet, grads: ParamSet, eta: float) -> ParamSet:
     """One plain gradient descent step; returns a new parameter set."""
     if eta <= 0:
         raise ConfigError(f"learning rate must be positive, got {eta}")
@@ -369,11 +366,6 @@ def sgd_step(model: ParamSet, grads: GradientSet, eta: float) -> ParamSet:
         model.fc_block - eta * grads.fc_block,
         model.dims,
     )
-
-
-def fc_extract(model: ParamSet) -> np.ndarray:
-    """Copy of the head block (the only parameters peers ever exchange)."""
-    return model.fc_block.copy()
 
 
 def fc_inject(model: ParamSet, fc_block: np.ndarray) -> ParamSet:

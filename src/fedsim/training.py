@@ -28,13 +28,12 @@ def train_local(
     rng: np.random.Generator,
     kl_anchor: ParamSet | None = None,
     prox_mu: float = 0.0,
-    prox_ref: ParamSet | None = None,
 ) -> ParamSet:
     """Run `epochs` passes of minibatch SGD and return the updated model.
 
     kl_anchor adds the head-distribution divergence penalty to every batch
-    objective; prox_mu adds the proximal pull (mu/2)*||w - prox_ref||^2.
-    With zero epochs or zero windows the model is returned unchanged.
+    objective; prox_mu adds the proximal pull (mu/2)*||w - w0||^2 toward the
+    starting model w0. With zero epochs or zero windows the model is returned unchanged.
     """
     if epochs < 0:
         raise ConfigError(f"epochs must be >= 0, got {epochs}")
@@ -43,8 +42,7 @@ def train_local(
         return model.copy()
     if prox_mu < 0:
         raise ConfigError(f"prox_mu must be >= 0, got {prox_mu}")
-    if prox_mu > 0 and prox_ref is None:
-        prox_ref = model.copy()
+    prox_ref = model.copy() if prox_mu > 0 else None
     current = model
     for _ in range(epochs):
         for idx in iterate_batches(n, batch_size, rng):

@@ -12,7 +12,7 @@ import pytest
 from fedsim.config import ExperimentConfig
 from fedsim.connectivity import LinkState, step_connectivity
 from fedsim.availability import AvailabilityPlan, RevealState, reveal_round
-from fedsim.experiment import run_experiment, run_local_only
+from fedsim.experiment import run_experiment
 from fedsim.nn import Dims, ParamSet, TrainBatch, backward, batch_objective, init_params
 from fedsim.collab import head_payload_values
 from fedsim.ranking import (
@@ -234,7 +234,7 @@ def test_criterion_5_fl_beats_local_only():
     for seed in range(5):
         t0 = time.perf_counter()
         fl = run_experiment(ExperimentConfig(variant="fedavg", seed=seed, **CRIT5_BASE))
-        lo = run_local_only(ExperimentConfig(variant="local_only", seed=seed, **CRIT5_BASE))
+        lo = run_experiment(ExperimentConfig(variant="local_only", seed=seed, **CRIT5_BASE))
         worst_seed_time = max(worst_seed_time, time.perf_counter() - t0)
         fl_mean = float(np.mean(list(fl.final_client_rmse().values())))
         lo_mean = float(np.mean(list(lo.final_client_rmse().values())))

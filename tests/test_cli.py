@@ -2,7 +2,6 @@ import json
 
 import pytest
 
-from fedsim import cli
 from fedsim.cli import main
 from fedsim.config import ExperimentConfig
 from fedsim.data import parse_csv
@@ -57,11 +56,12 @@ class TestRunCommand:
         summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
         assert summary["seed"] == 123
 
-    def test_run_whose_every_round_is_nan_prints_no_best(self, tmp_path, monkeypatch, capsys):
+    def test_run_whose_every_round_is_nan_prints_no_best(self, tmp_path, capsys):
         # 3 revealed points per round never fill a 7-point window in round 1,
         # so the only round's RMSE is NaN and there is no best RMSE
-        monkeypatch.setattr(cli, "run_experiment", cli.run_local_only)
-        config = write_config(tmp_path, seq_len=6, reveal_slice_points=3, rounds=1)
+        config = write_config(
+            tmp_path, variant="local_only", seq_len=6, reveal_slice_points=3, rounds=1
+        )
         out = tmp_path / "out"
         assert main(["run", "--config", str(config), "--out", str(out)]) == 0
         assert "best n/a" in capsys.readouterr().out
@@ -123,6 +123,15 @@ class TestLocalOnlyCommand:
         summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
         assert summary["variant"] == "local_only"
         assert "local_only" in capsys.readouterr().out
+
+    def test_run_variant_local_only_matches_the_subcommand(self, tmp_path):
+        config = write_config(tmp_path)
+        run_out, local_out = tmp_path / "run", tmp_path / "local"
+        argv = ["--config", str(config), "--out"]
+        assert main(["run", *argv, str(run_out), "--variant", "local_only"]) == 0
+        assert main(["local-only", *argv, str(local_out)]) == 0
+        for name in ("rounds.csv", "summary.json"):
+            assert (run_out / name).read_bytes() == (local_out / name).read_bytes()
 
 
 class TestGradcheckCommand:

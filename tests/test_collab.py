@@ -1,19 +1,9 @@
 import numpy as np
-import pytest
 
-from fedsim.collab import (
-    CollabCache,
-    collaborative_local_update,
-    evaluate_candidates,
-    head_payload_values,
-    parse_fc_head,
-    serialize_fc_head,
-)
-from fedsim.errors import ConfigError
+from fedsim.collab import evaluate_candidates, head_payload_values
 from fedsim.nn import (
     Dims,
     TrainBatch,
-    fc_extract,
     fc_inject,
     forward,
     init_params,
@@ -46,7 +36,7 @@ class TestEvaluateCandidates:
         model = make_model(dims, 2)
         inputs, targets = make_eval_data(dims, 6, 3)
         cache = evaluate_candidates(
-            model, own_id=1, neighbor_heads=[(0, fc_extract(model))], eval_inputs=inputs, eval_targets=targets
+            model, own_id=1, neighbor_heads=[(0, model.fc_block.copy())], eval_inputs=inputs, eval_targets=targets
         )
         assert cache.source_id == 1
 
@@ -59,7 +49,7 @@ class TestEvaluateCandidates:
         inputs = rng.normal(size=(32, 4, 2))
         targets = rng.normal(scale=0.1, size=(32, 2)) + 0.5
         trained = train_local(own, inputs, targets, epochs=40, eta=0.05, batch_size=8, rng=rng)
-        neighbor_head = fc_extract(trained)
+        neighbor_head = trained.fc_block.copy()
         cache = evaluate_candidates(
             own, own_id=0, neighbor_heads=[(7, neighbor_head)], eval_inputs=inputs, eval_targets=targets
         )
@@ -71,7 +61,7 @@ class TestEvaluateCandidates:
         dims = Dims(2, 4, 2)
         own = make_model(dims, 6)
         inputs, targets = make_eval_data(dims, 10, 7)
-        heads = [(nid, fc_extract(make_model(dims, 100 + nid))) for nid in range(5)]
+        heads = [(nid, make_model(dims, 100 + nid).fc_block.copy()) for nid in range(5)]
         cache = evaluate_candidates(own, own_id=9, neighbor_heads=heads, eval_inputs=inputs, eval_targets=targets)
         candidate_losses = [evaluate_mse(own, inputs, targets)] + [
             evaluate_mse(fc_inject(own, head), inputs, targets) for _, head in heads
@@ -84,14 +74,14 @@ class TestEvaluateCandidates:
         other = make_model(dims, 9)
         inputs, targets = make_eval_data(dims, 8, 10)
         cache = evaluate_candidates(
-            own, own_id=0, neighbor_heads=[(1, fc_extract(other))], eval_inputs=inputs, eval_targets=targets
+            own, own_id=0, neighbor_heads=[(1, other.fc_block.copy())], eval_inputs=inputs, eval_targets=targets
         )
         assert np.array_equal(cache.model.lstm_block, own.lstm_block)
 
     def test_candidate_evaluation_never_mutates_neighbor_state(self):
         dims = Dims(2, 4, 2)
         own = make_model(dims, 24)
-        neighbor_head = fc_extract(make_model(dims, 25))
+        neighbor_head = make_model(dims, 25).fc_block.copy()
         snapshot = neighbor_head.copy()
         inputs, targets = make_eval_data(dims, 8, 26)
         cache = evaluate_candidates(
@@ -109,13 +99,12 @@ class TestCollaborativeLocalUpdate:
         dims = Dims(2, 5, 2)
         model = make_model(dims, 11)
         inputs, targets = make_eval_data(dims, 12, 12)
-        cache = CollabCache(model=model.copy(), source_id=0, loss=0.0)
-        with_anchor = collaborative_local_update(
-            model, cache, inputs, targets, epochs=1, eta=0.01, batch_size=12,
-            rng=np.random.default_rng(13),
+        with_anchor = train_local(
+            model, inputs, targets, epochs=1, eta=0.01, batch_size=12,
+            rng=np.random.default_rng(13), kl_anchor=model.copy(),
         )
-        plain = collaborative_local_update(
-            model, None, inputs, targets, epochs=1, eta=0.01, batch_size=12,
+        plain = train_local(
+            model, inputs, targets, epochs=1, eta=0.01, batch_size=12,
             rng=np.random.default_rng(13),
         )
         assert np.array_equal(with_anchor.flat(), plain.flat())
@@ -129,7 +118,6 @@ class TestCollaborativeLocalUpdate:
         inputs = rng.normal(size=(8, 4, 2))
         preds, _ = forward(model, TrainBatch(inputs, np.zeros((8, dims.n_out))))
         anchor = make_model(dims, 16)
-        cache = CollabCache(model=anchor, source_id=1, loss=0.0)
 
         def head_divergence(m):
             return kl_divergence(
@@ -137,17 +125,17 @@ class TestCollaborativeLocalUpdate:
             )
 
         before = head_divergence(model)
-        updated = collaborative_local_update(
-            model, cache, inputs, preds, epochs=1, eta=0.005, batch_size=8,
-            rng=np.random.default_rng(17),
+        updated = train_local(
+            model, inputs, preds, epochs=1, eta=0.005, batch_size=8,
+            rng=np.random.default_rng(17), kl_anchor=anchor,
         )
         assert head_divergence(updated) < before
 
     def test_no_cache_and_no_data_is_identity(self):
         dims = Dims(2, 4, 2)
         model = make_model(dims, 18)
-        out = collaborative_local_update(
-            model, None, np.zeros((0, 4, 2)), np.zeros((0, 2)), epochs=1, eta=0.01,
+        out = train_local(
+            model, np.zeros((0, 4, 2)), np.zeros((0, 2)), epochs=1, eta=0.01,
             batch_size=4, rng=np.random.default_rng(19),
         )
         assert np.array_equal(out.flat(), model.flat())
@@ -163,25 +151,3 @@ class TestPayloadAccounting:
         dims = Dims(2, 32, 2)
         assert head_payload_values(2, dims) == 2 * (32 * 2 + 2)
 
-
-class TestHeadWireFormat:
-    def test_round_trip_is_exact(self):
-        dims = Dims(2, 7, 3)
-        model = make_model(dims, 30)
-        payload = serialize_fc_head(fc_extract(model), dims)
-        values, hidden, outputs = parse_fc_head(payload)
-        assert (hidden, outputs) == (7, 3)
-        assert np.array_equal(values, model.fc_block)
-
-    def test_header_and_values_must_agree(self):
-        dims = Dims(2, 4, 2)
-        payload = serialize_fc_head(np.zeros(dims.fc_size), dims)
-        truncated = payload.replace('"hidden": 4', '"hidden": 5')
-        with pytest.raises(ConfigError):
-            parse_fc_head(truncated)
-
-    def test_malformed_payload_rejected(self):
-        with pytest.raises(ConfigError):
-            parse_fc_head("{}")
-        with pytest.raises(ConfigError):
-            parse_fc_head("not json")

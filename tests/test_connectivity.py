@@ -5,7 +5,6 @@ from fedsim.connectivity import (
     LinkState,
     build_neighbor_graph,
     charge_upload,
-    mark_all_online,
     participation,
     step_connectivity,
 )
@@ -66,14 +65,6 @@ class TestStepConnectivity:
                 online_count += len(online)
         fraction = online_count / (n * (rounds - burn_in))
         assert abs(fraction - expected) < 0.01
-
-    def test_history_appended_each_round(self):
-        states = make_states(3)
-        rngs = make_rngs(3, seed=4)
-        mark_all_online(states)
-        for _ in range(7):
-            step_connectivity(states, 0.5, 0.5, rngs)
-        assert all(len(s.history) == 8 for s in states.values())
 
 
 class TestParticipation:

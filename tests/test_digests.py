@@ -17,7 +17,7 @@ import pytest
 import fedsim.experiment
 import fedsim.training
 from fedsim.config import ExperimentConfig
-from fedsim.experiment import run_experiment, run_local_only
+from fedsim.experiment import run_experiment
 from fedsim.reports import emit_reports
 
 BASE = dict(
@@ -100,10 +100,8 @@ def _sha256(path) -> str:
 
 
 def _rounds_and_summary_sha256(overrides, out_dir) -> tuple[str, str]:
-    config = ExperimentConfig(**dict(BASE, **overrides))
-    # local_only has no server and still runs its own round loop
-    run = run_local_only if config.variant == "local_only" else run_experiment
-    paths = emit_reports(run(config), out_dir)
+    result = run_experiment(ExperimentConfig(**dict(BASE, **overrides)))
+    paths = emit_reports(result, out_dir)
     return _sha256(paths["rounds"]), _sha256(paths["summary"])
 
 

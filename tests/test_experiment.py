@@ -3,16 +3,10 @@ import pytest
 
 from fedsim.config import ExperimentConfig
 from fedsim.errors import ConfigError
-from fedsim.experiment import (
-    aggregate,
-    local_update,
-    prepare_clients,
-    run_experiment,
-    run_local_only,
-)
-from fedsim.nn import Dims, ParamSet, init_params
+from fedsim.experiment import aggregate, prepare_clients, run_experiment
+from fedsim.nn import Dims, ParamSet, init_params, model_divergence
 from fedsim.reports import rows_for_log
-from fedsim.training import evaluate_rmse
+from fedsim.training import evaluate_rmse, train_local
 
 
 def small_config(**overrides):
@@ -85,12 +79,11 @@ class TestLocalUpdate:
         rng = np.random.default_rng(4)
         inputs = rng.normal(size=(6, 3, 2))
         targets = rng.normal(size=(6, 2))
-        updated, divergence = local_update(
-            global_model.copy(), global_model, inputs, targets,
-            epochs=0, eta=0.01, batch_size=4, rng=rng,
+        updated = train_local(
+            global_model.copy(), inputs, targets, epochs=0, eta=0.01, batch_size=4, rng=rng
         )
         assert np.array_equal(updated.flat(), global_model.flat())
-        assert divergence == pytest.approx(0.0, abs=1e-12)
+        assert model_divergence(updated, global_model) == pytest.approx(0.0, abs=1e-12)
 
     def test_huge_prox_mu_pins_update_to_init(self):
         # proximal dominance: the update's fixed point sits within
@@ -101,13 +94,13 @@ class TestLocalUpdate:
         rng = np.random.default_rng(6)
         inputs = rng.normal(size=(16, 3, 2))
         targets = rng.normal(size=(16, 2))
-        updated, _ = local_update(
-            init.copy(), init, inputs, targets,
+        updated = train_local(
+            init.copy(), inputs, targets,
             epochs=5, eta=1e-7, batch_size=8, rng=rng, prox_mu=1e6,
         )
         assert np.max(np.abs(updated.flat() - init.flat())) < 1e-3
-        plain, _ = local_update(
-            init.copy(), init, inputs, targets,
+        plain = train_local(
+            init.copy(), inputs, targets,
             epochs=5, eta=1e-7, batch_size=8, rng=np.random.default_rng(6),
         )
         # and it is the penalty doing the pinning, not the tiny step size:
@@ -122,11 +115,10 @@ class TestLocalUpdate:
         rng = np.random.default_rng(8)
         inputs = rng.normal(size=(12, 3, 2))
         targets = rng.normal(size=(12, 2))
-        _, divergence = local_update(
-            global_model.copy(), global_model, inputs, targets,
-            epochs=2, eta=0.05, batch_size=4, rng=rng,
+        updated = train_local(
+            global_model.copy(), inputs, targets, epochs=2, eta=0.05, batch_size=4, rng=rng
         )
-        assert divergence > 0.0
+        assert model_divergence(updated, global_model) > 0.0
 
 
 class TestEvaluateRmse:
@@ -380,6 +372,20 @@ class TestEngineEdgeCases:
         assert [l.rmse_global for l in with_flag.logs] == [l.rmse_global for l in without.logs]
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_offline_training_divergence_skips_the_client(self):
+        # everyone is offline from round 2, and round 3 trains them at eta 5e16
+        cfg = small_config(
+            offline_train_every_round=True, eta0=0.05, eta_decay=1e9,
+            p_offline=1.0, p_recover=0.0, decentral_freq=0.0, rounds=3,
+        )
+        result = run_experiment(cfg)
+        assert len(result.logs) == 3
+        last = result.logs[-1]
+        aborted = [e for e in last.events if e.startswith("numeric_abort_offline:")]
+        assert aborted == [f"numeric_abort_offline:{u}" for u in last.offline]
+        assert not any(e.startswith("numeric_abort:") for log in result.logs for e in log.events)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_numeric_divergence_aborts_with_partial_logs(self):
         cfg = small_config(eta0=1e18, rounds=10)
         result = run_experiment(cfg)
@@ -400,7 +406,7 @@ class TestEngineEdgeCases:
 class TestLocalOnly:
     def test_runs_and_logs_per_client_rmse(self):
         cfg = small_config(variant="local_only", rounds=4)
-        result = run_local_only(cfg)
+        result = run_experiment(cfg)
         assert len(result.logs) == 4
         final = result.final_client_rmse()
         assert len(final) >= 1
@@ -408,19 +414,37 @@ class TestLocalOnly:
 
     def test_zero_epoch_runs_report_initial_loss_only(self):
         cfg = small_config(variant="local_only", rounds=2, epochs=0)
-        result = run_local_only(cfg)
+        result = run_experiment(cfg)
         first, last = result.logs[0], result.logs[-1]
         assert first.client_rmse == last.client_rmse
 
     def test_seeded_determinism(self):
         cfg = small_config(variant="local_only", rounds=3)
-        a = run_local_only(cfg)
-        b = run_local_only(cfg)
+        a = run_experiment(cfg)
+        b = run_experiment(cfg)
         assert log_bytes(a) == log_bytes(b)
 
-    def test_run_experiment_rejects_local_only(self):
-        with pytest.raises(ConfigError):
-            run_experiment(small_config(variant="local_only"))
+    def test_runs_with_no_server(self):
+        cfg = small_config(variant="local_only", rounds=4, p_offline=1.0, p_recover=0.0)
+        result = run_experiment(cfg)
+        assert result.global_model is None
+        for log in result.logs:
+            # every client stays online and trains its own model
+            assert log.online == sorted(range(cfg.n_clients))
+            assert log.recovered == [] and log.offline == []
+            assert set(log.provenance.values()) <= {"local", "skip"}
+            assert not (log.ranked or log.entries or log.selected or log.decentralized)
+            assert log.alpha is None and log.payloads == {}
+            assert log.rmse_global == pytest.approx(np.mean(list(log.client_rmse.values())))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_numeric_divergence_aborts_with_partial_logs(self):
+        cfg = small_config(variant="local_only", eta0=1e18, rounds=10)
+        result = run_experiment(cfg)
+        assert 1 <= len(result.logs) < 10
+        assert any(
+            event.startswith("numeric_abort:") for log in result.logs for event in log.events
+        )
 
 
 class TestPrepareClients:

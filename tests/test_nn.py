@@ -8,7 +8,6 @@ from fedsim.nn import (
     TrainBatch,
     backward,
     batch_objective,
-    fc_extract,
     fc_inject,
     forward,
     init_params,
@@ -289,7 +288,7 @@ class TestFcHead:
     def test_round_trip_is_identity(self):
         dims = Dims(2, 4, 2)
         model = random_model(dims, seed=19)
-        same = fc_inject(model, fc_extract(model))
+        same = fc_inject(model, model.fc_block.copy())
         assert np.array_equal(same.flat(), model.flat())
         assert same.lstm_block is not model.lstm_block
 
@@ -313,7 +312,7 @@ class TestFcHead:
         dims = Dims(2, 128, 5)
         assert dims.fc_size == 645
         model = ParamSet(np.zeros(dims.lstm_size), np.zeros(dims.fc_size), dims)
-        assert fc_extract(model).size == 645
+        assert model.fc_block.size == 645
 
     def test_wrong_head_size_rejected(self):
         dims = Dims(2, 4, 2)

@@ -5,7 +5,7 @@ import pytest
 
 from fedsim.config import ExperimentConfig
 from fedsim.errors import ConfigError
-from fedsim.experiment import run_experiment, run_local_only
+from fedsim.experiment import run_experiment
 from fedsim.reports import (
     collect_series,
     emit_reports,
@@ -127,7 +127,7 @@ class TestSummaryJson:
         assert summary["config"]["seed"] == 1
 
     def test_nan_round_is_skipped_by_best_rmse(self, tmp_path):
-        result = run_local_only(nan_first_round_config())
+        result = run_experiment(nan_first_round_config())
         rmse = [log.rmse_global for log in result.logs]
         assert math.isnan(rmse[0]) and all(math.isfinite(v) for v in rmse[1:])
         assert result.best_rmse() == min(rmse[1:])
@@ -136,7 +136,7 @@ class TestSummaryJson:
         assert summary["best_rmse"] == min(rmse[1:])
 
     def test_all_nan_rounds_write_null(self, tmp_path):
-        result = run_local_only(nan_first_round_config(rounds=1))
+        result = run_experiment(nan_first_round_config(rounds=1))
         assert result.best_rmse() is None
         paths = emit_reports(result, tmp_path / "run")
         summary = strict_json(paths["summary"].read_text(encoding="utf-8"))
