@@ -4,8 +4,9 @@ The determinism tests compare two runs inside one process, so a change that
 moves the numerics between commits would pass them. These digests pin the
 bytes across commits: one uniform-selection run (fedavg), one ranked run
 (fedcab), one with peer rounds (feddecab), both proximal variants, the
-isolated local_only baseline, and fedavg with offline clients training every
-round. The values were taken with numpy 2.4 and OpenBLAS on x86-64; another
+isolated local_only baseline, fedavg with offline clients training every
+round, feddecab over several batches and epochs, and fedavg weighted by
+client data size. The values were taken with numpy 2.4 and OpenBLAS on x86-64; another
 BLAS may round GEMMs differently. A change that alters any output bit must
 re-pin them and say why in CHANGES.md.
 """
@@ -45,6 +46,8 @@ BASE = dict(
 # case -> overrides of BASE. No BASE client trains on more than 7 windows, one
 # batch at batch_size=8, and the proximal pull is zero on a round's first
 # step; so the proximal variants run at batch_size=4, where the pull acts.
+# On BASE every client holds 100 points, so size weights equal the uniform
+# ones; the datasize case uses uneven clients and selects every client.
 CASES = {
     "fedavg": dict(variant="fedavg"),
     "fedcab": dict(variant="fedcab"),
@@ -53,6 +56,14 @@ CASES = {
     "fedprox_plus": dict(variant="fedprox_plus", batch_size=4),
     "local_only": dict(variant="local_only"),
     "fedavg_offline": dict(variant="fedavg", offline_train_every_round=True),
+    "feddecab_multi_batch": dict(variant="feddecab", epochs=2, batch_size=3),
+    "fedavg_by_datasize": dict(
+        variant="fedavg",
+        synth_vehicles=17,
+        vehicles_per_client=2,
+        sample_ratio=1.0,
+        aggregate_by_datasize=True,
+    ),
 }
 
 # case -> (rounds.csv sha256, summary.json sha256)
@@ -84,6 +95,14 @@ DIGESTS = {
     "fedavg_offline": (
         "279831935ead16ce931c3d69bb51d7f9d6d0d71feea837e3dce8cf8e2674b818",
         "886b4c64d727386a51a53ce8910f5c7e8dd65acc71d70fc9891c1c93a5e178ae",
+    ),
+    "feddecab_multi_batch": (
+        "d4d9381dbb06fd4dd163f0d82b7fcf868c958cee85693bd9f668a883973b9449",
+        "a7ec7773f0ba095d14f5356bb07ec8f3736d84d35269b998ce26369c4d398e07",
+    ),
+    "fedavg_by_datasize": (
+        "fe6d80ee45e427d801646501a589aab986dad2624d8ac584afc4fa49172f2878",
+        "9cdf0595652c3fb0746479d3f68e7be37d2fa068a5bdf336e335f599f837ede4",
     ),
 }
 
@@ -117,6 +136,13 @@ def test_proximal_pins_differ_from_their_plain_variant(proximal, plain, tmp_path
     rounds_sha, _ = _rounds_and_summary_sha256(dict(CASES[proximal], variant=plain), tmp_path)
     assert rounds_sha != DIGESTS[proximal][0]
     assert DIGESTS[proximal][0] not in (DIGESTS["fedavg"][0], DIGESTS["fedcab"][0])
+
+
+def test_datasize_pin_differs_from_uniform_weights(tmp_path):
+    # equal bytes would mean the pinned run never weighted clients unequally
+    overrides = dict(CASES["fedavg_by_datasize"], aggregate_by_datasize=False)
+    rounds_sha, _ = _rounds_and_summary_sha256(overrides, tmp_path)
+    assert rounds_sha != DIGESTS["fedavg_by_datasize"][0]
 
 
 def test_rounds_that_aggregate_nothing_reuse_the_global_rmse(tmp_path, monkeypatch):
