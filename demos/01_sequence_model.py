@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Walk through the sequence model: forward pass, training, gradient check.
 
-The model is a single-layer LSTM with a linear head, stored as two flat
-parameter vectors. This script trains it on one synthetic vehicle and then
-verifies the hand-written backpropagation against finite differences.
+The model is a single-layer LSTM with a linear head, stored as one flat
+parameter vector with the recurrent and head blocks as views into it. This
+script trains it on one synthetic vehicle and then verifies the hand-written
+backpropagation against finite differences.
 """
 
 import numpy as np
@@ -48,15 +49,15 @@ print(f"persistence baseline (predict the last seen point): {persistence:.5f}")
 small = Dims(2, 6, 2)
 check_model = init_params(small, rng)
 check_batch = TrainBatch(rng.normal(size=(4, 4, 2)), rng.normal(size=(4, 2)))
-analytic = backward(check_model, check_batch).flat()
-flat = check_model.flat()
+analytic = backward(check_model, check_batch).values
+flat = check_model.values
 numeric = np.zeros_like(flat)
 for k in range(flat.size):
     bumped = flat.copy()
     bumped[k] += 1e-5
-    hi = batch_objective(ParamSet.from_flat(bumped, small), check_batch)
+    hi = batch_objective(ParamSet(bumped, small), check_batch)
     bumped[k] -= 2e-5
-    lo = batch_objective(ParamSet.from_flat(bumped, small), check_batch)
+    lo = batch_objective(ParamSet(bumped, small), check_batch)
     numeric[k] = (hi - lo) / 2e-5
 rel = np.max(np.abs(analytic - numeric) / np.maximum(1.0, np.abs(numeric)))
 print(f"gradient check over {flat.size} parameters: max relative error {rel:.2e}")

@@ -59,15 +59,15 @@ def _cmd_gradcheck(args) -> int:
             rng.normal(size=(args.batch, args.steps, dims.n_in)),
             rng.normal(size=(args.batch, dims.n_out)),
         )
-        analytic = backward(model, batch, bias_target=target).flat()
-        flat = model.flat()
+        analytic = backward(model, batch, bias_target=target).values
+        flat = model.values
         numeric = np.zeros_like(flat)
         for k in range(flat.size):
             bumped = flat.copy()
             bumped[k] += args.eps
-            hi = batch_objective(ParamSet.from_flat(bumped, dims), batch, bias_target=target)
+            hi = batch_objective(ParamSet(bumped, dims), batch, bias_target=target)
             bumped[k] -= 2 * args.eps
-            lo = batch_objective(ParamSet.from_flat(bumped, dims), batch, bias_target=target)
+            lo = batch_objective(ParamSet(bumped, dims), batch, bias_target=target)
             numeric[k] = (hi - lo) / (2 * args.eps)
         denom = np.maximum(1.0, np.maximum(np.abs(analytic), np.abs(numeric)))
         worst = max(worst, float(np.max(np.abs(analytic - numeric) / denom)))

@@ -26,13 +26,7 @@ class ParseError(FedsimError, ValueError):
 
 
 class NumericError(FedsimError, ArithmeticError):
-    """Non-finite value produced during training; carries run context."""
-
-    def __init__(self, message, context=None):
-        if context:
-            message = f"{message} ({context})"
-        super().__init__(message)
-        self.context = context
+    """Non-finite value produced during training."""
 
 
 class BudgetError(FedsimError, RuntimeError):

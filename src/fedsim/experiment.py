@@ -121,7 +121,6 @@ class ExperimentResult:
     config: ExperimentConfig
     logs: list[RoundLog]
     global_model: ParamSet | None
-    bbox: BBox
 
     def final_rmse(self) -> float:
         return self.logs[-1].rmse_global
@@ -157,9 +156,7 @@ def aggregate(models: list[ParamSet], weights: list[float] | None = None) -> Par
         if w.shape != (len(models),) or np.any(w < 0) or w.sum() <= 0:
             raise ConfigError("weights must be nonnegative with a positive sum")
         w = w / w.sum()
-    lstm = sum(wi * m.lstm_block for wi, m in zip(w, models))
-    fc = sum(wi * m.fc_block for wi, m in zip(w, models))
-    return ParamSet(lstm, fc, dims)
+    return ParamSet(sum(wi * m.values for wi, m in zip(w, models)), dims)
 
 
 # ---------------------------------------------------------------------------
@@ -612,4 +609,4 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         if aborted:
             break
 
-    return ExperimentResult(config=config, logs=logs, global_model=global_model, bbox=bbox)
+    return ExperimentResult(config=config, logs=logs, global_model=global_model)

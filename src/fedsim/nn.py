@@ -1,9 +1,10 @@
 """Single-layer LSTM sequence model with a linear head, trained by hand.
 
-The model is kept as two flat float64 vectors: a recurrent block (all gate
-weights and biases) and a head block (output weights and bias). Everything
-here is a pure function over those vectors, which makes parameter exchange,
-averaging, and gradient checking trivial.
+The model is kept as one flat float64 vector: the recurrent block (all gate
+weights and biases) followed by the head block (output weights and bias),
+both read as views into it. Everything here is a pure function over that
+vector, which makes parameter exchange, averaging, and gradient checking
+trivial.
 
 Recurrent block layout: the stacked input ``z = [x, h]`` multiplies a single
 ``(I+H) x 4H`` matrix stored row-major, followed by a ``4H`` bias; gate
@@ -60,39 +61,34 @@ class Dims:
 
 @dataclass
 class ParamSet:
-    """Flat, ordered model parameters split into recurrent and head blocks."""
+    """Model parameters as one flat vector, recurrent block then head block.
 
-    lstm_block: np.ndarray
-    fc_block: np.ndarray
+    A float64 ``values`` array is kept as given, without a copy.
+    ``lstm_block`` and ``fc_block`` are views into it, so writing through them
+    changes ``values``.
+    """
+
+    values: np.ndarray
     dims: Dims
 
     def __post_init__(self):
-        self.lstm_block = np.asarray(self.lstm_block, dtype=float)
-        self.fc_block = np.asarray(self.fc_block, dtype=float)
-        if self.lstm_block.shape != (self.dims.lstm_size,):
+        self.values = np.asarray(self.values, dtype=float)
+        if self.values.shape != (self.dims.total_size,):
             raise ConfigError(
-                f"lstm block has {self.lstm_block.size} entries, "
-                f"expected {self.dims.lstm_size}"
+                f"parameter vector has shape {self.values.shape}, "
+                f"expected ({self.dims.total_size},)"
             )
-        if self.fc_block.shape != (self.dims.fc_size,):
-            raise ConfigError(
-                f"fc block has {self.fc_block.size} entries, "
-                f"expected {self.dims.fc_size}"
-            )
+
+    @property
+    def lstm_block(self) -> np.ndarray:
+        return self.values[: self.dims.lstm_size]
+
+    @property
+    def fc_block(self) -> np.ndarray:
+        return self.values[self.dims.lstm_size :]
 
     def copy(self) -> "ParamSet":
-        return ParamSet(self.lstm_block.copy(), self.fc_block.copy(), self.dims)
-
-    def flat(self) -> np.ndarray:
-        return np.concatenate([self.lstm_block, self.fc_block])
-
-    @classmethod
-    def from_flat(cls, vec: np.ndarray, dims: Dims) -> "ParamSet":
-        vec = np.asarray(vec, dtype=float)
-        if vec.shape != (dims.total_size,):
-            raise ConfigError(f"flat vector has {vec.size} entries, expected {dims.total_size}")
-        return cls(vec[: dims.lstm_size].copy(), vec[dims.lstm_size :].copy(), dims)
-
+        return ParamSet(self.values.copy(), self.dims)
 
 
 @dataclass
@@ -126,9 +122,7 @@ class TrainBatch:
 
 def init_params(dims: Dims, rng: np.random.Generator) -> ParamSet:
     """Uniform(-0.08, 0.08) initialization of every parameter."""
-    lstm = rng.uniform(-0.08, 0.08, size=dims.lstm_size)
-    fc = rng.uniform(-0.08, 0.08, size=dims.fc_size)
-    return ParamSet(lstm, fc, dims)
+    return ParamSet(rng.uniform(-0.08, 0.08, size=dims.total_size), dims)
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -257,8 +251,8 @@ def kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
 
 
 def model_divergence(model: ParamSet, reference: ParamSet) -> float:
-    """KL divergence of the full flattened model against a reference model."""
-    return kl_divergence(param_distribution(model.flat()), param_distribution(reference.flat()))
+    """KL divergence of the full parameter vector against a reference model."""
+    return kl_divergence(param_distribution(model.values), param_distribution(reference.values))
 
 
 def _fc_kl_gradient(fc: np.ndarray, target_fc: np.ndarray) -> tuple[float, np.ndarray]:
@@ -288,7 +282,7 @@ def backward(
     """
     _check_batch(model, batch)
     d = model.dims
-    H, I = d.n_hidden, d.n_in
+    I = d.n_in
     if bias_target is not None and bias_target.dims != d:
         raise ConfigError(f"bias target dims {bias_target.dims} != model dims {d}")
 
@@ -299,13 +293,13 @@ def backward(
     d_pred = 2.0 * (preds - batch.targets) / n_terms
 
     fc_w, _ = _fc_views(model.fc_block, d)
-    grad_fc_w = hidden.T @ d_pred
-    grad_fc_b = d_pred.sum(axis=0)
-    grad_fc = np.concatenate([grad_fc_w.ravel(), grad_fc_b])
+    grads = ParamSet(np.zeros(d.total_size), d)
+    grad_fc_w, grad_fc_b = _fc_views(grads.fc_block, d)
+    grad_fc_w[...] = hidden.T @ d_pred
+    grad_fc_b[...] = d_pred.sum(axis=0)
 
     w, _ = _lstm_views(model)
-    grad_w = np.zeros_like(w)
-    grad_b = np.zeros(4 * H)
+    grad_w, grad_b = _lstm_views(grads)
     d_h = d_pred @ fc_w.T
     d_c_carry = np.zeros_like(d_h)
     for z, gi, gf, gg, go, c_prev, hc in reversed(cache):
@@ -328,15 +322,13 @@ def backward(
         grad_b += d_a.sum(axis=0)
         d_h = d_a @ w[I:].T
 
-    grad_lstm = np.concatenate([grad_w.ravel(), grad_b])
-
     if bias_target is not None:
         _, kl_grad = _fc_kl_gradient(model.fc_block, bias_target.fc_block)
-        grad_fc = grad_fc + kl_grad
+        grads.fc_block[:] += kl_grad
 
-    if not (np.all(np.isfinite(grad_lstm)) and np.all(np.isfinite(grad_fc))):
+    if not np.all(np.isfinite(grads.values)):
         raise NumericError("non-finite gradient")
-    return ParamSet(grad_lstm, grad_fc, d)
+    return grads
 
 
 def batch_objective(
@@ -361,11 +353,7 @@ def sgd_step(model: ParamSet, grads: ParamSet, eta: float) -> ParamSet:
         raise ConfigError(f"learning rate must be positive, got {eta}")
     if grads.dims != model.dims:
         raise ConfigError(f"gradient dims {grads.dims} != model dims {model.dims}")
-    return ParamSet(
-        model.lstm_block - eta * grads.lstm_block,
-        model.fc_block - eta * grads.fc_block,
-        model.dims,
-    )
+    return ParamSet(model.values - eta * grads.values, model.dims)
 
 
 def fc_inject(model: ParamSet, fc_block: np.ndarray) -> ParamSet:
@@ -375,4 +363,6 @@ def fc_inject(model: ParamSet, fc_block: np.ndarray) -> ParamSet:
         raise ConfigError(
             f"fc block has {fc_block.size} entries, expected {model.dims.fc_size}"
         )
-    return ParamSet(model.lstm_block.copy(), fc_block.copy(), model.dims)
+    new = model.copy()
+    new.fc_block[:] = fc_block
+    return new

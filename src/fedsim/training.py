@@ -50,9 +50,7 @@ def train_local(
             grads = backward(current, batch, bias_target=kl_anchor)
             if prox_mu > 0:
                 grads = ParamSet(
-                    grads.lstm_block + prox_mu * (current.lstm_block - prox_ref.lstm_block),
-                    grads.fc_block + prox_mu * (current.fc_block - prox_ref.fc_block),
-                    grads.dims,
+                    grads.values + prox_mu * (current.values - prox_ref.values), grads.dims
                 )
             current = sgd_step(current, grads, eta)
     return current

@@ -117,12 +117,12 @@ def test_criterion_1_gradient_correctness():
         batch = TrainBatch(
             rng.normal(size=(4, 4, dims.n_in)), rng.normal(size=(4, dims.n_out))
         )
-        analytic = backward(model, batch, bias_target=target).flat()
+        analytic = backward(model, batch, bias_target=target).values
 
         def loss_at(vec, batch=batch, target=target):
-            return batch_objective(ParamSet.from_flat(vec, dims), batch, bias_target=target)
+            return batch_objective(ParamSet(vec, dims), batch, bias_target=target)
 
-        numeric = finite_difference_gradient(loss_at, model.flat(), eps=1e-5)
+        numeric = finite_difference_gradient(loss_at, model.values, eps=1e-5)
         worst = max(worst, gradcheck_relative_error(analytic, numeric))
     elapsed = time.perf_counter() - t0
     report(

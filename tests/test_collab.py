@@ -29,7 +29,7 @@ class TestEvaluateCandidates:
         inputs, targets = make_eval_data(dims, 6, 1)
         cache = evaluate_candidates(model, own_id=3, neighbor_heads=[], eval_inputs=inputs, eval_targets=targets)
         assert cache.source_id == 3
-        assert np.array_equal(cache.model.flat(), model.flat())
+        assert np.array_equal(cache.model.values, model.values)
 
     def test_identical_neighbor_head_ties_to_own(self):
         dims = Dims(2, 5, 2)
@@ -107,7 +107,7 @@ class TestCollaborativeLocalUpdate:
             model, inputs, targets, epochs=1, eta=0.01, batch_size=12,
             rng=np.random.default_rng(13),
         )
-        assert np.array_equal(with_anchor.flat(), plain.flat())
+        assert np.array_equal(with_anchor.values, plain.values)
 
     def test_kl_only_objective_descends(self):
         # Freeze the data term by using targets the model already predicts
@@ -138,7 +138,7 @@ class TestCollaborativeLocalUpdate:
             model, np.zeros((0, 4, 2)), np.zeros((0, 2)), epochs=1, eta=0.01,
             batch_size=4, rng=np.random.default_rng(19),
         )
-        assert np.array_equal(out.flat(), model.flat())
+        assert np.array_equal(out.values, model.values)
 
 
 class TestPayloadAccounting:

@@ -41,13 +41,13 @@ class TestAggregate:
     def test_single_model_is_identity(self):
         model = init_params(self.dims(), np.random.default_rng(0))
         agg = aggregate([model])
-        assert np.array_equal(agg.flat(), model.flat())
+        assert np.array_equal(agg.values, model.values)
 
     def test_weighted_mean(self):
         a = init_params(self.dims(), np.random.default_rng(10))
         b = init_params(self.dims(), np.random.default_rng(11))
         agg = aggregate([a, b], weights=[3.0, 1.0])
-        assert np.allclose(agg.flat(), 0.75 * a.flat() + 0.25 * b.flat())
+        assert np.allclose(agg.values, 0.75 * a.values + 0.25 * b.values)
 
     def test_invalid_weights_rejected(self):
         model = init_params(self.dims(), np.random.default_rng(12))
@@ -58,14 +58,14 @@ class TestAggregate:
 
     def test_opposite_models_cancel(self):
         model = init_params(self.dims(), np.random.default_rng(1))
-        negated = ParamSet(-model.lstm_block, -model.fc_block, model.dims)
+        negated = ParamSet(-model.values, model.dims)
         agg = aggregate([model, negated])
-        assert np.allclose(agg.flat(), 0.0)
+        assert np.allclose(agg.values, 0.0)
 
     def test_mean_is_idempotent_on_identical_models(self):
         model = init_params(self.dims(), np.random.default_rng(2))
         agg = aggregate([model.copy(), model.copy(), model.copy()])
-        assert np.allclose(agg.flat(), model.flat())
+        assert np.allclose(agg.values, model.values)
 
     def test_empty_selection_rejected(self):
         with pytest.raises(ConfigError):
@@ -82,7 +82,7 @@ class TestLocalUpdate:
         updated = train_local(
             global_model.copy(), inputs, targets, epochs=0, eta=0.01, batch_size=4, rng=rng
         )
-        assert np.array_equal(updated.flat(), global_model.flat())
+        assert np.array_equal(updated.values, global_model.values)
         assert model_divergence(updated, global_model) == pytest.approx(0.0, abs=1e-12)
 
     def test_huge_prox_mu_pins_update_to_init(self):
@@ -98,15 +98,15 @@ class TestLocalUpdate:
             init.copy(), inputs, targets,
             epochs=5, eta=1e-7, batch_size=8, rng=rng, prox_mu=1e6,
         )
-        assert np.max(np.abs(updated.flat() - init.flat())) < 1e-3
+        assert np.max(np.abs(updated.values - init.values)) < 1e-3
         plain = train_local(
             init.copy(), inputs, targets,
             epochs=5, eta=1e-7, batch_size=8, rng=np.random.default_rng(6),
         )
         # and it is the penalty doing the pinning, not the tiny step size:
         # the proximal run ends strictly closer to init than the plain run
-        assert np.linalg.norm(updated.flat() - init.flat()) < np.linalg.norm(
-            plain.flat() - init.flat()
+        assert np.linalg.norm(updated.values - init.values) < np.linalg.norm(
+            plain.values - init.values
         )
 
     def test_divergence_positive_after_real_update(self):
@@ -134,7 +134,7 @@ class TestEvaluateRmse:
 
     def test_constant_unit_error(self):
         dims = Dims(2, 4, 2)
-        model = ParamSet(np.zeros(dims.lstm_size), np.zeros(dims.fc_size), dims)
+        model = ParamSet(np.zeros(dims.total_size), dims)
         inputs = np.zeros((4, 3, 2))
         targets = np.ones((4, 2))
         assert evaluate_rmse(model, inputs, targets) == pytest.approx(1.0)
@@ -142,7 +142,7 @@ class TestEvaluateRmse:
     def test_hand_computed_two_components(self):
         # errors {3, 4} over n=2 components -> sqrt(25/2)
         dims = Dims(2, 2, 2)
-        model = ParamSet(np.zeros(dims.lstm_size), np.zeros(dims.fc_size), dims)
+        model = ParamSet(np.zeros(dims.total_size), dims)
         inputs = np.zeros((1, 3, 2))
         targets = np.array([[3.0, 4.0]])
         assert evaluate_rmse(model, inputs, targets) == pytest.approx(np.sqrt(12.5))

@@ -42,7 +42,7 @@ def random_batch(dims, batch_size, seq_len, seed):
 class TestForward:
     def test_zero_params_give_zero_predictions(self):
         dims = Dims(2, 4, 2)
-        model = ParamSet(np.zeros(dims.lstm_size), np.zeros(dims.fc_size), dims)
+        model = ParamSet(np.zeros(dims.total_size), dims)
         batch = random_batch(dims, 3, 5, seed=1)
         preds, hidden = forward(model, batch)
         assert np.all(preds == 0.0)
@@ -129,10 +129,10 @@ class TestBackward:
         grads = backward(model, batch)
 
         def loss_at(vec):
-            return batch_objective(ParamSet.from_flat(vec, dims), batch)
+            return batch_objective(ParamSet(vec, dims), batch)
 
-        numeric = finite_difference_gradient(loss_at, model.flat())
-        assert gradcheck_relative_error(grads.flat(), numeric) < 1e-4
+        numeric = finite_difference_gradient(loss_at, model.values)
+        assert gradcheck_relative_error(grads.values, numeric) < 1e-4
 
     @pytest.mark.parametrize("seed", range(3))
     def test_kl_term_matches_finite_differences(self, seed):
@@ -143,10 +143,10 @@ class TestBackward:
         grads = backward(model, batch, bias_target=target)
 
         def loss_at(vec):
-            return batch_objective(ParamSet.from_flat(vec, dims), batch, bias_target=target)
+            return batch_objective(ParamSet(vec, dims), batch, bias_target=target)
 
-        numeric = finite_difference_gradient(loss_at, model.flat())
-        assert gradcheck_relative_error(grads.flat(), numeric) < 1e-4
+        numeric = finite_difference_gradient(loss_at, model.values)
+        assert gradcheck_relative_error(grads.values, numeric) < 1e-4
 
     def test_self_target_adds_nothing(self):
         dims = Dims(2, 4, 2)
@@ -163,10 +163,9 @@ class TestGateEdgeCases:
         # gate biases of +-1e3 dwarf the weight terms, so every pre-activation
         # sits near +-1e3 and every gate saturates
         model = random_model(dims, seed)
-        lstm = model.lstm_block.copy()
         n_bias = 4 * dims.n_hidden
-        lstm[-n_bias:] = np.where(np.arange(n_bias) % 2, 1e3, -1e3)
-        return ParamSet(lstm, model.fc_block, dims)
+        model.lstm_block[-n_bias:] = np.where(np.arange(n_bias) % 2, 1e3, -1e3)
+        return model
 
     def test_saturated_gates_stay_finite_without_fp_errors(self):
         dims = Dims(2, 6, 2)
@@ -177,7 +176,7 @@ class TestGateEdgeCases:
             grads = backward(model, batch)
             _, cache = _run_lstm(model, batch.inputs, keep_cache=True)
         assert np.all(np.isfinite(preds)) and np.all(np.isfinite(hidden))
-        assert np.all(np.isfinite(grads.flat()))
+        assert np.all(np.isfinite(grads.values))
         for _, gi, gf, gg, go, _, _ in cache:
             for gate in (gi, gf, go):
                 assert np.all((gate >= 0.0) & (gate <= 1.0))
@@ -195,24 +194,24 @@ class TestSgdStep:
     def test_zero_gradient_is_identity(self):
         dims = Dims(2, 3, 2)
         model = random_model(dims, seed=15)
-        zero = ParamSet(np.zeros(dims.lstm_size), np.zeros(dims.fc_size), dims)
+        zero = ParamSet(np.zeros(dims.total_size), dims)
         stepped = sgd_step(model, zero, 0.01)
-        assert np.array_equal(stepped.flat(), model.flat())
+        assert np.array_equal(stepped.values, model.values)
 
     def test_single_parameter_arithmetic(self):
         # w = 1, g = 2, eta = 0.1 -> 0.8
         dims = Dims(1, 1, 1)
-        model = ParamSet(np.ones(dims.lstm_size), np.ones(dims.fc_size), dims)
-        grads = ParamSet(np.full(dims.lstm_size, 2.0), np.full(dims.fc_size, 2.0), dims)
+        model = ParamSet(np.ones(dims.total_size), dims)
+        grads = ParamSet(np.full(dims.total_size, 2.0), dims)
         stepped = sgd_step(model, grads, 0.1)
-        assert np.allclose(stepped.flat(), 0.8)
+        assert np.allclose(stepped.values, 0.8)
 
     def test_two_steps_are_linear(self):
         dims = Dims(1, 2, 1)
         model = random_model(dims, seed=16)
         grads = random_model(dims, seed=17)
         twice = sgd_step(sgd_step(model, grads, 0.05), grads, 0.05)
-        assert np.allclose(twice.flat(), model.flat() - 0.1 * grads.flat())
+        assert np.allclose(twice.values, model.values - 0.1 * grads.values)
 
     def test_nonpositive_eta_rejected(self):
         dims = Dims(1, 1, 1)
@@ -289,8 +288,8 @@ class TestFcHead:
         dims = Dims(2, 4, 2)
         model = random_model(dims, seed=19)
         same = fc_inject(model, model.fc_block.copy())
-        assert np.array_equal(same.flat(), model.flat())
-        assert same.lstm_block is not model.lstm_block
+        assert np.array_equal(same.values, model.values)
+        assert not np.shares_memory(same.values, model.values)
 
     def test_zero_head_zeroes_the_output(self):
         dims = Dims(2, 4, 2)
@@ -311,7 +310,7 @@ class TestFcHead:
     def test_reported_head_size_for_128_by_5(self):
         dims = Dims(2, 128, 5)
         assert dims.fc_size == 645
-        model = ParamSet(np.zeros(dims.lstm_size), np.zeros(dims.fc_size), dims)
+        model = ParamSet(np.zeros(dims.total_size), dims)
         assert model.fc_block.size == 645
 
     def test_wrong_head_size_rejected(self):
@@ -319,3 +318,29 @@ class TestFcHead:
         model = random_model(dims, seed=23)
         with pytest.raises(ConfigError):
             fc_inject(model, np.zeros(dims.fc_size + 1))
+
+
+class TestParamSetViews:
+    def test_writing_a_block_changes_values(self):
+        dims = Dims(2, 3, 2)
+        model = ParamSet(np.zeros(dims.total_size), dims)
+        model.fc_block[0] = 1.5
+        model.lstm_block[-1] = -2.5
+        assert model.values[dims.lstm_size] == 1.5
+        assert model.values[dims.lstm_size - 1] == -2.5
+
+    def test_blocks_share_memory_with_values(self):
+        model = random_model(Dims(2, 3, 2), seed=24)
+        assert np.shares_memory(model.fc_block, model.values)
+        assert np.shares_memory(model.lstm_block, model.values)
+
+    def test_values_are_taken_without_a_copy(self):
+        dims = Dims(1, 2, 1)
+        vec = np.zeros(dims.total_size)
+        assert ParamSet(vec, dims).values is vec
+
+    @pytest.mark.parametrize("delta", [-1, 1])
+    def test_wrong_length_rejected(self, delta):
+        dims = Dims(2, 3, 2)
+        with pytest.raises(ConfigError):
+            ParamSet(np.zeros(dims.total_size + delta), dims)
