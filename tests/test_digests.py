@@ -5,8 +5,8 @@ moves the numerics between commits would pass them. These digests pin the
 bytes across commits: one uniform-selection run (fedavg), one ranked run
 (fedcab), one with peer rounds (feddecab), both proximal variants, the
 isolated local_only baseline, fedavg with offline clients training every
-round, feddecab over several batches and epochs, and fedavg weighted by
-client data size. The values were taken with numpy 2.4 and OpenBLAS on x86-64; another
+round, feddecab over several batches and epochs, fedavg weighted by
+client data size, and fedavg over an equal-points partition. The values were taken with numpy 2.4 and OpenBLAS on x86-64; another
 BLAS may round GEMMs differently. A change that alters any output bit must
 re-pin them and say why in CHANGES.md.
 """
@@ -47,7 +47,10 @@ BASE = dict(
 # batch at batch_size=8, and the proximal pull is zero on a round's first
 # step; so the proximal variants run at batch_size=4, where the pull acts.
 # On BASE every client holds 100 points, so size weights equal the uniform
-# ones; the datasize case uses uneven clients and selects every client.
+# ones; the datasize case uses uneven clients and selects every client. BASE
+# gives each client one whole vehicle; the equal-partition case cuts vehicles
+# at 51 points, so some clients hold a segment too short for a window and some
+# holdouts span two segments.
 CASES = {
     "fedavg": dict(variant="fedavg"),
     "fedcab": dict(variant="fedcab"),
@@ -64,6 +67,7 @@ CASES = {
         sample_ratio=1.0,
         aggregate_by_datasize=True,
     ),
+    "fedavg_equal_partition": dict(variant="fedavg", partition="equal", points_per_client=51),
 }
 
 # case -> (rounds.csv sha256, summary.json sha256)
@@ -103,6 +107,10 @@ DIGESTS = {
     "fedavg_by_datasize": (
         "fe6d80ee45e427d801646501a589aab986dad2624d8ac584afc4fa49172f2878",
         "9cdf0595652c3fb0746479d3f68e7be37d2fa068a5bdf336e335f599f837ede4",
+    ),
+    "fedavg_equal_partition": (
+        "c1c1d690e6bfcb3ac93c5c76b2ac808d8d1fc929b836ad24b02ad8c19eca5130",
+        "ed1eb59636e90f0ea981d92536ad9663126d959693e223752d5a3b0183995c0d",
     ),
 }
 

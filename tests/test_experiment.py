@@ -3,6 +3,7 @@ import pytest
 
 from fedsim.config import ExperimentConfig
 from fedsim.errors import ConfigError
+from fedsim.data import make_windows, partition_equal, synth_trajectories
 from fedsim.experiment import aggregate, prepare_clients, run_experiment
 from fedsim.nn import Dims, ParamSet, init_params, model_divergence
 from fedsim.reports import rows_for_log
@@ -474,3 +475,31 @@ class TestPrepareClients:
         clients, _, _, _, _ = prepare_clients(cfg)
         for client in clients.values():
             assert client.reveal.cursor == 0
+
+    def test_split_is_the_full_window_list_cut_at_n_train(self):
+        # 8 vehicles of 100 points cut into clients of 51: some clients hold a
+        # segment too short for a window, and some holdouts span two segments
+        cfg = ExperimentConfig(
+            dataset="synthetic", synth_kind="sinusoid", synth_vehicles=8, synth_points_each=100,
+            n_clients=8, partition="equal", points_per_client=51, seq_len=4, seed=5,
+        )
+        clients, _, bbox, _, _ = prepare_clients(cfg)
+        trajectories = synth_trajectories(cfg.seed, 8, 100, "sinusoid")
+        datasets = partition_equal(trajectories, 8, 51)
+        short_segments = spanning_holdouts = 0
+        for ds in datasets:
+            client = clients[ds.client_id]
+            windows = [make_windows(bbox.normalize(seg), cfg.seq_len) for seg in ds.segments]
+            inputs = np.concatenate([w[0] for w in windows])
+            targets = np.concatenate([w[1] for w in windows])
+            m = inputs.shape[0]
+            n_hold = min(m - 1, max(1, round(cfg.holdout_fraction * m))) if m >= 2 else 0
+            n_train = m - n_hold
+            np.testing.assert_array_equal(client.train_inputs, inputs[:n_train])
+            np.testing.assert_array_equal(client.train_targets, targets[:n_train])
+            np.testing.assert_array_equal(client.hold_inputs, inputs[n_train:])
+            np.testing.assert_array_equal(client.hold_targets, targets[n_train:])
+            sizes = [w[0].shape[0] for w in windows]
+            short_segments += sizes.count(0)
+            spanning_holdouts += any(n_train < edge < m for edge in np.cumsum(sizes))
+        assert short_segments and spanning_holdouts
