@@ -47,7 +47,7 @@ per_client = assign_by_datasize(counts, threshold, p_company=0.95, p_private=0.3
 print(f"datasize: counts {counts} at threshold {threshold:.0f} -> {per_client}")
 
 # the reveal stream: one slice per round, losses are permanent
-plan = AvailabilityPlan(assign_random(traj.n_points, 0.5, np.random.default_rng(3)), "random")
+plan = AvailabilityPlan(assign_random(traj.n_points, 0.5, np.random.default_rng(3)))
 state = RevealState(n_points=traj.n_points, slice_size=96)
 print("\nround  cursor  available  lost")
 for t in range(1, 8):

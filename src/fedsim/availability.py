@@ -43,7 +43,6 @@ class AvailabilityPlan:
     """One inclusion probability per point of a client's training stream."""
 
     probs: np.ndarray
-    scenario: str
 
     def __post_init__(self):
         self.probs = np.asarray(self.probs, dtype=float)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +31,7 @@ def _load_config(args) -> ExperimentConfig:
             overrides["seed"] = int(env_seed)
         except ValueError:
             raise ConfigError(f"FEDSIM_SEED must be an integer, got {env_seed!r}") from None
-    return config.with_overrides(**overrides) if overrides else config
+    return replace(config, **overrides)
 
 
 def _cmd_run(args) -> int:
@@ -115,13 +116,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--rounds", type=int, default=None, help="override the round count")
     run.add_argument("--n-clients", dest="n_clients", type=int, default=None)
     run.set_defaults(func=_cmd_run)
-
-    local = sub.add_parser("local-only", help="run the isolated-training baseline")
-    local.add_argument("--config", required=True)
-    local.add_argument("--out", required=True)
-    local.add_argument("--seed", type=int, default=None)
-    local.add_argument("--rounds", type=int, default=None)
-    local.set_defaults(func=_cmd_run, variant="local_only")
 
     grad = sub.add_parser("gradcheck", help="finite-difference check of the gradients")
     grad.add_argument("--trials", type=int, default=20)

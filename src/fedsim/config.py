@@ -14,7 +14,7 @@ import math
 import numbers
 import types
 import typing
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from .data import SYNTH_KINDS
@@ -249,9 +249,6 @@ class ExperimentConfig:
         if not isinstance(raw, dict):
             raise ConfigError(f"{path}: config must be a JSON object")
         return cls.from_dict(raw)
-
-    def with_overrides(self, **kwargs) -> "ExperimentConfig":
-        return replace(self, **kwargs)
 
 
 def _matches_type(value, hint) -> bool:

@@ -99,6 +99,38 @@ def _coords_in_bounds(lat: float, lon: float) -> bool:
     return -90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0
 
 
+def _read_rows(path: str | Path, tdrive: bool) -> tuple[list[Trajectory], int]:
+    """Rows of four fields into per-vehicle trajectories, plus the rejected count.
+
+    The CSV layout is `vehicle_id,timestamp,lat,lon` with an optional header
+    line; the T-Drive layout is headerless `id,datetime,longitude,latitude`.
+    """
+    path = Path(path)
+    rows: list[tuple[str, float, float, float]] = []
+    rejected = 0
+    with path.open(newline="", encoding="utf-8") as fh:
+        for lineno, row in enumerate(csv.reader(fh), start=1):
+            header = not tdrive and lineno == 1 and [c.strip() for c in row] == CSV_HEADER
+            if not row or header:
+                continue
+            if len(row) != 4:
+                raise ParseError(f"expected 4 fields, got {len(row)}", path=path, line=lineno)
+            try:
+                vid = row[0].strip()
+                ts = _parse_timestamp(row[1])
+                first, second = float(row[2]), float(row[3])
+            except ValueError as exc:
+                raise ParseError(str(exc), path=path, line=lineno) from exc
+            if not vid:
+                raise ParseError("empty vehicle id", path=path, line=lineno)
+            lat, lon = (second, first) if tdrive else (first, second)
+            if not _coords_in_bounds(lat, lon):
+                rejected += 1
+                continue
+            rows.append((vid, ts, lat, lon))
+    return _group_rows(rows), rejected
+
+
 def parse_csv(path: str | Path) -> tuple[list[Trajectory], int]:
     """Read `vehicle_id,timestamp,lat,lon` rows into per-vehicle trajectories.
 
@@ -106,61 +138,13 @@ def parse_csv(path: str | Path) -> tuple[list[Trajectory], int]:
     counts them. Structurally malformed rows raise :class:`ParseError` with
     the line number.
     """
-    path = Path(path)
-    rows: list[tuple[str, float, float, float]] = []
-    rejected = 0
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        for lineno, row in enumerate(reader, start=1):
-            if not row or (lineno == 1 and [c.strip() for c in row] == CSV_HEADER):
-                continue
-            if len(row) != 4:
-                raise ParseError(f"expected 4 fields, got {len(row)}", path=path, line=lineno)
-            try:
-                vid = row[0].strip()
-                ts = _parse_timestamp(row[1])
-                lat = float(row[2])
-                lon = float(row[3])
-            except ValueError as exc:
-                raise ParseError(str(exc), path=path, line=lineno) from exc
-            if not vid:
-                raise ParseError("empty vehicle_id", path=path, line=lineno)
-            if not _coords_in_bounds(lat, lon):
-                rejected += 1
-                continue
-            rows.append((vid, ts, lat, lon))
-    return _group_rows(rows), rejected
+    return _read_rows(path, tdrive=False)
 
 
 def parse_tdrive(path: str | Path) -> tuple[list[Trajectory], int]:
-    """Read headerless T-Drive-style rows `id,datetime,longitude,latitude`.
-
-    Note the swapped axis order relative to :func:`parse_csv`.
-    """
-    path = Path(path)
-    rows: list[tuple[str, float, float, float]] = []
-    rejected = 0
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        for lineno, row in enumerate(reader, start=1):
-            if not row:
-                continue
-            if len(row) != 4:
-                raise ParseError(f"expected 4 fields, got {len(row)}", path=path, line=lineno)
-            try:
-                vid = row[0].strip()
-                ts = _parse_timestamp(row[1])
-                lon = float(row[2])
-                lat = float(row[3])
-            except ValueError as exc:
-                raise ParseError(str(exc), path=path, line=lineno) from exc
-            if not vid:
-                raise ParseError("empty vehicle id", path=path, line=lineno)
-            if not _coords_in_bounds(lat, lon):
-                rejected += 1
-                continue
-            rows.append((vid, ts, lat, lon))
-    return _group_rows(rows), rejected
+    """Read headerless T-Drive rows `id,datetime,longitude,latitude`, as
+    :func:`parse_csv` does; note the swapped axis order."""
+    return _read_rows(path, tdrive=True)
 
 
 def write_csv(path: str | Path, trajectories: list[Trajectory]) -> None:

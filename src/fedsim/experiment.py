@@ -35,6 +35,7 @@ from .connectivity import (
 )
 from .data import (
     BBox,
+    ClientDataset,
     make_windows,
     parse_csv,
     parse_tdrive,
@@ -179,27 +180,57 @@ def load_trajectories(config: ExperimentConfig):
 
 def _client_plan(
     config: ExperimentConfig,
-    regions_raw: list[np.ndarray],
+    train_runs: list[np.ndarray],
     datasize_p: float | None,
     rng_plan: np.random.Generator,
 ) -> AvailabilityPlan:
     """Availability probabilities over one client's training stream."""
     parts = []
-    for region in regions_raw:
-        n = region.shape[0]
-        if n == 0:
-            continue
+    for run in train_runs:
+        n = run.shape[0]
         if config.scenario == "random":
             parts.append(assign_random(n, config.alpha_dir, rng_plan))
         elif config.scenario == "regional":
             areas = [WeakArea(*box) for box in config.weak_areas]
-            parts.append(assign_regional(region, areas, config.p_low, config.p_high))
+            parts.append(assign_regional(run, areas, config.p_low, config.p_high))
         elif config.scenario == "datasize":
             parts.append(np.full(n, datasize_p))
         else:  # constant
             parts.append(np.full(n, config.constant_p))
     probs = np.concatenate(parts) if parts else np.zeros(0)
-    return AvailabilityPlan(probs, config.scenario)
+    return AvailabilityPlan(probs)
+
+
+def _split_runs(ds: ClientDataset, seq_len: int, holdout_fraction: float):
+    """Cut one client's segments into training runs and holdout runs.
+
+    The client's windows, in segment order, train except the last ``n_hold``.
+    A segment whose first ``k`` windows train gives the training run
+    ``seg[:k + seq_len]`` and, if it has more windows, the holdout run
+    ``seg[k:]``; the two share ``seq_len`` points of input context but never a
+    target. No run is empty.
+    """
+    m = sum(max(0, seg.shape[0] - seq_len) for seg in ds.segments)
+    n_hold = min(m - 1, max(1, round(holdout_fraction * m))) if m >= 2 else 0
+    remaining = m - n_hold
+    train_runs, hold_runs = [], []
+    for seg in ds.segments:
+        m_s = max(0, seg.shape[0] - seq_len)
+        k = min(m_s, remaining)
+        remaining -= k
+        if k > 0:
+            train_runs.append(seg[: k + seq_len])
+        if m_s > k:
+            hold_runs.append(seg[k:])
+    return train_runs, hold_runs
+
+
+def _window_runs(runs: list[np.ndarray], bbox: BBox, seq_len: int):
+    """Normalized windows of every run, concatenated as (inputs, targets)."""
+    windows = [make_windows(bbox.normalize(run), seq_len) for run in runs]
+    inputs = np.concatenate([np.zeros((0, seq_len, 2))] + [w[0] for w in windows])
+    targets = np.concatenate([np.zeros((0, 2))] + [w[1] for w in windows])
+    return inputs, targets
 
 
 def prepare_clients(config: ExperimentConfig):
@@ -217,26 +248,8 @@ def prepare_clients(config: ExperimentConfig):
             )
 
     seq_len = config.seq_len
-    # First pass: window split per client, collecting training-region points.
-    split_info = []
-    train_point_arrays = []
-    for ds in datasets:
-        seg_windows = [max(0, seg.shape[0] - seq_len) for seg in ds.segments]
-        m = sum(seg_windows)
-        if m >= 2:
-            n_hold = min(m - 1, max(1, round(config.holdout_fraction * m)))
-        else:
-            n_hold = 0
-        n_train = m - n_hold
-        regions = []
-        remaining = n_train
-        for seg, m_s in zip(ds.segments, seg_windows):
-            k_s = min(m_s, remaining)
-            remaining -= k_s
-            regions.append(seg[: k_s + seq_len] if k_s > 0 else seg[:0])
-        split_info.append((ds, n_train, n_hold, regions))
-        train_point_arrays.extend(r for r in regions if r.shape[0])
-
+    splits = [_split_runs(ds, seq_len, config.holdout_fraction) for ds in datasets]
+    train_point_arrays = [run for train_runs, _ in splits for run in train_runs]
     if not train_point_arrays:
         raise ConfigError("no client has enough points to form a single window")
     bbox = BBox.from_points(np.concatenate(train_point_arrays))
@@ -259,50 +272,21 @@ def prepare_clients(config: ExperimentConfig):
 
     clients: dict[int, ClientRuntime] = {}
     hold_inputs_all, hold_targets_all = [], []
-    for (ds, n_train, n_hold, regions), ss in zip(split_info, client_seqs):
+    for ds, (train_runs, hold_runs), ss in zip(datasets, splits, client_seqs):
         plan_ss, reveal_ss, conn_ss, train_ss, eval_ss = ss.spawn(5)
-        inputs_parts, targets_parts, starts_parts = [], [], []
-        offset = 0
-        for region in regions:
-            k_s = max(0, region.shape[0] - seq_len)
-            if k_s > 0:
-                seg_norm = bbox.normalize(region)
-                ins, tgt = make_windows(seg_norm, seq_len)
-                inputs_parts.append(ins)
-                targets_parts.append(tgt)
-                starts_parts.append(offset + np.arange(k_s))
-            offset += region.shape[0]
-        if inputs_parts:
-            train_inputs = np.concatenate(inputs_parts)
-            train_targets = np.concatenate(targets_parts)
-            window_starts = np.concatenate(starts_parts)
-            stream_coords = bbox.normalize(np.concatenate([r for r in regions if r.shape[0]]))
-        else:
-            train_inputs = np.zeros((0, seq_len, 2))
-            train_targets = np.zeros((0, 2))
-            window_starts = np.zeros(0, dtype=int)
-            stream_coords = np.zeros((0, 2))
-
-        # holdout: the last n_hold windows of the full per-client window list
-        if n_hold > 0:
-            all_windows = [
-                make_windows(bbox.normalize(seg), seq_len)
-                for seg in ds.segments
-                if seg.shape[0] > seq_len
-            ]
-            flat_ins = np.concatenate([w[0] for w in all_windows])
-            flat_tgt = np.concatenate([w[1] for w in all_windows])
-            assert flat_ins.shape[0] == n_train + n_hold
-            hold_inputs = flat_ins[n_train:]
-            hold_targets = flat_tgt[n_train:]
-        else:
-            hold_inputs = np.zeros((0, seq_len, 2))
-            hold_targets = np.zeros((0, 2))
+        train_inputs, train_targets = _window_runs(train_runs, bbox, seq_len)
+        hold_inputs, hold_targets = _window_runs(hold_runs, bbox, seq_len)
         hold_inputs_all.append(hold_inputs)
         hold_targets_all.append(hold_targets)
+        offsets = np.cumsum([0] + [run.shape[0] for run in train_runs])
+        window_starts = np.concatenate(
+            [np.zeros(0, dtype=int)]
+            + [start + np.arange(run.shape[0] - seq_len) for start, run in zip(offsets, train_runs)]
+        )
+        stream_coords = bbox.normalize(np.concatenate([np.zeros((0, 2))] + train_runs))
 
         datasize_p = None if datasize_probs is None else float(datasize_probs[ds.client_id])
-        plan = _client_plan(config, regions, datasize_p, np.random.default_rng(plan_ss))
+        plan = _client_plan(config, train_runs, datasize_p, np.random.default_rng(plan_ss))
         reveal = RevealState(n_points=stream_coords.shape[0], slice_size=config.slice_points)
 
         if stream_coords.shape[0]:

@@ -59,13 +59,14 @@ class Dims:
         return self.lstm_size + self.fc_size
 
 
-@dataclass
+@dataclass(eq=False)
 class ParamSet:
     """Model parameters as one flat vector, recurrent block then head block.
 
     A float64 ``values`` array is kept as given, without a copy.
     ``lstm_block`` and ``fc_block`` are views into it, so writing through them
-    changes ``values``.
+    changes ``values``. ``==`` compares identity; compare ``values`` with
+    ``np.array_equal`` for equal parameters.
     """
 
     values: np.ndarray

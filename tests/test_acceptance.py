@@ -195,7 +195,7 @@ def test_criterion_4_reveal_statistics():
     # statistics at p = 0.7 over 10k points
     n = 10_000
     state = RevealState(n_points=n, slice_size=96)
-    plan = AvailabilityPlan(np.full(n, 0.7), "random")
+    plan = AvailabilityPlan(np.full(n, 0.7))
     rng = np.random.default_rng(3)
     while state.cursor < n:
         reveal_round(state, plan, rng)
@@ -206,7 +206,7 @@ def test_criterion_4_reveal_statistics():
     # invariants on every step of a 240-round trace
     n2 = 240 * 16
     state2 = RevealState(n_points=n2, slice_size=16)
-    plan2 = AvailabilityPlan(np.random.default_rng(4).uniform(size=n2), "random")
+    plan2 = AvailabilityPlan(np.random.default_rng(4).uniform(size=n2))
     rng2 = np.random.default_rng(5)
     prev_avail = state2.available.copy()
     prev_lost = state2.lost.copy()

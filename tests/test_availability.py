@@ -92,10 +92,10 @@ class TestAssignByDatasize:
 
 
 class TestRevealRound:
-    def make(self, n, slice_size, probs, scenario="random"):
+    def make(self, n, slice_size, probs):
         return (
             RevealState(n_points=n, slice_size=slice_size),
-            AvailabilityPlan(np.asarray(probs, dtype=float), scenario),
+            AvailabilityPlan(np.asarray(probs, dtype=float)),
         )
 
     def test_all_ones_reveal_everything(self):

@@ -119,19 +119,11 @@ class TestLocalOnlyCommand:
     def test_local_only_runs(self, tmp_path, capsys):
         config = write_config(tmp_path)
         out = tmp_path / "local"
-        assert main(["local-only", "--config", str(config), "--out", str(out)]) == 0
+        argv = ["run", "--config", str(config), "--out", str(out), "--variant", "local_only"]
+        assert main(argv) == 0
         summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
         assert summary["variant"] == "local_only"
         assert "local_only" in capsys.readouterr().out
-
-    def test_run_variant_local_only_matches_the_subcommand(self, tmp_path):
-        config = write_config(tmp_path)
-        run_out, local_out = tmp_path / "run", tmp_path / "local"
-        argv = ["--config", str(config), "--out"]
-        assert main(["run", *argv, str(run_out), "--variant", "local_only"]) == 0
-        assert main(["local-only", *argv, str(local_out)]) == 0
-        for name in ("rounds.csv", "summary.json"):
-            assert (run_out / name).read_bytes() == (local_out / name).read_bytes()
 
 
 class TestGradcheckCommand:

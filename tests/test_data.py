@@ -99,6 +99,58 @@ class TestParseTdrive:
         assert trajectories[0].coords[0, 0] == pytest.approx(39.92123)  # lat
         assert trajectories[0].coords[0, 1] == pytest.approx(116.51172)  # lon
 
+    def test_csv_header_is_not_skipped(self, tmp_path):
+        path = tmp_path / "tdrive.txt"
+        path.write_text("vehicle_id,timestamp,lat,lon\n1,1000,116.5,39.9\n", encoding="utf-8")
+        with pytest.raises(ParseError) as err:
+            parse_tdrive(path)
+        assert err.value.line == 1
+
+
+# (vehicle, timestamp, lat, lon): an ISO timestamp, a duplicate timestamp
+# whose first occurrence is kept, and an out-of-range latitude
+LAYOUT_ROWS = [
+    ("b", "1000", "30.0", "120.0"),
+    ("a", "2020-01-01T00:00:00", "30.1", "120.1"),
+    ("a", "1577836860", "30.2", "120.2"),
+    ("a", "1577836860", "30.3", "120.3"),
+    ("b", "1001", "95.0", "120.0"),
+    ("b", "1002", "30.4", "120.4"),
+]
+
+# layout -> (reader, line format); T-Drive puts longitude before latitude
+LAYOUTS = {
+    "csv": (parse_csv, "{0},{1},{2},{3}"),
+    "tdrive": (parse_tdrive, "{0},{1},{3},{2}"),
+}
+
+
+class TestBothLayouts:
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    def test_same_rows_parse_alike_in_either_layout(self, tmp_path, layout):
+        parse, line = LAYOUTS[layout]
+
+        def write(rows):
+            path = tmp_path / f"{layout}.txt"
+            path.write_text("".join(line.format(*row) + "\n" for row in rows), encoding="utf-8")
+            return path
+
+        trajectories, rejected = parse(write(LAYOUT_ROWS))
+        assert rejected == 1
+        assert [t.vehicle_id for t in trajectories] == ["a", "b"]
+        a, b = trajectories
+        assert np.array_equal(a.timestamps, [1577836800.0, 1577836860.0])
+        assert np.array_equal(a.coords, [[30.1, 120.1], [30.2, 120.2]])
+        assert np.array_equal(b.timestamps, [1000.0, 1002.0])
+        assert np.array_equal(b.coords, [[30.0, 120.0], [30.4, 120.4]])
+
+        malformed = ("a", "1003", "bad-lat", "bad-lon")
+        with pytest.raises(ParseError) as err:
+            parse(write(LAYOUT_ROWS[:2] + [malformed] + LAYOUT_ROWS[2:]))
+        assert err.value.line == 3
+        # the third field of the line is the first coordinate read
+        assert repr(line.format(*malformed).split(",")[2]) in str(err.value)
+
 
 class TestNormalize:
     def test_corners(self):

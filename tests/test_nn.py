@@ -339,6 +339,11 @@ class TestParamSetViews:
         vec = np.zeros(dims.total_size)
         assert ParamSet(vec, dims).values is vec
 
+    def test_equality_is_a_bool_and_never_raises(self):
+        model = random_model(Dims(2, 3, 2), seed=25)
+        assert (model == model) is True
+        assert (model == model.copy()) is False
+
     @pytest.mark.parametrize("delta", [-1, 1])
     def test_wrong_length_rejected(self, delta):
         dims = Dims(2, 3, 2)
