@@ -50,6 +50,12 @@ def _cmd_run(args) -> int:
 
 def _cmd_gradcheck(args) -> int:
     """Analytic gradients against central finite differences on small models."""
+    if args.trials < 1:
+        raise ConfigError(f"--trials must be >= 1, got {args.trials}")
+    # `not x > 0` also rejects NaN
+    for name in ("eps", "tolerance"):
+        if not getattr(args, name) > 0:
+            raise ConfigError(f"--{name} must be > 0, got {getattr(args, name)}")
     rng = np.random.default_rng(args.seed)
     dims = Dims(2, args.hidden, 2)
     worst = 0.0

@@ -151,8 +151,11 @@ def write_csv(path: str | Path, trajectories: list[Trajectory]) -> None:
     """Write trajectories in the `vehicle_id,timestamp,lat,lon` format.
 
     Floats are written with repr precision so a parse round-trips exactly.
+    Missing parent directories are created.
     """
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
         for traj in trajectories:

@@ -21,6 +21,17 @@ Gate math per step, with ``a = z @ W + b`` split into the four gate slabs::
 where ``sigmoid(x) = 0.5 * (1 + tanh(x / 2))``. That form equals the logistic
 ``1 / (1 + exp(-x))`` to within 2.2e-16, never overflows, and needs one
 elementwise pass where the exp form needs sign masks.
+
+Evaluation (``forward``, ``lstm_hidden``) keeps no cache, and it walks the
+batch in blocks of ``EVAL_BLOCK_ROWS`` rows, so each step's temporaries stay
+a fixed size however large the pooled holdout grows. A tail of one row joins
+the block before it: a 1-row GEMM goes to gemv, which rounds differently from
+the same row inside a larger GEMM. Each block's final hidden state is written
+into one B x H result, and the head GEMM then runs once over all B rows. The
+head GEMM is not blocked because it is narrow (H x O, O = 2 for lat/lon), and
+a narrow GEMM may round a row differently when its row count changes. With
+these rules the blocked pass is bit-identical to a single pass. Training
+(``backward``) runs its batch, at most ``batch_size`` rows, as one block.
 """
 
 from __future__ import annotations
@@ -32,6 +43,11 @@ import numpy as np
 from .errors import ConfigError, NumericError
 
 DIST_EPS = 1e-8
+# Rows per block of the cache-free LSTM pass (see the module docstring). Of
+# 128, 256 and 512 (sweep in BENCH_6.json), only 512 keeps pace with a single
+# pass at H=8, where smaller blocks pay per-call overhead; at H=32 and 64 the
+# three are within noise of each other and faster than a single pass.
+EVAL_BLOCK_ROWS = 512
 
 
 @dataclass(frozen=True)
@@ -162,6 +178,22 @@ def _fc_views(fc_block: np.ndarray, dims: Dims):
 
 
 def _run_lstm(model: ParamSet, inputs: np.ndarray, keep_cache: bool):
+    if keep_cache:
+        return _lstm_steps(model, inputs, keep_cache=True)
+    # cache-free pass in row blocks; a 0- or 1-row tail joins the block before it
+    n_batch = inputs.shape[0]
+    hidden = np.empty((n_batch, model.dims.n_hidden))
+    start = 0
+    while start < n_batch:
+        stop = start + EVAL_BLOCK_ROWS
+        if n_batch - stop <= 1:
+            stop = n_batch
+        hidden[start:stop], _ = _lstm_steps(model, inputs[start:stop], keep_cache=False)
+        start = stop
+    return hidden, None
+
+
+def _lstm_steps(model: ParamSet, inputs: np.ndarray, keep_cache: bool):
     d = model.dims
     H = d.n_hidden
     w, b = _lstm_views(model)

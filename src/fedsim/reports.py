@@ -85,7 +85,10 @@ def write_rounds_csv(logs: list[RoundLog], path: str | Path) -> None:
 
 
 def read_rounds_csv(path: str | Path) -> list[RoundLog]:
-    """Rebuild round logs from rounds.csv (inverse of write_rounds_csv)."""
+    """Rebuild round logs from rounds.csv (inverse of write_rounds_csv).
+
+    A malformed row raises ConfigError naming the file and line.
+    """
     logs: dict[int, RoundLog] = {}
     entries: dict[int, dict[int, RankEntry]] = {}
     with Path(path).open(newline="", encoding="utf-8") as fh:
@@ -93,62 +96,69 @@ def read_rounds_csv(path: str | Path) -> list[RoundLog]:
         header = next(reader, None)
         if header != CSV_COLUMNS:
             raise ConfigError(f"{path}: unexpected header {header}")
-        for t_raw, record, client, key, value in reader:
-            t = int(t_raw)
-            log = logs.setdefault(
-                t, RoundLog(t=t, eta=0.0, online=[], recovered=[], offline=[])
-            )
-            if record == "round":
-                if key == "eta":
-                    log.eta = float(value)
-                elif key == "online":
-                    log.online = _parse_ids(value)
-                elif key == "recovered":
-                    log.recovered = _parse_ids(value)
-                elif key == "offline":
-                    log.offline = _parse_ids(value)
-                elif key == "selected":
-                    log.selected = _parse_ids(value)
-                elif key == "decentralized":
-                    log.decentralized = value == "1"
-                elif key == "rmse_global":
-                    log.rmse_global = float(value)
-                elif key == "alpha":
-                    log.alpha = float(value)
-                elif key == "events":
-                    log.events = value.split(";") if value else []
-            elif record == "client":
-                cid = int(client)
-                if key == "init":
-                    log.provenance[cid] = value
-                elif key == "rmse":
-                    log.client_rmse[cid] = float(value)
-                elif key == "payload_values":
-                    log.payloads[cid] = int(value)
-                elif key == "collab_source":
-                    log.collab_sources[cid] = int(value)
-            elif record == "rank":
-                cid = int(client)
-                entry = entries.setdefault(t, {}).setdefault(
-                    cid,
-                    RankEntry(client_id=cid, divergence=0.0, participation=0.0, n_updates=0),
-                )
-                if key == "L":
-                    entry.divergence = float(value)
-                elif key == "A":
-                    entry.participation = float(value)
-                elif key == "n":
-                    entry.n_updates = int(value)
-                elif key == "P_L":
-                    entry.pos_divergence = int(value)
-                    log.ranked = True
-                elif key == "P_A":
-                    entry.pos_participation = int(value)
-                elif key == "R":
-                    entry.weight = float(value)
+        for row in reader:
+            try:
+                if len(row) != len(CSV_COLUMNS):
+                    raise ValueError(f"expected {len(CSV_COLUMNS)} fields, got {len(row)}")
+                _read_row(logs, entries, *row)
+            except ValueError as exc:
+                raise ConfigError(f"{path}:{reader.line_num}: {exc}") from None
     for t, per_round in entries.items():
         logs[t].entries = [per_round[cid] for cid in sorted(per_round)]
     return [logs[t] for t in sorted(logs)]
+
+
+def _read_row(logs, entries, t_raw, record, client, key, value) -> None:
+    t = int(t_raw)
+    log = logs.setdefault(t, RoundLog(t=t, eta=0.0, online=[], recovered=[], offline=[]))
+    if record == "round":
+        if key == "eta":
+            log.eta = float(value)
+        elif key == "online":
+            log.online = _parse_ids(value)
+        elif key == "recovered":
+            log.recovered = _parse_ids(value)
+        elif key == "offline":
+            log.offline = _parse_ids(value)
+        elif key == "selected":
+            log.selected = _parse_ids(value)
+        elif key == "decentralized":
+            log.decentralized = value == "1"
+        elif key == "rmse_global":
+            log.rmse_global = float(value)
+        elif key == "alpha":
+            log.alpha = float(value)
+        elif key == "events":
+            log.events = value.split(";") if value else []
+    elif record == "client":
+        cid = int(client)
+        if key == "init":
+            log.provenance[cid] = value
+        elif key == "rmse":
+            log.client_rmse[cid] = float(value)
+        elif key == "payload_values":
+            log.payloads[cid] = int(value)
+        elif key == "collab_source":
+            log.collab_sources[cid] = int(value)
+    elif record == "rank":
+        cid = int(client)
+        entry = entries.setdefault(t, {}).setdefault(
+            cid,
+            RankEntry(client_id=cid, divergence=0.0, participation=0.0, n_updates=0),
+        )
+        if key == "L":
+            entry.divergence = float(value)
+        elif key == "A":
+            entry.participation = float(value)
+        elif key == "n":
+            entry.n_updates = int(value)
+        elif key == "P_L":
+            entry.pos_divergence = int(value)
+            log.ranked = True
+        elif key == "P_A":
+            entry.pos_participation = int(value)
+        elif key == "R":
+            entry.weight = float(value)
 
 
 def summary_dict(result: ExperimentResult) -> dict:
@@ -281,7 +291,12 @@ def collect_series(run_dirs: list[str | Path]) -> dict[str, list[tuple[float, fl
         summary_path = run_dir / "summary.json"
         if summary_path.exists():
             with summary_path.open(encoding="utf-8") as fh:
-                meta = json.load(fh)
+                try:
+                    meta = json.load(fh)
+                except json.JSONDecodeError as exc:
+                    raise ConfigError(f"{summary_path}:{exc.lineno}: {exc.msg}") from None
+            if not isinstance(meta, dict):
+                raise ConfigError(f"{summary_path}: expected a JSON object")
             label = f"{meta.get('variant', label)} (seed {meta.get('seed', '?')})"
         if label in series:
             label = f"{label} [{run_dir.name}]"

@@ -131,6 +131,23 @@ class TestGradcheckCommand:
         assert main(["gradcheck", "--trials", "2", "--hidden", "4", "--steps", "3"]) == 0
         assert "PASS" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--eps", "0"),
+            ("--eps", "-1e-5"),
+            ("--eps", "nan"),
+            ("--trials", "0"),
+            ("--tolerance", "0"),
+            ("--tolerance", "-1"),
+        ],
+    )
+    def test_degenerate_setting_is_an_error(self, capsys, flag, value):
+        assert main(["gradcheck", "--hidden", "2", "--steps", "2", f"{flag}={value}"]) == 2
+        captured = capsys.readouterr()
+        assert flag in captured.err
+        assert "PASS" not in captured.out
+
 
 class TestPlotCommand:
     def test_plot_merges_run_dirs(self, tmp_path):
@@ -148,6 +165,44 @@ class TestPlotCommand:
     def test_plot_missing_dir_fails(self, tmp_path, capsys):
         assert main(["plot", "--in", str(tmp_path / "nothing")]) == 1
 
+    @pytest.mark.parametrize(
+        "bad_row, line, message",
+        [
+            ("1,round,,rmse_global", 3, "expected 5 fields, got 4"),
+            ("x,round,,rmse_global,0.5", 3, "invalid literal for int()"),
+        ],
+    )
+    def test_malformed_rounds_csv_is_an_error(self, tmp_path, capsys, bad_row, line, message):
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        rounds = run_dir / "rounds.csv"
+        rounds.write_text(
+            f"round,record,client,key,value\n1,round,,eta,0.1\n{bad_row}\n", encoding="utf-8"
+        )
+        assert main(["plot", "--in", str(run_dir)]) == 2
+        err = capsys.readouterr().err
+        assert f"{rounds}:{line}:" in err
+        assert message in err
+
+    @pytest.mark.parametrize(
+        "text, location",
+        [
+            ('{\n  "variant": "fedavg",\n  "seed":\n', ":4: "),
+            ("[1, 2]\n", ": expected a JSON object"),
+        ],
+    )
+    def test_malformed_summary_json_is_an_error(self, tmp_path, capsys, text, location):
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        (run_dir / "rounds.csv").write_text(
+            "round,record,client,key,value\n1,round,,rmse_global,0.5\n", encoding="utf-8"
+        )
+        summary = run_dir / "summary.json"
+        summary.write_text(text, encoding="utf-8")
+        assert main(["plot", "--in", str(run_dir)]) == 2
+        assert f"{summary}{location}" in capsys.readouterr().err
+        assert not (run_dir / "curves.svg").exists()
+
 
 class TestSynthCommand:
     def test_synth_writes_parseable_csv(self, tmp_path, capsys):
@@ -161,3 +216,13 @@ class TestSynthCommand:
         assert rejected == 0
         assert len(trajectories) == 3
         assert all(t.n_points == 25 for t in trajectories)
+
+    def test_synth_creates_missing_parent_directories(self, tmp_path, capsys):
+        out = tmp_path / "not" / "yet" / "there.csv"
+        code = main([
+            "synth", "--kind", "sinusoid", "--out", str(out),
+            "--vehicles", "2", "--points", "10",
+        ])
+        assert code == 0
+        trajectories, rejected = parse_csv(out)
+        assert rejected == 0 and len(trajectories) == 2

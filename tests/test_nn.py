@@ -16,7 +16,8 @@ from fedsim.nn import (
     param_distribution,
     sgd_step,
 )
-from fedsim.nn import _run_lstm, _sigmoid
+from fedsim import nn
+from fedsim.nn import EVAL_BLOCK_ROWS, _run_lstm, _sigmoid
 
 from oracles import (
     finite_difference_gradient,
@@ -75,6 +76,23 @@ class TestForward:
         assert np.max(np.abs(preds - np.array(ref_preds))) < 1e-10
         assert np.max(np.abs(hidden - np.array(ref_hidden))) < 1e-10
 
+    def test_matches_scalar_reference_across_row_blocks(self):
+        # two blocks, the second taking the 1-row remainder
+        dims = Dims(2, 3, 2)
+        model = random_model(dims, seed=13)
+        batch = random_batch(dims, 2 * EVAL_BLOCK_ROWS + 1, 3, seed=14)
+        preds, hidden = forward(model, batch)
+        ref_preds, ref_hidden = lstm_forward_scalar(
+            model.lstm_block.tolist(),
+            model.fc_block.tolist(),
+            dims.n_in,
+            dims.n_hidden,
+            dims.n_out,
+            batch.inputs.tolist(),
+        )
+        assert np.max(np.abs(preds - np.array(ref_preds))) < 1e-10
+        assert np.max(np.abs(hidden - np.array(ref_hidden))) < 1e-10
+
     def test_is_pure(self):
         dims = Dims(2, 4, 2)
         model = random_model(dims, seed=4)
@@ -89,6 +107,61 @@ class TestForward:
         bad = random_batch(Dims(3, 4, 2), 2, 3, seed=7)
         with pytest.raises(ConfigError):
             forward(model, bad)
+
+
+BLOCKED_SIZES = [
+    2 * EVAL_BLOCK_ROWS,
+    2 * EVAL_BLOCK_ROWS + 1,
+    2 * EVAL_BLOCK_ROWS + 2,
+    EVAL_BLOCK_ROWS + 1,
+]
+
+
+class TestBlockedEval:
+    """The cache-free pass walks the batch in row blocks, bit for bit."""
+
+    @pytest.mark.parametrize("hidden", [8, 32, 64])
+    @pytest.mark.parametrize("n_rows", BLOCKED_SIZES)
+    def test_equals_a_single_pass(self, monkeypatch, hidden, n_rows):
+        dims = Dims(2, hidden, 2)
+        model = random_model(dims, seed=hidden)
+        batch = random_batch(dims, n_rows, 6, seed=n_rows)
+        hidden_blocked = nn.lstm_hidden(model, batch.inputs)
+        preds_blocked, _ = forward(model, batch)
+        monkeypatch.setattr(nn, "EVAL_BLOCK_ROWS", 10**9)
+        assert np.array_equal(hidden_blocked, nn.lstm_hidden(model, batch.inputs))
+        preds_single, hidden_single = forward(model, batch)
+        assert np.array_equal(hidden_blocked, hidden_single)
+        assert np.array_equal(preds_blocked, preds_single)
+
+    @pytest.mark.parametrize(
+        "n_rows, blocks",
+        [
+            (2, [2]),
+            (EVAL_BLOCK_ROWS, [EVAL_BLOCK_ROWS]),
+            (EVAL_BLOCK_ROWS + 1, [EVAL_BLOCK_ROWS + 1]),
+            (2 * EVAL_BLOCK_ROWS, [EVAL_BLOCK_ROWS, EVAL_BLOCK_ROWS]),
+            (2 * EVAL_BLOCK_ROWS + 1, [EVAL_BLOCK_ROWS, EVAL_BLOCK_ROWS + 1]),
+            (2 * EVAL_BLOCK_ROWS + 2, [EVAL_BLOCK_ROWS, EVAL_BLOCK_ROWS, 2]),
+        ],
+    )
+    def test_row_blocks_never_leave_a_one_row_tail(self, monkeypatch, n_rows, blocks):
+        dims = Dims(2, 4, 2)
+        model = random_model(dims, seed=1)
+        inputs = np.zeros((n_rows, 3, 2))
+        seen = []
+        steps = nn._lstm_steps
+
+        def recording(model, inputs, keep_cache):
+            seen.append(inputs.shape[0])
+            return steps(model, inputs, keep_cache)
+
+        monkeypatch.setattr(nn, "_lstm_steps", recording)
+        nn.lstm_hidden(model, inputs)
+        assert seen == blocks
+        seen.clear()
+        _run_lstm(model, inputs, keep_cache=True)
+        assert seen == [n_rows]
 
 
 class TestMseLoss:
