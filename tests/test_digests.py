@@ -6,8 +6,9 @@ bytes across commits: one uniform-selection run (fedavg), one ranked run
 (fedcab), one with peer rounds (feddecab), both proximal variants, the
 isolated local_only baseline, fedavg with offline clients training every
 round, feddecab over several batches and epochs, fedavg weighted by
-client data size, and fedavg over an equal-points partition. The values were taken with numpy 2.4 and OpenBLAS on x86-64; another
-BLAS may round GEMMs differently. A change that alters any output bit must
+client data size, fedavg over an equal-points partition, and feddecab over
+a CSV fleet with peer rounds every round. The values were taken with numpy
+2.4 and OpenBLAS on x86-64; another BLAS may round GEMMs differently. A change that alters any output bit must
 re-pin them and say why in CHANGES.md.
 """
 
@@ -18,6 +19,7 @@ import pytest
 import fedsim.experiment
 import fedsim.training
 from fedsim.config import ExperimentConfig
+from fedsim.data import Trajectory, synth_trajectories, write_csv
 from fedsim.experiment import run_experiment
 from fedsim.reports import emit_reports
 
@@ -70,6 +72,33 @@ CASES = {
     "fedavg_equal_partition": dict(variant="fedavg", partition="equal", points_per_client=51),
 }
 
+# feddecab over a CSV of 32 vehicles of 12 to 52 points, one client each, with
+# a peer round every round: neighbour ordering, head adoption and CSV windowing
+# all reach the bytes. The CSV is written into the test's working directory and
+# named relative to it, so the config in summary.json does not hold a temporary
+# path.
+FLEET_CSV = "fleet.csv"
+FLEET = dict(
+    BASE,
+    variant="feddecab",
+    dataset="csv",
+    data_path=FLEET_CSV,
+    n_clients=32,
+    decentral_freq=1.0,
+    chi=5,
+    p_offline=0.4,
+)
+
+
+def _write_fleet_csv(path) -> None:
+    trajectories = synth_trajectories(11, 32, 52, "sinusoid")
+    lengths = [12 + 5 * (i % 9) for i in range(len(trajectories))]
+    write_csv(path, [
+        Trajectory(t.vehicle_id, t.timestamps[:n], t.coords[:n])
+        for t, n in zip(trajectories, lengths)
+    ])
+
+
 # case -> (rounds.csv sha256, summary.json sha256)
 DIGESTS = {
     "fedavg": (
@@ -114,6 +143,11 @@ DIGESTS = {
     ),
 }
 
+FLEET_DIGESTS = (
+    "30abdcf23353dd1daab36fe2b81397a5a6125f9a6926f129b0d1478619ad7105",
+    "fd799b3f499c0b5df458a83e2619e8286966433e1a31dea697a85eb56518c3f2",
+)
+
 
 # rounds.csv of a feddecab run where every client goes offline after round 1,
 # so rounds 2-4 aggregate nothing; pinned before unchanged global models
@@ -135,6 +169,14 @@ def _rounds_and_summary_sha256(overrides, out_dir) -> tuple[str, str]:
 @pytest.mark.parametrize("case", sorted(DIGESTS))
 def test_outputs_match_pinned_digests(case, tmp_path):
     assert _rounds_and_summary_sha256(CASES[case], tmp_path) == DIGESTS[case]
+
+
+def test_feddecab_fleet_matches_pinned_digests(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    _write_fleet_csv(tmp_path / FLEET_CSV)
+    result = run_experiment(ExperimentConfig(**FLEET))
+    paths = emit_reports(result, tmp_path / "out")
+    assert (_sha256(paths["rounds"]), _sha256(paths["summary"])) == FLEET_DIGESTS
 
 
 @pytest.mark.parametrize("proximal,plain", [("fedprox", "fedavg"), ("fedprox_plus", "fedcab")])
