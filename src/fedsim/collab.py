@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nn import ParamSet, apply_fc, fc_inject, lstm_hidden, mse_loss
+from .errors import ConfigError
+from .nn import ParamSet, _fc_views, fc_inject, lstm_hidden
 
 
 @dataclass
@@ -39,15 +40,26 @@ def evaluate_candidates(
     """
     dims = own_model.dims
     hidden = lstm_hidden(own_model, eval_inputs)
-    best_source = own_id
-    best_head = own_model.fc_block
-    best_loss = mse_loss(apply_fc(own_model.fc_block, hidden, dims), eval_targets)
-    for nid, head in sorted(neighbor_heads, key=lambda kv: kv[0]):
-        loss = mse_loss(apply_fc(head, hidden, dims), eval_targets)
-        if loss < best_loss:
-            best_source, best_head, best_loss = nid, head, loss
+    eval_targets = np.asarray(eval_targets, dtype=float)
+    if eval_targets.shape != (hidden.shape[0], dims.n_out):
+        raise ConfigError(
+            f"targets shape {eval_targets.shape} != ({hidden.shape[0]}, {dims.n_out})"
+        )
+    neighbor_heads = sorted(neighbor_heads, key=lambda kv: kv[0])
+    sources = [own_id] + [nid for nid, _ in neighbor_heads]
+    heads = np.stack([own_model.fc_block] + [head for _, head in neighbor_heads])
+    w, b = _fc_views(heads, dims)
+    # one stacked product scores every head; each (M, O) slice has the bits of
+    # the 2-D product apply_fc would give
+    diff = np.matmul(hidden, w) + b[:, None, :] - eval_targets
+    losses = np.mean(diff * diff, axis=(1, 2)).tolist()
+    # strict < over [own, neighbors by id]: ties keep the earlier, NaN never wins
+    best = 0
+    for k in range(1, len(losses)):
+        if losses[k] < losses[best]:
+            best = k
     return CollabCache(
-        model=fc_inject(own_model, best_head), source_id=best_source, loss=best_loss
+        model=fc_inject(own_model, heads[best]), source_id=sources[best], loss=losses[best]
     )
 
 

@@ -13,6 +13,9 @@ import numpy as np
 
 from .errors import BudgetError, ConfigError
 
+# Distance entries per row block of the neighbor graph, bounding its temporaries.
+NEIGHBOR_BLOCK_ENTRIES = 1 << 16
+
 
 @dataclass
 class LinkState:
@@ -91,14 +94,20 @@ def build_neighbor_graph(
     if chi < 1:
         raise ConfigError(f"chi must be >= 1, got {chi}")
     ids = sorted(positions)
-    if len(ids) < 2:
+    n = len(ids)
+    if n < 2:
         raise ConfigError("neighbor graph needs at least two clients")
     pts = np.array([positions[cid] for cid in ids], dtype=float)
+    k = min(chi, n - 1)
     graph: dict[int, list[tuple[int, float]]] = {}
-    for i, cid in enumerate(ids):
-        dists = np.linalg.norm(pts - pts[i], axis=1)
-        order = sorted(
-            (float(dists[j]), ids[j]) for j in range(len(ids)) if j != i
-        )
-        graph[cid] = [(nid, dist) for dist, nid in order[:chi]]
+    n_rows = max(1, NEIGHBOR_BLOCK_ENTRIES // n)
+    for start in range(0, n, n_rows):
+        rows = np.arange(start, min(start + n_rows, n))
+        dists = np.linalg.norm(pts - pts[rows, None], axis=2)
+        # ids are sorted, so the stable sort sends distance ties to the lower id
+        order = np.argsort(dists, axis=1, kind="stable")
+        order = order[order != rows[:, None]].reshape(rows.size, n - 1)[:, :k]
+        nearest = np.take_along_axis(dists, order, axis=1)
+        for i, row_ids, row_dists in zip(rows.tolist(), order.tolist(), nearest.tolist()):
+            graph[ids[i]] = [(ids[j], dist) for j, dist in zip(row_ids, row_dists)]
     return graph

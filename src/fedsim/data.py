@@ -99,6 +99,27 @@ def _coords_in_bounds(lat: float, lon: float) -> bool:
     return -90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0
 
 
+def utf8_lines(path: str | Path):
+    """The lines of a text file, ends kept, for csv.reader.
+
+    Bytes that are not UTF-8 raise ParseError at their line. The decoder
+    reads ahead in chunks, so that line is found again from the raw bytes.
+    """
+    with Path(path).open(newline="", encoding="utf-8") as fh:
+        try:
+            yield from fh
+            return
+        except UnicodeDecodeError as exc:
+            reason = exc.reason
+    raw = Path(path).read_bytes()
+    try:
+        raw.decode("utf-8")
+        line = None
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+    raise ParseError(f"not UTF-8 text ({reason})", path=path, line=line)
+
+
 def _read_rows(path: str | Path, tdrive: bool) -> tuple[list[Trajectory], int]:
     """Rows of four fields into per-vehicle trajectories, plus the rejected count.
 
@@ -108,26 +129,25 @@ def _read_rows(path: str | Path, tdrive: bool) -> tuple[list[Trajectory], int]:
     path = Path(path)
     rows: list[tuple[str, float, float, float]] = []
     rejected = 0
-    with path.open(newline="", encoding="utf-8") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            header = not tdrive and lineno == 1 and [c.strip() for c in row] == CSV_HEADER
-            if not row or header:
-                continue
-            if len(row) != 4:
-                raise ParseError(f"expected 4 fields, got {len(row)}", path=path, line=lineno)
-            try:
-                vid = row[0].strip()
-                ts = _parse_timestamp(row[1])
-                first, second = float(row[2]), float(row[3])
-            except ValueError as exc:
-                raise ParseError(str(exc), path=path, line=lineno) from exc
-            if not vid:
-                raise ParseError("empty vehicle id", path=path, line=lineno)
-            lat, lon = (second, first) if tdrive else (first, second)
-            if not _coords_in_bounds(lat, lon):
-                rejected += 1
-                continue
-            rows.append((vid, ts, lat, lon))
+    for lineno, row in enumerate(csv.reader(utf8_lines(path)), start=1):
+        header = not tdrive and lineno == 1 and [c.strip() for c in row] == CSV_HEADER
+        if not row or header:
+            continue
+        if len(row) != 4:
+            raise ParseError(f"expected 4 fields, got {len(row)}", path=path, line=lineno)
+        try:
+            vid = row[0].strip()
+            ts = _parse_timestamp(row[1])
+            first, second = float(row[2]), float(row[3])
+        except ValueError as exc:
+            raise ParseError(str(exc), path=path, line=lineno) from exc
+        if not vid:
+            raise ParseError("empty vehicle id", path=path, line=lineno)
+        lat, lon = (second, first) if tdrive else (first, second)
+        if not _coords_in_bounds(lat, lon):
+            rejected += 1
+            continue
+        rows.append((vid, ts, lat, lon))
     return _group_rows(rows), rejected
 
 
@@ -263,13 +283,12 @@ def make_windows(points: np.ndarray, seq_len: int) -> tuple[np.ndarray, np.ndarr
     m = max(0, n - seq_len); window k covers points k..k+seq_len.
     """
     points = np.asarray(points, dtype=float)
-    n = points.shape[0]
-    m = max(0, n - seq_len)
-    if m == 0:
-        return np.zeros((0, seq_len, 2)), np.zeros((0, 2))
-    inputs = np.stack([points[k : k + seq_len] for k in range(m)])
-    targets = points[seq_len : seq_len + m].copy()
-    return inputs, targets
+    m = max(0, points.shape[0] - seq_len)
+    # one slice copy per time step; the result owns its memory
+    inputs = np.empty((m, seq_len, points.shape[1]))
+    for k in range(seq_len):
+        inputs[:, k] = points[k : k + m]
+    return inputs, points[seq_len : seq_len + m].copy()
 
 
 def synth_trajectories(

@@ -172,8 +172,10 @@ def _lstm_views(model: ParamSet):
 
 
 def _fc_views(fc_block: np.ndarray, dims: Dims):
-    w = fc_block[: dims.n_hidden * dims.n_out].reshape(dims.n_hidden, dims.n_out)
-    b = fc_block[dims.n_hidden * dims.n_out :]
+    """Weight (..., H, O) and bias (..., O) views of one head block or a stack."""
+    n_weights = dims.n_hidden * dims.n_out
+    w = fc_block[..., :n_weights].reshape(fc_block.shape[:-1] + (dims.n_hidden, dims.n_out))
+    b = fc_block[..., n_weights:]
     return w, b
 
 

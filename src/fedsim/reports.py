@@ -13,6 +13,7 @@ import json
 import math
 from pathlib import Path
 
+from .data import utf8_lines
 from .errors import ConfigError
 from .experiment import ExperimentResult, RoundLog
 from .ranking import RankEntry
@@ -87,22 +88,22 @@ def write_rounds_csv(logs: list[RoundLog], path: str | Path) -> None:
 def read_rounds_csv(path: str | Path) -> list[RoundLog]:
     """Rebuild round logs from rounds.csv (inverse of write_rounds_csv).
 
-    A malformed row raises ConfigError naming the file and line.
+    A malformed row raises ConfigError, and bytes that are not UTF-8 raise
+    ParseError, naming the file and line.
     """
     logs: dict[int, RoundLog] = {}
     entries: dict[int, dict[int, RankEntry]] = {}
-    with Path(path).open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != CSV_COLUMNS:
-            raise ConfigError(f"{path}: unexpected header {header}")
-        for row in reader:
-            try:
-                if len(row) != len(CSV_COLUMNS):
-                    raise ValueError(f"expected {len(CSV_COLUMNS)} fields, got {len(row)}")
-                _read_row(logs, entries, *row)
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{reader.line_num}: {exc}") from None
+    reader = csv.reader(utf8_lines(path))
+    header = next(reader, None)
+    if header != CSV_COLUMNS:
+        raise ConfigError(f"{path}: unexpected header {header}")
+    for row in reader:
+        try:
+            if len(row) != len(CSV_COLUMNS):
+                raise ValueError(f"expected {len(CSV_COLUMNS)} fields, got {len(row)}")
+            _read_row(logs, entries, *row)
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{reader.line_num}: {exc}") from None
     for t, per_round in entries.items():
         logs[t].entries = [per_round[cid] for cid in sorted(per_round)]
     return [logs[t] for t in sorted(logs)]
@@ -290,11 +291,10 @@ def collect_series(run_dirs: list[str | Path]) -> dict[str, list[tuple[float, fl
         label = run_dir.name
         summary_path = run_dir / "summary.json"
         if summary_path.exists():
-            with summary_path.open(encoding="utf-8") as fh:
-                try:
-                    meta = json.load(fh)
-                except json.JSONDecodeError as exc:
-                    raise ConfigError(f"{summary_path}:{exc.lineno}: {exc.msg}") from None
+            try:
+                meta = json.loads("".join(utf8_lines(summary_path)))
+            except json.JSONDecodeError as exc:
+                raise ConfigError(f"{summary_path}:{exc.lineno}: {exc.msg}") from None
             if not isinstance(meta, dict):
                 raise ConfigError(f"{summary_path}: expected a JSON object")
             label = f"{meta.get('variant', label)} (seed {meta.get('seed', '?')})"

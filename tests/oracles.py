@@ -101,3 +101,44 @@ def kl_scalar(p, q):
 def markov_online_fraction(p_offline, p_recover):
     """Stationary online probability of the two-state offline/online chain."""
     return p_recover / (p_recover + p_offline)
+
+
+def brute_force_neighbors(positions, chi):
+    """Every client's chi nearest others, from one sorted (distance, id) list each."""
+    ids = sorted(positions)
+    pts = np.array([positions[cid] for cid in ids], dtype=float)
+    graph = {}
+    for i, cid in enumerate(ids):
+        dists = np.linalg.norm(pts - pts[i], axis=1)
+        order = sorted((float(dists[j]), ids[j]) for j in range(len(ids)) if j != i)
+        graph[cid] = [(nid, dist) for dist, nid in order[:chi]]
+    return graph
+
+
+def best_head_by_loop(hidden, targets, own_id, own_head, neighbor_heads, n_hidden, n_out):
+    """(source id, loss) of the head with the lowest MSE, one 2-D product per head.
+
+    Candidates are scanned as [own, neighbors by ascending id] with a strict
+    ``<``, so ties keep the earlier candidate and a NaN loss never replaces one.
+    """
+    n_w = n_hidden * n_out
+    best_id, best_loss = None, None
+    for cid, head in [(own_id, own_head)] + sorted(neighbor_heads, key=lambda kv: kv[0]):
+        head = np.asarray(head, dtype=float)
+        diff = hidden @ head[:n_w].reshape(n_hidden, n_out) + head[n_w:] - targets
+        loss = float(np.mean(diff * diff))
+        if best_loss is None or loss < best_loss:
+            best_id, best_loss = cid, loss
+    return best_id, best_loss
+
+
+def windows_by_slices(points, seq_len):
+    """(inputs, targets) of stride-1 windows, one slice per window."""
+    points = np.asarray(points, dtype=float)
+    m = max(0, points.shape[0] - seq_len)
+    inputs = [points[k : k + seq_len] for k in range(m)]
+    targets = [points[k + seq_len] for k in range(m)]
+    return (
+        np.array(inputs).reshape(m, seq_len, points.shape[1]),
+        np.array(targets).reshape(m, points.shape[1]),
+    )

@@ -56,6 +56,13 @@ class TestRunCommand:
         summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
         assert summary["seed"] == 123
 
+    def test_dataset_that_is_not_utf8_is_an_error(self, tmp_path, capsys):
+        data = tmp_path / "fleet.csv"
+        data.write_bytes(b"vehicle_id,timestamp,lat,lon\nv\xff,1000,30.0,120.0\n")
+        config = write_config(tmp_path, dataset="csv", data_path=str(data))
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+        assert f"{data}:2: not UTF-8" in capsys.readouterr().err
+
     def test_run_whose_every_round_is_nan_prints_no_best(self, tmp_path, capsys):
         # 3 revealed points per round never fill a 7-point window in round 1,
         # so the only round's RMSE is NaN and there is no best RMSE
@@ -201,6 +208,21 @@ class TestPlotCommand:
         summary.write_text(text, encoding="utf-8")
         assert main(["plot", "--in", str(run_dir)]) == 2
         assert f"{summary}{location}" in capsys.readouterr().err
+        assert not (run_dir / "curves.svg").exists()
+
+    @pytest.mark.parametrize("name", ["rounds.csv", "summary.json"])
+    def test_run_file_that_is_not_utf8_is_an_error(self, tmp_path, capsys, name):
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        (run_dir / "rounds.csv").write_text(
+            "round,record,client,key,value\n1,round,,rmse_global,0.5\n", encoding="utf-8"
+        )
+        (run_dir / "summary.json").write_text('{"variant": "fedavg"}\n', encoding="utf-8")
+        bad = run_dir / name
+        bad.write_bytes(bad.read_bytes().replace(b"fedavg", b"fed\xff\xfe").replace(b"0.5", b"0.\xff"))
+        assert main(["plot", "--in", str(run_dir)]) == 2
+        err = capsys.readouterr().err
+        assert f"{bad}:" in err and "not UTF-8" in err
         assert not (run_dir / "curves.svg").exists()
 
 

@@ -1,6 +1,8 @@
 import numpy as np
+import pytest
 
 from fedsim.collab import evaluate_candidates, head_payload_values
+from fedsim.errors import ConfigError
 from fedsim.nn import (
     Dims,
     TrainBatch,
@@ -8,9 +10,12 @@ from fedsim.nn import (
     forward,
     init_params,
     kl_divergence,
+    lstm_hidden,
     param_distribution,
 )
 from fedsim.training import evaluate_mse, train_local
+
+from oracles import best_head_by_loop
 
 
 def make_model(dims, seed):
@@ -90,6 +95,71 @@ class TestEvaluateCandidates:
         )
         cache.model.fc_block[:] = -1.0
         assert np.array_equal(neighbor_head, snapshot)
+
+
+class TestStackedScoringOracle:
+    """The stacked product picks the head, and gives the loss bits, of one
+    2-D product per head."""
+
+    def check(self, own, own_id, neighbor_heads, inputs, targets):
+        dims = own.dims
+        cache = evaluate_candidates(own, own_id, neighbor_heads, inputs, targets)
+        hidden = lstm_hidden(own, inputs)
+        expected = best_head_by_loop(
+            hidden, targets, own_id, own.fc_block, neighbor_heads, dims.n_hidden, dims.n_out
+        )
+        assert (cache.source_id, cache.loss) == expected
+        winner = dict([(own_id, own.fc_block)] + list(neighbor_heads))[cache.source_id]
+        assert np.array_equal(cache.model.values, fc_inject(own, winner).values)
+        return cache
+
+    def test_random_heads_batches_and_sizes(self):
+        rng = np.random.default_rng(61)
+        for hidden in (3, 8, 32):
+            dims = Dims(2, hidden, 2)
+            for m in (1, 2, 3, 5, 8, 16, 40):
+                for k in (0, 1, 4, 7):
+                    own = make_model(dims, int(rng.integers(1 << 30)))
+                    ids = rng.permutation(50)[:k].tolist()
+                    heads = [(int(nid), rng.normal(size=dims.fc_size)) for nid in ids]
+                    inputs, targets = make_eval_data(dims, m, int(rng.integers(1 << 30)))
+                    self.check(own, 50, heads, inputs, targets)
+
+    def test_duplicate_heads_tie_to_own_then_lowest_id(self):
+        dims = Dims(2, 6, 2)
+        own = make_model(dims, 62)
+        inputs, _ = make_eval_data(dims, 5, 64)
+        # targets the neighbors' head predicts exactly, so it beats the own head
+        better = fc_inject(own, make_model(dims, 63).fc_block)
+        targets, _ = forward(better, TrainBatch(inputs, np.zeros((5, dims.n_out))))
+        tied = self.check(own, 4, [(9, own.fc_block.copy()), (2, own.fc_block.copy())], inputs, targets)
+        assert tied.source_id == 4
+        heads = [(9, better.fc_block.copy()), (2, better.fc_block.copy()), (5, better.fc_block.copy())]
+        assert self.check(own, 4, heads, inputs, targets).source_id == 2
+
+    def test_nan_head_never_wins(self):
+        dims = Dims(2, 5, 2)
+        own = make_model(dims, 65)
+        inputs, targets = make_eval_data(dims, 1, 66)
+        nan_head = make_model(dims, 67).fc_block.copy()
+        nan_head[0] = np.nan
+        for heads in ([(1, nan_head)], [(1, nan_head), (3, make_model(dims, 68).fc_block.copy())]):
+            cache = self.check(own, 0, heads, inputs, targets)
+            assert cache.source_id != 1 and np.isfinite(cache.loss)
+
+    def test_targets_of_the_wrong_shape_are_rejected(self):
+        dims = Dims(2, 4, 2)
+        own = make_model(dims, 71)
+        inputs, targets = make_eval_data(dims, 3, 72)
+        with pytest.raises(ConfigError):
+            evaluate_candidates(own, 0, [], inputs, targets[:, :1])
+
+    def test_single_row_batch_without_neighbors(self):
+        dims = Dims(2, 8, 2)
+        own = make_model(dims, 69)
+        inputs, targets = make_eval_data(dims, 1, 70)
+        cache = self.check(own, 7, [], inputs, targets)
+        assert cache.source_id == 7
 
 
 class TestCollaborativeLocalUpdate:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import fedsim.connectivity
 from fedsim.connectivity import (
     LinkState,
     build_neighbor_graph,
@@ -10,7 +11,7 @@ from fedsim.connectivity import (
 )
 from fedsim.errors import BudgetError, ConfigError
 
-from oracles import markov_online_fraction
+from oracles import brute_force_neighbors, markov_online_fraction
 
 
 def make_states(n, budget=None):
@@ -160,3 +161,31 @@ class TestNeighborGraph:
     def test_single_client_rejected(self):
         with pytest.raises(ConfigError):
             build_neighbor_graph({0: np.zeros(2)}, chi=1)
+
+
+def random_fleets():
+    """Seeded fleets of 2 to 40 clients: spread, quantised (many equal
+    distances) and with duplicate positions, at chi = 1, 2, 3, N - 1, N and
+    N + 4."""
+    rng = np.random.default_rng(41)
+    for n in (2, 3, 5, 9, 17, 40):
+        spread = rng.normal(size=(n, 2))
+        quantised = np.round(rng.uniform(-2, 2, size=(n, 2)))
+        duplicated = spread[rng.integers(0, max(1, n // 2), size=n)]
+        for pts in (spread, quantised, duplicated):
+            positions = {3 * i + 1: pts[i] for i in range(n)}
+            for chi in sorted({1, 2, 3, n - 1, n, n + 4}):
+                yield positions, chi
+
+
+class TestNeighborGraphOracle:
+    def test_matches_brute_force_on_random_fleets(self):
+        for positions, chi in random_fleets():
+            assert build_neighbor_graph(positions, chi) == brute_force_neighbors(positions, chi)
+
+    def test_row_blocks_match_brute_force(self, monkeypatch):
+        # blocks of one row, and of a few rows with a short last block
+        for entries in (1, 80, 100):
+            monkeypatch.setattr(fedsim.connectivity, "NEIGHBOR_BLOCK_ENTRIES", entries)
+            for positions, chi in random_fleets():
+                assert build_neighbor_graph(positions, chi) == brute_force_neighbors(positions, chi)

@@ -13,6 +13,8 @@ from fedsim.data import (
 )
 from fedsim.errors import ConfigError, ParseError
 
+from oracles import windows_by_slices
+
 
 def fixture_csv(tmp_path, rows, header=True):
     path = tmp_path / "points.csv"
@@ -151,6 +153,16 @@ class TestBothLayouts:
         # the third field of the line is the first coordinate read
         assert repr(line.format(*malformed).split(",")[2]) in str(err.value)
 
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    def test_bytes_that_are_not_utf8_are_a_parse_error(self, tmp_path, layout):
+        parse, line = LAYOUTS[layout]
+        path = tmp_path / f"{layout}.txt"
+        rows = [line.format(*row).encode() for row in LAYOUT_ROWS[:2]]
+        path.write_bytes(b"\n".join(rows + [b"\xffa,1003,30.0,120.0", b""]))
+        with pytest.raises(ParseError) as err:
+            parse(path)
+        assert err.value.line == 3 and "not UTF-8" in str(err.value)
+
 
 class TestNormalize:
     def test_corners(self):
@@ -242,6 +254,21 @@ class TestMakeWindows:
         for k in range(4):
             assert np.array_equal(inputs[k], points[k : k + 6])
             assert np.array_equal(targets[k], points[k + 6])
+
+    @pytest.mark.parametrize("seq_len", [1, 6])
+    def test_matches_slices_and_owns_its_memory(self, seq_len):
+        rng = np.random.default_rng(seq_len)
+        for n in range(seq_len + 4):
+            wide = rng.normal(size=(n, 4))
+            # contiguous, a column-strided view, and a row-strided view
+            for points in (wide[:, :2].copy(), wide[:, ::2], np.repeat(wide[:, :2], 2, axis=0)[::2]):
+                inputs, targets = make_windows(points, seq_len)
+                want_inputs, want_targets = windows_by_slices(points, seq_len)
+                assert inputs.shape == want_inputs.shape and targets.shape == want_targets.shape
+                assert np.array_equal(inputs, want_inputs) and np.array_equal(targets, want_targets)
+                for out in (inputs, targets):
+                    assert out.flags.writeable and out.flags.c_contiguous
+                    assert not np.shares_memory(out, points)
 
 
 class TestSynthTrajectories:
