@@ -8,6 +8,8 @@ clients, and sliding windows never cross a trajectory (or split) boundary.
 from __future__ import annotations
 
 import csv
+import math
+from array import array
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -65,47 +67,31 @@ class ClientDataset:
 def _parse_timestamp(raw: str) -> float:
     raw = raw.strip()
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
-        pass
-    try:
-        parsed = datetime.fromisoformat(raw)
-    except ValueError as exc:
-        raise ValueError(f"unparseable timestamp {raw!r}") from exc
-    if parsed.tzinfo is None:
-        parsed = parsed.replace(tzinfo=timezone.utc)
-    return parsed.timestamp()
-
-
-def _group_rows(rows: list[tuple[str, float, float, float]]) -> list[Trajectory]:
-    by_vehicle: dict[str, list[tuple[float, float, float]]] = {}
-    for vid, ts, lat, lon in rows:
-        by_vehicle.setdefault(vid, []).append((ts, lat, lon))
-    trajectories = []
-    for vid in sorted(by_vehicle):
-        pts = sorted(by_vehicle[vid], key=lambda p: p[0])
-        # Duplicate timestamps cannot be ordered; keep the first occurrence.
-        deduped = [pts[0]]
-        for p in pts[1:]:
-            if p[0] != deduped[-1][0]:
-                deduped.append(p)
-        ts = np.array([p[0] for p in deduped])
-        coords = np.array([[p[1], p[2]] for p in deduped])
-        trajectories.append(Trajectory(vid, ts, coords))
-    return trajectories
-
-
-def _coords_in_bounds(lat: float, lon: float) -> bool:
-    return -90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0
+        try:
+            parsed = datetime.fromisoformat(raw)
+        except ValueError as exc:
+            raise ValueError(f"unparseable timestamp {raw!r}") from exc
+        if parsed.tzinfo is None:
+            parsed = parsed.replace(tzinfo=timezone.utc)
+        return parsed.timestamp()
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite timestamp {raw!r}")
+    return value
 
 
 def utf8_lines(path: str | Path):
     """The lines of a text file, ends kept, for csv.reader.
 
-    Bytes that are not UTF-8 raise ParseError at their line. The decoder
-    reads ahead in chunks, so that line is found again from the raw bytes.
+    An unreadable path, or bytes that are not UTF-8, raise ParseError; the
+    decoder reads ahead, so a bad byte's line is found from the raw bytes.
     """
-    with Path(path).open(newline="", encoding="utf-8") as fh:
+    try:
+        fh = Path(path).open(newline="", encoding="utf-8")
+    except OSError as exc:
+        raise ParseError(f"cannot read ({exc.strerror})", path=path) from None
+    with fh:
         try:
             yield from fh
             return
@@ -125,10 +111,13 @@ def _read_rows(path: str | Path, tdrive: bool) -> tuple[list[Trajectory], int]:
 
     The CSV layout is `vehicle_id,timestamp,lat,lon` with an optional header
     line; the T-Drive layout is headerless `id,datetime,longitude,latitude`.
+    One streaming pass checks each row (ParseError at its line) into typed
+    columns. Rows out of the degree ranges (NaN too) are dropped and counted;
+    a stable lexsort keeps the first row of a duplicate timestamp in file order.
     """
     path = Path(path)
-    rows: list[tuple[str, float, float, float]] = []
-    rejected = 0
+    ids: dict[str, int] = {}
+    vix, ts, first, second = array("q"), array("d"), array("d"), array("d")
     for lineno, row in enumerate(csv.reader(utf8_lines(path)), start=1):
         header = not tdrive and lineno == 1 and [c.strip() for c in row] == CSV_HEADER
         if not row or header:
@@ -137,18 +126,29 @@ def _read_rows(path: str | Path, tdrive: bool) -> tuple[list[Trajectory], int]:
             raise ParseError(f"expected 4 fields, got {len(row)}", path=path, line=lineno)
         try:
             vid = row[0].strip()
-            ts = _parse_timestamp(row[1])
-            first, second = float(row[2]), float(row[3])
+            ts.append(_parse_timestamp(row[1]))
+            first.append(float(row[2]))
+            second.append(float(row[3]))
         except ValueError as exc:
             raise ParseError(str(exc), path=path, line=lineno) from exc
         if not vid:
             raise ParseError("empty vehicle id", path=path, line=lineno)
-        lat, lon = (second, first) if tdrive else (first, second)
-        if not _coords_in_bounds(lat, lon):
-            rejected += 1
-            continue
-        rows.append((vid, ts, lat, lon))
-    return _group_rows(rows), rejected
+        vix.append(ids.setdefault(vid, len(ids)))
+    names = sorted(ids)
+    rank = np.argsort([ids[name] for name in names])  # vehicle index -> id rank
+    vehicle, ts = rank[np.frombuffer(vix, dtype=np.int64)], np.frombuffer(ts)
+    lat, lon = map(np.frombuffer, (second, first) if tdrive else (first, second))
+    keep = (-90.0 <= lat) & (lat <= 90.0) & (-180.0 <= lon) & (lon <= 180.0)
+    order = np.flatnonzero(keep)[np.lexsort((ts[keep], vehicle[keep]))]
+    vehicle, ts = vehicle[order], ts[order]
+    new = np.ones(order.size, dtype=bool)
+    new[1:] = (vehicle[1:] != vehicle[:-1]) | (ts[1:] != ts[:-1])
+    order, vehicle, ts = order[new], vehicle[new], ts[new]
+    cuts = np.flatnonzero(vehicle[1:] != vehicle[:-1]) + 1
+    coords = np.column_stack((lat[order], lon[order]))
+    parts = zip(np.split(vehicle, cuts), np.split(ts, cuts), np.split(coords, cuts))
+    trajectories = [Trajectory(names[v[0]], t, c) for v, t, c in parts if t.size]
+    return trajectories, int(keep.size - np.count_nonzero(keep))
 
 
 def parse_csv(path: str | Path) -> tuple[list[Trajectory], int]:

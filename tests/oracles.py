@@ -5,7 +5,9 @@ scalar loop by scalar loop, and deliberately shares no code with the
 vectorized package under test.
 """
 
+import csv
 import math
+from datetime import datetime, timezone
 
 import numpy as np
 
@@ -142,3 +144,49 @@ def windows_by_slices(points, seq_len):
         np.array(inputs).reshape(m, seq_len, points.shape[1]),
         np.array(targets).reshape(m, points.shape[1]),
     )
+
+
+def parse_rows_by_loop(path, tdrive):
+    """(trajectories as (id, timestamps, coords) triples, rejected count) of a
+    well-formed CSV or T-Drive file, one row tuple at a time.
+
+    Rows are grouped per vehicle in a dict of lists, each vehicle's points are
+    sorted by timestamp with a stable sort, and the first of equal timestamps
+    is kept. Rows with coordinates out of the degree ranges are counted.
+    """
+    def timestamp(raw):
+        raw = raw.strip()
+        try:
+            return float(raw)
+        except ValueError:
+            parsed = datetime.fromisoformat(raw)
+            if parsed.tzinfo is None:
+                parsed = parsed.replace(tzinfo=timezone.utc)
+            return parsed.timestamp()
+
+    by_vehicle = {}
+    rejected = 0
+    with open(path, newline="", encoding="utf-8") as fh:
+        for lineno, row in enumerate(csv.reader(fh), start=1):
+            header = not tdrive and lineno == 1 and [c.strip() for c in row] == [
+                "vehicle_id", "timestamp", "lat", "lon"
+            ]
+            if not row or header:
+                continue
+            ts, first, second = timestamp(row[1]), float(row[2]), float(row[3])
+            lat, lon = (second, first) if tdrive else (first, second)
+            if not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):
+                rejected += 1
+                continue
+            by_vehicle.setdefault(row[0].strip(), []).append((ts, lat, lon))
+    trajectories = []
+    for vid in sorted(by_vehicle):
+        pts = sorted(by_vehicle[vid], key=lambda p: p[0])
+        deduped = [pts[0]]
+        for p in pts[1:]:
+            if p[0] != deduped[-1][0]:
+                deduped.append(p)
+        ts = np.array([p[0] for p in deduped])
+        coords = np.array([[p[1], p[2]] for p in deduped])
+        trajectories.append((vid, ts, coords))
+    return trajectories, rejected

@@ -63,6 +63,21 @@ class TestRunCommand:
         assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
         assert f"{data}:2: not UTF-8" in capsys.readouterr().err
 
+    def test_missing_dataset_is_an_error(self, tmp_path, capsys):
+        data = tmp_path / "nope.csv"
+        config = write_config(tmp_path, dataset="csv", data_path=str(data))
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+        assert f"error: {data}: cannot read" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_dataset_path_that_is_a_directory_is_an_error(self, tmp_path, capsys):
+        data = tmp_path / "fleet"
+        data.mkdir()
+        config = write_config(tmp_path, dataset="tdrive", data_path=str(data))
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+        assert f"error: {data}: cannot read" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_run_whose_every_round_is_nan_prints_no_best(self, tmp_path, capsys):
         # 3 revealed points per round never fill a 7-point window in round 1,
         # so the only round's RMSE is NaN and there is no best RMSE

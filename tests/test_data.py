@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from fedsim.data import (
 )
 from fedsim.errors import ConfigError, ParseError
 
-from oracles import windows_by_slices
+from oracles import parse_rows_by_loop, windows_by_slices
 
 
 def fixture_csv(tmp_path, rows, header=True):
@@ -86,6 +88,19 @@ class TestParseCsv:
             assert a.vehicle_id == b.vehicle_id
             assert np.array_equal(a.timestamps, b.timestamps)
             assert np.array_equal(a.coords, b.coords)
+
+    def test_parse_peak_memory_stays_small(self, tmp_path):
+        # 160 vehicles x 90 points, as on the fleet_churn benchmark workload;
+        # a reader that holds one Python tuple per row peaks near 4 MiB
+        path = tmp_path / "fleet.csv"
+        write_csv(path, synth_trajectories(0, 160, 90, "sinusoid"))
+        tracemalloc.start()
+        try:
+            parse_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * 2**20
 
 
 class TestParseTdrive:
@@ -162,6 +177,91 @@ class TestBothLayouts:
         with pytest.raises(ParseError) as err:
             parse(path)
         assert err.value.line == 3 and "not UTF-8" in str(err.value)
+
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    @pytest.mark.parametrize("stamp", ["nan", "inf", "-inf", " -Infinity "])
+    def test_non_finite_timestamp_is_a_parse_error(self, tmp_path, layout, stamp):
+        parse, line = LAYOUTS[layout]
+        path = tmp_path / f"{layout}.txt"
+        # out of range too: the timestamp is checked before the row is dropped
+        rows = LAYOUT_ROWS[:3] + [("a", stamp, "95.0", "120.0")] + LAYOUT_ROWS[3:]
+        path.write_text("".join(line.format(*row) + "\n" for row in rows), encoding="utf-8")
+        with pytest.raises(ParseError) as err:
+            parse(path)
+        assert err.value.line == 4
+        assert f"non-finite timestamp {stamp.strip()!r}" in str(err.value)
+
+
+# padded ids name the same vehicle as their stripped form, and "10" sorts
+# before "9"
+FLEET_IDS = ["a", " a", "b\t", "v9", "v10", "10", "9"]
+
+
+def random_fleet_rows(rng):
+    """(id, timestamp, lat, lon) text rows of an interleaved, unsorted fleet.
+
+    Few distinct seconds make duplicate timestamps, written as ISO or as
+    numbers; some coordinates are out of range or NaN.
+    """
+    rows = []
+    for _ in range(int(rng.integers(0, 40))):
+        second = int(rng.integers(0, 12))
+        stamp = [
+            str(1577836800 + second),
+            repr(1577836800.0 + second),
+            f"2020-01-01T00:00:{second:02d}",
+            f"2020-01-01T08:00:{second:02d}+08:00",
+        ][rng.integers(4)]
+        lat, lon = rng.uniform(-95.0, 95.0), rng.uniform(-185.0, 185.0)
+        if rng.random() < 0.1:
+            lat = float("nan")
+        if rng.random() < 0.1:
+            lon = float("nan")
+        rows.append((FLEET_IDS[rng.integers(len(FLEET_IDS))], stamp, repr(lat), repr(lon)))
+    return rows
+
+
+def assert_parses_as_loop(path, layout):
+    parse, _ = LAYOUTS[layout]
+    trajectories, rejected = parse(path)
+    want, want_rejected = parse_rows_by_loop(path, tdrive=layout == "tdrive")
+    assert rejected == want_rejected
+    assert [t.vehicle_id for t in trajectories] == [vid for vid, _, _ in want]
+    for traj, (_, ts, coords) in zip(trajectories, want):
+        assert traj.timestamps.shape == ts.shape and traj.coords.shape == coords.shape
+        assert traj.timestamps.tobytes() == ts.tobytes()
+        assert traj.coords.tobytes() == coords.tobytes()
+
+
+class TestParseAgainstLoop:
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    def test_random_fleets_parse_as_the_loop_does(self, tmp_path, layout):
+        _, line = LAYOUTS[layout]
+        rng = np.random.default_rng(8)
+        path = tmp_path / f"{layout}.txt"
+        for trial in range(150):
+            rows = random_fleet_rows(rng)
+            header = ["vehicle_id,timestamp,lat,lon"] if layout == "csv" and trial % 2 else []
+            text = "".join(f"{row}\n" for row in header + [line.format(*r) for r in rows])
+            path.write_text(text, encoding="utf-8")
+            assert_parses_as_loop(path, layout)
+
+    @pytest.mark.parametrize(
+        "layout, text",
+        [
+            ("csv", ""),
+            ("tdrive", ""),
+            ("csv", "vehicle_id,timestamp,lat,lon\n"),
+            ("csv", "a,1000,95.0,120.0\nb,1000,nan,120.0\n"),
+            ("tdrive", "a,1000,120.0,95.0\nb,1000,120.0,nan\n"),
+            ("csv", "b,1002,30.2,120.2\n a ,1001,30.1,120.1\nb,1002,30.3,120.3\na,1000,30.0,120.0\n"),
+            ("csv", "v,2020-01-01T00:00:01,30.0,120.0\nv,1577836801,30.1,120.1\nv,1e3,30.2,120.2\n"),
+        ],
+    )
+    def test_hand_picked_files_parse_as_the_loop_does(self, tmp_path, layout, text):
+        path = tmp_path / f"{layout}.txt"
+        path.write_text(text, encoding="utf-8")
+        assert_parses_as_loop(path, layout)
 
 
 class TestNormalize:
