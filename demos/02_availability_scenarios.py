@@ -9,7 +9,6 @@ lost for good.
 import numpy as np
 
 from fedsim.availability import (
-    AvailabilityPlan,
     RevealState,
     WeakArea,
     assign_by_datasize,
@@ -47,10 +46,9 @@ per_client = assign_by_datasize(counts, threshold, p_company=0.95, p_private=0.3
 print(f"datasize: counts {counts} at threshold {threshold:.0f} -> {per_client}")
 
 # the reveal stream: one slice per round, losses are permanent
-plan = AvailabilityPlan(assign_random(traj.n_points, 0.5, np.random.default_rng(3)))
-state = RevealState(n_points=traj.n_points, slice_size=96)
+state = RevealState(assign_random(traj.n_points, 0.5, np.random.default_rng(3)), slice_size=96)
 print("\nround  cursor  available  lost")
 for t in range(1, 8):
-    reveal_round(state, plan, rng)
+    reveal_round(state, rng)
     print(f"{t:>5}  {state.cursor:>6}  {state.n_available:>9}  {state.n_lost:>4}")
 print(f"conservation holds: {state.n_available + state.n_lost == state.cursor}")

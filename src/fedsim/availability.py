@@ -1,9 +1,11 @@
-"""Per-point availability plans and the streaming reveal process.
+"""Per-point availability and the streaming reveal process.
 
 Every training point of a client carries a probability of ever becoming
-usable. Points arrive slice by slice as rounds progress; each point either
-joins the available set or is permanently lost the moment its slice is
-processed.
+usable, and the availability scenarios differ only in how those
+probabilities are assigned. A client's :class:`RevealState` holds them
+with its reveal progress. Points arrive slice by slice as rounds progress;
+each point either joins the available set or is permanently lost the moment
+its slice is processed.
 """
 
 from __future__ import annotations
@@ -39,41 +41,32 @@ class WeakArea:
 
 
 @dataclass
-class AvailabilityPlan:
-    """One inclusion probability per point of a client's training stream."""
+class RevealState:
+    """One client's training stream and the progress of its reveal.
+
+    ``probs[i]`` is the probability that point i ever becomes usable. Points
+    in [0, cursor) have been processed; each is either available or lost,
+    and neither set ever shrinks.
+    """
 
     probs: np.ndarray
+    slice_size: int
+    cursor: int = 0
+    available: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.probs = np.asarray(self.probs, dtype=float)
         if self.probs.ndim != 1:
-            raise ConfigError("plan probabilities must be a flat vector")
+            raise ConfigError("stream probabilities must be a flat vector")
         if self.probs.size and (self.probs.min() < 0.0 or self.probs.max() > 1.0):
-            raise ConfigError("plan probabilities must lie in [0, 1]")
+            raise ConfigError("stream probabilities must lie in [0, 1]")
+        if self.slice_size < 1:
+            raise ConfigError("slice size must be >= 1")
+        self.available = np.zeros(self.n_points, dtype=bool)
 
     @property
     def n_points(self) -> int:
         return self.probs.size
-
-
-@dataclass
-class RevealState:
-    """Progress of the streaming reveal over one client's training stream.
-
-    Points in [0, cursor) have been processed; each is either available or
-    lost, and neither set ever shrinks.
-    """
-
-    n_points: int
-    slice_size: int
-    cursor: int = 0
-    available: np.ndarray = field(default=None)
-
-    def __post_init__(self):
-        if self.slice_size < 1:
-            raise ConfigError("slice size must be >= 1")
-        if self.available is None:
-            self.available = np.zeros(self.n_points, dtype=bool)
 
     @property
     def lost(self) -> np.ndarray:
@@ -139,25 +132,19 @@ def datasize_threshold(client_point_counts: list[int], percentile: float) -> flo
     return float(np.percentile(counts, percentile, method="higher"))
 
 
-def reveal_round(
-    state: RevealState, plan: AvailabilityPlan, rng: np.random.Generator
-) -> np.ndarray:
+def reveal_round(state: RevealState, rng: np.random.Generator) -> np.ndarray:
     """Process the next slice of the stream; returns newly available indices.
 
     Each point of the slice independently joins the available set with its
-    plan probability, otherwise it is permanently lost. Past the end of the
+    probability, otherwise it is permanently lost. Past the end of the
     stream this is a no-op returning an empty array.
     """
-    if plan.n_points != state.n_points:
-        raise ConfigError(
-            f"plan covers {plan.n_points} points, state tracks {state.n_points}"
-        )
     start = state.cursor
     stop = min(start + state.slice_size, state.n_points)
     if start >= stop:
         return np.zeros(0, dtype=int)
     draws = rng.random(stop - start)
-    joined = draws < plan.probs[start:stop]
+    joined = draws < state.probs[start:stop]
     idx = np.arange(start, stop)
     state.available[idx[joined]] = True
     state.cursor = stop

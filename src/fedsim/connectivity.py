@@ -27,7 +27,6 @@ class LinkState:
     online: bool = True
     n_uploads: int = 0
     budget_remaining: int | None = None
-    last_position: np.ndarray | None = None
 
     @property
     def can_upload(self) -> bool:

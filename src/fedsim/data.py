@@ -118,7 +118,10 @@ def _read_rows(path: str | Path, tdrive: bool) -> tuple[list[Trajectory], int]:
     path = Path(path)
     ids: dict[str, int] = {}
     vix, ts, first, second = array("q"), array("d"), array("d"), array("d")
-    for lineno, row in enumerate(csv.reader(utf8_lines(path)), start=1):
+    reader = csv.reader(utf8_lines(path))
+    for row in reader:
+        # the physical line a row ends on; a quoted field may span lines
+        lineno = reader.line_num
         header = not tdrive and lineno == 1 and [c.strip() for c in row] == CSV_HEADER
         if not row or header:
             continue

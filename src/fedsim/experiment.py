@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .availability import (
-    AvailabilityPlan,
     RevealState,
     WeakArea,
     assign_by_datasize,
@@ -44,7 +43,7 @@ from .data import (
     synth_trajectories,
 )
 from .errors import ConfigError, NumericError
-from .nn import Dims, ParamSet, TrainBatch, forward, init_params, model_divergence
+from .nn import Dims, ParamSet, init_params, model_divergence
 from .ranking import (
     CompensatorState,
     RankEntry,
@@ -68,7 +67,6 @@ class ClientRuntime:
     stream_coords: np.ndarray         # (n_stream, 2) normalized training stream
     hold_inputs: np.ndarray
     hold_targets: np.ndarray
-    plan: AvailabilityPlan
     reveal: RevealState
     link: LinkState
     model: ParamSet
@@ -90,9 +88,9 @@ class ClientRuntime:
         return np.flatnonzero(counts == span)
 
     def position(self) -> np.ndarray:
-        if self.link.last_position is not None:
-            return self.link.last_position
-        return self.centroid
+        """Newest available stream point, or the centroid before any arrives."""
+        newest = np.flatnonzero(self.reveal.available)
+        return self.stream_coords[newest[-1]] if newest.size else self.centroid
 
 
 @dataclass
@@ -183,7 +181,7 @@ def _client_plan(
     train_runs: list[np.ndarray],
     datasize_p: float | None,
     rng_plan: np.random.Generator,
-) -> AvailabilityPlan:
+) -> np.ndarray:
     """Availability probabilities over one client's training stream."""
     parts = []
     for run in train_runs:
@@ -197,8 +195,7 @@ def _client_plan(
             parts.append(np.full(n, datasize_p))
         else:  # constant
             parts.append(np.full(n, config.constant_p))
-    probs = np.concatenate(parts) if parts else np.zeros(0)
-    return AvailabilityPlan(probs)
+    return np.concatenate([np.zeros(0)] + parts)
 
 
 def _split_runs(ds: ClientDataset, seq_len: int, holdout_fraction: float):
@@ -286,8 +283,7 @@ def prepare_clients(config: ExperimentConfig):
         stream_coords = bbox.normalize(np.concatenate([np.zeros((0, 2))] + train_runs))
 
         datasize_p = None if datasize_probs is None else float(datasize_probs[ds.client_id])
-        plan = _client_plan(config, train_runs, datasize_p, np.random.default_rng(plan_ss))
-        reveal = RevealState(n_points=stream_coords.shape[0], slice_size=config.slice_points)
+        probs = _client_plan(config, train_runs, datasize_p, np.random.default_rng(plan_ss))
 
         if stream_coords.shape[0]:
             centroid = stream_coords.mean(axis=0)
@@ -305,8 +301,7 @@ def prepare_clients(config: ExperimentConfig):
             stream_coords=stream_coords,
             hold_inputs=hold_inputs,
             hold_targets=hold_targets,
-            plan=plan,
-            reveal=reveal,
+            reveal=RevealState(probs, config.slice_points),
             link=LinkState(budget_remaining=config.budget),
             model=global_model.copy(),
             rng_reveal=np.random.default_rng(reveal_ss),
@@ -325,20 +320,7 @@ def prepare_clients(config: ExperimentConfig):
 
 def _reveal_all(clients: dict[int, ClientRuntime]) -> None:
     for cid in sorted(clients):
-        client = clients[cid]
-        new_idx = reveal_round(client.reveal, client.plan, client.rng_reveal)
-        if new_idx.size:
-            client.link.last_position = client.stream_coords[int(new_idx.max())].copy()
-
-
-def _holdout_rmse(config: ExperimentConfig, bbox: BBox, model, inputs, targets) -> float:
-    if config.rmse_units == "degrees":
-        # min-max normalization is per-axis affine, so degree-space RMSE needs
-        # the per-axis errors rescaled before pooling
-        preds, _ = forward(model, TrainBatch(inputs, targets))
-        err = (preds - targets) * bbox.scale()
-        return float(np.sqrt(np.mean(err * err)))
-    return evaluate_rmse(model, inputs, targets)
+        reveal_round(clients[cid].reveal, clients[cid].rng_reveal)
 
 
 def _sample_eval_batch(client: ClientRuntime, usable: np.ndarray, batch_size: int):
@@ -513,6 +495,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         beta0=config.beta0,
     )
     ranked_mode = not isolated and config.selection_mode in ("ranked", "proportional")
+    # min-max normalization is per-axis affine, so degree-space errors are the
+    # per-axis errors rescaled before pooling
+    scale = bbox.scale() if config.rmse_units == "degrees" else 1.0
     states = {cid: clients[cid].link for cid in clients}
     rngs_conn = {cid: clients[cid].rng_conn for cid in clients}
 
@@ -569,7 +554,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                 trained[cid] = model_divergence(client.model, global_model)
             if client.hold_inputs.shape[0]:
                 log.client_rmse[cid] = evaluate_rmse(
-                    client.model, client.hold_inputs, client.hold_targets
+                    client.model, client.hold_inputs, client.hold_targets, scale
                 )
 
         if not (aborted or isolated):
@@ -587,7 +572,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             log.rmse_global = float(np.mean(scores)) if scores else float("nan")
         else:
             if global_rmse is None:
-                global_rmse = _holdout_rmse(config, bbox, global_model, *holdout)
+                global_rmse = evaluate_rmse(global_model, *holdout, scale)
             log.rmse_global = global_rmse
         logs.append(log)
         if aborted:

@@ -88,8 +88,9 @@ def write_rounds_csv(logs: list[RoundLog], path: str | Path) -> None:
 def read_rounds_csv(path: str | Path) -> list[RoundLog]:
     """Rebuild round logs from rounds.csv (inverse of write_rounds_csv).
 
-    A malformed row raises ConfigError, and bytes that are not UTF-8 raise
-    ParseError, naming the file and line.
+    A malformed row, or one with an unknown record or key, raises
+    ConfigError, and bytes that are not UTF-8 raise ParseError, naming the
+    file and line.
     """
     logs: dict[int, RoundLog] = {}
     entries: dict[int, dict[int, RankEntry]] = {}
@@ -109,57 +110,50 @@ def read_rounds_csv(path: str | Path) -> list[RoundLog]:
     return [logs[t] for t in sorted(logs)]
 
 
+# key -> (field, parser) of each record type, the inverse of rows_for_log:
+# round keys set RoundLog fields, client keys fill its per-client dicts, and
+# rank keys set RankEntry fields
+_READERS = {
+    "round": {
+        "eta": ("eta", float), "rmse_global": ("rmse_global", float), "alpha": ("alpha", float),
+        "online": ("online", _parse_ids), "recovered": ("recovered", _parse_ids),
+        "offline": ("offline", _parse_ids), "selected": ("selected", _parse_ids),
+        "decentralized": ("decentralized", lambda raw: raw == "1"),
+        "events": ("events", lambda raw: raw.split(";") if raw else []),
+    },
+    "client": {
+        "init": ("provenance", str), "rmse": ("client_rmse", float),
+        "payload_values": ("payloads", int), "collab_source": ("collab_sources", int),
+    },
+    "rank": {
+        "L": ("divergence", float), "A": ("participation", float), "n": ("n_updates", int),
+        "P_L": ("pos_divergence", int), "P_A": ("pos_participation", int),
+        "R": ("weight", float),
+    },
+}
+
+
 def _read_row(logs, entries, t_raw, record, client, key, value) -> None:
     t = int(t_raw)
     log = logs.setdefault(t, RoundLog(t=t, eta=0.0, online=[], recovered=[], offline=[]))
+    if record not in _READERS:
+        raise ValueError(f"unknown record {record!r}")
+    if key not in _READERS[record]:
+        raise ValueError(f"unknown {record} key {key!r}")
+    name, parse = _READERS[record][key]
     if record == "round":
-        if key == "eta":
-            log.eta = float(value)
-        elif key == "online":
-            log.online = _parse_ids(value)
-        elif key == "recovered":
-            log.recovered = _parse_ids(value)
-        elif key == "offline":
-            log.offline = _parse_ids(value)
-        elif key == "selected":
-            log.selected = _parse_ids(value)
-        elif key == "decentralized":
-            log.decentralized = value == "1"
-        elif key == "rmse_global":
-            log.rmse_global = float(value)
-        elif key == "alpha":
-            log.alpha = float(value)
-        elif key == "events":
-            log.events = value.split(";") if value else []
+        setattr(log, name, parse(value))
     elif record == "client":
-        cid = int(client)
-        if key == "init":
-            log.provenance[cid] = value
-        elif key == "rmse":
-            log.client_rmse[cid] = float(value)
-        elif key == "payload_values":
-            log.payloads[cid] = int(value)
-        elif key == "collab_source":
-            log.collab_sources[cid] = int(value)
-    elif record == "rank":
+        getattr(log, name)[int(client)] = parse(value)
+    else:
         cid = int(client)
         entry = entries.setdefault(t, {}).setdefault(
             cid,
             RankEntry(client_id=cid, divergence=0.0, participation=0.0, n_updates=0),
         )
-        if key == "L":
-            entry.divergence = float(value)
-        elif key == "A":
-            entry.participation = float(value)
-        elif key == "n":
-            entry.n_updates = int(value)
-        elif key == "P_L":
-            entry.pos_divergence = int(value)
-            log.ranked = True
-        elif key == "P_A":
-            entry.pos_participation = int(value)
-        elif key == "R":
-            entry.weight = float(value)
+        setattr(entry, name, parse(value))
+        # only ranked rounds write positions
+        log.ranked |= key == "P_L"
 
 
 def summary_dict(result: ExperimentResult) -> dict:

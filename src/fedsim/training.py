@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError
-from .nn import ParamSet, TrainBatch, backward, forward, mse_loss, sgd_step
+from .nn import ParamSet, TrainBatch, backward, forward, sgd_step
 
 
 def iterate_batches(
@@ -56,14 +56,16 @@ def train_local(
     return current
 
 
-def evaluate_mse(model: ParamSet, inputs: np.ndarray, targets: np.ndarray) -> float:
-    """Mean squared prediction error over a window set."""
+def evaluate_rmse(
+    model: ParamSet, inputs: np.ndarray, targets: np.ndarray, scale=1.0
+) -> float:
+    """Root mean squared error over all predicted components.
+
+    ``scale`` multiplies the error of each output axis before pooling, so
+    the bbox extent reports degrees; at the default 1.0 no bit changes.
+    """
     if inputs.shape[0] == 0:
         raise ConfigError("cannot evaluate on an empty window set")
     preds, _ = forward(model, TrainBatch(inputs, targets))
-    return mse_loss(preds, targets)
-
-
-def evaluate_rmse(model: ParamSet, inputs: np.ndarray, targets: np.ndarray) -> float:
-    """Root mean squared error over all predicted components."""
-    return float(np.sqrt(evaluate_mse(model, inputs, targets)))
+    err = (preds - targets) * scale
+    return float(np.sqrt(np.mean(err * err)))

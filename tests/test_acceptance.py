@@ -11,7 +11,7 @@ import pytest
 
 from fedsim.config import ExperimentConfig
 from fedsim.connectivity import LinkState, step_connectivity
-from fedsim.availability import AvailabilityPlan, RevealState, reveal_round
+from fedsim.availability import RevealState, reveal_round
 from fedsim.experiment import run_experiment
 from fedsim.nn import Dims, ParamSet, TrainBatch, backward, batch_objective, init_params
 from fedsim.collab import head_payload_values
@@ -194,25 +194,23 @@ def test_criterion_3_connectivity_statistics():
 def test_criterion_4_reveal_statistics():
     # statistics at p = 0.7 over 10k points
     n = 10_000
-    state = RevealState(n_points=n, slice_size=96)
-    plan = AvailabilityPlan(np.full(n, 0.7))
+    state = RevealState(np.full(n, 0.7), slice_size=96)
     rng = np.random.default_rng(3)
     while state.cursor < n:
-        reveal_round(state, plan, rng)
+        reveal_round(state, rng)
     rate = state.n_available / n
     sigma = float(np.sqrt(0.7 * 0.3 / n))
     stats_ok = abs(rate - 0.7) < 3 * sigma
 
     # invariants on every step of a 240-round trace
     n2 = 240 * 16
-    state2 = RevealState(n_points=n2, slice_size=16)
-    plan2 = AvailabilityPlan(np.random.default_rng(4).uniform(size=n2))
+    state2 = RevealState(np.random.default_rng(4).uniform(size=n2), slice_size=16)
     rng2 = np.random.default_rng(5)
     prev_avail = state2.available.copy()
     prev_lost = state2.lost.copy()
     invariants_ok = True
     for _ in range(240):
-        reveal_round(state2, plan2, rng2)
+        reveal_round(state2, rng2)
         invariants_ok &= bool(np.all(state2.available[prev_avail]))
         invariants_ok &= bool(np.all(state2.lost[prev_lost]))
         invariants_ok &= not bool(np.any(state2.available & state2.lost))

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from fedsim.availability import (
-    AvailabilityPlan,
     RevealState,
     WeakArea,
     assign_by_datasize,
@@ -93,45 +92,44 @@ class TestAssignByDatasize:
 
 class TestRevealRound:
     def make(self, n, slice_size, probs):
-        return (
-            RevealState(n_points=n, slice_size=slice_size),
-            AvailabilityPlan(np.asarray(probs, dtype=float)),
-        )
+        state = RevealState(np.asarray(probs, dtype=float), slice_size)
+        assert state.n_points == n
+        return state
 
     def test_all_ones_reveal_everything(self):
-        state, plan = self.make(10, 4, np.ones(10))
+        state = self.make(10, 4, np.ones(10))
         rng = np.random.default_rng(5)
         got = []
         for _ in range(4):
-            got.extend(reveal_round(state, plan, rng).tolist())
+            got.extend(reveal_round(state, rng).tolist())
         assert got == list(range(10))
         assert state.n_lost == 0
 
     def test_all_zeros_lose_everything(self):
-        state, plan = self.make(10, 4, np.zeros(10))
+        state = self.make(10, 4, np.zeros(10))
         rng = np.random.default_rng(6)
         for _ in range(4):
-            assert reveal_round(state, plan, rng).size == 0
+            assert reveal_round(state, rng).size == 0
         assert state.n_lost == 10 and state.n_available == 0
 
     def test_empirical_rate_within_three_sigma(self):
         n = 10_000
-        state, plan = self.make(n, 500, np.full(n, 0.7))
+        state = self.make(n, 500, np.full(n, 0.7))
         rng = np.random.default_rng(7)
         while state.cursor < n:
-            reveal_round(state, plan, rng)
+            reveal_round(state, rng)
         rate = state.n_available / n
         sigma = np.sqrt(0.7 * 0.3 / n)
         assert abs(rate - 0.7) < 3 * sigma
 
     def test_monotone_and_conserved_over_trace(self):
         n = 240 * 8
-        state, plan = self.make(n, 8, np.random.default_rng(8).uniform(size=n))
+        state = self.make(n, 8, np.random.default_rng(8).uniform(size=n))
         rng = np.random.default_rng(9)
         prev_avail = state.available.copy()
         prev_lost = state.lost.copy()
         for _ in range(240):
-            reveal_round(state, plan, rng)
+            reveal_round(state, rng)
             # masks only grow and never overlap
             assert np.all(state.available[prev_avail])
             assert np.all(state.lost[prev_lost])
@@ -145,21 +143,21 @@ class TestRevealRound:
         assert state.cursor == n
 
     def test_past_end_is_noop(self):
-        state, plan = self.make(5, 10, np.ones(5))
+        state = self.make(5, 10, np.ones(5))
         rng = np.random.default_rng(10)
-        reveal_round(state, plan, rng)
+        reveal_round(state, rng)
         assert state.cursor == 5
-        assert reveal_round(state, plan, rng).size == 0
+        assert reveal_round(state, rng).size == 0
 
     def test_identical_seed_gives_identical_trace(self):
         n = 100
         plan_probs = np.random.default_rng(11).uniform(size=n)
         traces = []
         for _ in range(2):
-            state, plan = self.make(n, 7, plan_probs)
+            state = self.make(n, 7, plan_probs)
             rng = np.random.default_rng(12)
             trace = []
             while state.cursor < n:
-                trace.append(reveal_round(state, plan, rng).tolist())
+                trace.append(reveal_round(state, rng).tolist())
             traces.append(trace)
         assert traces[0] == traces[1]

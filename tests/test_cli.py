@@ -192,6 +192,10 @@ class TestPlotCommand:
         [
             ("1,round,,rmse_global", 3, "expected 5 fields, got 4"),
             ("x,round,,rmse_global,0.5", 3, "invalid literal for int()"),
+            ("1,round,,rmse_globl,0.5", 3, "unknown round key 'rmse_globl'"),
+            ("1,bogus,3,rmse,0.2", 3, "unknown record 'bogus'"),
+            ("1,client,3,rmsee,0.2", 3, "unknown client key 'rmsee'"),
+            ("1,rank,3,Q,0.2", 3, "unknown rank key 'Q'"),
         ],
     )
     def test_malformed_rounds_csv_is_an_error(self, tmp_path, capsys, bad_row, line, message):

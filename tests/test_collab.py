@@ -11,15 +11,20 @@ from fedsim.nn import (
     init_params,
     kl_divergence,
     lstm_hidden,
+    mse_loss,
     param_distribution,
 )
-from fedsim.training import evaluate_mse, train_local
+from fedsim.training import train_local
 
 from oracles import best_head_by_loop
 
 
 def make_model(dims, seed):
     return init_params(dims, np.random.default_rng(seed))
+
+
+def holdout_mse(model, inputs, targets):
+    return mse_loss(forward(model, TrainBatch(inputs, targets))[0], targets)
 
 
 def make_eval_data(dims, n, seed):
@@ -58,7 +63,7 @@ class TestEvaluateCandidates:
         cache = evaluate_candidates(
             own, own_id=0, neighbor_heads=[(7, neighbor_head)], eval_inputs=inputs, eval_targets=targets
         )
-        own_loss = evaluate_mse(own, inputs, targets)
+        own_loss = holdout_mse(own, inputs, targets)
         assert cache.source_id == 7
         assert cache.loss < own_loss
 
@@ -68,8 +73,8 @@ class TestEvaluateCandidates:
         inputs, targets = make_eval_data(dims, 10, 7)
         heads = [(nid, make_model(dims, 100 + nid).fc_block.copy()) for nid in range(5)]
         cache = evaluate_candidates(own, own_id=9, neighbor_heads=heads, eval_inputs=inputs, eval_targets=targets)
-        candidate_losses = [evaluate_mse(own, inputs, targets)] + [
-            evaluate_mse(fc_inject(own, head), inputs, targets) for _, head in heads
+        candidate_losses = [holdout_mse(own, inputs, targets)] + [
+            holdout_mse(fc_inject(own, head), inputs, targets) for _, head in heads
         ]
         assert cache.loss <= min(candidate_losses) + 1e-15
 

@@ -191,6 +191,19 @@ class TestBothLayouts:
         assert err.value.line == 4
         assert f"non-finite timestamp {stamp.strip()!r}" in str(err.value)
 
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    def test_error_names_the_physical_line_after_a_multiline_field(self, tmp_path, layout):
+        parse, line = LAYOUTS[layout]
+        path = tmp_path / f"{layout}.txt"
+        # the quoted id spans lines 2 and 3, so the 3-field row is on line 4
+        rows = [LAYOUT_ROWS[0], ('"x\ny"', "1003", "30.0", "120.0")]
+        text = "".join(line.format(*row) + "\n" for row in rows) + "c,1004,30.0\n"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ParseError) as err:
+            parse(path)
+        assert err.value.line == 4
+        assert "expected 4 fields, got 3" in str(err.value)
+
 
 # padded ids name the same vehicle as their stripped form, and "10" sorts
 # before "9"

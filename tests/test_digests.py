@@ -16,7 +16,6 @@ import hashlib
 
 import pytest
 
-import fedsim.experiment
 import fedsim.training
 from fedsim.config import ExperimentConfig
 from fedsim.data import Trajectory, synth_trajectories, write_csv
@@ -205,7 +204,6 @@ def test_rounds_that_aggregate_nothing_reuse_the_global_rmse(tmp_path, monkeypat
         return original(model, batch)
 
     monkeypatch.setattr(fedsim.training, "forward", counting_forward)
-    monkeypatch.setattr(fedsim.experiment, "forward", counting_forward)
     result = run_experiment(ExperimentConfig(**EMPTY_SELECTION))
     assert result.logs[0].selected and not any(log.selected for log in result.logs[1:])
     # one holdout eval per trained client, and one global eval (round 1)

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
+import fedsim.experiment
 from fedsim.config import ExperimentConfig
 from fedsim.errors import ConfigError
 from fedsim.data import make_windows, partition_equal, synth_trajectories
 from fedsim.experiment import aggregate, prepare_clients, run_experiment
-from fedsim.nn import Dims, ParamSet, init_params, model_divergence
+from fedsim.nn import Dims, ParamSet, TrainBatch, forward, init_params, model_divergence
 from fedsim.reports import rows_for_log
 from fedsim.training import evaluate_rmse, train_local
 
@@ -324,6 +325,30 @@ class TestScenariosEndToEnd:
         # same run, different reporting units; degree errors are larger than
         # unit-square errors whenever the bbox spans more than one degree
         assert degrees.final_rmse() != normalized.final_rmse()
+
+    def test_degree_units_reach_client_rmse(self, monkeypatch):
+        # local_only's round RMSE is the mean client RMSE, so it shows whether
+        # the units reach the per-client holdout evals
+        config = small_config(variant="local_only", seed=2, rounds=3, rmse_units="degrees")
+        scale = prepare_clients(config)[2].scale()
+        scored = []  # (model, inputs, targets) of every holdout eval, in call order
+        original = fedsim.experiment.evaluate_rmse
+
+        def recording(model, inputs, targets, *args):
+            scored.append((model.copy(), inputs, targets))
+            return original(model, inputs, targets, *args)
+
+        monkeypatch.setattr(fedsim.experiment, "evaluate_rmse", recording)
+        result = run_experiment(config)
+
+        def degree_rmse(model, inputs, targets):
+            preds, _ = forward(model, TrainBatch(inputs, targets))
+            return np.sqrt(np.mean(np.square((preds - targets) * scale)))
+
+        logged = [rmse for log in result.logs for rmse in log.client_rmse.values()]
+        assert logged == pytest.approx([degree_rmse(*call) for call in scored], rel=1e-12)
+        for log in result.logs:
+            assert log.rmse_global == pytest.approx(np.mean(list(log.client_rmse.values())))
 
     def test_csv_dataset_round_trips_through_engine(self, tmp_path):
         from fedsim.data import synth_trajectories, write_csv

@@ -1,4 +1,5 @@
-"""Property tests over generated inputs, checked against the scalar oracles.
+"""Property tests over generated inputs: the parsers against the scalar
+oracles, and the invariants of the streaming reveal.
 
 The examples come from the derandomized profile in conftest.py.
 """
@@ -10,6 +11,7 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, strategies as st  # noqa: E402
 
+from fedsim.availability import RevealState, reveal_round  # noqa: E402
 from fedsim.data import Trajectory, parse_csv, parse_tdrive, write_csv  # noqa: E402
 
 from oracles import parse_rows_by_loop  # noqa: E402
@@ -78,3 +80,28 @@ def test_csv_and_its_tdrive_copy_parse_alike(tmp_path_factory, rows):
         assert a.vehicle_id == b.vehicle_id == vid
         assert a.timestamps.tobytes() == b.timestamps.tobytes() == ts.tobytes()
         assert a.coords.tobytes() == b.coords.tobytes() == coords.tobytes()
+
+
+@given(
+    st.lists(st.floats(0.0, 1.0), max_size=60),
+    st.integers(1, 20),
+    st.integers(0, 2**32 - 1),
+)
+def test_reveal_sets_only_grow_and_classify_the_processed_prefix(probs, slice_size, seed):
+    state = RevealState(np.array(probs, dtype=float), slice_size)
+    rng = np.random.default_rng(seed)
+    while True:
+        cursor, available, lost = state.cursor, state.available.copy(), state.lost
+        new = reveal_round(state, rng)
+        assert state.cursor == min(cursor + slice_size, state.n_points)
+        # the returned indices are exactly the points that just became available
+        assert new.tolist() == np.flatnonzero(state.available & ~available).tolist()
+        # neither set shrinks, and they never overlap
+        assert np.all(state.available[available]) and np.all(state.lost[lost])
+        assert not np.any(state.available & state.lost)
+        # the processed prefix is fully classified and nothing past it is marked
+        assert state.n_available + state.n_lost == state.cursor
+        assert not np.any(state.available[state.cursor :] | state.lost[state.cursor :])
+        if state.cursor == cursor:  # past the end: a no-op
+            assert new.size == 0
+            break
