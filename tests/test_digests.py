@@ -6,8 +6,9 @@ bytes across commits: one uniform-selection run (fedavg), one ranked run
 (fedcab), one with peer rounds (feddecab), both proximal variants, the
 isolated local_only baseline, fedavg with offline clients training every
 round, feddecab over several batches and epochs, fedavg weighted by
-client data size, fedavg over an equal-points partition, and feddecab over
-a CSV fleet with peer rounds every round. The values were taken with numpy
+client data size, fedavg over an equal-points partition, feddecab at the
+headline's hidden width of 32, and feddecab over a CSV fleet with peer
+rounds every round. The values were taken with numpy
 2.4 and OpenBLAS on x86-64; another BLAS may round GEMMs differently. A change that alters any output bit must
 re-pin them and say why in CHANGES.md.
 """
@@ -51,7 +52,9 @@ BASE = dict(
 # ones; the datasize case uses uneven clients and selects every client. BASE
 # gives each client one whole vehicle; the equal-partition case cuts vehicles
 # at 51 points, so some clients hold a segment too short for a window and some
-# holdouts span two segments.
+# holdouts span two segments. Every other case runs hidden=8; the hidden32 case
+# pins the LSTM step at the width of the benchmark's headline, over batches of
+# one, three and four rows.
 CASES = {
     "fedavg": dict(variant="fedavg"),
     "fedcab": dict(variant="fedcab"),
@@ -69,6 +72,7 @@ CASES = {
         aggregate_by_datasize=True,
     ),
     "fedavg_equal_partition": dict(variant="fedavg", partition="equal", points_per_client=51),
+    "feddecab_hidden32": dict(variant="feddecab", hidden=32, batch_size=4, epochs=2),
 }
 
 # feddecab over a CSV of 32 vehicles of 12 to 52 points, one client each, with
@@ -139,6 +143,10 @@ DIGESTS = {
     "fedavg_equal_partition": (
         "c1c1d690e6bfcb3ac93c5c76b2ac808d8d1fc929b836ad24b02ad8c19eca5130",
         "ed1eb59636e90f0ea981d92536ad9663126d959693e223752d5a3b0183995c0d",
+    ),
+    "feddecab_hidden32": (
+        "0e22ddb9b191035f6d0046e8e3af1c7ef2278caac056b3918b9cff1d811f3d87",
+        "1a2fa53888aedc46d80bf122dd64ac1d13d8ae92371cb4623583fc0a0eed5579",
     ),
 }
 
