@@ -18,9 +18,14 @@ Gate math per step, with ``a = z @ W + b`` split into the four gate slabs::
     c = f * c_prev + i * g
     h = o * tanh(c)
 
-where ``sigmoid(x) = 0.5 * (1 + tanh(x / 2))``. That form equals the logistic
-``1 / (1 + exp(-x))`` to within 2.2e-16, never overflows, and needs one
-elementwise pass where the exp form needs sign masks.
+where ``sigmoid(x) = 0.5 * (1 + tanh(x / 2))``, which equals the logistic
+to within 2.2e-16 and never overflows. The halving lives in the weights:
+each call multiplies the i, f and o columns of ``W`` and ``b`` by 0.5 once.
+Scaling by a power of two is exact (barring subnormals) in every product
+and every partial sum of the GEMM and in the bias add, so those columns of
+``a`` hold ``a_i / 2``, ``a_f / 2`` and ``a_o / 2`` bit for bit. One
+in-place tanh then covers all four slabs, the g slab is copied out, and
+``a += 1; a *= 0.5`` turns i, f and o into sigmoids in place.
 
 Evaluation (``forward``, ``lstm_hidden``) keeps no cache, and it walks the
 batch in blocks of ``EVAL_BLOCK_ROWS`` rows, so each step's temporaries stay
@@ -142,15 +147,6 @@ def init_params(dims: Dims, rng: np.random.Generator) -> ParamSet:
     return ParamSet(rng.uniform(-0.08, 0.08, size=dims.total_size), dims)
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # tanh form of the logistic (see the module docstring), in one new array
-    out = x * 0.5
-    np.tanh(out, out=out)
-    out += 1.0
-    out *= 0.5
-    return out
-
-
 def _check_batch(model: ParamSet, batch: TrainBatch) -> None:
     d = model.dims
     if batch.inputs.shape[2] != d.n_in:
@@ -196,9 +192,14 @@ def _run_lstm(model: ParamSet, inputs: np.ndarray, keep_cache: bool):
 
 
 def _lstm_steps(model: ParamSet, inputs: np.ndarray, keep_cache: bool):
-    d = model.dims
-    H = d.n_hidden
+    H = model.dims.n_hidden
     w, b = _lstm_views(model)
+    # halve the i, f and o columns once, so each step's sigmoid is one tanh
+    # (see the module docstring); the cache holds (z, a, gg, c_prev, hc) with
+    # the i, f and o gates in their slabs of a
+    scale = np.full(4 * H, 0.5)
+    scale[2 * H : 3 * H] = 1.0
+    w, b = w * scale, b * scale
     n_batch, n_steps = inputs.shape[0], inputs.shape[1]
     h = np.zeros((n_batch, H))
     c = np.zeros((n_batch, H))
@@ -207,18 +208,17 @@ def _lstm_steps(model: ParamSet, inputs: np.ndarray, keep_cache: bool):
         z = np.concatenate([inputs[:, t, :], h], axis=1)
         a = z @ w
         a += b
-        # input and forget gates are adjacent columns: one sigmoid over both
-        g_if = _sigmoid(a[:, : 2 * H])
-        gi, gf = g_if[:, :H], g_if[:, H:]
-        gg = np.tanh(a[:, 2 * H : 3 * H])
-        go = _sigmoid(a[:, 3 * H :])
+        np.tanh(a, out=a)
+        gg = a[:, 2 * H : 3 * H].copy()
+        a += 1.0
+        a *= 0.5
         c_prev = c
-        c = gf * c_prev
-        c += gi * gg
+        c = a[:, H : 2 * H] * c_prev
+        c += a[:, :H] * gg
         hc = np.tanh(c)
-        h = go * hc
+        h = a[:, 3 * H :] * hc
         if keep_cache:
-            cache.append((z, gi, gf, gg, go, c_prev, hc))
+            cache.append((z, a, gg, c_prev, hc))
     return h, cache
 
 
@@ -317,7 +317,7 @@ def backward(
     """
     _check_batch(model, batch)
     d = model.dims
-    I = d.n_in
+    I, H = d.n_in, d.n_hidden
     if bias_target is not None and bias_target.dims != d:
         raise ConfigError(f"bias target dims {bias_target.dims} != model dims {d}")
 
@@ -334,28 +334,25 @@ def backward(
     grad_fc_b[...] = d_pred.sum(axis=0)
 
     w, _ = _lstm_views(model)
+    w_h_t = w[I:].T
     grad_w, grad_b = _lstm_views(grads)
     d_h = d_pred @ fc_w.T
-    d_c_carry = np.zeros_like(d_h)
-    for z, gi, gf, gg, go, c_prev, hc in reversed(cache):
-        d_o = d_h * hc
-        d_c = d_c_carry + d_h * go * (1.0 - hc * hc)
-        d_i = d_c * gg
-        d_g = d_c * gi
-        d_f = d_c * c_prev
-        d_c_carry = d_c * gf
-        d_a = np.concatenate(
-            [
-                d_i * gi * (1.0 - gi),
-                d_f * gf * (1.0 - gf),
-                d_g * (1.0 - gg * gg),
-                d_o * go * (1.0 - go),
-            ],
-            axis=1,
-        )
+    d_c_carry = 0.0
+    for t in range(len(cache) - 1, -1, -1):
+        z, a, gg, c_prev, hc = cache[t]
+        d_c = d_c_carry + d_h * a[:, 3 * H :] * (1.0 - hc * hc)
+        d_g = d_c * a[:, :H]
+        d_a = np.concatenate([d_c * gg, d_c * c_prev, d_g, d_h * hc], axis=1)
+        # sigmoid' = s * (1 - s) on the i, f and o slabs; the g slab is
+        # then overwritten with tanh' = 1 - g * g
+        d_a *= a
+        d_a *= 1.0 - a
+        d_a[:, 2 * H : 3 * H] = d_g * (1.0 - gg * gg)
         grad_w += z.T @ d_a
         grad_b += d_a.sum(axis=0)
-        d_h = d_a @ w[I:].T
+        if t:  # the first step's carries are never read
+            d_c_carry = d_c * a[:, H : 2 * H]
+            d_h = d_a @ w_h_t
 
     if bias_target is not None:
         _, kl_grad = _fc_kl_gradient(model.fc_block, bias_target.fc_block)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,7 @@ from fedsim.nn import (
     sgd_step,
 )
 from fedsim import nn
-from fedsim.nn import EVAL_BLOCK_ROWS, _run_lstm, _sigmoid
+from fedsim.nn import EVAL_BLOCK_ROWS, _run_lstm
 
 from oracles import (
     finite_difference_gradient,
@@ -250,17 +252,29 @@ class TestGateEdgeCases:
             _, cache = _run_lstm(model, batch.inputs, keep_cache=True)
         assert np.all(np.isfinite(preds)) and np.all(np.isfinite(hidden))
         assert np.all(np.isfinite(grads.values))
-        for _, gi, gf, gg, go, _, _ in cache:
-            for gate in (gi, gf, go):
+        H = dims.n_hidden
+        for _, a, gg, _, _ in cache:
+            for gate in (a[:, :H], a[:, H : 2 * H], a[:, 3 * H :]):
                 assert np.all((gate >= 0.0) & (gate <= 1.0))
             assert np.all(np.abs(gg) <= 1.0)
 
     def test_sigmoid_matches_scalar_oracle(self):
-        # absolute error: far below zero the tanh form gives exactly 0, where
-        # the logistic is tiny but positive (about 4e-18 at -40)
+        # one step with the grid as the only input and a unit weight row, so
+        # every gate's pre-activation is the grid value. Absolute error: far
+        # below zero the tanh form gives exactly 0, where the logistic is
+        # tiny but positive (about 4e-18 at -40)
+        dims = Dims(1, 2, 1)
+        H = dims.n_hidden
+        model = ParamSet(np.zeros(dims.total_size), dims)
+        model.lstm_block[: 4 * H] = 1.0
         grid = np.linspace(-40.0, 40.0, 8001)
-        expected = np.array([sigmoid_scalar(x) for x in grid])
-        assert np.max(np.abs(_sigmoid(grid) - expected)) <= 1e-15
+        _, cache = _run_lstm(model, grid.reshape(-1, 1, 1), keep_cache=True)
+        (_, a, gg, _, _), = cache
+        expected = np.array([sigmoid_scalar(x) for x in grid])[:, None]
+        for gate in (a[:, :H], a[:, H : 2 * H], a[:, 3 * H :]):
+            assert np.max(np.abs(gate - expected)) <= 1e-15
+        tanh = np.array([math.tanh(x) for x in grid])[:, None]
+        assert np.max(np.abs(gg - tanh)) <= 1e-15
 
 
 class TestSgdStep:
