@@ -48,8 +48,14 @@ def _cmd_run(args) -> int:
     return 0
 
 
+def _check_seed(args) -> None:
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+
+
 def _cmd_gradcheck(args) -> int:
     """Analytic gradients against central finite differences on small models."""
+    _check_seed(args)
     if args.trials < 1:
         raise ConfigError(f"--trials must be >= 1, got {args.trials}")
     # `not x > 0` also rejects NaN
@@ -100,6 +106,7 @@ def _cmd_plot(args) -> int:
 
 
 def _cmd_synth(args) -> int:
+    _check_seed(args)
     trajectories = synth_trajectories(args.seed, args.vehicles, args.points, args.kind)
     write_csv(args.out, trajectories)
     total = sum(t.n_points for t in trajectories)

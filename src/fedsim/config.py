@@ -171,6 +171,8 @@ class ExperimentConfig:
             )
         if self.vehicles_per_client < 1:
             raise ConfigError(f"vehicles_per_client must be >= 1, got {self.vehicles_per_client}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         for box in self.weak_areas:
             if len(box) != 4:
                 raise ConfigError(

@@ -129,6 +129,29 @@ class TestConfigErrors:
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_negative_seed_in_the_config_file_is_an_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"seed": -2}), encoding="utf-8")
+        code = main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_negative_seed_flag_is_an_error(self, tmp_path, capsys):
+        config = write_config(tmp_path)
+        argv = ["run", "--config", str(config), "--out", str(tmp_path / "o"), "--seed", "-5"]
+        assert main(argv) == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_negative_env_seed_is_an_error(self, tmp_path, monkeypatch, capsys):
+        config = write_config(tmp_path)
+        monkeypatch.setenv("FEDSIM_SEED", "-1")
+        code = main(["run", "--config", str(config), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_non_integer_env_seed_is_an_error(self, tmp_path, monkeypatch, capsys):
         config = write_config(tmp_path)
         monkeypatch.setenv("FEDSIM_SEED", "abc")
@@ -162,6 +185,7 @@ class TestGradcheckCommand:
             ("--trials", "0"),
             ("--tolerance", "0"),
             ("--tolerance", "-1"),
+            ("--seed", "-1"),
         ],
     )
     def test_degenerate_setting_is_an_error(self, capsys, flag, value):
@@ -267,3 +291,10 @@ class TestSynthCommand:
         assert code == 0
         trajectories, rejected = parse_csv(out)
         assert rejected == 0 and len(trajectories) == 2
+
+    def test_negative_seed_is_an_error(self, tmp_path, capsys):
+        out = tmp_path / "synthetic.csv"
+        code = main(["synth", "--kind", "sinusoid", "--out", str(out), "--seed", "-1"])
+        assert code == 2
+        assert "--seed" in capsys.readouterr().err
+        assert not out.exists()

@@ -94,6 +94,7 @@ class TestValidation:
             dict(datasize_percentile=100.0),
             dict(synth_kind="spiral"),
             dict(vehicles_per_client=0),
+            dict(seed=-1),
         ],
     )
     def test_rejects(self, bad):
