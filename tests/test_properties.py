@@ -1,5 +1,6 @@
-"""Property tests over generated inputs: the parsers against the scalar
-oracles, and the invariants of the streaming reveal.
+"""Property tests over generated inputs: the parsers and top-k selection
+against the scalar oracles, the invariants of the streaming reveal, and
+aggregation as an order-free convex combination.
 
 The examples come from the derandomized profile in conftest.py.
 """
@@ -13,8 +14,11 @@ from hypothesis import given, strategies as st  # noqa: E402
 
 from fedsim.availability import RevealState, reveal_round  # noqa: E402
 from fedsim.data import Trajectory, parse_csv, parse_tdrive, write_csv  # noqa: E402
+from fedsim.experiment import aggregate  # noqa: E402
+from fedsim.nn import Dims, ParamSet  # noqa: E402
+from fedsim.ranking import RankEntry, select_top_k  # noqa: E402
 
-from oracles import parse_rows_by_loop  # noqa: E402
+from oracles import brute_force_top_k, parse_rows_by_loop  # noqa: E402
 
 # ids that csv quoting and the parser's strip leave as they are
 VEHICLE_IDS = st.text(st.sampled_from("ab9_ ,\"'-é"), min_size=1, max_size=6).filter(
@@ -105,3 +109,69 @@ def test_reveal_sets_only_grow_and_classify_the_processed_prefix(probs, slice_si
         if state.cursor == cursor:  # past the end: a no-op
             assert new.size == 0
             break
+
+
+# a few repeated values, so weights tie, next to arbitrary finite ones
+RANK_WEIGHTS = st.one_of(st.sampled_from([-1.0, 0.0, 0.5, 1.0]), st.floats(-1e6, 1e6))
+
+
+@given(
+    st.lists(st.tuples(st.integers(0, 50), RANK_WEIGHTS), max_size=20, unique_by=lambda e: e[0]),
+    st.integers(0, 25),
+)
+def test_select_top_k_matches_the_brute_force_oracle(pairs, k):
+    entries = [RankEntry(cid, 0.0, 0.0, 0, weight=w) for cid, w in pairs]
+    assert select_top_k(entries, k) == brute_force_top_k(dict(pairs), k)
+
+
+# the smallest model: one input, one hidden unit and one output, 14 values
+AGG_DIMS = Dims(1, 1, 1)
+PARAMS = st.lists(
+    st.floats(-1e3, 1e3), min_size=AGG_DIMS.total_size, max_size=AGG_DIMS.total_size
+)
+
+
+@st.composite
+def weighted_models(draw):
+    """Models and nonnegative weights with a positive sum."""
+    values = draw(st.lists(PARAMS, min_size=1, max_size=6))
+    weights = draw(
+        st.lists(st.floats(0.0, 10.0), min_size=len(values), max_size=len(values)).filter(
+            lambda w: sum(w) > 0
+        )
+    )
+    return np.array(values), weights
+
+
+def _rounding_slack(stack):
+    # a weighted sum of n terms is off by at most a few n ulps of the largest
+    return 4 * len(stack) * np.finfo(float).eps * np.abs(stack).max(axis=0)
+
+
+def _aggregate(stack, weights):
+    return aggregate([ParamSet(v.copy(), AGG_DIMS) for v in stack], weights).values
+
+
+@given(weighted_models(), st.booleans())
+def test_aggregate_is_a_convex_combination(models, uniform):
+    stack, weights = models
+    merged = _aggregate(stack, None if uniform else weights)
+    slack = _rounding_slack(stack)
+    assert np.all(merged >= stack.min(axis=0) - slack)
+    assert np.all(merged <= stack.max(axis=0) + slack)
+
+
+@given(weighted_models(), st.data())
+def test_aggregate_with_one_hot_weights_returns_that_model(models, data):
+    stack, _ = models
+    pick = data.draw(st.integers(0, len(stack) - 1))
+    one_hot = [float(i == pick) for i in range(len(stack))]
+    assert np.array_equal(_aggregate(stack, one_hot), stack[pick])
+
+
+@given(weighted_models(), st.data())
+def test_aggregate_ignores_the_order_of_its_models(models, data):
+    stack, weights = models
+    order = data.draw(st.permutations(range(len(stack))))
+    shuffled = _aggregate(stack[order], [weights[i] for i in order])
+    assert np.all(np.abs(shuffled - _aggregate(stack, weights)) <= _rounding_slack(stack))
