@@ -24,8 +24,9 @@ each call multiplies the i, f and o columns of ``W`` and ``b`` by 0.5 once.
 Scaling by a power of two is exact (barring subnormals) in every product
 and every partial sum of the GEMM and in the bias add, so those columns of
 ``a`` hold ``a_i / 2``, ``a_f / 2`` and ``a_o / 2`` bit for bit. One
-in-place tanh then covers all four slabs, the g slab is copied out, and
-``a += 1; a *= 0.5`` turns i, f and o into sigmoids in place.
+in-place tanh then covers all four slabs. The g slab is copied out before
+``a += 1; a *= 0.5``, which turns i, f and o into sigmoids in place and
+leaves a spent g slab that ``backward`` overwrites.
 
 Evaluation (``forward``, ``lstm_hidden``) keeps no cache, and it walks the
 batch in blocks of ``EVAL_BLOCK_ROWS`` rows, so each step's temporaries stay
