@@ -50,5 +50,6 @@ state = RevealState(assign_random(traj.n_points, 0.5, np.random.default_rng(3)),
 print("\nround  cursor  available  lost")
 for t in range(1, 8):
     reveal_round(state, rng)
-    print(f"{t:>5}  {state.cursor:>6}  {state.n_available:>9}  {state.n_lost:>4}")
-print(f"conservation holds: {state.n_available + state.n_lost == state.cursor}")
+    n_available = np.count_nonzero(state.available)
+    print(f"{t:>5}  {state.cursor:>6}  {n_available:>9}  {state.cursor - n_available:>4}")
+print(f"nothing past the cursor is available: {not state.available[state.cursor :].any()}")

@@ -11,11 +11,11 @@ from fedsim.ranking import (
     CompensatorState,
     RankEntry,
     build_rank_entries,
+    combined_weight,
     decay_compensators,
     select_top_k,
     solve_quadratic,
     weight_early,
-    weight_late,
 )
 
 m_t = 10
@@ -24,7 +24,9 @@ print("divergence position -> weight, early (alpha=2) vs late (alpha<=1) phase")
 b = solve_quadratic(2.0, m_t)
 print("pos:   " + "  ".join(f"{p:>5}" for p in range(1, m_t + 1)))
 print("early: " + "  ".join(f"{weight_early(p, *b):>5.2f}" for p in range(1, m_t + 1)))
-print("late:  " + "  ".join(f"{weight_late(p, m_t):>5.2f}" for p in range(1, m_t + 1)))
+# the late weight with the participation position at m_t: the ramp P / m_t
+late = [combined_weight(p, m_t, 1.0, m_t, 1.0) for p in range(1, m_t + 1)]
+print("late:  " + "  ".join(f"{w:>5.2f}" for w in late))
 
 # a round of ranking: divergences and participations become positions,
 # positions become weights, stragglers get boosted, top-K upload
@@ -35,12 +37,12 @@ entries = [
     RankEntry(client_id=2, divergence=0.10, participation=0.5, n_updates=5),
     RankEntry(client_id=3, divergence=0.70, participation=0.1, n_updates=1),
 ]
-build_rank_entries(entries, comp, m_t=len(entries))
-print("\nclient  L      A    P_L  P_A  boosted  weight")
+build_rank_entries(entries, comp)
+print("\nclient  L      A    P_L  P_A  weight")
 for e in entries:
     print(
         f"{e.client_id:>6}  {e.divergence:.2f}  {e.participation:.2f}  "
-        f"{e.pos_divergence:>3}  {e.pos_participation:>3}  {str(e.boosted):>7}  {e.weight:.4f}"
+        f"{e.pos_divergence:>3}  {e.pos_participation:>3}  {e.weight:.4f}"
     )
 print("selected for upload (K=2):", select_top_k(entries, 2))
 

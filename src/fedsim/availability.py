@@ -68,19 +68,6 @@ class RevealState:
     def n_points(self) -> int:
         return self.probs.size
 
-    @property
-    def lost(self) -> np.ndarray:
-        """Processed points that did not join the available set."""
-        return (np.arange(self.n_points) < self.cursor) & ~self.available
-
-    @property
-    def n_available(self) -> int:
-        return int(self.available.sum())
-
-    @property
-    def n_lost(self) -> int:
-        return int(self.lost.sum())
-
 
 def assign_random(n_points: int, alpha_dir: float, rng: np.random.Generator) -> np.ndarray:
     """Dirichlet availability: heterogeneous per-point inclusion probabilities.

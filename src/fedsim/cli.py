@@ -56,8 +56,9 @@ def _check_seed(args) -> None:
 def _cmd_gradcheck(args) -> int:
     """Analytic gradients against central finite differences on small models."""
     _check_seed(args)
-    if args.trials < 1:
-        raise ConfigError(f"--trials must be >= 1, got {args.trials}")
+    for name in ("trials", "steps"):
+        if getattr(args, name) < 1:
+            raise ConfigError(f"--{name} must be >= 1, got {getattr(args, name)}")
     # `not x > 0` also rejects NaN
     for name in ("eps", "tolerance"):
         if not getattr(args, name) > 0:

@@ -14,6 +14,7 @@ import math
 import numbers
 import types
 import typing
+from collections.abc import Mapping
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -233,7 +234,9 @@ class ExperimentConfig:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
 
     @classmethod
-    def from_dict(cls, raw: dict) -> "ExperimentConfig":
+    def from_dict(cls, raw: Mapping) -> "ExperimentConfig":
+        if not isinstance(raw, Mapping):
+            raise ConfigError(f"config must be a JSON object, got {type(raw).__name__}")
         unknown = set(raw) - set(cls.__dataclass_fields__)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -248,8 +251,6 @@ class ExperimentConfig:
             raise ConfigError(f"{path}: cannot read config ({exc.strerror})") from exc
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
-        if not isinstance(raw, dict):
-            raise ConfigError(f"{path}: config must be a JSON object")
         return cls.from_dict(raw)
 
 

@@ -445,7 +445,7 @@ def _server_round(
         log.events.append("empty_selection")
         log.selected = []
     elif log.ranked:
-        build_rank_entries(log.entries, comp, m_t)
+        build_rank_entries(log.entries, comp)
         if config.selection_mode == "proportional":
             log.selected = sample_proportional(log.entries, config.k_selected, rng_select)
         else:

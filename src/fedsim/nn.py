@@ -134,18 +134,16 @@ class TrainBatch:
         if self.inputs.shape[0] < 1:
             raise ConfigError("batch must contain at least one sequence")
 
-    @property
-    def batch_size(self) -> int:
-        return self.inputs.shape[0]
-
-    @property
-    def seq_len(self) -> int:
-        return self.inputs.shape[1]
-
 
 def init_params(dims: Dims, rng: np.random.Generator) -> ParamSet:
     """Uniform(-0.08, 0.08) initialization of every parameter."""
-    return ParamSet(rng.uniform(-0.08, 0.08, size=dims.total_size), dims)
+    try:
+        values = rng.uniform(-0.08, 0.08, size=dims.total_size)
+    except (ValueError, MemoryError) as exc:
+        raise ConfigError(
+            f"hidden width {dims.n_hidden} needs {dims.total_size} parameters: {exc}"
+        ) from exc
+    return ParamSet(values, dims)
 
 
 def _check_batch(model: ParamSet, batch: TrainBatch) -> None:
@@ -176,9 +174,7 @@ def _fc_views(fc_block: np.ndarray, dims: Dims):
     return w, b
 
 
-def _run_lstm(model: ParamSet, inputs: np.ndarray, keep_cache: bool):
-    if keep_cache:
-        return _lstm_steps(model, inputs, keep_cache=True)
+def _run_lstm(model: ParamSet, inputs: np.ndarray) -> np.ndarray:
     # cache-free pass in row blocks; a 0- or 1-row tail joins the block before it
     n_batch = inputs.shape[0]
     hidden = np.empty((n_batch, model.dims.n_hidden))
@@ -189,7 +185,7 @@ def _run_lstm(model: ParamSet, inputs: np.ndarray, keep_cache: bool):
             stop = n_batch
         hidden[start:stop], _ = _lstm_steps(model, inputs[start:stop], keep_cache=False)
         start = stop
-    return hidden, None
+    return hidden
 
 
 def _lstm_steps(model: ParamSet, inputs: np.ndarray, keep_cache: bool):
@@ -230,8 +226,7 @@ def lstm_hidden(model: ParamSet, inputs: np.ndarray) -> np.ndarray:
         raise ConfigError(
             f"inputs must be B x S x {model.dims.n_in}, got shape {inputs.shape}"
         )
-    h, _ = _run_lstm(model, inputs, keep_cache=False)
-    return h
+    return _run_lstm(model, inputs)
 
 
 def apply_fc(fc_block: np.ndarray, hidden: np.ndarray, dims: Dims) -> np.ndarray:
@@ -246,7 +241,7 @@ def apply_fc(fc_block: np.ndarray, hidden: np.ndarray, dims: Dims) -> np.ndarray
 def forward(model: ParamSet, batch: TrainBatch) -> tuple[np.ndarray, np.ndarray]:
     """Predictions (B x O) and the final hidden state (B x H)."""
     _check_batch(model, batch)
-    hidden, _ = _run_lstm(model, batch.inputs, keep_cache=False)
+    hidden = _run_lstm(model, batch.inputs)
     return apply_fc(model.fc_block, hidden, model.dims), hidden
 
 
@@ -291,7 +286,7 @@ def model_divergence(model: ParamSet, reference: ParamSet) -> float:
     return kl_divergence(param_distribution(model.values), param_distribution(reference.values))
 
 
-def _fc_kl_gradient(fc: np.ndarray, target_fc: np.ndarray) -> tuple[float, np.ndarray]:
+def _fc_kl_gradient(fc: np.ndarray, target_fc: np.ndarray) -> np.ndarray:
     # d/dv_k of KL(dist(v) || dist(target)) with the |.|-normalized distribution;
     # sign(0) = 0 gives the subgradient choice at exactly-zero parameters.
     mass = np.abs(fc) + DIST_EPS
@@ -300,8 +295,7 @@ def _fc_kl_gradient(fc: np.ndarray, target_fc: np.ndarray) -> tuple[float, np.nd
     q = param_distribution(target_fc)
     log_ratio = np.log(p / q)
     kl = float(np.sum(p * log_ratio))
-    grad = np.sign(fc) * (log_ratio - kl) / z
-    return kl, grad
+    return np.sign(fc) * (log_ratio - kl) / z
 
 
 def backward(
@@ -322,7 +316,7 @@ def backward(
     if bias_target is not None and bias_target.dims != d:
         raise ConfigError(f"bias target dims {bias_target.dims} != model dims {d}")
 
-    hidden, cache = _run_lstm(model, batch.inputs, keep_cache=True)
+    hidden, cache = _lstm_steps(model, batch.inputs, keep_cache=True)
     preds = apply_fc(model.fc_block, hidden, d)
 
     n_terms = batch.targets.size
@@ -356,8 +350,7 @@ def backward(
             d_h = d_a @ w_h_t
 
     if bias_target is not None:
-        _, kl_grad = _fc_kl_gradient(model.fc_block, bias_target.fc_block)
-        grads.fc_block[:] += kl_grad
+        grads.fc_block[:] += _fc_kl_gradient(model.fc_block, bias_target.fc_block)
 
     if not np.all(np.isfinite(grads.values)):
         raise NumericError("non-finite gradient")

@@ -50,7 +50,6 @@ class RankEntry:
     pos_divergence: int = 0
     pos_participation: int = 0
     weight: float = 0.0
-    boosted: bool = False
 
 
 def solve_quadratic(alpha: float, m_t: int) -> tuple[float, float, float]:
@@ -66,13 +65,6 @@ def solve_quadratic(alpha: float, m_t: int) -> tuple[float, float, float]:
 def weight_early(pos: float, b0: float, b1: float, b2: float) -> float:
     """Quadratic-phase weight for a 1-based ranking position."""
     return b0 * pos * pos + b1 * pos + b2
-
-
-def weight_late(pos: float, m_t: int) -> float:
-    """Linear-phase weight: position divided by participant count."""
-    if m_t < 1:
-        raise ConfigError(f"m_t must be >= 1, got {m_t}")
-    return pos / m_t
 
 
 def rank_positions(values: list[tuple[int, float]]) -> dict[int, int]:
@@ -107,16 +99,12 @@ def straggler_boost(entries: list[RankEntry], gamma: float) -> list[RankEntry]:
     for entry in entries:
         if entry.n_updates < mean_updates:
             entry.weight *= gamma
-            entry.boosted = True
     return entries
 
 
-def build_rank_entries(
-    participants: list[RankEntry], comp: CompensatorState, m_t: int
-) -> list[RankEntry]:
+def build_rank_entries(participants: list[RankEntry], comp: CompensatorState) -> list[RankEntry]:
     """Assign positions and weights to this round's participants in place."""
-    if len(participants) != m_t:
-        raise ConfigError(f"expected {m_t} participants, got {len(participants)}")
+    m_t = len(participants)
     pos_div = rank_positions([(e.client_id, e.divergence) for e in participants])
     pos_part = rank_positions([(e.client_id, e.participation) for e in participants])
     for entry in participants:

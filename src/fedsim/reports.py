@@ -183,16 +183,11 @@ def rmse_series(logs: list[RoundLog]) -> list[tuple[float, float]]:
     return [(float(log.t), float(log.rmse_global)) for log in logs]
 
 
-def write_curves_svg(
-    series: dict[str, list[tuple[float, float]]],
-    path: str | Path,
-    title: str = "test RMSE by round",
-    width: int = 720,
-    height: int = 440,
-) -> None:
+def write_curves_svg(series: dict[str, list[tuple[float, float]]], path: str | Path) -> None:
     """Plot one polyline per labeled series with a text legend."""
     if not series:
         raise ConfigError("nothing to plot")
+    width, height = 720, 440
     margin_l, margin_r, margin_t, margin_b = 60, 20, 40, 45
     plot_w = width - margin_l - margin_r
     plot_h = height - margin_t - margin_b
@@ -219,7 +214,7 @@ def write_curves_svg(
         f'viewBox="0 0 {width} {height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
         f'<text x="{width / 2:.1f}" y="22" font-size="15" text-anchor="middle" '
-        f'font-family="sans-serif">{title}</text>',
+        'font-family="sans-serif">test RMSE by round</text>',
         # axes
         f'<line x1="{margin_l}" y1="{margin_t}" x2="{margin_l}" '
         f'y2="{margin_t + plot_h}" stroke="black"/>',

@@ -17,10 +17,10 @@ from fedsim.nn import Dims, ParamSet, TrainBatch, backward, batch_objective, ini
 from fedsim.collab import head_payload_values
 from fedsim.ranking import (
     RankEntry,
+    combined_weight,
     select_top_k,
     solve_quadratic,
     weight_early,
-    weight_late,
 )
 from fedsim.reports import write_rounds_csv
 
@@ -145,8 +145,12 @@ def test_criterion_2_ranking_math_exactness():
             abs(weight_early(m_t, *b) - 1.0),
             abs(weight_early(2 * m_t, *b) - alpha),
         )
+    # the late phase (alpha <= 1) with the participation position at m is P / m
     linear_exact = all(
-        weight_late(p, m) == p / m for m in (1, 7, 40, 200) for p in range(1, m + 1)
+        combined_weight(p, m, alpha, m, 1.0) == p / m
+        for alpha in (1.0, 0.5, -3.0)
+        for m in (1, 7, 40, 200)
+        for p in range(1, m + 1)
     )
     mismatches = 0
     for _ in range(1000):
@@ -198,7 +202,7 @@ def test_criterion_4_reveal_statistics():
     rng = np.random.default_rng(3)
     while state.cursor < n:
         reveal_round(state, rng)
-    rate = state.n_available / n
+    rate = np.count_nonzero(state.available) / n
     sigma = float(np.sqrt(0.7 * 0.3 / n))
     stats_ok = abs(rate - 0.7) < 3 * sigma
 
@@ -206,17 +210,14 @@ def test_criterion_4_reveal_statistics():
     n2 = 240 * 16
     state2 = RevealState(np.random.default_rng(4).uniform(size=n2), slice_size=16)
     rng2 = np.random.default_rng(5)
-    prev_avail = state2.available.copy()
-    prev_lost = state2.lost.copy()
+    prev_avail, prev_cursor = state2.available.copy(), state2.cursor
     invariants_ok = True
     for _ in range(240):
         reveal_round(state2, rng2)
         invariants_ok &= bool(np.all(state2.available[prev_avail]))
-        invariants_ok &= bool(np.all(state2.lost[prev_lost]))
-        invariants_ok &= not bool(np.any(state2.available & state2.lost))
-        invariants_ok &= state2.n_available + state2.n_lost == state2.cursor
-        prev_avail = state2.available.copy()
-        prev_lost = state2.lost.copy()
+        invariants_ok &= np.array_equal(state2.available[:prev_cursor], prev_avail[:prev_cursor])
+        invariants_ok &= not bool(np.any(state2.available[state2.cursor :]))
+        prev_avail, prev_cursor = state2.available.copy(), state2.cursor
     report(
         4,
         stats_ok and invariants_ok,

@@ -103,14 +103,14 @@ class TestRevealRound:
         for _ in range(4):
             got.extend(reveal_round(state, rng).tolist())
         assert got == list(range(10))
-        assert state.n_lost == 0
+        assert np.count_nonzero(state.available) == state.cursor == 10
 
     def test_all_zeros_lose_everything(self):
         state = self.make(10, 4, np.zeros(10))
         rng = np.random.default_rng(6)
         for _ in range(4):
             assert reveal_round(state, rng).size == 0
-        assert state.n_lost == 10 and state.n_available == 0
+        assert state.cursor == 10 and np.count_nonzero(state.available) == 0
 
     def test_empirical_rate_within_three_sigma(self):
         n = 10_000
@@ -118,7 +118,7 @@ class TestRevealRound:
         rng = np.random.default_rng(7)
         while state.cursor < n:
             reveal_round(state, rng)
-        rate = state.n_available / n
+        rate = np.count_nonzero(state.available) / n
         sigma = np.sqrt(0.7 * 0.3 / n)
         assert abs(rate - 0.7) < 3 * sigma
 
@@ -126,20 +126,16 @@ class TestRevealRound:
         n = 240 * 8
         state = self.make(n, 8, np.random.default_rng(8).uniform(size=n))
         rng = np.random.default_rng(9)
-        prev_avail = state.available.copy()
-        prev_lost = state.lost.copy()
+        prev_avail, prev_cursor = state.available.copy(), state.cursor
         for _ in range(240):
             reveal_round(state, rng)
-            # masks only grow and never overlap
+            # the available set only grows, and the processed prefix never
+            # changes, so a lost point stays lost
             assert np.all(state.available[prev_avail])
-            assert np.all(state.lost[prev_lost])
-            assert not np.any(state.available & state.lost)
-            # conservation: processed prefix fully classified
-            assert state.n_available + state.n_lost == state.cursor
+            assert np.array_equal(state.available[:prev_cursor], prev_avail[:prev_cursor])
+            # conservation: nothing at or past the cursor is available
             assert not np.any(state.available[state.cursor :])
-            assert not np.any(state.lost[state.cursor :])
-            prev_avail = state.available.copy()
-            prev_lost = state.lost.copy()
+            prev_avail, prev_cursor = state.available.copy(), state.cursor
         assert state.cursor == n
 
     def test_past_end_is_noop(self):

@@ -123,6 +123,20 @@ class TestConfigErrors:
         assert capsys.readouterr().err.startswith("error:")
         assert not (tmp_path / "o").exists()
 
+    def test_config_that_is_not_an_object_is_an_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text("[1, 2]\n", encoding="utf-8")
+        code = main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "JSON object" in capsys.readouterr().err
+
+    def test_oversized_model_is_an_error(self, tmp_path, capsys):
+        config = write_config(tmp_path, hidden=10**11)
+        code = main(["run", "--config", str(config), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "hidden width 100000000000" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_unreadable_config_file_is_an_error(self, tmp_path, capsys):
         missing = tmp_path / "missing.json"
         code = main(["run", "--config", str(missing), "--out", str(tmp_path / "o")])
@@ -183,6 +197,8 @@ class TestGradcheckCommand:
             ("--eps", "-1e-5"),
             ("--eps", "nan"),
             ("--trials", "0"),
+            ("--steps", "0"),
+            ("--steps", "-1"),
             ("--tolerance", "0"),
             ("--tolerance", "-1"),
             ("--seed", "-1"),
@@ -193,6 +209,10 @@ class TestGradcheckCommand:
         captured = capsys.readouterr()
         assert flag in captured.err
         assert "PASS" not in captured.out
+
+    def test_oversized_model_is_an_error(self, capsys):
+        assert main(["gradcheck", "--hidden", str(10**11)]) == 2
+        assert "hidden width" in capsys.readouterr().err
 
 
 class TestPlotCommand:

@@ -118,6 +118,11 @@ class TestSerialization:
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict({"not_a_knob": 1})
 
+    @pytest.mark.parametrize("raw", [None, [], 3, "x"])
+    def test_non_object_rejected(self, raw):
+        with pytest.raises(ConfigError, match="JSON object"):
+            ExperimentConfig.from_dict(raw)
+
     def test_invalid_json_rejected(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{", encoding="utf-8")

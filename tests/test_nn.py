@@ -19,7 +19,7 @@ from fedsim.nn import (
     sgd_step,
 )
 from fedsim import nn
-from fedsim.nn import EVAL_BLOCK_ROWS, _run_lstm
+from fedsim.nn import EVAL_BLOCK_ROWS, _lstm_steps
 
 from oracles import (
     finite_difference_gradient,
@@ -162,7 +162,7 @@ class TestBlockedEval:
         nn.lstm_hidden(model, inputs)
         assert seen == blocks
         seen.clear()
-        _run_lstm(model, inputs, keep_cache=True)
+        backward(model, TrainBatch(inputs, np.zeros((n_rows, 2))))
         assert seen == [n_rows]
 
 
@@ -249,7 +249,7 @@ class TestGateEdgeCases:
         with np.errstate(all="raise"):
             preds, hidden = forward(model, batch)
             grads = backward(model, batch)
-            _, cache = _run_lstm(model, batch.inputs, keep_cache=True)
+            _, cache = _lstm_steps(model, batch.inputs, keep_cache=True)
         assert np.all(np.isfinite(preds)) and np.all(np.isfinite(hidden))
         assert np.all(np.isfinite(grads.values))
         H = dims.n_hidden
@@ -268,7 +268,7 @@ class TestGateEdgeCases:
         model = ParamSet(np.zeros(dims.total_size), dims)
         model.lstm_block[: 4 * H] = 1.0
         grid = np.linspace(-40.0, 40.0, 8001)
-        _, cache = _run_lstm(model, grid.reshape(-1, 1, 1), keep_cache=True)
+        _, cache = _lstm_steps(model, grid.reshape(-1, 1, 1), keep_cache=True)
         (_, a, gg, _, _), = cache
         expected = np.array([sigmoid_scalar(x) for x in grid])[:, None]
         for gate in (a[:, :H], a[:, H : 2 * H], a[:, 3 * H :]):

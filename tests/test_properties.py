@@ -1,6 +1,6 @@
 """Property tests over generated inputs: the parsers and top-k selection
-against the scalar oracles, the invariants of the streaming reveal, and
-aggregation as an order-free convex combination.
+against the scalar oracles, the invariants of the streaming reveal,
+aggregation as an order-free convex combination, and config loading.
 
 The examples come from the derandomized profile in conftest.py.
 """
@@ -13,7 +13,9 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st  # noqa: E402
 
 from fedsim.availability import RevealState, reveal_round  # noqa: E402
+from fedsim.config import ExperimentConfig  # noqa: E402
 from fedsim.data import Trajectory, parse_csv, parse_tdrive, write_csv  # noqa: E402
+from fedsim.errors import FedsimError  # noqa: E402
 from fedsim.experiment import aggregate  # noqa: E402
 from fedsim.nn import Dims, ParamSet  # noqa: E402
 from fedsim.ranking import RankEntry, select_top_k  # noqa: E402
@@ -95,17 +97,16 @@ def test_reveal_sets_only_grow_and_classify_the_processed_prefix(probs, slice_si
     state = RevealState(np.array(probs, dtype=float), slice_size)
     rng = np.random.default_rng(seed)
     while True:
-        cursor, available, lost = state.cursor, state.available.copy(), state.lost
+        cursor, available = state.cursor, state.available.copy()
         new = reveal_round(state, rng)
         assert state.cursor == min(cursor + slice_size, state.n_points)
         # the returned indices are exactly the points that just became available
         assert new.tolist() == np.flatnonzero(state.available & ~available).tolist()
-        # neither set shrinks, and they never overlap
-        assert np.all(state.available[available]) and np.all(state.lost[lost])
-        assert not np.any(state.available & state.lost)
-        # the processed prefix is fully classified and nothing past it is marked
-        assert state.n_available + state.n_lost == state.cursor
-        assert not np.any(state.available[state.cursor :] | state.lost[state.cursor :])
+        # the available set only grows, and the processed prefix never changes
+        assert np.all(state.available[available])
+        assert np.array_equal(state.available[:cursor], available[:cursor])
+        # nothing at or past the cursor is available
+        assert not np.any(state.available[state.cursor :])
         if state.cursor == cursor:  # past the end: a no-op
             assert new.size == 0
             break
@@ -175,3 +176,26 @@ def test_aggregate_ignores_the_order_of_its_models(models, data):
     order = data.draw(st.permutations(range(len(stack))))
     shuffled = _aggregate(stack[order], [weights[i] for i in order])
     assert np.all(np.abs(shuffled - _aggregate(stack, weights)) <= _rounding_slack(stack))
+
+
+# any JSON value; objects are keyed mostly by real config fields, so values
+# reach the per-field validation and not only the unknown-key check
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12,
+)
+CONFIG_OBJECTS = st.dictionaries(
+    st.sampled_from(sorted(ExperimentConfig.__dataclass_fields__)) | st.text(max_size=8),
+    JSON_VALUES,
+    max_size=6,
+)
+
+
+@given(JSON_VALUES | CONFIG_OBJECTS)
+def test_config_from_dict_raises_only_fedsim_errors(raw):
+    try:
+        ExperimentConfig.from_dict(raw)
+    except FedsimError:
+        pass

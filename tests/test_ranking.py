@@ -14,7 +14,6 @@ from fedsim.ranking import (
     solve_quadratic,
     straggler_boost,
     weight_early,
-    weight_late,
 )
 
 from oracles import brute_force_top_k
@@ -76,20 +75,8 @@ class TestWeightEarly:
         b = solve_quadratic(2.0, m_t)
         early = [weight_early(p, *b) for p in range(1, m_t + 1)]
         assert int(np.argmax(early)) + 1 == 1
-        late = [weight_late(p, m_t) for p in range(1, m_t + 1)]
+        late = [combined_weight(p, m_t, 1.0, m_t, 1.0) for p in range(1, m_t + 1)]
         assert int(np.argmax(late)) + 1 == m_t
-
-
-class TestWeightLate:
-    def test_top_position_gives_one(self):
-        assert weight_late(10, 10) == 1.0
-
-    def test_bottom_position(self):
-        assert weight_late(1, 10) == pytest.approx(0.1)
-
-    def test_strictly_increasing(self):
-        values = [weight_late(p, 30) for p in range(1, 31)]
-        assert all(a < b for a, b in zip(values, values[1:]))
 
 
 class TestRankPositions:
@@ -118,6 +105,18 @@ class TestCombinedWeight:
         # alpha=0.5, positions 10 and 10, m_t=10 -> 100/100 = 1
         assert combined_weight(10, 10, 0.5, 10, 1.0) == pytest.approx(1.0)
 
+    # with the participation position at m_t, the late phase is the linear
+    # ramp P / m_t on its own
+    def test_late_top_position_gives_one(self):
+        assert combined_weight(10, 10, 1.0, 10, 1.0) == 1.0
+
+    def test_late_bottom_position(self):
+        assert combined_weight(1, 10, 0.5, 10, 1.0) == pytest.approx(0.1)
+
+    def test_late_strictly_increasing(self):
+        values = [combined_weight(p, 30, 0.5, 30, 1.0) for p in range(1, 31)]
+        assert all(a < b for a, b in zip(values, values[1:]))
+
     def test_linear_in_beta(self):
         w1 = combined_weight(3, 5, 2.0, 10, 1.0)
         w2 = combined_weight(3, 5, 2.0, 10, 2.0)
@@ -129,7 +128,6 @@ class TestStragglerBoost:
         entries = [entry(0, weight=1.0, n_updates=4), entry(1, weight=2.0, n_updates=4)]
         straggler_boost(entries, gamma=1.5)
         assert [e.weight for e in entries] == [1.0, 2.0]
-        assert not any(e.boosted for e in entries)
 
     def test_below_mean_boosted(self):
         entries = [entry(0, weight=1.0, n_updates=0), entry(1, weight=1.0, n_updates=10)]
@@ -210,14 +208,15 @@ class TestBuildRankEntries:
             entry(1, divergence=0.5, part=0.5, n_updates=5),
             entry(2, divergence=0.1, part=0.9, n_updates=9),
         ]
-        build_rank_entries(participants, comp, m_t=3)
+        build_rank_entries(participants, comp)
         assert [e.pos_divergence for e in participants] == [1, 2, 3]
         assert [e.pos_participation for e in participants] == [3, 2, 1]
-        # client 0: quadratic(1) * 3/3 * 1, then straggler boost 1.2
+        # client 0: quadratic(1) * 3/3 * 1, then straggler boost 1.2;
+        # client 2 updated above the mean and keeps its weight
         b = solve_quadratic(2.0, 3)
         expected0 = weight_early(1, *b) * 3 / 3 * 1.0 * 1.2
         assert participants[0].weight == pytest.approx(expected0)
-        assert participants[0].boosted and not participants[2].boosted
+        assert participants[2].weight == combined_weight(3, 1, 2.0, 3, 1.0)
 
     def test_positions_are_one_based_and_bounded(self):
         comp = CompensatorState(alpha=1.5, delta_alpha=0.0, delta_beta=0.0, gamma=1.0)
@@ -226,7 +225,7 @@ class TestBuildRankEntries:
             entry(cid, divergence=float(rng.uniform()), part=float(rng.uniform()))
             for cid in range(17)
         ]
-        build_rank_entries(participants, comp, m_t=17)
+        build_rank_entries(participants, comp)
         for e in participants:
             assert 1 <= e.pos_divergence <= 17
             assert 1 <= e.pos_participation <= 17
