@@ -44,6 +44,8 @@ def _cmd_run(args) -> int:
         f"{config.variant}: {len(result.logs)} rounds, "
         f"final RMSE {result.final_rmse():.6f}, best {best_text}"
     )
+    if config.dataset != "synthetic":
+        print(f"{config.data_path}: {result.rejected_rows} rows rejected")
     print(f"wrote {paths['rounds']}, {paths['summary']}, {paths['curves']}")
     return 0
 
@@ -68,20 +70,20 @@ def _cmd_gradcheck(args) -> int:
     worst = 0.0
     for trial in range(args.trials):
         model = init_params(dims, rng)
-        target = init_params(dims, rng) if trial % 2 else None
+        target = init_params(dims, rng).fc_block if trial % 2 else None
         batch = TrainBatch(
             rng.normal(size=(args.batch, args.steps, dims.n_in)),
             rng.normal(size=(args.batch, dims.n_out)),
         )
-        analytic = backward(model, batch, bias_target=target).values
+        analytic = backward(model, batch, kl_anchor=target).values
         flat = model.values
         numeric = np.zeros_like(flat)
         for k in range(flat.size):
             bumped = flat.copy()
             bumped[k] += args.eps
-            hi = batch_objective(ParamSet(bumped, dims), batch, bias_target=target)
+            hi = batch_objective(ParamSet(bumped, dims), batch, kl_anchor=target)
             bumped[k] -= 2 * args.eps
-            lo = batch_objective(ParamSet(bumped, dims), batch, bias_target=target)
+            lo = batch_objective(ParamSet(bumped, dims), batch, kl_anchor=target)
             numeric[k] = (hi - lo) / (2 * args.eps)
         denom = np.maximum(1.0, np.maximum(np.abs(analytic), np.abs(numeric)))
         worst = max(worst, float(np.max(np.abs(analytic - numeric) / denom)))
@@ -163,6 +165,11 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except FedsimError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        # an output path that cannot be created or written
+        where = f"{exc.filename}: " if exc.filename else ""
+        print(f"error: {where}{exc.strerror or exc}", file=sys.stderr)
         return 2
 
 

@@ -2,8 +2,8 @@
 
 Offline clients trade only head blocks with geographic neighbors. Each client
 computes its sequence embedding once, scores every candidate head (its own
-included) on a sampled batch of local data, and caches the winner as the
-anchor for subsequent local updates.
+included) on a sampled batch of local data, and caches the winning head as
+the KL anchor of its subsequent local updates.
 """
 
 from __future__ import annotations
@@ -13,14 +13,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .nn import ParamSet, _fc_views, fc_inject, lstm_hidden
+from .nn import ParamSet, _fc_views, lstm_hidden
 
 
 @dataclass
 class CollabCache:
-    """Best collaborative model found in the latest peer exchange."""
+    """Best head found in the latest peer exchange, and where it came from."""
 
-    model: ParamSet
+    head: np.ndarray
     source_id: int
     loss: float
 
@@ -58,9 +58,7 @@ def evaluate_candidates(
     for k in range(1, len(losses)):
         if losses[k] < losses[best]:
             best = k
-    return CollabCache(
-        model=fc_inject(own_model, heads[best]), source_id=sources[best], loss=losses[best]
-    )
+    return CollabCache(head=heads[best], source_id=sources[best], loss=losses[best])
 
 
 def head_payload_values(n_neighbors: int, dims) -> int:

@@ -83,12 +83,11 @@ def charge_upload(state: LinkState) -> LinkState:
     return state
 
 
-def build_neighbor_graph(
-    positions: dict[int, np.ndarray], chi: int
-) -> dict[int, list[tuple[int, float]]]:
-    """For every client, its chi nearest other clients by Euclidean distance.
+def build_neighbor_graph(positions: dict[int, np.ndarray], chi: int) -> dict[int, list[int]]:
+    """For every client, the ids of its chi nearest other clients, nearest first.
 
-    Ties break toward the lower client id. Needs at least two clients.
+    Distance is Euclidean, and ties break toward the lower client id. Needs at
+    least two clients.
     """
     if chi < 1:
         raise ConfigError(f"chi must be >= 1, got {chi}")
@@ -98,7 +97,7 @@ def build_neighbor_graph(
         raise ConfigError("neighbor graph needs at least two clients")
     pts = np.array([positions[cid] for cid in ids], dtype=float)
     k = min(chi, n - 1)
-    graph: dict[int, list[tuple[int, float]]] = {}
+    graph: dict[int, list[int]] = {}
     n_rows = max(1, NEIGHBOR_BLOCK_ENTRIES // n)
     for start in range(0, n, n_rows):
         rows = np.arange(start, min(start + n_rows, n))
@@ -106,7 +105,6 @@ def build_neighbor_graph(
         # ids are sorted, so the stable sort sends distance ties to the lower id
         order = np.argsort(dists, axis=1, kind="stable")
         order = order[order != rows[:, None]].reshape(rows.size, n - 1)[:, :k]
-        nearest = np.take_along_axis(dists, order, axis=1)
-        for i, row_ids, row_dists in zip(rows.tolist(), order.tolist(), nearest.tolist()):
-            graph[ids[i]] = [(ids[j], dist) for j, dist in zip(row_ids, row_dists)]
+        for i, row in zip(rows.tolist(), order.tolist()):
+            graph[ids[i]] = [ids[j] for j in row]
     return graph

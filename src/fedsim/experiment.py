@@ -59,7 +59,6 @@ from .training import evaluate_rmse, train_local
 class ClientRuntime:
     """Everything one simulated client owns during a run."""
 
-    client_id: int
     n_points: int                     # raw dataset size (all segments)
     train_inputs: np.ndarray          # (m_train, S, 2) normalized
     train_targets: np.ndarray         # (m_train, 2)
@@ -79,9 +78,6 @@ class ClientRuntime:
 
     def usable_window_indices(self) -> np.ndarray:
         """Training windows whose points have all been revealed."""
-        m = self.window_starts.size
-        if m == 0:
-            return np.zeros(0, dtype=int)
         span = self.train_inputs.shape[1] + 1
         csum = np.concatenate([[0], np.cumsum(self.reveal.available)])
         counts = csum[self.window_starts + span] - csum[self.window_starts]
@@ -120,6 +116,7 @@ class ExperimentResult:
     config: ExperimentConfig
     logs: list[RoundLog]
     global_model: ParamSet | None
+    rejected_rows: int = 0  # dataset rows the parser dropped
 
     def final_rmse(self) -> float:
         return self.logs[-1].rmse_global
@@ -163,17 +160,16 @@ def aggregate(models: list[ParamSet], weights: list[float] | None = None) -> Par
 
 
 def load_trajectories(config: ExperimentConfig):
+    """The configured trajectories, and how many dataset rows the parser dropped."""
     if config.dataset == "synthetic":
         return synth_trajectories(
             config.seed, config.synth_vehicles, config.synth_points_each, config.synth_kind
-        )
-    if config.dataset == "csv":
-        trajectories, _ = parse_csv(config.data_path)
-    else:
-        trajectories, _ = parse_tdrive(config.data_path)
+        ), 0
+    parse = parse_csv if config.dataset == "csv" else parse_tdrive
+    trajectories, rejected = parse(config.data_path)
     if not trajectories:
         raise ConfigError(f"no trajectories parsed from {config.data_path}")
-    return trajectories
+    return trajectories, rejected
 
 
 def _client_plan(
@@ -231,9 +227,10 @@ def _window_runs(runs: list[np.ndarray], bbox: BBox, seq_len: int):
 
 
 def prepare_clients(config: ExperimentConfig):
-    """Build per-client runtimes, the frozen bbox, and the global holdout."""
+    """Build per-client runtimes, the frozen bbox, the global holdout, the
+    selection RNG and the count of dataset rows the parser dropped."""
     dims = Dims(config.n_in, config.hidden, config.n_out)
-    trajectories = load_trajectories(config)
+    trajectories, rejected = load_trajectories(config)
     if config.partition == "equal":
         datasets = partition_equal(trajectories, config.n_clients, config.points_per_client)
     else:
@@ -293,7 +290,6 @@ def prepare_clients(config: ExperimentConfig):
             centroid = np.array([0.5, 0.5])
 
         clients[ds.client_id] = ClientRuntime(
-            client_id=ds.client_id,
             n_points=ds.n_points,
             train_inputs=train_inputs,
             train_targets=train_targets,
@@ -315,7 +311,8 @@ def prepare_clients(config: ExperimentConfig):
     global_hold_targets = np.concatenate(hold_targets_all)
     if global_hold_inputs.shape[0] == 0:
         raise ConfigError("holdout is empty; clients have too few windows")
-    return clients, global_model, bbox, (global_hold_inputs, global_hold_targets), rng_select
+    holdout = (global_hold_inputs, global_hold_targets)
+    return clients, global_model, bbox, holdout, rng_select, rejected
 
 
 def _reveal_all(clients: dict[int, ClientRuntime]) -> None:
@@ -337,7 +334,7 @@ def _train_client(
     client: ClientRuntime,
     usable: np.ndarray,
     eta: float,
-    kl_anchor: ParamSet | None = None,
+    kl_anchor: np.ndarray | None = None,
     prox_mu: float = 0.0,
 ) -> ParamSet:
     """Local SGD of the client's model over its usable training windows."""
@@ -373,8 +370,8 @@ def _decentralized_round(
         client = clients[u]
         usable = client.usable_window_indices()
         if usable.size:
-            # pulled toward the cached collaborative model once one exists
-            anchor = client.cache.model if client.cache is not None else None
+            # pulled toward the cached peer head once one exists
+            anchor = client.cache.head if client.cache is not None else None
             try:
                 client.model = _train_client(config, client, usable, eta, kl_anchor=anchor)
             except NumericError:
@@ -388,7 +385,7 @@ def _decentralized_round(
             # nothing to score candidates on: skip the exchange entirely
             log.events.append(f"peer_eval_skipped:{u}")
             continue
-        neighbors = [(nid, heads[nid]) for nid, _ in graph[u]]
+        neighbors = [(nid, heads[nid]) for nid in graph[u]]
         log.payloads[u] = head_payload_values(len(neighbors), dims)
         client.cache = evaluate_candidates(client.model, u, neighbors, batch[0], batch[1])
         log.collab_sources[u] = client.cache.source_id
@@ -481,7 +478,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     its round RMSE is the mean per-client holdout error and it has no global
     model.
     """
-    clients, global_model, bbox, holdout, rng_select = prepare_clients(config)
+    clients, global_model, bbox, holdout, rng_select, rejected = prepare_clients(config)
     isolated = config.variant == "local_only"
     if isolated:
         for client in clients.values():
@@ -530,9 +527,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             if isolated or cid in recovered_set:
                 log.provenance[cid] = "local"
                 # a client resuming its own model is pulled toward its cached
-                # peer model; one that got the global push is not
+                # peer head; one that got the global push is not
                 if client.cache is not None:
-                    kl_anchor = client.cache.model
+                    kl_anchor = client.cache.head
             else:
                 client.model = global_model.copy()
                 log.provenance[cid] = "global"
@@ -578,4 +575,4 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         if aborted:
             break
 
-    return ExperimentResult(config=config, logs=logs, global_model=global_model)
+    return ExperimentResult(config, logs, global_model, rejected)

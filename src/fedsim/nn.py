@@ -36,8 +36,11 @@ the same row inside a larger GEMM. Each block's final hidden state is written
 into one B x H result, and the head GEMM then runs once over all B rows. The
 head GEMM is not blocked because it is narrow (H x O, O = 2 for lat/lon), and
 a narrow GEMM may round a row differently when its row count changes. With
-these rules the blocked pass is bit-identical to a single pass. Training
-(``backward``) runs its batch, at most ``batch_size`` rows, as one block.
+these rules the blocked pass is bit-identical to a single pass at even hidden
+widths. At odd widths of 15 and more it is not: there the gate GEMM ``z @ w``
+rounds a row differently as its row count changes (at H=21, from two rows
+upward, under OpenBLAS's SkylakeX kernel). Training (``backward``) runs its
+batch, at most ``batch_size`` rows, as one block.
 """
 
 from __future__ import annotations
@@ -301,20 +304,21 @@ def _fc_kl_gradient(fc: np.ndarray, target_fc: np.ndarray) -> np.ndarray:
 def backward(
     model: ParamSet,
     batch: TrainBatch,
-    bias_target: ParamSet | None = None,
+    kl_anchor: np.ndarray | None = None,
 ) -> ParamSet:
     """Gradients of the batch objective with respect to every parameter.
 
-    The objective is the mean squared error of the predictions; when
-    ``bias_target`` is given, the KL divergence between the head-block
-    distributions of ``model`` and ``bias_target`` is added, pulling the head
-    toward the target's.
+    The objective is the mean squared error of the predictions; when the head
+    block ``kl_anchor`` is given, the KL divergence between the head-block
+    distributions of ``model`` and the anchor is added, pulling the head
+    toward the anchor.
     """
     _check_batch(model, batch)
     d = model.dims
     I, H = d.n_in, d.n_hidden
-    if bias_target is not None and bias_target.dims != d:
-        raise ConfigError(f"bias target dims {bias_target.dims} != model dims {d}")
+    # a whole ParamSet has np.shape () and is rejected, not read as a head
+    if kl_anchor is not None and np.shape(kl_anchor) != (d.fc_size,):
+        raise ConfigError(f"KL anchor has shape {np.shape(kl_anchor)}, expected ({d.fc_size},)")
 
     hidden, cache = _lstm_steps(model, batch.inputs, keep_cache=True)
     preds = apply_fc(model.fc_block, hidden, d)
@@ -349,8 +353,8 @@ def backward(
             d_c_carry = d_c * a[:, H : 2 * H]
             d_h = d_a @ w_h_t
 
-    if bias_target is not None:
-        grads.fc_block[:] += _fc_kl_gradient(model.fc_block, bias_target.fc_block)
+    if kl_anchor is not None:
+        grads.fc_block[:] += _fc_kl_gradient(model.fc_block, kl_anchor)
 
     if not np.all(np.isfinite(grads.values)):
         raise NumericError("non-finite gradient")
@@ -360,15 +364,14 @@ def backward(
 def batch_objective(
     model: ParamSet,
     batch: TrainBatch,
-    bias_target: ParamSet | None = None,
+    kl_anchor: np.ndarray | None = None,
 ) -> float:
     """Scalar value of the objective differentiated by :func:`backward`."""
     preds, _ = forward(model, batch)
     loss = mse_loss(preds, batch.targets)
-    if bias_target is not None:
+    if kl_anchor is not None:
         loss += kl_divergence(
-            param_distribution(model.fc_block),
-            param_distribution(bias_target.fc_block),
+            param_distribution(model.fc_block), param_distribution(kl_anchor)
         )
     return loss
 
@@ -380,15 +383,3 @@ def sgd_step(model: ParamSet, grads: ParamSet, eta: float) -> ParamSet:
     if grads.dims != model.dims:
         raise ConfigError(f"gradient dims {grads.dims} != model dims {model.dims}")
     return ParamSet(model.values - eta * grads.values, model.dims)
-
-
-def fc_inject(model: ParamSet, fc_block: np.ndarray) -> ParamSet:
-    """New model with the head replaced; the recurrent block is untouched."""
-    fc_block = np.asarray(fc_block, dtype=float)
-    if fc_block.shape != (model.dims.fc_size,):
-        raise ConfigError(
-            f"fc block has {fc_block.size} entries, expected {model.dims.fc_size}"
-        )
-    new = model.copy()
-    new.fc_block[:] = fc_block
-    return new

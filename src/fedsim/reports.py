@@ -42,38 +42,50 @@ def _parse_ids(raw: str) -> list[int]:
     return [int(part) for part in raw.split("|")] if raw else []
 
 
+# The rounds.csv schema, one table per record in file order: key -> (field,
+# format, parse). Round keys hold RoundLog fields, client keys its per-client
+# dicts and rank keys RankEntry fields. rows_for_log and read_rounds_csv both
+# walk these tables.
+_SCHEMA = {
+    "round": {
+        "eta": ("eta", _fmt, float),
+        "online": ("online", _ids, _parse_ids), "recovered": ("recovered", _ids, _parse_ids),
+        "offline": ("offline", _ids, _parse_ids), "selected": ("selected", _ids, _parse_ids),
+        "decentralized": ("decentralized", _fmt, lambda raw: raw == "1"),
+        "rmse_global": ("rmse_global", _fmt, float), "alpha": ("alpha", _fmt, float),
+        "events": ("events", ";".join, lambda raw: raw.split(";") if raw else []),
+    },
+    "client": {
+        "init": ("provenance", _fmt, str), "rmse": ("client_rmse", _fmt, float),
+        "payload_values": ("payloads", _fmt, int),
+        "collab_source": ("collab_sources", _fmt, int),
+    },
+    "rank": {
+        "L": ("divergence", _fmt, float), "A": ("participation", _fmt, float),
+        "n": ("n_updates", _fmt, int),
+        "P_L": ("pos_divergence", _fmt, int), "P_A": ("pos_participation", _fmt, int),
+        "R": ("weight", _fmt, float),
+    },
+}
+
+
 def rows_for_log(log: RoundLog) -> list[list[str]]:
     """Flatten one round into CSV rows in a deterministic order."""
     t = str(log.t)
-    rows = [
-        [t, "round", "", "eta", _fmt(log.eta)],
-        [t, "round", "", "online", _ids(log.online)],
-        [t, "round", "", "recovered", _ids(log.recovered)],
-        [t, "round", "", "offline", _ids(log.offline)],
-        [t, "round", "", "selected", _ids(log.selected)],
-        [t, "round", "", "decentralized", _fmt(log.decentralized)],
-        [t, "round", "", "rmse_global", _fmt(log.rmse_global)],
-    ]
-    if log.alpha is not None:
-        rows.append([t, "round", "", "alpha", _fmt(log.alpha)])
-    rows.append([t, "round", "", "events", ";".join(log.events)])
-    for cid in sorted(log.provenance):
-        rows.append([t, "client", str(cid), "init", log.provenance[cid]])
-    for cid in sorted(log.client_rmse):
-        rows.append([t, "client", str(cid), "rmse", _fmt(log.client_rmse[cid])])
-    for cid in sorted(log.payloads):
-        rows.append([t, "client", str(cid), "payload_values", str(log.payloads[cid])])
-    for cid in sorted(log.collab_sources):
-        rows.append([t, "client", str(cid), "collab_source", str(log.collab_sources[cid])])
+    rows = []
+    for key, (name, fmt, _) in _SCHEMA["round"].items():
+        value = getattr(log, name)
+        if value is not None:  # alpha is None in unranked rounds
+            rows.append([t, "round", "", key, fmt(value)])
+    for key, (name, fmt, _) in _SCHEMA["client"].items():
+        per_client = getattr(log, name)
+        for cid in sorted(per_client):
+            rows.append([t, "client", str(cid), key, fmt(per_client[cid])])
     for entry in sorted(log.entries, key=lambda e: e.client_id):
-        cid = str(entry.client_id)
-        rows.append([t, "rank", cid, "L", _fmt(entry.divergence)])
-        rows.append([t, "rank", cid, "A", _fmt(entry.participation)])
-        rows.append([t, "rank", cid, "n", str(entry.n_updates)])
-        if log.ranked:
-            rows.append([t, "rank", cid, "P_L", str(entry.pos_divergence)])
-            rows.append([t, "rank", cid, "P_A", str(entry.pos_participation)])
-            rows.append([t, "rank", cid, "R", _fmt(entry.weight)])
+        for key, (name, fmt, _) in _SCHEMA["rank"].items():
+            if key == "P_L" and not log.ranked:
+                break  # positions and weights come only from ranked rounds
+            rows.append([t, "rank", str(entry.client_id), key, fmt(getattr(entry, name))])
     return rows
 
 
@@ -110,37 +122,14 @@ def read_rounds_csv(path: str | Path) -> list[RoundLog]:
     return [logs[t] for t in sorted(logs)]
 
 
-# key -> (field, parser) of each record type, the inverse of rows_for_log:
-# round keys set RoundLog fields, client keys fill its per-client dicts, and
-# rank keys set RankEntry fields
-_READERS = {
-    "round": {
-        "eta": ("eta", float), "rmse_global": ("rmse_global", float), "alpha": ("alpha", float),
-        "online": ("online", _parse_ids), "recovered": ("recovered", _parse_ids),
-        "offline": ("offline", _parse_ids), "selected": ("selected", _parse_ids),
-        "decentralized": ("decentralized", lambda raw: raw == "1"),
-        "events": ("events", lambda raw: raw.split(";") if raw else []),
-    },
-    "client": {
-        "init": ("provenance", str), "rmse": ("client_rmse", float),
-        "payload_values": ("payloads", int), "collab_source": ("collab_sources", int),
-    },
-    "rank": {
-        "L": ("divergence", float), "A": ("participation", float), "n": ("n_updates", int),
-        "P_L": ("pos_divergence", int), "P_A": ("pos_participation", int),
-        "R": ("weight", float),
-    },
-}
-
-
 def _read_row(logs, entries, t_raw, record, client, key, value) -> None:
     t = int(t_raw)
     log = logs.setdefault(t, RoundLog(t=t, eta=0.0, online=[], recovered=[], offline=[]))
-    if record not in _READERS:
+    if record not in _SCHEMA:
         raise ValueError(f"unknown record {record!r}")
-    if key not in _READERS[record]:
+    if key not in _SCHEMA[record]:
         raise ValueError(f"unknown {record} key {key!r}")
-    name, parse = _READERS[record][key]
+    name, _, parse = _SCHEMA[record][key]
     if record == "round":
         setattr(log, name, parse(value))
     elif record == "client":

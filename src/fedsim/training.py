@@ -26,14 +26,15 @@ def train_local(
     eta: float,
     batch_size: int,
     rng: np.random.Generator,
-    kl_anchor: ParamSet | None = None,
+    kl_anchor: np.ndarray | None = None,
     prox_mu: float = 0.0,
 ) -> ParamSet:
     """Run `epochs` passes of minibatch SGD and return the updated model.
 
-    kl_anchor adds the head-distribution divergence penalty to every batch
-    objective; prox_mu adds the proximal pull (mu/2)*||w - w0||^2 toward the
-    starting model w0. With zero epochs or zero windows the model is returned unchanged.
+    kl_anchor, a head block, adds the head-distribution divergence penalty to
+    every batch objective; prox_mu adds the proximal pull (mu/2)*||w - w0||^2
+    toward the starting model w0. With zero epochs or zero windows the model is
+    returned unchanged.
     """
     if epochs < 0:
         raise ConfigError(f"epochs must be >= 0, got {epochs}")
@@ -47,7 +48,7 @@ def train_local(
     for _ in range(epochs):
         for idx in iterate_batches(n, batch_size, rng):
             batch = TrainBatch(inputs[idx], targets[idx])
-            grads = backward(current, batch, bias_target=kl_anchor)
+            grads = backward(current, batch, kl_anchor=kl_anchor)
             if prox_mu > 0:
                 grads = ParamSet(
                     grads.values + prox_mu * (current.values - prox_ref.values), grads.dims

@@ -106,14 +106,14 @@ def markov_online_fraction(p_offline, p_recover):
 
 
 def brute_force_neighbors(positions, chi):
-    """Every client's chi nearest others, from one sorted (distance, id) list each."""
+    """Ids of every client's chi nearest others, from one sorted (distance, id) list each."""
     ids = sorted(positions)
     pts = np.array([positions[cid] for cid in ids], dtype=float)
     graph = {}
     for i, cid in enumerate(ids):
         dists = np.linalg.norm(pts - pts[i], axis=1)
         order = sorted((float(dists[j]), ids[j]) for j in range(len(ids)) if j != i)
-        graph[cid] = [(nid, dist) for dist, nid in order[:chi]]
+        graph[cid] = [nid for _, nid in order[:chi]]
     return graph
 
 

@@ -113,14 +113,14 @@ def test_criterion_1_gradient_correctness():
     worst = 0.0
     for trial in range(20):
         model = init_params(dims, rng)
-        target = init_params(dims, rng) if trial % 2 else None
+        target = init_params(dims, rng).fc_block if trial % 2 else None
         batch = TrainBatch(
             rng.normal(size=(4, 4, dims.n_in)), rng.normal(size=(4, dims.n_out))
         )
-        analytic = backward(model, batch, bias_target=target).values
+        analytic = backward(model, batch, kl_anchor=target).values
 
         def loss_at(vec, batch=batch, target=target):
-            return batch_objective(ParamSet(vec, dims), batch, bias_target=target)
+            return batch_objective(ParamSet(vec, dims), batch, kl_anchor=target)
 
         numeric = finite_difference_gradient(loss_at, model.values, eps=1e-5)
         worst = max(worst, gradcheck_relative_error(analytic, numeric))

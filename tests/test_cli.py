@@ -4,7 +4,7 @@ import pytest
 
 from fedsim.cli import main
 from fedsim.config import ExperimentConfig
-from fedsim.data import parse_csv
+from fedsim.data import parse_csv, synth_trajectories, write_csv
 
 
 def write_config(tmp_path, **overrides):
@@ -89,6 +89,25 @@ class TestRunCommand:
         assert "best n/a" in capsys.readouterr().out
         summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
         assert summary["best_rmse"] is None
+
+    def test_rows_the_parser_rejected_are_reported(self, tmp_path, capsys):
+        data = tmp_path / "fleet.csv"
+        write_csv(data, synth_trajectories(3, 4, 80, "sinusoid"))
+        with data.open("a", encoding="utf-8") as fh:
+            fh.writelines(f"v{i},{5000 + i},95.0,120.0\n" for i in range(5))
+        config = write_config(tmp_path, dataset="csv", data_path=str(data), rounds=1)
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+        assert f"{data}: 5 rows rejected" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("sub", ["", "sub"])
+    def test_output_path_under_a_file_is_an_error(self, tmp_path, capsys, sub):
+        # --out names an existing file, or a directory inside one
+        blocker = tmp_path / "taken"
+        blocker.write_text("", encoding="utf-8")
+        out = blocker / sub if sub else blocker
+        config = write_config(tmp_path, rounds=1)
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {out}: ")
 
     def test_invalid_config_returns_error_code(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -228,6 +247,13 @@ class TestPlotCommand:
         svg = out.read_text(encoding="utf-8")
         assert svg.count("<polyline") == 2
 
+    def test_plot_into_a_missing_directory_is_an_error(self, tmp_path, capsys):
+        config = write_config(tmp_path, rounds=1)
+        main(["run", "--config", str(config), "--out", str(tmp_path / "run")])
+        out = tmp_path / "missing" / "curves.svg"
+        assert main(["plot", "--in", str(tmp_path / "run"), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {out}: ")
+
     def test_plot_missing_dir_fails(self, tmp_path, capsys):
         assert main(["plot", "--in", str(tmp_path / "nothing")]) == 1
 
@@ -311,6 +337,13 @@ class TestSynthCommand:
         assert code == 0
         trajectories, rejected = parse_csv(out)
         assert rejected == 0 and len(trajectories) == 2
+
+    def test_output_under_a_file_is_an_error(self, tmp_path, capsys):
+        blocker = tmp_path / "taken"
+        blocker.write_text("", encoding="utf-8")
+        code = main(["synth", "--kind", "sinusoid", "--out", str(blocker / "x.csv")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {blocker}: ")
 
     def test_negative_seed_is_an_error(self, tmp_path, capsys):
         out = tmp_path / "synthetic.csv"

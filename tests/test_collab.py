@@ -5,8 +5,8 @@ from fedsim.collab import evaluate_candidates, head_payload_values
 from fedsim.errors import ConfigError
 from fedsim.nn import (
     Dims,
+    ParamSet,
     TrainBatch,
-    fc_inject,
     forward,
     init_params,
     kl_divergence,
@@ -21,6 +21,10 @@ from oracles import best_head_by_loop
 
 def make_model(dims, seed):
     return init_params(dims, np.random.default_rng(seed))
+
+
+def with_head(model, head):
+    return ParamSet(np.concatenate([model.lstm_block, head]), model.dims)
 
 
 def holdout_mse(model, inputs, targets):
@@ -39,7 +43,7 @@ class TestEvaluateCandidates:
         inputs, targets = make_eval_data(dims, 6, 1)
         cache = evaluate_candidates(model, own_id=3, neighbor_heads=[], eval_inputs=inputs, eval_targets=targets)
         assert cache.source_id == 3
-        assert np.array_equal(cache.model.values, model.values)
+        assert np.array_equal(cache.head, model.fc_block)
 
     def test_identical_neighbor_head_ties_to_own(self):
         dims = Dims(2, 5, 2)
@@ -74,11 +78,12 @@ class TestEvaluateCandidates:
         heads = [(nid, make_model(dims, 100 + nid).fc_block.copy()) for nid in range(5)]
         cache = evaluate_candidates(own, own_id=9, neighbor_heads=heads, eval_inputs=inputs, eval_targets=targets)
         candidate_losses = [holdout_mse(own, inputs, targets)] + [
-            holdout_mse(fc_inject(own, head), inputs, targets) for _, head in heads
+            holdout_mse(with_head(own, head), inputs, targets) for _, head in heads
         ]
         assert cache.loss <= min(candidate_losses) + 1e-15
 
     def test_lstm_block_of_winner_is_local(self):
+        # the cache holds a head only: the recurrent block stays the client's
         dims = Dims(2, 4, 2)
         own = make_model(dims, 8)
         other = make_model(dims, 9)
@@ -86,7 +91,8 @@ class TestEvaluateCandidates:
         cache = evaluate_candidates(
             own, own_id=0, neighbor_heads=[(1, other.fc_block.copy())], eval_inputs=inputs, eval_targets=targets
         )
-        assert np.array_equal(cache.model.lstm_block, own.lstm_block)
+        winner = {0: own.fc_block, 1: other.fc_block}[cache.source_id]
+        assert cache.head.shape == (dims.fc_size,) and np.array_equal(cache.head, winner)
 
     def test_candidate_evaluation_never_mutates_neighbor_state(self):
         dims = Dims(2, 4, 2)
@@ -98,7 +104,7 @@ class TestEvaluateCandidates:
             own, own_id=0, neighbor_heads=[(1, neighbor_head)],
             eval_inputs=inputs, eval_targets=targets,
         )
-        cache.model.fc_block[:] = -1.0
+        cache.head[:] = -1.0
         assert np.array_equal(neighbor_head, snapshot)
 
 
@@ -115,7 +121,7 @@ class TestStackedScoringOracle:
         )
         assert (cache.source_id, cache.loss) == expected
         winner = dict([(own_id, own.fc_block)] + list(neighbor_heads))[cache.source_id]
-        assert np.array_equal(cache.model.values, fc_inject(own, winner).values)
+        assert np.array_equal(cache.head, winner)
         return cache
 
     def test_random_heads_batches_and_sizes(self):
@@ -135,7 +141,7 @@ class TestStackedScoringOracle:
         own = make_model(dims, 62)
         inputs, _ = make_eval_data(dims, 5, 64)
         # targets the neighbors' head predicts exactly, so it beats the own head
-        better = fc_inject(own, make_model(dims, 63).fc_block)
+        better = with_head(own, make_model(dims, 63).fc_block)
         targets, _ = forward(better, TrainBatch(inputs, np.zeros((5, dims.n_out))))
         tied = self.check(own, 4, [(9, own.fc_block.copy()), (2, own.fc_block.copy())], inputs, targets)
         assert tied.source_id == 4
@@ -176,7 +182,7 @@ class TestCollaborativeLocalUpdate:
         inputs, targets = make_eval_data(dims, 12, 12)
         with_anchor = train_local(
             model, inputs, targets, epochs=1, eta=0.01, batch_size=12,
-            rng=np.random.default_rng(13), kl_anchor=model.copy(),
+            rng=np.random.default_rng(13), kl_anchor=model.fc_block.copy(),
         )
         plain = train_local(
             model, inputs, targets, epochs=1, eta=0.01, batch_size=12,
@@ -202,7 +208,7 @@ class TestCollaborativeLocalUpdate:
         before = head_divergence(model)
         updated = train_local(
             model, inputs, preds, epochs=1, eta=0.005, batch_size=8,
-            rng=np.random.default_rng(17), kl_anchor=anchor,
+            rng=np.random.default_rng(17), kl_anchor=anchor.fc_block,
         )
         assert head_divergence(updated) < before
 

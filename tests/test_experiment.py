@@ -476,7 +476,7 @@ class TestLocalOnly:
 class TestPrepareClients:
     def test_holdout_and_training_windows_are_disjoint(self):
         cfg = small_config()
-        clients, _, _, (hold_in, hold_tg), _ = prepare_clients(cfg)
+        clients, _, _, (hold_in, hold_tg), _, _ = prepare_clients(cfg)
         assert hold_in.shape[0] == sum(c.hold_inputs.shape[0] for c in clients.values())
         for client in clients.values():
             m = client.train_inputs.shape[0]
@@ -489,7 +489,7 @@ class TestPrepareClients:
 
     def test_holdout_fraction_honored(self):
         cfg = small_config(holdout_fraction=0.25)
-        clients, _, _, _, _ = prepare_clients(cfg)
+        clients, _, _, _, _, _ = prepare_clients(cfg)
         for client in clients.values():
             m = client.train_inputs.shape[0] + client.hold_inputs.shape[0]
             if m >= 2:
@@ -497,7 +497,7 @@ class TestPrepareClients:
 
     def test_bootstrap_not_yet_revealed_at_build(self):
         cfg = small_config()
-        clients, _, _, _, _ = prepare_clients(cfg)
+        clients, _, _, _, _, _ = prepare_clients(cfg)
         for client in clients.values():
             assert client.reveal.cursor == 0
 
@@ -508,7 +508,7 @@ class TestPrepareClients:
             dataset="synthetic", synth_kind="sinusoid", synth_vehicles=8, synth_points_each=100,
             n_clients=8, partition="equal", points_per_client=51, seq_len=4, seed=5,
         )
-        clients, _, bbox, _, _ = prepare_clients(cfg)
+        clients, _, bbox, _, _, _ = prepare_clients(cfg)
         trajectories = synth_trajectories(cfg.seed, 8, 100, "sinusoid")
         datasets = partition_equal(trajectories, 8, 51)
         short_segments = spanning_holdouts = 0

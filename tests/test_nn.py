@@ -10,7 +10,6 @@ from fedsim.nn import (
     TrainBatch,
     backward,
     batch_objective,
-    fc_inject,
     forward,
     init_params,
     kl_divergence,
@@ -213,12 +212,12 @@ class TestBackward:
     def test_kl_term_matches_finite_differences(self, seed):
         dims = Dims(2, 5, 2)
         model = random_model(dims, seed=300 + seed)
-        target = random_model(dims, seed=400 + seed)
+        target = random_model(dims, seed=400 + seed).fc_block
         batch = random_batch(dims, 3, 4, seed=500 + seed)
-        grads = backward(model, batch, bias_target=target)
+        grads = backward(model, batch, kl_anchor=target)
 
         def loss_at(vec):
-            return batch_objective(ParamSet(vec, dims), batch, bias_target=target)
+            return batch_objective(ParamSet(vec, dims), batch, kl_anchor=target)
 
         numeric = finite_difference_gradient(loss_at, model.values)
         assert gradcheck_relative_error(grads.values, numeric) < 1e-4
@@ -228,7 +227,7 @@ class TestBackward:
         model = random_model(dims, seed=13)
         batch = random_batch(dims, 3, 4, seed=14)
         plain = backward(model, batch)
-        biased = backward(model, batch, bias_target=model)
+        biased = backward(model, batch, kl_anchor=model.fc_block)
         assert np.array_equal(plain.fc_block, biased.fc_block)
         assert np.array_equal(plain.lstm_block, biased.lstm_block)
 
@@ -371,28 +370,13 @@ class TestKlDivergence:
 
 
 class TestFcHead:
-    def test_round_trip_is_identity(self):
-        dims = Dims(2, 4, 2)
-        model = random_model(dims, seed=19)
-        same = fc_inject(model, model.fc_block.copy())
-        assert np.array_equal(same.values, model.values)
-        assert not np.shares_memory(same.values, model.values)
-
     def test_zero_head_zeroes_the_output(self):
         dims = Dims(2, 4, 2)
         model = random_model(dims, seed=20)
-        zeroed = fc_inject(model, np.zeros(dims.fc_size))
+        zeroed = ParamSet(np.concatenate([model.lstm_block, np.zeros(dims.fc_size)]), dims)
         preds, hidden = forward(zeroed, random_batch(dims, 3, 4, seed=21))
         assert np.all(preds == 0.0)
         assert np.any(hidden != 0.0)
-
-    def test_inject_never_mutates_lstm_block(self):
-        dims = Dims(2, 4, 2)
-        model = random_model(dims, seed=22)
-        before = model.lstm_block.copy()
-        injected = fc_inject(model, np.ones(dims.fc_size))
-        injected.lstm_block[0] = 123.0
-        assert np.array_equal(model.lstm_block, before)
 
     def test_reported_head_size_for_128_by_5(self):
         dims = Dims(2, 128, 5)
@@ -401,10 +385,14 @@ class TestFcHead:
         assert model.fc_block.size == 645
 
     def test_wrong_head_size_rejected(self):
+        # the KL anchor is a head block: a longer vector, or a whole model,
+        # is an error, not something to read a head out of
         dims = Dims(2, 4, 2)
         model = random_model(dims, seed=23)
-        with pytest.raises(ConfigError):
-            fc_inject(model, np.zeros(dims.fc_size + 1))
+        batch = random_batch(dims, 3, 4, seed=24)
+        for anchor in (np.zeros(dims.fc_size + 1), model.copy()):
+            with pytest.raises(ConfigError):
+                backward(model, batch, kl_anchor=anchor)
 
 
 class TestParamSetViews:

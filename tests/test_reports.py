@@ -107,6 +107,14 @@ class TestRoundsCsv:
                 assert eb.pos_participation == ea.pos_participation
                 assert eb.weight == ea.weight
 
+    def test_unranked_rounds_write_no_positions_weights_or_alpha(self, tmp_path):
+        result = tiny_result(variant="fedavg")
+        keys = {row[3] for log in result.logs for row in rows_for_log(log)}
+        assert {"L", "A", "n"} <= keys and not keys & {"P_L", "P_A", "R", "alpha"}
+        path = tmp_path / "rounds.csv"
+        write_rounds_csv(result.logs, path)
+        assert not any(log.ranked or log.alpha is not None for log in read_rounds_csv(path))
+
     def test_rows_deterministic(self):
         result = tiny_result()
         rows1 = [rows_for_log(log) for log in result.logs]
