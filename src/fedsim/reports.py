@@ -145,18 +145,23 @@ def _read_row(logs, entries, t_raw, record, client, key, value) -> None:
         log.ranked |= key == "P_L"
 
 
+def _finite_or_none(value: float | None) -> float | None:
+    # strict JSON has no NaN or Infinity: a round without an RMSE, or one
+    # that overflowed, is null
+    return value if value is not None and math.isfinite(value) else None
+
+
 def summary_dict(result: ExperimentResult) -> dict:
-    final = result.final_rmse()
     return {
         "variant": result.config.variant,
         "seed": result.config.seed,
         "rounds": len(result.logs),
         "n_clients": result.config.n_clients,
-        # strict JSON has no NaN: a final round without an RMSE is null
-        "final_rmse": None if math.isnan(final) else final,
-        "best_rmse": result.best_rmse(),
+        "final_rmse": _finite_or_none(result.final_rmse()),
+        "best_rmse": _finite_or_none(result.best_rmse()),
         "final_client_rmse": {
-            str(cid): value for cid, value in sorted(result.final_client_rmse().items())
+            str(cid): _finite_or_none(value)
+            for cid, value in sorted(result.final_client_rmse().items())
         },
         "config": json.loads(result.config.to_json()),
     }
@@ -164,7 +169,7 @@ def summary_dict(result: ExperimentResult) -> dict:
 
 def write_summary_json(result: ExperimentResult, path: str | Path) -> None:
     with Path(path).open("w", encoding="utf-8") as fh:
-        json.dump(summary_dict(result), fh, indent=2, sort_keys=True)
+        json.dump(summary_dict(result), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -181,8 +186,9 @@ def write_curves_svg(series: dict[str, list[tuple[float, float]]], path: str | P
     plot_w = width - margin_l - margin_r
     plot_h = height - margin_t - margin_b
     xs = [x for pts in series.values() for x, _ in pts]
-    # NaN rounds are dropped; a run whose every round is NaN gets bare axes
-    ys = [y for pts in series.values() for _, y in pts if y == y] or [0.0]
+    # NaN and infinite rounds are dropped; a run with no finite round gets
+    # bare axes
+    ys = [y for pts in series.values() for _, y in pts if math.isfinite(y)] or [0.0]
     if not xs:
         raise ConfigError("series contain no plottable points")
     x_lo, x_hi = min(xs), max(xs)
@@ -190,7 +196,9 @@ def write_curves_svg(series: dict[str, list[tuple[float, float]]], path: str | P
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
     if y_hi == y_lo:
-        y_hi = y_lo + 1.0
+        # a flat series: a unit range, or one as wide as the value where a
+        # unit is lost to rounding
+        y_hi = y_lo + max(1.0, abs(y_lo))
 
     def sx(x):
         return margin_l + (x - x_lo) / (x_hi - x_lo) * plot_w
@@ -223,7 +231,7 @@ def write_curves_svg(series: dict[str, list[tuple[float, float]]], path: str | P
     for idx, (label, pts) in enumerate(series.items()):
         color = _PALETTE[idx % len(_PALETTE)]
         coords = " ".join(
-            f"{sx(x):.2f},{sy(y):.2f}" for x, y in pts if y == y
+            f"{sx(x):.2f},{sy(y):.2f}" for x, y in pts if math.isfinite(y)
         )
         parts.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{coords}"/>'

@@ -5,6 +5,7 @@ import pytest
 from fedsim.cli import main
 from fedsim.config import ExperimentConfig
 from fedsim.data import parse_csv, synth_trajectories, write_csv
+from test_experiment import small_config
 
 
 def write_config(tmp_path, **overrides):
@@ -98,6 +99,17 @@ class TestRunCommand:
         config = write_config(tmp_path, dataset="csv", data_path=str(data), rounds=1)
         assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
         assert f"{data}: 5 rows rejected" in capsys.readouterr().out
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverged_run_writes_every_report(self, tmp_path, capsys):
+        # eta 1e18 aborts the run in round 2 with a flat global RMSE of ~1e147
+        config = tmp_path / "config.json"
+        config.write_text(small_config(eta0=1e18).to_json(), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+        for name in ("rounds.csv", "summary.json", "curves.svg"):
+            assert (out / name).stat().st_size > 0
+        assert "final RMSE" in capsys.readouterr().out
 
     @pytest.mark.parametrize("sub", ["", "sub"])
     def test_output_path_under_a_file_is_an_error(self, tmp_path, capsys, sub):

@@ -15,6 +15,7 @@ from fedsim.reports import (
     write_curves_svg,
     write_rounds_csv,
 )
+from test_experiment import small_config
 
 
 def tiny_result(**overrides):
@@ -150,6 +151,22 @@ class TestSummaryJson:
         summary = strict_json(paths["summary"].read_text(encoding="utf-8"))
         assert summary["best_rmse"] is None and summary["final_rmse"] is None
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowed_rmse_writes_null(self, tmp_path):
+        # the learning rate grows tenfold a round until the error overflows
+        result = run_experiment(small_config(variant="fedcab", eta0=2.0, eta_decay=10.0))
+        assert math.isinf(result.final_rmse()) and math.isfinite(result.best_rmse())
+        paths = emit_reports(result, tmp_path / "run")
+        summary = strict_json(paths["summary"].read_text(encoding="utf-8"))
+        assert summary["final_rmse"] is None
+        assert summary["best_rmse"] == result.best_rmse()
+        per_client = result.final_client_rmse()
+        assert any(math.isinf(value) for value in per_client.values())
+        assert summary["final_client_rmse"] == {
+            str(cid): value if math.isfinite(value) else None
+            for cid, value in per_client.items()
+        }
+
 
 class TestCurvesSvg:
     def test_two_series_give_two_polylines_with_legend(self, tmp_path):
@@ -163,6 +180,31 @@ class TestCurvesSvg:
         assert svg.count("<polyline") == 2
         assert ">feddecab</text>" in svg
         assert ">fedavg</text>" in svg
+
+    def test_flat_series_too_large_for_a_unit_step_is_plotted(self, tmp_path):
+        path = tmp_path / "curves.svg"
+        write_curves_svg({"flat": [(1.0, 2.0**60), (2.0, 2.0**60)]}, path)
+        svg = path.read_text(encoding="utf-8")
+        assert "nan" not in svg and "inf" not in svg
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverged_run_plots_finite_rounds_only(self, tmp_path):
+        # eta 1e18 blows the global error up to ~1e147 in round 1, and round 2
+        # aborts with that same error: a flat series past 2**53
+        result = run_experiment(small_config(eta0=1e18))
+        rmse = [log.rmse_global for log in result.logs]
+        assert len(rmse) >= 2 and len(set(rmse)) == 1 and rmse[0] >= 2.0**53
+        paths = emit_reports(result, tmp_path / "run")
+        svg = paths["curves"].read_text(encoding="utf-8")
+        assert "nan" not in svg and svg.count("<polyline") == 1
+
+    def test_infinite_round_is_dropped(self, tmp_path):
+        path = tmp_path / "curves.svg"
+        write_curves_svg({"a": [(1.0, 0.5), (2.0, math.inf), (3.0, 0.25)]}, path)
+        svg = path.read_text(encoding="utf-8")
+        assert "nan" not in svg and "inf" not in svg
+        (polyline,) = [line for line in svg.splitlines() if line.startswith("<polyline")]
+        assert len(polyline.split('points="')[1].split()) == 2
 
     def test_empty_series_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
