@@ -34,8 +34,19 @@ def _load_config(args) -> ExperimentConfig:
     return replace(config, **overrides)
 
 
+def _check_out_dir(out: Path) -> None:
+    """Reject an output path that is, or lies under, an existing non-directory,
+    before any round runs; nothing is created."""
+    for path in (out, *out.parents):
+        if path.exists():
+            if not path.is_dir():
+                raise ConfigError(f"{out}: {path} is not a directory")
+            return
+
+
 def _cmd_run(args) -> int:
     config = _load_config(args)
+    _check_out_dir(Path(args.out))
     result = run_experiment(config)
     paths = emit_reports(result, args.out)
     best = result.best_rmse()

@@ -146,6 +146,17 @@ class ExperimentConfig:
             raise ConfigError(f"budget must be >= 0 or null, got {self.budget}")
         if self.eta0 <= 0 or self.eta_decay <= 0:
             raise ConfigError("eta0 and eta_decay must be positive")
+        try:
+            eta_last = self.eta_at(self.rounds)
+        except OverflowError:
+            eta_last = math.inf
+        if not 0.0 < eta_last < math.inf:
+            raise ConfigError(
+                f"eta0={self.eta0} and eta_decay={self.eta_decay} give a learning rate "
+                f"of {eta_last} in round {self.rounds}; it must stay positive and finite"
+            )
+        if self.prox_mu < 0:
+            raise ConfigError(f"prox_mu must be >= 0, got {self.prox_mu}")
         if self.epochs < 0:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
         if self.chi < 1:

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import fedsim.cli
 from fedsim.cli import main
 from fedsim.config import ExperimentConfig
 from fedsim.data import parse_csv, synth_trajectories, write_csv
@@ -112,14 +113,21 @@ class TestRunCommand:
         assert "final RMSE" in capsys.readouterr().out
 
     @pytest.mark.parametrize("sub", ["", "sub"])
-    def test_output_path_under_a_file_is_an_error(self, tmp_path, capsys, sub):
-        # --out names an existing file, or a directory inside one
+    def test_output_path_under_a_file_is_an_error(self, tmp_path, capsys, monkeypatch, sub):
+        # --out names an existing file, or a directory inside one; the path
+        # is rejected before any round runs
         blocker = tmp_path / "taken"
         blocker.write_text("", encoding="utf-8")
         out = blocker / sub if sub else blocker
         config = write_config(tmp_path, rounds=1)
+
+        def never_called(config):
+            raise AssertionError("the run started before --out was checked")
+
+        monkeypatch.setattr(fedsim.cli, "run_experiment", never_called)
         assert main(["run", "--config", str(config), "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {out}: ")
+        assert blocker.read_text(encoding="utf-8") == ""
 
     def test_invalid_config_returns_error_code(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

@@ -74,6 +74,9 @@ class TestValidation:
             dict(decentral_freq=2.0),
             dict(budget=-1),
             dict(eta0=0.0),
+            dict(eta_decay=1e-300),  # the learning rate underflows to 0.0
+            dict(eta_decay=1e300),  # and here it overflows
+            dict(prox_mu=-0.01),
             dict(epochs=-1),
             dict(chi=0),
             dict(rmse_units="miles"),
