@@ -7,13 +7,15 @@ bytes across commits: one uniform-selection run (fedavg), one ranked run
 isolated local_only baseline, fedavg with offline clients training every
 round, feddecab over several batches and epochs, fedavg weighted by
 client data size, fedavg over an equal-points partition, feddecab at the
-headline's hidden width of 32, and feddecab over a CSV fleet with peer
-rounds every round. The values were taken with numpy
+headline's hidden width of 32, feddecab over a CSV fleet with peer
+rounds every round, and two feddecab runs that diverge: one aborts in its
+online phase, one loses clients in peer rounds. The values were taken with numpy
 2.4 and OpenBLAS on x86-64; another BLAS may round GEMMs differently. A change that alters any output bit must
 re-pin them and say why in CHANGES.md.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -163,6 +165,32 @@ EMPTY_SELECTION = dict(BASE, variant="feddecab", p_offline=1.0, p_recover=0.0, r
 EMPTY_SELECTION_ROUNDS_SHA256 = "ccc2187916dcb9ee740cc1940d10c6a3109c77ccb82b8b48e0f4db88f7c0fad7"
 
 
+# case -> (overrides of BASE, event that shows the divergence). The online
+# abort: round 2 trains from a global model that eta 1e60 blew up, and its
+# first trained client diverges on its second batch of three, so the run
+# stops there. The peer-round divergence: every client is offline from round
+# 2 and trains only in peer rounds, at a rate that grows 1e35-fold a round, so
+# some clients diverge in round 4 and more in round 6 while the rest still
+# score heads. Neither writes a non-finite RMSE.
+DIVERGING = {
+    "online_abort": (dict(variant="feddecab", eta0=1e60, batch_size=3), "numeric_abort:"),
+    "peer_abort": (
+        dict(variant="feddecab", p_offline=1.0, p_recover=0.0, eta_decay=1e35, batch_size=3),
+        "numeric_abort_peer:",
+    ),
+}
+DIVERGING_DIGESTS = {
+    "online_abort": (
+        "9e4e36d3af2ab7da27fcf8d3609689a3bfbd6126ad9424dd99e1e42413f89eee",
+        "9171142d3c4ef2d3578f639bcc7e27a9ad2787f37d90f6e06f65f8e17d630c8f",
+    ),
+    "peer_abort": (
+        "3a90b6fd9d4a6768d79bb12e05f4f4d8bf4d3fbb38c9c8873f90ae925dd3d263",
+        "bf4e2d1e74086bfd6cb16633c863fd977bf1a7f9fdf33bb46221c5f9545e6573",
+    ),
+}
+
+
 def _sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -176,6 +204,18 @@ def _rounds_and_summary_sha256(overrides, out_dir) -> tuple[str, str]:
 @pytest.mark.parametrize("case", sorted(DIGESTS))
 def test_outputs_match_pinned_digests(case, tmp_path):
     assert _rounds_and_summary_sha256(CASES[case], tmp_path) == DIGESTS[case]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("case", sorted(DIVERGING))
+def test_diverging_runs_match_pinned_digests(case, tmp_path):
+    overrides, event = DIVERGING[case]
+    result = run_experiment(ExperimentConfig(**dict(BASE, **overrides)))
+    assert any(e.startswith(event) for log in result.logs for e in log.events)
+    paths = emit_reports(result, tmp_path)
+    summary = json.loads(paths["summary"].read_text(encoding="utf-8"))
+    assert None not in (summary["final_rmse"], *summary["final_client_rmse"].values())
+    assert (_sha256(paths["rounds"]), _sha256(paths["summary"])) == DIVERGING_DIGESTS[case]
 
 
 def test_feddecab_fleet_matches_pinned_digests(tmp_path, monkeypatch):

@@ -412,6 +412,20 @@ class TestEngineEdgeCases:
         assert not any(e.startswith("numeric_abort:") for log in result.logs for e in log.events)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_peer_round_divergence_skips_the_client(self):
+        # everyone is offline from round 2, whose peer round trains them at
+        # eta 5e18; every client has revealed usable windows by then
+        cfg = small_config(p_offline=1.0, p_recover=0.0, eta_decay=1e20, rounds=3)
+        result = run_experiment(cfg)
+        assert len(result.logs) == 3
+        peer = result.logs[1]
+        assert peer.decentralized and peer.offline == list(range(cfg.n_clients))
+        aborted = [e for e in peer.events if e.startswith("numeric_abort_peer:")]
+        assert aborted == [f"numeric_abort_peer:{u}" for u in peer.offline]
+        assert peer.collab_sources == {} and peer.payloads == {}
+        assert not any(e.startswith("numeric_abort:") for log in result.logs for e in log.events)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_numeric_divergence_aborts_with_partial_logs(self):
         cfg = small_config(eta0=1e18, rounds=10)
         result = run_experiment(cfg)
