@@ -5,6 +5,18 @@ mode, the peer-collaboration rounds, and the proximal penalty, and local_only
 runs it with no server at all. All randomness flows from per-purpose
 generators spawned off the config seed, one set per client, so results are
 independent of evaluation order and identical across repeated runs.
+
+A round trains in up to three phases. Each makes one ``_train_phase`` call over
+the windows its clients can use, then walks those clients in id order; a
+client whose training diverges keeps its model and logs its event:
+
+- online: clients train from the global push, or from their own model once
+  recovered. A divergence stops the run; its round logs the clients up to the
+  one that diverged and aggregates nothing.
+- peer round: offline clients train, then score their neighbours' heads. One
+  that diverges skips this exchange.
+- offline, in rounds without a peer pass when ``offline_train_every_round``
+  is set: offline clients train. One that diverges skips this update.
 """
 
 from __future__ import annotations
@@ -321,34 +333,43 @@ def _reveal_all(clients: dict[int, ClientRuntime]) -> None:
 
 
 def _sample_eval_batch(client: ClientRuntime, usable: np.ndarray, batch_size: int):
-    take = min(batch_size, usable.size)
-    if take == 0:
-        return None
-    picked = client.rng_eval.choice(usable, size=take, replace=False)
+    picked = client.rng_eval.choice(usable, size=min(batch_size, usable.size), replace=False)
     picked = np.sort(picked)
     return client.train_inputs[picked], client.train_targets[picked]
 
 
-def _train_client(
+def _train_phase(
     config: ExperimentConfig,
-    client: ClientRuntime,
-    usable: np.ndarray,
+    clients: dict[int, ClientRuntime],
+    usable: dict[int, np.ndarray],
     eta: float,
-    kl_anchor: np.ndarray | None = None,
-    prox_mu: float = 0.0,
-) -> ParamSet:
-    """Local SGD of the client's model over its usable training windows."""
-    return train_local(
-        client.model,
-        client.train_inputs[usable],
-        client.train_targets[usable],
-        config.epochs,
-        eta,
-        config.batch_size,
-        client.rng_train,
-        kl_anchor=kl_anchor,
-        prox_mu=prox_mu,
-    )
+    prox_mu: float,
+    anchored: set[int],
+) -> set[int]:
+    """Local SGD of every client in ``usable`` over its usable windows, in id order.
+
+    A client in ``anchored`` is pulled toward its cached peer head once it has
+    one. Returns the ids whose training diverged; their models stay as they were.
+    """
+    diverged = set()
+    for cid in sorted(usable):
+        client = clients[cid]
+        anchor = client.cache.head if cid in anchored and client.cache is not None else None
+        try:
+            client.model = train_local(
+                client.model,
+                client.train_inputs[usable[cid]],
+                client.train_targets[usable[cid]],
+                config.epochs,
+                eta,
+                config.batch_size,
+                client.rng_train,
+                kl_anchor=anchor,
+                prox_mu=prox_mu,
+            )
+        except NumericError:
+            diverged.add(cid)
+    return diverged
 
 
 def _decentralized_round(
@@ -366,48 +387,22 @@ def _decentralized_round(
     heads = {cid: clients[cid].model.fc_block.copy() for cid in sorted(clients)}
     positions = {cid: clients[cid].position() for cid in sorted(clients)}
     graph = build_neighbor_graph(positions, config.chi)
-    for u in sorted(offline):
+    usable = {u: w for u in offline if (w := clients[u].usable_window_indices()).size}
+    diverged = _train_phase(config, clients, usable, eta, 0.0, set(offline))
+    for u in offline:
         client = clients[u]
-        usable = client.usable_window_indices()
-        if usable.size:
-            # pulled toward the cached peer head once one exists
-            anchor = client.cache.head if client.cache is not None else None
-            try:
-                client.model = _train_client(config, client, usable, eta, kl_anchor=anchor)
-            except NumericError:
-                # divergence aborts this client's peer round only
-                log.events.append(f"numeric_abort_peer:{u}")
-                continue
+        if u in diverged:
+            # divergence aborts this client's peer round only
+            log.events.append(f"numeric_abort_peer:{u}")
+        elif u not in usable:
+            # nothing to train on or to score candidates with: no exchange
+            log.events += [f"peer_update_skipped:{u}", f"peer_eval_skipped:{u}"]
         else:
-            log.events.append(f"peer_update_skipped:{u}")
-        batch = _sample_eval_batch(client, usable, config.batch_size)
-        if batch is None:
-            # nothing to score candidates on: skip the exchange entirely
-            log.events.append(f"peer_eval_skipped:{u}")
-            continue
-        neighbors = [(nid, heads[nid]) for nid in graph[u]]
-        log.payloads[u] = head_payload_values(len(neighbors), dims)
-        client.cache = evaluate_candidates(client.model, u, neighbors, batch[0], batch[1])
-        log.collab_sources[u] = client.cache.source_id
-
-
-def _offline_training(
-    config: ExperimentConfig,
-    clients: dict[int, ClientRuntime],
-    offline: list[int],
-    eta: float,
-    log: RoundLog,
-) -> None:
-    """Plain local SGD for offline clients in rounds without a peer pass."""
-    for u in sorted(offline):
-        client = clients[u]
-        usable = client.usable_window_indices()
-        if usable.size:
-            try:
-                client.model = _train_client(config, client, usable, eta)
-            except NumericError:
-                # divergence skips this client's offline update only
-                log.events.append(f"numeric_abort_offline:{u}")
+            inputs, targets = _sample_eval_batch(client, usable[u], config.batch_size)
+            neighbors = [(nid, heads[nid]) for nid in graph[u]]
+            log.payloads[u] = head_payload_values(len(neighbors), dims)
+            client.cache = evaluate_candidates(client.model, u, neighbors, inputs, targets)
+            log.collab_sources[u] = client.cache.source_id
 
 
 def _server_round(
@@ -519,30 +514,22 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         log.ranked = ranked_mode
         _reveal_all(clients)
 
-        recovered_set = set(recovered)
+        # a client resuming its own model keeps it; the others get the global push
+        own = set(online) if isolated else set(recovered)
+        for cid in online:
+            if cid not in own:
+                clients[cid].model = global_model.copy()
+        usable = {cid: w for cid in online if (w := clients[cid].usable_window_indices()).size}
+        diverged = _train_phase(config, clients, usable, eta, config.proximal_mu, own)
         trained: dict[int, float] = {}
         for cid in online:
             client = clients[cid]
-            kl_anchor = None
-            if isolated or cid in recovered_set:
-                log.provenance[cid] = "local"
-                # a client resuming its own model is pulled toward its cached
-                # peer head; one that got the global push is not
-                if client.cache is not None:
-                    kl_anchor = client.cache.head
-            else:
-                client.model = global_model.copy()
-                log.provenance[cid] = "global"
-            usable = client.usable_window_indices()
-            if usable.size == 0:
+            if cid not in usable:
                 log.provenance[cid] = "skip"
                 log.events.append(f"no_usable_windows:{cid}")
                 continue
-            try:
-                client.model = _train_client(
-                    config, client, usable, eta, kl_anchor, config.proximal_mu
-                )
-            except NumericError:
+            log.provenance[cid] = "local" if cid in own else "global"
+            if cid in diverged:
                 # divergence aborts the run; logs so far are kept
                 log.events.append(f"numeric_abort:client={cid}")
                 aborted = True
@@ -561,7 +548,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             if config.is_decentral_round(t):
                 _decentralized_round(config, clients, offline, eta, log)
             elif config.offline_train_every_round:
-                _offline_training(config, clients, offline, eta, log)
+                usable = {u: w for u in offline if (w := clients[u].usable_window_indices()).size}
+                for u in sorted(_train_phase(config, clients, usable, eta, 0.0, set())):
+                    # divergence skips this client's offline update only
+                    log.events.append(f"numeric_abort_offline:{u}")
 
         if isolated:
             # no global model exists; report the mean per-client holdout error
