@@ -17,6 +17,9 @@ client whose training diverges keeps its model and logs its event:
   that diverges skips this exchange.
 - offline, in rounds without a peer pass when ``offline_train_every_round``
   is set: offline clients train. One that diverges skips this update.
+
+A client that trains its own model, in any phase, is pulled toward the peer
+head it cached in its last exchange; one that got the global push is not.
 """
 
 from __future__ import annotations
@@ -549,7 +552,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                 _decentralized_round(config, clients, offline, eta, log)
             elif config.offline_train_every_round:
                 usable = {u: w for u in offline if (w := clients[u].usable_window_indices()).size}
-                for u in sorted(_train_phase(config, clients, usable, eta, 0.0, set())):
+                diverged = _train_phase(config, clients, usable, eta, 0.0, set(offline))
+                for u in sorted(diverged):
                     # divergence skips this client's offline update only
                     log.events.append(f"numeric_abort_offline:{u}")
 

@@ -4,8 +4,8 @@ The determinism tests compare two runs inside one process, so a change that
 moves the numerics between commits would pass them. These digests pin the
 bytes across commits: one uniform-selection run (fedavg), one ranked run
 (fedcab), one with peer rounds (feddecab), both proximal variants, the
-isolated local_only baseline, fedavg with offline clients training every
-round, feddecab over several batches and epochs, fedavg weighted by
+isolated local_only baseline, fedavg and feddecab with offline clients
+training every round, feddecab over several batches and epochs, fedavg weighted by
 client data size, fedavg over an equal-points partition, feddecab at the
 headline's hidden width of 32, feddecab over a CSV fleet with peer
 rounds every round, and two feddecab runs that diverge: one aborts in its
@@ -65,6 +65,7 @@ CASES = {
     "fedprox_plus": dict(variant="fedprox_plus", batch_size=4),
     "local_only": dict(variant="local_only"),
     "fedavg_offline": dict(variant="fedavg", offline_train_every_round=True),
+    "feddecab_offline": dict(variant="feddecab", offline_train_every_round=True),
     "feddecab_multi_batch": dict(variant="feddecab", epochs=2, batch_size=3),
     "fedavg_by_datasize": dict(
         variant="fedavg",
@@ -133,6 +134,10 @@ DIGESTS = {
     "fedavg_offline": (
         "279831935ead16ce931c3d69bb51d7f9d6d0d71feea837e3dce8cf8e2674b818",
         "886b4c64d727386a51a53ce8910f5c7e8dd65acc71d70fc9891c1c93a5e178ae",
+    ),
+    "feddecab_offline": (
+        "3f586e615e3c3a46e24483de8df2cb93d1262abc320efdb0a948609ce78ef974",
+        "1b08772f5c9befab0feeaf1f98391f0c18a9bd076b4458bed72955b70a5de967",
     ),
     "feddecab_multi_batch": (
         "d4d9381dbb06fd4dd163f0d82b7fcf868c958cee85693bd9f668a883973b9449",

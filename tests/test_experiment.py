@@ -397,6 +397,25 @@ class TestEngineEdgeCases:
         # offline clients consume their training streams
         assert [l.rmse_global for l in with_flag.logs] == [l.rmse_global for l in without.logs]
 
+    def test_offline_training_is_pulled_toward_the_cached_head(self, monkeypatch):
+        # everyone is offline from round 2, whose peer pass caches a head for
+        # every client; round 3 trains them offline and round 4 in a peer
+        # pass, and both pull each toward its cached head
+        anchored = []
+        original = fedsim.experiment.train_local
+
+        def recording(*args, kl_anchor=None, **kwargs):
+            anchored.append(kl_anchor is not None)
+            return original(*args, kl_anchor=kl_anchor, **kwargs)
+
+        monkeypatch.setattr(fedsim.experiment, "train_local", recording)
+        cfg = small_config(
+            offline_train_every_round=True, p_offline=1.0, p_recover=0.0, rounds=4
+        )
+        result = run_experiment(cfg)
+        assert sorted(result.logs[1].collab_sources) == list(range(cfg.n_clients))
+        assert anchored == [False] * 2 * cfg.n_clients + [True] * 2 * cfg.n_clients
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_offline_training_divergence_skips_the_client(self):
         # everyone is offline from round 2, and round 3 trains them at eta 5e16
