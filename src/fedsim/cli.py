@@ -34,21 +34,16 @@ def _load_config(args) -> ExperimentConfig:
     return replace(config, **overrides)
 
 
-def _check_out_dir(out: Path) -> None:
-    """Reject an output path that is, or lies under, an existing non-directory,
-    before any round runs; nothing is created."""
-    for path in (out, *out.parents):
-        if path.exists():
-            if not path.is_dir():
-                raise ConfigError(f"{out}: {path} is not a directory")
-            return
-
-
 def _cmd_run(args) -> int:
     config = _load_config(args)
-    _check_out_dir(Path(args.out))
+    # an --out that is, or lies under, a file fails before any round runs;
+    # nothing is created until the reports are written
+    out = Path(args.out)
+    nearest = next(path for path in (out, *out.parents) if path.exists())
+    if not nearest.is_dir():
+        raise ConfigError(f"{out}: {nearest} is not a directory")
     result = run_experiment(config)
-    paths = emit_reports(result, args.out)
+    paths = emit_reports(result, out)
     best = result.best_rmse()
     best_text = "n/a" if best is None else f"{best:.6f}"
     print(
