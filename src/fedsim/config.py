@@ -146,6 +146,7 @@ class ExperimentConfig:
             raise ConfigError(f"budget must be >= 0 or null, got {self.budget}")
         if self.eta0 <= 0 or self.eta_decay <= 0:
             raise ConfigError("eta0 and eta_decay must be positive")
+        # the schedule is monotone, so its last round holds its extreme rate
         try:
             eta_last = self.eta_at(self.rounds)
         except OverflowError:
