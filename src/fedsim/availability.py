@@ -14,8 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError
-
 
 @dataclass(frozen=True)
 class WeakArea:
@@ -25,10 +23,6 @@ class WeakArea:
     lat_max: float
     lon_min: float
     lon_max: float
-
-    def __post_init__(self):
-        if not (self.lat_max > self.lat_min and self.lon_max > self.lon_min):
-            raise ConfigError(f"weak area must have positive extent: {self}")
 
     def contains(self, coords: np.ndarray) -> np.ndarray:
         coords = np.asarray(coords, dtype=float)
@@ -55,13 +49,6 @@ class RevealState:
     available: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        self.probs = np.asarray(self.probs, dtype=float)
-        if self.probs.ndim != 1:
-            raise ConfigError("stream probabilities must be a flat vector")
-        if self.probs.size and (self.probs.min() < 0.0 or self.probs.max() > 1.0):
-            raise ConfigError("stream probabilities must lie in [0, 1]")
-        if self.slice_size < 1:
-            raise ConfigError("slice size must be >= 1")
         self.available = np.zeros(self.n_points, dtype=bool)
 
     @property
@@ -76,10 +63,6 @@ def assign_random(n_points: int, alpha_dir: float, rng: np.random.Generator) -> 
     (making the mean 1) and clipped into [0, 1]. Small concentrations produce
     bursty plans where a few points are near-certain and many are unlikely.
     """
-    if alpha_dir <= 0:
-        raise ConfigError(f"Dirichlet concentration must be positive, got {alpha_dir}")
-    if n_points < 1:
-        raise ConfigError("need at least one point")
     draw = rng.dirichlet(np.full(n_points, alpha_dir))
     return np.minimum(1.0, n_points * draw)
 
@@ -88,8 +71,6 @@ def assign_regional(
     coords: np.ndarray, weak_areas: list[WeakArea], p_low: float, p_high: float
 ) -> np.ndarray:
     """Region availability: p_low inside any weak-signal area, p_high outside."""
-    if not (0.0 <= p_low <= p_high <= 1.0):
-        raise ConfigError(f"need 0 <= p_low <= p_high <= 1, got {p_low}, {p_high}")
     coords = np.asarray(coords, dtype=float)
     probs = np.full(coords.shape[0], p_high)
     for area in weak_areas:
@@ -105,16 +86,12 @@ def assign_by_datasize(
     Clients at or above the threshold count as company devices and receive
     p_company; the rest are private devices at p_private.
     """
-    if threshold <= 0:
-        raise ConfigError(f"threshold must be positive, got {threshold}")
     counts = np.asarray(client_point_counts, dtype=float)
     return np.where(counts >= threshold, p_company, p_private)
 
 
 def datasize_threshold(client_point_counts: list[int], percentile: float) -> float:
     """Count threshold at the given percentile of per-client point counts."""
-    if not 0.0 < percentile < 100.0:
-        raise ConfigError(f"percentile must be in (0, 100), got {percentile}")
     counts = np.asarray(client_point_counts, dtype=float)
     return float(np.percentile(counts, percentile, method="higher"))
 

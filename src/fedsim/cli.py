@@ -61,12 +61,16 @@ def _check_seed(args) -> None:
         raise ConfigError(f"--seed must be >= 0, got {args.seed}")
 
 
+def _check_counts(args, *names) -> None:
+    for name in names:
+        if getattr(args, name) < 1:
+            raise ConfigError(f"--{name} must be >= 1, got {getattr(args, name)}")
+
+
 def _cmd_gradcheck(args) -> int:
     """Analytic gradients against central finite differences on small models."""
     _check_seed(args)
-    for name in ("trials", "steps"):
-        if getattr(args, name) < 1:
-            raise ConfigError(f"--{name} must be >= 1, got {getattr(args, name)}")
+    _check_counts(args, "trials", "hidden", "steps", "batch")
     # `not x > 0` also rejects NaN
     for name in ("eps", "tolerance"):
         if not getattr(args, name) > 0:
@@ -116,6 +120,7 @@ def _cmd_plot(args) -> int:
 
 def _cmd_synth(args) -> int:
     _check_seed(args)
+    _check_counts(args, "vehicles", "points")
     trajectories = synth_trajectories(args.seed, args.vehicles, args.points, args.kind)
     write_csv(args.out, trajectories)
     total = sum(t.n_points for t in trajectories)

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
 from .nn import ParamSet, _fc_views, lstm_hidden
 
 
@@ -40,11 +39,6 @@ def evaluate_candidates(
     """
     dims = own_model.dims
     hidden = lstm_hidden(own_model, eval_inputs)
-    eval_targets = np.asarray(eval_targets, dtype=float)
-    if eval_targets.shape != (hidden.shape[0], dims.n_out):
-        raise ConfigError(
-            f"targets shape {eval_targets.shape} != ({hidden.shape[0]}, {dims.n_out})"
-        )
     neighbor_heads = sorted(neighbor_heads, key=lambda kv: kv[0])
     sources = [own_id] + [nid for nid, _ in neighbor_heads]
     heads = np.stack([own_model.fc_block] + [head for _, head in neighbor_heads])

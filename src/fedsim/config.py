@@ -35,6 +35,16 @@ _VARIANT_FLAGS = {
     "local_only": ("uniform", False, False),
 }
 
+# Fields that must be >= 1 when set, and fields that are probabilities.
+_COUNTS = (
+    "rounds", "k_per_round", "chi", "hidden", "seq_len", "batch_size",
+    "synth_vehicles", "synth_points_each", "points_per_client", "vehicles_per_client",
+    "reveal_slice_points",
+)
+_PROBABILITIES = (
+    "p_offline", "p_recover", "decentral_freq", "constant_p", "p_company", "p_private",
+)
+
 
 @dataclass
 class ExperimentConfig:
@@ -128,20 +138,20 @@ class ExperimentConfig:
             raise ConfigError(f"unknown partition mode {self.partition!r}")
         if self.n_clients < 2:
             raise ConfigError(f"n_clients must be >= 2, got {self.n_clients}")
-        if self.rounds < 1:
-            raise ConfigError(f"rounds must be >= 1, got {self.rounds}")
+        for name in _COUNTS:
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ConfigError(f"{name} must be >= 1, got {value}")
         if not 0.0 < self.sample_ratio <= 1.0:
             raise ConfigError(f"sample_ratio must be in (0, 1], got {self.sample_ratio}")
-        if self.k_per_round is not None and self.k_per_round < 1:
-            raise ConfigError(f"k_per_round must be >= 1, got {self.k_per_round}")
         if not 0.0 < self.holdout_fraction < 1.0:
             raise ConfigError(
                 f"holdout_fraction must be in (0, 1), got {self.holdout_fraction}"
             )
-        if not (0.0 <= self.p_offline <= 1.0 and 0.0 <= self.p_recover <= 1.0):
-            raise ConfigError("p_offline and p_recover must lie in [0, 1]")
-        if not 0.0 <= self.decentral_freq <= 1.0:
-            raise ConfigError(f"decentral_freq must be in [0, 1], got {self.decentral_freq}")
+        for name in _PROBABILITIES:
+            value = getattr(self, name)
+            if not 0.0 <= value <= 1.0:
+                raise ConfigError(f"{name} must be in [0, 1], got {value}")
         if self.budget is not None and self.budget < 0:
             raise ConfigError(f"budget must be >= 0 or null, got {self.budget}")
         if self.eta0 <= 0 or self.eta_decay <= 0:
@@ -160,12 +170,12 @@ class ExperimentConfig:
             raise ConfigError(f"prox_mu must be >= 0, got {self.prox_mu}")
         if self.epochs < 0:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
-        if self.chi < 1:
-            raise ConfigError(f"chi must be >= 1, got {self.chi}")
         if self.rmse_units not in ("normalized", "degrees"):
             raise ConfigError(f"unknown rmse_units {self.rmse_units!r}")
-        if min(self.n_in, self.hidden, self.n_out, self.seq_len, self.batch_size) < 1:
-            raise ConfigError("model dims, seq_len and batch_size must be >= 1")
+        if (self.n_in, self.n_out) != (2, 2):
+            raise ConfigError(
+                f"n_in and n_out must be 2, a lat/lon pair, got {self.n_in} and {self.n_out}"
+            )
         if self.alpha_dir <= 0:
             raise ConfigError(f"alpha_dir must be > 0, got {self.alpha_dir}")
         if not 0.0 <= self.p_low <= self.p_high <= 1.0:
@@ -182,14 +192,13 @@ class ExperimentConfig:
             raise ConfigError(
                 f"unknown synth_kind {self.synth_kind!r}, expected one of {SYNTH_KINDS}"
             )
-        if self.vehicles_per_client < 1:
-            raise ConfigError(f"vehicles_per_client must be >= 1, got {self.vehicles_per_client}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         for box in self.weak_areas:
-            if len(box) != 4:
+            if len(box) != 4 or not (box[0] < box[1] and box[2] < box[3]):
                 raise ConfigError(
-                    f"each weak area must be [lat_min, lat_max, lon_min, lon_max], got {box}"
+                    "each weak area must be [lat_min, lat_max, lon_min, lon_max] "
+                    f"with each min below its max, got {box}"
                 )
 
     # resolved knobs -------------------------------------------------------

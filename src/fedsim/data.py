@@ -231,8 +231,6 @@ def partition_equal(
     A trajectory may be split across a client boundary; each client's share of
     it becomes its own segment so windows never span the split.
     """
-    if n_clients < 1 or points_per_client < 1:
-        raise ConfigError("n_clients and points_per_client must be >= 1")
     total = sum(t.n_points for t in trajectories)
     needed = n_clients * points_per_client
     if total < needed:
@@ -262,8 +260,6 @@ def partition_by_vehicle(
 
     Client data sizes may be highly skewed; that is the point of this mode.
     """
-    if vehicles_per_client < 1:
-        raise ConfigError("vehicles_per_client must be >= 1")
     ordered = sorted(trajectories, key=lambda t: t.vehicle_id)
     if not ordered:
         raise ConfigError("no vehicles to partition")
@@ -303,10 +299,6 @@ def synth_trajectories(
     non-i.i.d. when partitioned by vehicle. Coordinates stay near (30N, 120E)
     with small extents, well inside valid degree ranges.
     """
-    if kind not in SYNTH_KINDS:
-        raise ConfigError(f"unknown synthetic kind {kind!r}, expected one of {SYNTH_KINDS}")
-    if n_vehicles < 1 or points_each < 1:
-        raise ConfigError("n_vehicles and points_each must be >= 1")
     rng = np.random.default_rng(seed)
     base_lat, base_lon = 30.0, 120.0
     t0 = 1_600_000_000.0

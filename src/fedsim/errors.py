@@ -27,7 +27,3 @@ class ParseError(FedsimError, ValueError):
 
 class NumericError(FedsimError, ArithmeticError):
     """Non-finite value produced during training."""
-
-
-class BudgetError(FedsimError, RuntimeError):
-    """Upload charged against an exhausted availability budget."""

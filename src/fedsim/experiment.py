@@ -154,20 +154,12 @@ class ExperimentResult:
 
 def aggregate(models: list[ParamSet], weights: list[float] | None = None) -> ParamSet:
     """Per-parameter mean of the uploaded models, unweighted by default."""
-    if not models:
-        raise ConfigError("cannot aggregate zero models")
-    dims = models[0].dims
-    for m in models[1:]:
-        if m.dims != dims:
-            raise ConfigError("cannot aggregate models with differing dims")
     if weights is None:
         w = np.full(len(models), 1.0 / len(models))
     else:
         w = np.asarray(weights, dtype=float)
-        if w.shape != (len(models),) or np.any(w < 0) or w.sum() <= 0:
-            raise ConfigError("weights must be nonnegative with a positive sum")
         w = w / w.sum()
-    return ParamSet(sum(wi * m.values for wi, m in zip(w, models)), dims)
+    return ParamSet(sum(wi * m.values for wi, m in zip(w, models)), models[0].dims)
 
 
 # ---------------------------------------------------------------------------

@@ -67,10 +67,6 @@ class Dims:
     n_hidden: int
     n_out: int
 
-    def __post_init__(self):
-        if min(self.n_in, self.n_hidden, self.n_out) < 1:
-            raise ConfigError(f"all dims must be >= 1, got {self}")
-
     @property
     def lstm_size(self) -> int:
         return 4 * ((self.n_in + self.n_hidden) * self.n_hidden + self.n_hidden)
@@ -149,18 +145,6 @@ def init_params(dims: Dims, rng: np.random.Generator) -> ParamSet:
     return ParamSet(values, dims)
 
 
-def _check_batch(model: ParamSet, batch: TrainBatch) -> None:
-    d = model.dims
-    if batch.inputs.shape[2] != d.n_in:
-        raise ConfigError(
-            f"batch has {batch.inputs.shape[2]} input features, model expects {d.n_in}"
-        )
-    if batch.targets.shape[1] != d.n_out:
-        raise ConfigError(
-            f"batch has {batch.targets.shape[1]} target features, model expects {d.n_out}"
-        )
-
-
 def _lstm_views(model: ParamSet):
     d = model.dims
     n_z = d.n_in + d.n_hidden
@@ -224,37 +208,22 @@ def _lstm_steps(model: ParamSet, inputs: np.ndarray, keep_cache: bool):
 
 def lstm_hidden(model: ParamSet, inputs: np.ndarray) -> np.ndarray:
     """Final-step hidden state (the sequence embedding), B x H."""
-    inputs = np.asarray(inputs, dtype=float)
-    if inputs.ndim != 3 or inputs.shape[2] != model.dims.n_in:
-        raise ConfigError(
-            f"inputs must be B x S x {model.dims.n_in}, got shape {inputs.shape}"
-        )
     return _run_lstm(model, inputs)
 
 
 def apply_fc(fc_block: np.ndarray, hidden: np.ndarray, dims: Dims) -> np.ndarray:
     """Apply a head block to precomputed hidden states."""
-    fc_block = np.asarray(fc_block, dtype=float)
-    if fc_block.shape != (dims.fc_size,):
-        raise ConfigError(f"fc block has {fc_block.size} entries, expected {dims.fc_size}")
     w, b = _fc_views(fc_block, dims)
     return hidden @ w + b
 
 
 def forward(model: ParamSet, batch: TrainBatch) -> tuple[np.ndarray, np.ndarray]:
     """Predictions (B x O) and the final hidden state (B x H)."""
-    _check_batch(model, batch)
     hidden = _run_lstm(model, batch.inputs)
     return apply_fc(model.fc_block, hidden, model.dims), hidden
 
 
 def mse_loss(predictions: np.ndarray, targets: np.ndarray) -> float:
-    predictions = np.asarray(predictions, dtype=float)
-    targets = np.asarray(targets, dtype=float)
-    if predictions.shape != targets.shape:
-        raise ConfigError(
-            f"prediction shape {predictions.shape} != target shape {targets.shape}"
-        )
     diff = predictions - targets
     return float(np.mean(diff * diff))
 
@@ -265,22 +234,11 @@ def param_distribution(block: np.ndarray) -> np.ndarray:
     Uses absolute magnitudes smoothed by DIST_EPS so zero vectors map to the
     uniform distribution.
     """
-    block = np.asarray(block, dtype=float)
-    if block.size == 0:
-        raise ConfigError("cannot form a distribution over an empty block")
     mass = np.abs(block) + DIST_EPS
     return mass / mass.sum()
 
 
 def kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if p.shape != q.shape:
-        raise ConfigError(f"distribution lengths differ: {p.shape} vs {q.shape}")
-    if np.any(p <= 0) or np.any(q <= 0):
-        raise ConfigError("distributions must be strictly positive")
-    if abs(p.sum() - 1.0) > 1e-9 or abs(q.sum() - 1.0) > 1e-9:
-        raise ConfigError("distributions must each sum to 1")
     return float(np.sum(p * np.log(p / q)))
 
 
@@ -313,13 +271,8 @@ def backward(
     distributions of ``model`` and the anchor is added, pulling the head
     toward the anchor.
     """
-    _check_batch(model, batch)
     d = model.dims
     I, H = d.n_in, d.n_hidden
-    # a whole ParamSet has np.shape () and is rejected, not read as a head
-    if kl_anchor is not None and np.shape(kl_anchor) != (d.fc_size,):
-        raise ConfigError(f"KL anchor has shape {np.shape(kl_anchor)}, expected ({d.fc_size},)")
-
     hidden, cache = _lstm_steps(model, batch.inputs, keep_cache=True)
     preds = apply_fc(model.fc_block, hidden, d)
 
@@ -378,8 +331,4 @@ def batch_objective(
 
 def sgd_step(model: ParamSet, grads: ParamSet, eta: float) -> ParamSet:
     """One plain gradient descent step; returns a new parameter set."""
-    if eta <= 0:
-        raise ConfigError(f"learning rate must be positive, got {eta}")
-    if grads.dims != model.dims:
-        raise ConfigError(f"gradient dims {grads.dims} != model dims {model.dims}")
     return ParamSet(model.values - eta * grads.values, model.dims)

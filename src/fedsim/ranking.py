@@ -16,8 +16,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError
-
 
 @dataclass
 class CompensatorState:
@@ -54,8 +52,6 @@ class RankEntry:
 
 def solve_quadratic(alpha: float, m_t: int) -> tuple[float, float, float]:
     """Coefficients (b0, b1, b2) of the parabola through the three anchors."""
-    if m_t < 1:
-        raise ConfigError(f"m_t must be >= 1, got {m_t}")
     b0 = (alpha - 1.0) / (m_t * m_t)
     b1 = -2.0 * m_t * (alpha - 1.0) / (m_t * m_t)
     b2 = alpha
@@ -69,8 +65,6 @@ def weight_early(pos: float, b0: float, b1: float, b2: float) -> float:
 
 def rank_positions(values: list[tuple[int, float]]) -> dict[int, int]:
     """1-based positions with the largest value first; ties go to lower ids."""
-    if not values:
-        raise ConfigError("cannot rank an empty participant list")
     order = sorted(values, key=lambda kv: (-kv[1], kv[0]))
     return {cid: pos for pos, (cid, _) in enumerate(order, start=1)}
 
@@ -91,8 +85,6 @@ def combined_weight(
 
 def straggler_boost(entries: list[RankEntry], gamma: float) -> list[RankEntry]:
     """Multiply weights of below-mean updaters by gamma (strict inequality)."""
-    if gamma <= 0:
-        raise ConfigError(f"gamma must be positive, got {gamma}")
     if not entries:
         return entries
     mean_updates = sum(e.n_updates for e in entries) / len(entries)
@@ -131,8 +123,6 @@ def decay_compensators(comp: CompensatorState, ranked_ids: list[int]) -> Compens
 
 def select_top_k(entries: list[RankEntry], k: int) -> list[int]:
     """Ids of the min(k, m_t) largest weights; ties go to lower ids."""
-    if k < 0:
-        raise ConfigError(f"k must be >= 0, got {k}")
     order = sorted(entries, key=lambda e: (-e.weight, e.client_id))
     return [e.client_id for e in order[:k]]
 
@@ -141,8 +131,6 @@ def sample_proportional(
     entries: list[RankEntry], k: int, rng: np.random.Generator
 ) -> list[int]:
     """Weight-proportional sampling without replacement (ablation mode)."""
-    if k < 0:
-        raise ConfigError(f"k must be >= 0, got {k}")
     k = min(k, len(entries))
     if k == 0:
         return []

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError
 from .nn import ParamSet, TrainBatch, backward, forward, sgd_step
 
 
@@ -12,8 +11,6 @@ def iterate_batches(
     n_items: int, batch_size: int, rng: np.random.Generator
 ) -> list[np.ndarray]:
     """Shuffled index batches covering every item once; the tail may be short."""
-    if batch_size < 1:
-        raise ConfigError(f"batch size must be >= 1, got {batch_size}")
     order = rng.permutation(n_items)
     return [order[i : i + batch_size] for i in range(0, n_items, batch_size)]
 
@@ -36,13 +33,9 @@ def train_local(
     toward the starting model w0. With zero epochs or zero windows the model is
     returned unchanged.
     """
-    if epochs < 0:
-        raise ConfigError(f"epochs must be >= 0, got {epochs}")
     n = inputs.shape[0]
     if epochs == 0 or n == 0:
         return model.copy()
-    if prox_mu < 0:
-        raise ConfigError(f"prox_mu must be >= 0, got {prox_mu}")
     prox_ref = model.copy() if prox_mu > 0 else None
     current = model
     for _ in range(epochs):
@@ -65,8 +58,6 @@ def evaluate_rmse(
     ``scale`` multiplies the error of each output axis before pooling, so
     the bbox extent reports degrees; at the default 1.0 no bit changes.
     """
-    if inputs.shape[0] == 0:
-        raise ConfigError("cannot evaluate on an empty window set")
     preds, _ = forward(model, TrainBatch(inputs, targets))
     err = (preds - targets) * scale
     return float(np.sqrt(np.mean(err * err)))

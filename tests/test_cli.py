@@ -152,6 +152,12 @@ class TestConfigErrors:
             {"datasize_percentile": 0},
             {"synth_kind": "spiral"},
             {"vehicles_per_client": 0},
+            {"n_in": 3},
+            {"scenario": "constant", "constant_p": 1.5},
+            {"reveal_slice_points": 0},
+            {"scenario": "regional", "weak_areas": [[30.0, 30.0, 120.0, 121.0]]},
+            {"partition": "equal", "points_per_client": 0},
+            {"synth_points_each": 0},
         ],
     )
     def test_bad_field_is_an_error_with_exit_code_2(self, tmp_path, capsys, bad):
@@ -241,6 +247,9 @@ class TestGradcheckCommand:
             ("--tolerance", "0"),
             ("--tolerance", "-1"),
             ("--seed", "-1"),
+            ("--hidden", "0"),
+            ("--batch", "0"),
+            ("--batch", "-1"),
         ],
     )
     def test_degenerate_setting_is_an_error(self, capsys, flag, value):
@@ -370,4 +379,12 @@ class TestSynthCommand:
         code = main(["synth", "--kind", "sinusoid", "--out", str(out), "--seed", "-1"])
         assert code == 2
         assert "--seed" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--vehicles", "--points"])
+    def test_empty_fleet_is_an_error(self, tmp_path, capsys, flag):
+        out = tmp_path / "synthetic.csv"
+        code = main(["synth", "--kind", "sinusoid", "--out", str(out), flag, "0"])
+        assert code == 2
+        assert f"{flag} must be >= 1" in capsys.readouterr().err
         assert not out.exists()

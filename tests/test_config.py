@@ -98,6 +98,17 @@ class TestValidation:
             dict(synth_kind="spiral"),
             dict(vehicles_per_client=0),
             dict(seed=-1),
+            dict(n_in=3),
+            dict(n_out=1),
+            dict(constant_p=1.5),
+            dict(p_company=-0.1),
+            dict(p_private=1.01),
+            dict(points_per_client=0),
+            dict(synth_vehicles=0),
+            dict(synth_points_each=0),
+            dict(reveal_slice_points=0),
+            dict(weak_areas=[[1.0, 1.0, 0.0, 2.0]]),
+            dict(weak_areas=[[0.0, 1.0, 2.0, -2.0]]),
         ],
     )
     def test_rejects(self, bad):

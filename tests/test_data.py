@@ -403,10 +403,6 @@ class TestSynthTrajectories:
         a, b = synth_trajectories(seed=9, n_vehicles=2, points_each=25, kind="sinusoid")
         assert not np.allclose(a.coords, b.coords)
 
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ConfigError):
-            synth_trajectories(seed=1, n_vehicles=1, points_each=5, kind="zigzag")
-
     def test_coordinates_within_valid_ranges(self):
         for kind in ("random-walk", "sinusoid", "circle"):
             for traj in synth_trajectories(seed=10, n_vehicles=3, points_each=50, kind=kind):

@@ -102,13 +102,6 @@ class TestForward:
         p2, h2 = forward(model, batch)
         assert np.array_equal(p1, p2) and np.array_equal(h1, h2)
 
-    def test_dimension_mismatch_rejected(self):
-        dims = Dims(2, 4, 2)
-        model = random_model(dims, seed=6)
-        bad = random_batch(Dims(3, 4, 2), 2, 3, seed=7)
-        with pytest.raises(ConfigError):
-            forward(model, bad)
-
 
 BLOCKED_SIZES = [
     2 * EVAL_BLOCK_ROWS,
@@ -179,10 +172,6 @@ class TestMseLoss:
         preds = np.array([[1.0, 1.0], [3.0, 1.0]])
         targets = np.zeros((2, 2))
         assert mse_loss(preds, targets) == pytest.approx(3.0)
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ConfigError):
-            mse_loss(np.zeros((2, 2)), np.zeros((2, 3)))
 
 
 class TestBackward:
@@ -299,12 +288,6 @@ class TestSgdStep:
         twice = sgd_step(sgd_step(model, grads, 0.05), grads, 0.05)
         assert np.allclose(twice.values, model.values - 0.1 * grads.values)
 
-    def test_nonpositive_eta_rejected(self):
-        dims = Dims(1, 1, 1)
-        model = random_model(dims, seed=18)
-        with pytest.raises(ConfigError):
-            sgd_step(model, model, 0.0)
-
 
 class TestParamDistribution:
     def test_symmetric_block_is_uniform(self):
@@ -318,10 +301,6 @@ class TestParamDistribution:
 
     def test_zero_block_is_uniform(self):
         assert np.allclose(param_distribution(np.zeros(7)), 1.0 / 7.0)
-
-    def test_empty_block_rejected(self):
-        with pytest.raises(ConfigError):
-            param_distribution(np.array([]))
 
     @pytest.mark.parametrize("seed", range(20))
     def test_sums_to_one_with_positive_entries(self, seed):
@@ -360,14 +339,6 @@ class TestKlDivergence:
         assert value >= 0.0
         assert value == pytest.approx(kl_scalar(p.tolist(), q.tolist()), abs=1e-12)
 
-    def test_invalid_inputs_rejected(self):
-        with pytest.raises(ConfigError):
-            kl_divergence(np.array([0.5, 0.5]), np.array([1.0]))
-        with pytest.raises(ConfigError):
-            kl_divergence(np.array([1.0, 0.0]), np.array([0.5, 0.5]))
-        with pytest.raises(ConfigError):
-            kl_divergence(np.array([0.6, 0.6]), np.array([0.5, 0.5]))
-
 
 class TestFcHead:
     def test_zero_head_zeroes_the_output(self):
@@ -383,16 +354,6 @@ class TestFcHead:
         assert dims.fc_size == 645
         model = ParamSet(np.zeros(dims.total_size), dims)
         assert model.fc_block.size == 645
-
-    def test_wrong_head_size_rejected(self):
-        # the KL anchor is a head block: a longer vector, or a whole model,
-        # is an error, not something to read a head out of
-        dims = Dims(2, 4, 2)
-        model = random_model(dims, seed=23)
-        batch = random_batch(dims, 3, 4, seed=24)
-        for anchor in (np.zeros(dims.fc_size + 1), model.copy()):
-            with pytest.raises(ConfigError):
-                backward(model, batch, kl_anchor=anchor)
 
 
 class TestParamSetViews:

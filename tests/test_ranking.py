@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from fedsim.errors import ConfigError
 from fedsim.ranking import (
     CompensatorState,
     RankEntry,
@@ -49,10 +48,6 @@ class TestSolveQuadratic:
             assert abs(weight_early(m_t, b0, b1, b2) - 1.0) <= 1e-12
             assert abs(weight_early(2 * m_t, b0, b1, b2) - alpha) <= 1e-12
 
-    def test_zero_participants_rejected(self):
-        with pytest.raises(ConfigError):
-            solve_quadratic(2.0, 0)
-
 
 class TestWeightEarly:
     def test_vertex_value_is_one(self):
@@ -90,10 +85,6 @@ class TestRankPositions:
 
     def test_single_client(self):
         assert rank_positions([(7, 0.0)]) == {7: 1}
-
-    def test_empty_rejected(self):
-        with pytest.raises(ConfigError):
-            rank_positions([])
 
 
 class TestCombinedWeight:
