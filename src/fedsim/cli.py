@@ -45,10 +45,10 @@ def _cmd_run(args) -> int:
     result = run_experiment(config)
     paths = emit_reports(result, out)
     best = result.best_rmse()
-    best_text = "n/a" if best is None else f"{best:.6f}"
+    best_text = "n/a" if best is None else f"{best:.6g}"
     print(
         f"{config.variant}: {len(result.logs)} rounds, "
-        f"final RMSE {result.final_rmse():.6f}, best {best_text}"
+        f"final RMSE {result.final_rmse():.6g}, best {best_text}"
     )
     if config.dataset != "synthetic":
         print(f"{config.data_path}: {result.rejected_rows} rows rejected")

@@ -273,41 +273,44 @@ def backward(
     """
     d = model.dims
     I, H = d.n_in, d.n_hidden
-    hidden, cache = _lstm_steps(model, batch.inputs, keep_cache=True)
-    preds = apply_fc(model.fc_block, hidden, d)
+    # a diverging model overflows to inf and NaN; the finite check below
+    # raises on that, so numpy's warnings would only repeat it
+    with np.errstate(over="ignore", invalid="ignore"):
+        hidden, cache = _lstm_steps(model, batch.inputs, keep_cache=True)
+        preds = apply_fc(model.fc_block, hidden, d)
 
-    n_terms = batch.targets.size
-    d_pred = 2.0 * (preds - batch.targets) / n_terms
+        n_terms = batch.targets.size
+        d_pred = 2.0 * (preds - batch.targets) / n_terms
 
-    fc_w, _ = _fc_views(model.fc_block, d)
-    grads = ParamSet(np.zeros(d.total_size), d)
-    grad_fc_w, grad_fc_b = _fc_views(grads.fc_block, d)
-    grad_fc_w[...] = hidden.T @ d_pred
-    grad_fc_b[...] = d_pred.sum(axis=0)
+        fc_w, _ = _fc_views(model.fc_block, d)
+        grads = ParamSet(np.zeros(d.total_size), d)
+        grad_fc_w, grad_fc_b = _fc_views(grads.fc_block, d)
+        grad_fc_w[...] = hidden.T @ d_pred
+        grad_fc_b[...] = d_pred.sum(axis=0)
 
-    w, _ = _lstm_views(model)
-    w_h_t = w[I:].T
-    grad_w, grad_b = _lstm_views(grads)
-    d_h = d_pred @ fc_w.T
-    d_c_carry = 0.0
-    for t in range(len(cache) - 1, -1, -1):
-        z, a, gg, c_prev, hc = cache[t]
-        d_c = d_c_carry + d_h * a[:, 3 * H :] * (1.0 - hc * hc)
-        d_g = d_c * a[:, :H]
-        d_a = np.concatenate([d_c * gg, d_c * c_prev, d_g, d_h * hc], axis=1)
-        # sigmoid' = s * (1 - s) on the i, f and o slabs; the g slab is
-        # then overwritten with tanh' = 1 - g * g
-        d_a *= a
-        d_a *= 1.0 - a
-        d_a[:, 2 * H : 3 * H] = d_g * (1.0 - gg * gg)
-        grad_w += z.T @ d_a
-        grad_b += d_a.sum(axis=0)
-        if t:  # the first step's carries are never read
-            d_c_carry = d_c * a[:, H : 2 * H]
-            d_h = d_a @ w_h_t
+        w, _ = _lstm_views(model)
+        w_h_t = w[I:].T
+        grad_w, grad_b = _lstm_views(grads)
+        d_h = d_pred @ fc_w.T
+        d_c_carry = 0.0
+        for t in range(len(cache) - 1, -1, -1):
+            z, a, gg, c_prev, hc = cache[t]
+            d_c = d_c_carry + d_h * a[:, 3 * H :] * (1.0 - hc * hc)
+            d_g = d_c * a[:, :H]
+            d_a = np.concatenate([d_c * gg, d_c * c_prev, d_g, d_h * hc], axis=1)
+            # sigmoid' = s * (1 - s) on the i, f and o slabs; the g slab is
+            # then overwritten with tanh' = 1 - g * g
+            d_a *= a
+            d_a *= 1.0 - a
+            d_a[:, 2 * H : 3 * H] = d_g * (1.0 - gg * gg)
+            grad_w += z.T @ d_a
+            grad_b += d_a.sum(axis=0)
+            if t:  # the first step's carries are never read
+                d_c_carry = d_c * a[:, H : 2 * H]
+                d_h = d_a @ w_h_t
 
-    if kl_anchor is not None:
-        grads.fc_block[:] += _fc_kl_gradient(model.fc_block, kl_anchor)
+        if kl_anchor is not None:
+            grads.fc_block[:] += _fc_kl_gradient(model.fc_block, kl_anchor)
 
     if not np.all(np.isfinite(grads.values)):
         raise NumericError("non-finite gradient")

@@ -58,6 +58,8 @@ def evaluate_rmse(
     ``scale`` multiplies the error of each output axis before pooling, so
     the bbox extent reports degrees; at the default 1.0 no bit changes.
     """
-    preds, _ = forward(model, TrainBatch(inputs, targets))
-    err = (preds - targets) * scale
-    return float(np.sqrt(np.mean(err * err)))
+    # a diverged model's error overflows; reports write it as null
+    with np.errstate(over="ignore", invalid="ignore"):
+        preds, _ = forward(model, TrainBatch(inputs, targets))
+        err = (preds - targets) * scale
+        return float(np.sqrt(np.mean(err * err)))

@@ -101,16 +101,18 @@ class TestRunCommand:
         assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
         assert f"{data}: 5 rows rejected" in capsys.readouterr().out
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_diverged_run_writes_every_report(self, tmp_path, capsys):
-        # eta 1e18 aborts the run in round 2 with a flat global RMSE of ~1e147
+        # eta 1e18 aborts the run in round 2 with a flat global RMSE of ~1e147;
+        # the overflow warns nothing and the RMSE prints in exponent form
         config = tmp_path / "config.json"
         config.write_text(small_config(eta0=1e18).to_json(), encoding="utf-8")
         out = tmp_path / "out"
         assert main(["run", "--config", str(config), "--out", str(out)]) == 0
         for name in ("rounds.csv", "summary.json", "curves.svg"):
             assert (out / name).stat().st_size > 0
-        assert "final RMSE" in capsys.readouterr().out
+        (line,) = [x for x in capsys.readouterr().out.splitlines() if "final RMSE" in x]
+        assert "e+" in line and len(line) <= 200
 
     @pytest.mark.parametrize("sub", ["", "sub"])
     def test_output_path_under_a_file_is_an_error(self, tmp_path, capsys, monkeypatch, sub):
@@ -160,7 +162,11 @@ class TestConfigErrors:
             {"synth_points_each": 0},
         ],
     )
-    def test_bad_field_is_an_error_with_exit_code_2(self, tmp_path, capsys, bad):
+    def test_bad_field_is_an_error_with_exit_code_2(self, tmp_path, capsys, monkeypatch, bad):
+        def never_called(config):
+            raise AssertionError("the run started with a config that should not load")
+
+        monkeypatch.setattr(fedsim.cli, "run_experiment", never_called)
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(bad), encoding="utf-8")
         code = main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
@@ -228,6 +234,15 @@ class TestLocalOnlyCommand:
         summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
         assert summary["variant"] == "local_only"
         assert "local_only" in capsys.readouterr().out
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_diverging_run_warns_nothing(self, tmp_path, capsys):
+        # at eta 50 the models blow up: training aborts and the holdout RMSE
+        # overflows to inf, with no numpy warning on the way
+        config = tmp_path / "config.json"
+        config.write_text(small_config(eta0=50.0, variant="local_only").to_json(), encoding="utf-8")
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+        assert "final RMSE inf" in capsys.readouterr().out
 
 
 class TestGradcheckCommand:
