@@ -10,14 +10,13 @@ import numpy as np
 
 from fedsim.availability import (
     RevealState,
-    WeakArea,
     assign_by_datasize,
     assign_random,
     assign_regional,
     datasize_threshold,
     reveal_round,
 )
-from fedsim.data import synth_trajectories
+from fedsim.data import BBox, synth_trajectories
 
 rng = np.random.default_rng(0)
 traj = synth_trajectories(seed=2, n_vehicles=1, points_each=600, kind="random-walk")[0]
@@ -34,7 +33,7 @@ for alpha in (0.2, 1.0, 100.0):
 # scenario 2: weak-signal areas cut availability inside their boxes
 lat_mid = float(np.median(traj.coords[:, 0]))
 lon_mid = float(np.median(traj.coords[:, 1]))
-area = WeakArea(lat_mid - 0.3, lat_mid + 0.3, lon_mid - 0.3, lon_mid + 0.3)
+area = BBox(lat_mid - 0.3, lat_mid + 0.3, lon_mid - 0.3, lon_mid + 0.3)
 probs = assign_regional(traj.coords, [area], p_low=0.2, p_high=0.9)
 inside = int((probs == 0.2).sum())
 print(f"\nregional: {inside}/{traj.n_points} points inside the weak area at p=0.2")

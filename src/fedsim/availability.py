@@ -14,24 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-
-@dataclass(frozen=True)
-class WeakArea:
-    """A lat/lon box with degraded signal coverage."""
-
-    lat_min: float
-    lat_max: float
-    lon_min: float
-    lon_max: float
-
-    def contains(self, coords: np.ndarray) -> np.ndarray:
-        coords = np.asarray(coords, dtype=float)
-        return (
-            (coords[..., 0] >= self.lat_min)
-            & (coords[..., 0] <= self.lat_max)
-            & (coords[..., 1] >= self.lon_min)
-            & (coords[..., 1] <= self.lon_max)
-        )
+from .data import BBox
 
 
 @dataclass
@@ -68,9 +51,9 @@ def assign_random(n_points: int, alpha_dir: float, rng: np.random.Generator) -> 
 
 
 def assign_regional(
-    coords: np.ndarray, weak_areas: list[WeakArea], p_low: float, p_high: float
+    coords: np.ndarray, weak_areas: list[BBox], p_low: float, p_high: float
 ) -> np.ndarray:
-    """Region availability: p_low inside any weak-signal area, p_high outside."""
+    """Region availability: p_low inside any weak-signal box, p_high outside."""
     coords = np.asarray(coords, dtype=float)
     probs = np.full(coords.shape[0], p_high)
     for area in weak_areas:

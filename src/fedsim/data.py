@@ -188,7 +188,7 @@ def write_csv(path: str | Path, trajectories: list[Trajectory]) -> None:
 
 @dataclass(frozen=True)
 class BBox:
-    """Axis-aligned lat/lon box defining the normalization map."""
+    """Axis-aligned lat/lon box: the normalization map, or a weak-signal area."""
 
     lat_min: float
     lat_max: float
@@ -209,6 +209,15 @@ class BBox:
             float(coords[:, 0].max()),
             float(coords[:, 1].min()),
             float(coords[:, 1].max()),
+        )
+
+    def contains(self, coords: np.ndarray) -> np.ndarray:
+        coords = np.asarray(coords, dtype=float)
+        return (
+            (coords[..., 0] >= self.lat_min)
+            & (coords[..., 0] <= self.lat_max)
+            & (coords[..., 1] >= self.lon_min)
+            & (coords[..., 1] <= self.lon_max)
         )
 
     def normalize(self, coords: np.ndarray) -> np.ndarray:

@@ -31,7 +31,6 @@ import numpy as np
 
 from .availability import (
     RevealState,
-    WeakArea,
     assign_by_datasize,
     assign_random,
     assign_regional,
@@ -192,7 +191,7 @@ def _client_plan(
         if config.scenario == "random":
             parts.append(assign_random(n, config.alpha_dir, rng_plan))
         elif config.scenario == "regional":
-            areas = [WeakArea(*box) for box in config.weak_areas]
+            areas = [BBox(*box) for box in config.weak_areas]
             parts.append(assign_regional(run, areas, config.p_low, config.p_high))
         elif config.scenario == "datasize":
             parts.append(np.full(n, datasize_p))

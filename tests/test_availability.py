@@ -3,13 +3,13 @@ import pytest
 
 from fedsim.availability import (
     RevealState,
-    WeakArea,
     assign_by_datasize,
     assign_random,
     assign_regional,
     datasize_threshold,
     reveal_round,
 )
+from fedsim.data import BBox
 
 
 class TestAssignRandom:
@@ -46,7 +46,7 @@ class TestAssignRegional:
 
     def test_entirely_inside_one_area_gives_p_low(self):
         coords = np.column_stack([np.full(5, 30.5), np.full(5, 120.5)])
-        area = WeakArea(30.0, 31.0, 120.0, 121.0)
+        area = BBox(30.0, 31.0, 120.0, 121.0)
         probs = assign_regional(coords, [area], p_low=0.2, p_high=0.9)
         assert np.all(probs == 0.2)
 
@@ -56,7 +56,7 @@ class TestAssignRegional:
         lats = np.full(10, 30.0)
         lons = 120.0 + 0.1 * np.arange(10)
         coords = np.column_stack([lats, lons])
-        area = WeakArea(29.5, 30.5, 120.25, 120.65)
+        area = BBox(29.5, 30.5, 120.25, 120.65)
         expected_inside = (lons >= 120.25) & (lons <= 120.65)
         assert expected_inside.sum() == 4
         probs = assign_regional(coords, [area], p_low=0.2, p_high=0.9)
