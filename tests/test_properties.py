@@ -1,7 +1,8 @@
 """Property tests over generated inputs: the parsers and top-k selection
 against the scalar oracles, the invariants of the streaming reveal,
-aggregation as an order-free convex combination, config loading, and the
-row-blocked eval pass against a single pass.
+aggregation as an order-free convex combination, config loading, whole runs
+of small edge-case configs, and the row-blocked eval pass against a single
+pass.
 
 The examples come from the derandomized profile in conftest.py.
 """
@@ -11,13 +12,13 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, strategies as st  # noqa: E402
+from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from fedsim.availability import RevealState, reveal_round  # noqa: E402
-from fedsim.config import ExperimentConfig  # noqa: E402
+from fedsim.config import SCENARIOS, VARIANTS, ExperimentConfig  # noqa: E402
 from fedsim.data import Trajectory, parse_csv, parse_tdrive, write_csv  # noqa: E402
 from fedsim.errors import FedsimError  # noqa: E402
-from fedsim.experiment import aggregate  # noqa: E402
+from fedsim.experiment import aggregate, prepare_clients, run_experiment  # noqa: E402
 from fedsim import nn  # noqa: E402
 from fedsim.nn import Dims, ParamSet, TrainBatch, init_params  # noqa: E402
 from fedsim.ranking import RankEntry, select_top_k  # noqa: E402
@@ -201,6 +202,114 @@ def test_config_from_dict_raises_only_fedsim_errors(raw):
         ExperimentConfig.from_dict(raw)
     except FedsimError:
         pass
+
+
+# Values at and just past the edge of each field's range. The engine checks
+# none of these again, so a config that loads must run to its end or stop
+# with a FedsimError that depends on the data.
+PROBABILITY_EDGES = st.sampled_from([-0.5, 0.0, 1.0, 1.5])
+EDGES = {
+    "rounds": st.sampled_from([0, 1]),
+    "epochs": st.sampled_from([0, 1]),
+    "hidden": st.sampled_from([0, 1]),
+    "seq_len": st.sampled_from([0, 1]),
+    "batch_size": st.sampled_from([0, 1]),
+    "chi": st.sampled_from([0, 1, 9]),
+    "k_per_round": st.sampled_from([0, 1, 9]),
+    "budget": st.sampled_from([-1, 0, 1]),
+    "n_in": st.sampled_from([1, 3]),
+    "n_out": st.sampled_from([1, 3]),
+    "reveal_slice_points": st.sampled_from([0, 1]),
+    "synth_vehicles": st.sampled_from([0, 1, 9]),
+    "synth_points_each": st.sampled_from([0, 1, 3]),
+    "points_per_client": st.sampled_from([0, 1, 10**6]),
+    "vehicles_per_client": st.sampled_from([0, 2]),
+    "holdout_fraction": st.sampled_from([0.0, 0.01, 1.0]),
+    "sample_ratio": st.sampled_from([0.0, 0.01, 1.0]),
+    "datasize_percentile": st.sampled_from([0.0, 1.0, 99.0, 100.0]),
+    "alpha_dir": st.sampled_from([0.0, 1e-3]),
+    "gamma": st.sampled_from([0.0, 1e-3]),
+    "eta0": st.sampled_from([0.0, 50.0]),
+    "p_low": PROBABILITY_EDGES,
+    "p_high": PROBABILITY_EDGES,
+    "p_offline": PROBABILITY_EDGES,
+    "p_recover": PROBABILITY_EDGES,
+    "decentral_freq": PROBABILITY_EDGES,
+    "constant_p": PROBABILITY_EDGES,
+    "p_company": PROBABILITY_EDGES,
+    "p_private": PROBABILITY_EDGES,
+    "weak_areas": st.sampled_from(
+        [[[0.0, 90.0, 0.0, 180.0]], [[30.0, 30.0, 119.0, 121.0]], [[29.0, 31.0, 121.0, 119.0]]]
+    ),
+}
+
+# the scenario that reads each scenario-specific field
+SCENARIO_OF = {
+    "alpha_dir": "random",
+    "p_low": "regional",
+    "p_high": "regional",
+    "weak_areas": "regional",
+    "datasize_percentile": "datasize",
+    "p_company": "datasize",
+    "p_private": "datasize",
+    "constant_p": "constant",
+}
+
+
+@st.composite
+def small_configs(draw):
+    """A small valid config. By-vehicle fleets have one vehicle per client."""
+    n_clients = draw(st.integers(2, 4))
+    return dict(
+        variant=draw(st.sampled_from(VARIANTS)),
+        scenario=draw(st.sampled_from(SCENARIOS)),
+        partition=draw(st.sampled_from(["by_vehicle", "equal"])),
+        n_clients=n_clients,
+        synth_vehicles=n_clients,
+        synth_points_each=draw(st.integers(8, 30)),
+        points_per_client=draw(st.integers(5, 8)),
+        rounds=draw(st.integers(1, 3)),
+        hidden=draw(st.integers(1, 3)),
+        seq_len=draw(st.integers(1, 3)),
+        batch_size=draw(st.integers(1, 4)),
+        chi=draw(st.integers(1, 3)),
+        budget=draw(st.sampled_from([None, 2])),
+        offline_train_every_round=draw(st.booleans()),
+        aggregate_by_datasize=draw(st.booleans()),
+        rmse_units=draw(st.sampled_from(["normalized", "degrees"])),
+        eta0=0.05,
+        seed=draw(st.integers(0, 3)),
+    )
+
+
+# Every field gets its own examples, so each edge is drawn however the
+# examples fall; a second edge, drawn from any field, may join it.
+@pytest.mark.parametrize("edge", sorted(EDGES))
+@settings(max_examples=8)
+@given(data=st.data())
+def test_a_config_at_an_edge_is_rejected_or_runs_to_its_end_or_a_fedsim_error(edge, data):
+    raw = data.draw(small_configs())
+    for name in [edge] + data.draw(st.lists(st.sampled_from(sorted(EDGES)), max_size=1)):
+        raw[name] = data.draw(EDGES[name])
+        raw["scenario"] = SCENARIO_OF.get(name, raw["scenario"])
+    try:
+        config = ExperimentConfig.from_dict(raw)
+        clients, model, *_ = prepare_clients(config)
+    except FedsimError:
+        return
+    # what the engine takes for granted without checking it
+    dims = model.dims
+    assert len(clients) >= 2 and min(dims.n_in, dims.n_hidden, dims.n_out) >= 1
+    for client in clients.values():
+        assert client.reveal.slice_size >= 1
+        assert np.all((client.reveal.probs >= 0.0) & (client.reveal.probs <= 1.0))
+        assert client.train_inputs.shape[2] == dims.n_in
+        assert client.train_targets.shape[1] == dims.n_out
+    try:
+        result = run_experiment(config)
+    except FedsimError:
+        return
+    assert 1 <= len(result.logs) <= config.rounds
 
 
 # Even hidden widths only: at odd widths of 15 and more the gate GEMM rounds a
