@@ -66,7 +66,7 @@ def participation(n_uploads: int, t: int) -> float:
 
 
 def charge_upload(state: LinkState) -> LinkState:
-    """Account one server upload against the client's budget."""
+    """Account one server upload against the budget of a client that can upload."""
     if state.budget_remaining is not None:
         state.budget_remaining -= 1
     state.n_uploads += 1

@@ -152,7 +152,10 @@ class ExperimentResult:
 
 
 def aggregate(models: list[ParamSet], weights: list[float] | None = None) -> ParamSet:
-    """Per-parameter mean of the uploaded models, unweighted by default."""
+    """Per-parameter mean of one or more models, unweighted by default.
+
+    ``weights``, one per model, are nonnegative with a positive sum.
+    """
     if weights is None:
         w = np.full(len(models), 1.0 / len(models))
     else:

@@ -109,6 +109,7 @@ class TestValidation:
             dict(reveal_slice_points=0),
             dict(weak_areas=[[1.0, 1.0, 0.0, 2.0]]),
             dict(weak_areas=[[0.0, 1.0, 2.0, -2.0]]),
+            dict(hidden=0),
         ],
     )
     def test_rejects(self, bad):
