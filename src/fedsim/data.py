@@ -202,8 +202,6 @@ class BBox:
     @classmethod
     def from_points(cls, coords: np.ndarray) -> "BBox":
         coords = np.asarray(coords, dtype=float)
-        if coords.size == 0:
-            raise ConfigError("cannot build a bbox from zero points")
         return cls(
             float(coords[:, 0].min()),
             float(coords[:, 0].max()),

@@ -28,19 +28,29 @@ in-place tanh then covers all four slabs. The g slab is copied out before
 ``a += 1; a *= 0.5``, which turns i, f and o into sigmoids in place and
 leaves a spent g slab that ``backward`` overwrites.
 
-Evaluation (``forward``, ``lstm_hidden``) keeps no cache, and it walks the
-batch in blocks of ``EVAL_BLOCK_ROWS`` rows, so each step's temporaries stay
-a fixed size however large the pooled holdout grows. A tail of one row joins
-the block before it: a 1-row GEMM goes to gemv, which rounds differently from
-the same row inside a larger GEMM. Each block's final hidden state is written
-into one B x H result, and the head GEMM then runs once over all B rows. The
-head GEMM is not blocked because it is narrow (H x O, O = 2 for lat/lon), and
-a narrow GEMM may round a row differently when its row count changes. With
-these rules the blocked pass is bit-identical to a single pass at even hidden
-widths. At odd widths of 15 and more it is not: there the gate GEMM ``z @ w``
-rounds a row differently as its row count changes (at H=21, from two rows
-upward, under OpenBLAS's SkylakeX kernel). Training (``backward``) runs its
-batch, at most ``batch_size`` rows, as one block.
+This step exists once, in ``_lstm_step``, and both passes call it. Training
+(``backward``) lets it write each step's results into fresh arrays, because
+the backward sweep reads every step's arrays from the cache. Evaluation
+(``forward``, ``lstm_hidden``) keeps no cache: it allocates one working set
+per call, sized for the largest block, and every block and step writes into
+it in place. Each step's ``h`` goes straight into the hidden half of the next
+step's ``z``, and ``h`` and ``c`` are zeroed at the start of each block. With
+no fresh arrays per step, the allocator does not hand pages back to the
+kernel and fault them in again on every step.
+
+Evaluation walks the batch in blocks of ``EVAL_BLOCK_ROWS`` rows, so its
+working set stays a fixed size however large the pooled holdout grows. A
+tail of one row joins the block before it: a 1-row GEMM goes to gemv, which
+rounds differently from the same row inside a larger GEMM. Each block's
+final hidden state is written into one B x H result, and the head GEMM then
+runs once over all B rows. The head GEMM is not blocked because it is narrow
+(H x O, O = 2 for lat/lon), and a narrow GEMM may round a row differently
+when its row count changes. With these rules the blocked pass is
+bit-identical to a single pass at even hidden widths. At odd widths of 15 and
+more it is not: there the gate GEMM ``z @ w`` rounds a row differently as its
+row count changes (at H=21, from two rows upward, under OpenBLAS's SkylakeX
+kernel). Training (``backward``) runs its batch, at most ``batch_size``
+rows, as one block.
 """
 
 from __future__ import annotations
@@ -161,48 +171,89 @@ def _fc_views(fc_block: np.ndarray, dims: Dims):
     return w, b
 
 
+def _halved_gates(model: ParamSet):
+    # halve the i, f and o columns once, so each step's sigmoid is one tanh
+    # (see the module docstring)
+    H = model.dims.n_hidden
+    w, b = _lstm_views(model)
+    scale = np.full(4 * H, 0.5)
+    scale[2 * H : 3 * H] = 1.0
+    return w * scale, b * scale
+
+
+def _lstm_step(z, w, b, c_prev, a=None, gg=None, c=None, hc=None, h=None):
+    # one step of the gate math; each result goes into the array given for it,
+    # or into a fresh one. Returns a (i, f and o as sigmoids in their slabs),
+    # gg, c, hc = tanh(c) and h. c may be c_prev itself
+    H = c_prev.shape[1]
+    a = np.matmul(z, w, out=a)
+    a += b
+    np.tanh(a, out=a)
+    if gg is None:
+        gg = a[:, 2 * H : 3 * H].copy()
+    else:
+        np.copyto(gg, a[:, 2 * H : 3 * H])
+    a += 1.0
+    a *= 0.5
+    c = np.multiply(a[:, H : 2 * H], c_prev, out=c)
+    hc = np.multiply(a[:, :H], gg, out=hc)
+    c += hc
+    np.tanh(c, out=hc)
+    h = np.multiply(a[:, 3 * H :], hc, out=h)
+    return a, gg, c, hc, h
+
+
 def _run_lstm(model: ParamSet, inputs: np.ndarray) -> np.ndarray:
-    # cache-free pass in row blocks; a 0- or 1-row tail joins the block before it
-    n_batch = inputs.shape[0]
-    hidden = np.empty((n_batch, model.dims.n_hidden))
+    # cache-free pass in row blocks; a 0- or 1-row tail joins the block before
+    # it. One working set, sized for the largest block, serves every block and
+    # step: x and h are the two halves of z, and c is updated in place
+    n_batch, n_steps, n_in = inputs.shape
+    H = model.dims.n_hidden
+    w, b = _halved_gates(model)
+    rows = min(n_batch, EVAL_BLOCK_ROWS + 1)
+    # one allocation for z, a, gg, c and hc. When glibc's malloc frees a mapped
+    # block above its mmap threshold, it raises that threshold to the block's
+    # size and its trim threshold to twice that; so after the first call, the
+    # working set and the result come from heap pages already faulted in, not
+    # from fresh pages each call (counts in BENCH_15.json)
+    work = np.empty(rows * (n_in + 8 * H))
+    z_buf = work[: rows * (n_in + H)].reshape(rows, n_in + H)
+    a_buf = work[rows * (n_in + H) : rows * (n_in + 5 * H)].reshape(rows, 4 * H)
+    gg_buf, c_buf, hc_buf = work[rows * (n_in + 5 * H) :].reshape(3, rows, H)
+    hidden = np.empty((n_batch, H))
     start = 0
     while start < n_batch:
         stop = start + EVAL_BLOCK_ROWS
         if n_batch - stop <= 1:
             stop = n_batch
-        hidden[start:stop], _ = _lstm_steps(model, inputs[start:stop], keep_cache=False)
+        n = stop - start
+        z, a, gg, c, hc = z_buf[:n], a_buf[:n], gg_buf[:n], c_buf[:n], hc_buf[:n]
+        x, h = z[:, :n_in], z[:, n_in:]
+        block = inputs[start:stop]
+        h.fill(0.0)
+        c.fill(0.0)
+        for t in range(n_steps):
+            x[...] = block[:, t]
+            _lstm_step(z, w, b, c, a, gg, c, hc, h)
+        hidden[start:stop] = h
         start = stop
     return hidden
 
 
-def _lstm_steps(model: ParamSet, inputs: np.ndarray, keep_cache: bool):
-    H = model.dims.n_hidden
-    w, b = _lstm_views(model)
-    # halve the i, f and o columns once, so each step's sigmoid is one tanh
-    # (see the module docstring); the cache holds (z, a, gg, c_prev, hc) with
-    # the i, f and o gates in their slabs of a
-    scale = np.full(4 * H, 0.5)
-    scale[2 * H : 3 * H] = 1.0
-    w, b = w * scale, b * scale
+def _lstm_steps(model: ParamSet, inputs: np.ndarray):
+    # training pass: every step's arrays are fresh, because backward reads
+    # each step's (z, a, gg, c_prev, hc) from the cache
     n_batch, n_steps = inputs.shape[0], inputs.shape[1]
+    H = model.dims.n_hidden
+    w, b = _halved_gates(model)
     h = np.zeros((n_batch, H))
     c = np.zeros((n_batch, H))
-    cache = [] if keep_cache else None
+    cache = []
     for t in range(n_steps):
         z = np.concatenate([inputs[:, t, :], h], axis=1)
-        a = z @ w
-        a += b
-        np.tanh(a, out=a)
-        gg = a[:, 2 * H : 3 * H].copy()
-        a += 1.0
-        a *= 0.5
-        c_prev = c
-        c = a[:, H : 2 * H] * c_prev
-        c += a[:, :H] * gg
-        hc = np.tanh(c)
-        h = a[:, 3 * H :] * hc
-        if keep_cache:
-            cache.append((z, a, gg, c_prev, hc))
+        a, gg, c_next, hc, h = _lstm_step(z, w, b, c)
+        cache.append((z, a, gg, c, hc))
+        c = c_next
     return h, cache
 
 
@@ -276,7 +327,7 @@ def backward(
     # a diverging model overflows to inf and NaN; the finite check below
     # raises on that, so numpy's warnings would only repeat it
     with np.errstate(over="ignore", invalid="ignore"):
-        hidden, cache = _lstm_steps(model, batch.inputs, keep_cache=True)
+        hidden, cache = _lstm_steps(model, batch.inputs)
         preds = apply_fc(model.fc_block, hidden, d)
 
         n_terms = batch.targets.size

@@ -85,8 +85,6 @@ def combined_weight(
 
 def straggler_boost(entries: list[RankEntry], gamma: float) -> list[RankEntry]:
     """Multiply weights of below-mean updaters by gamma (strict inequality)."""
-    if not entries:
-        return entries
     mean_updates = sum(e.n_updates for e in entries) / len(entries)
     for entry in entries:
         if entry.n_updates < mean_updates:
@@ -132,8 +130,6 @@ def sample_proportional(
 ) -> list[int]:
     """Weight-proportional sampling without replacement (ablation mode)."""
     k = min(k, len(entries))
-    if k == 0:
-        return []
     ids = np.array([e.client_id for e in entries])
     weights = np.array([max(e.weight, 0.0) for e in entries], dtype=float)
     if weights.sum() <= 0:

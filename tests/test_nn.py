@@ -144,18 +144,43 @@ class TestBlockedEval:
         model = random_model(dims, seed=1)
         inputs = np.zeros((n_rows, 3, 2))
         seen = []
-        steps = nn._lstm_steps
+        step = nn._lstm_step
 
-        def recording(model, inputs, keep_cache):
-            seen.append(inputs.shape[0])
-            return steps(model, inputs, keep_cache)
+        # both passes run every step of every block through the one step function
+        def recording(z, *args):
+            seen.append(z.shape[0])
+            return step(z, *args)
 
-        monkeypatch.setattr(nn, "_lstm_steps", recording)
+        monkeypatch.setattr(nn, "_lstm_step", recording)
         nn.lstm_hidden(model, inputs)
-        assert seen == blocks
+        assert seen == [rows for rows in blocks for _ in range(3)]
         seen.clear()
         backward(model, TrainBatch(inputs, np.zeros((n_rows, 2))))
-        assert seen == [n_rows]
+        assert seen == [n_rows] * 3
+
+    @pytest.mark.parametrize("hidden", [8, 21, 32, 64])
+    @pytest.mark.parametrize("n_rows", [1, 2, 3, 16, EVAL_BLOCK_ROWS + 1])
+    def test_reused_buffers_give_the_training_pass_bits(self, hidden, n_rows):
+        # both passes run one block of n_rows here, so odd widths hold too
+        dims = Dims(2, hidden, 2)
+        model = random_model(dims, seed=hidden)
+        inputs = random_batch(dims, n_rows, 6, seed=n_rows).inputs
+        trained, _ = _lstm_steps(model, inputs)
+        assert np.array_equal(nn.lstm_hidden(model, inputs), trained)
+
+    def test_back_to_back_evals_match_each_alone(self):
+        # every block after the first starts from zero h and c in buffers
+        # that held the block before it
+        dims = Dims(2, 32, 2)
+        first, second = random_model(dims, seed=3), random_model(dims, seed=4)
+        large = random_batch(dims, 2 * EVAL_BLOCK_ROWS + 2, 6, seed=5).inputs
+        small = random_batch(dims, 5, 6, seed=6).inputs
+        small_alone = nn.lstm_hidden(second, small)
+        hidden = nn.lstm_hidden(first, large)
+        assert np.array_equal(nn.lstm_hidden(second, small), small_alone)
+        for start in (0, EVAL_BLOCK_ROWS, 2 * EVAL_BLOCK_ROWS):
+            block = slice(start, start + EVAL_BLOCK_ROWS)
+            assert np.array_equal(hidden[block], nn.lstm_hidden(first, large[block]))
 
 
 class TestMseLoss:
@@ -237,7 +262,7 @@ class TestGateEdgeCases:
         with np.errstate(all="raise"):
             preds, hidden = forward(model, batch)
             grads = backward(model, batch)
-            _, cache = _lstm_steps(model, batch.inputs, keep_cache=True)
+            _, cache = _lstm_steps(model, batch.inputs)
         assert np.all(np.isfinite(preds)) and np.all(np.isfinite(hidden))
         assert np.all(np.isfinite(grads.values))
         H = dims.n_hidden
@@ -256,7 +281,7 @@ class TestGateEdgeCases:
         model = ParamSet(np.zeros(dims.total_size), dims)
         model.lstm_block[: 4 * H] = 1.0
         grid = np.linspace(-40.0, 40.0, 8001)
-        _, cache = _lstm_steps(model, grid.reshape(-1, 1, 1), keep_cache=True)
+        _, cache = _lstm_steps(model, grid.reshape(-1, 1, 1))
         (_, a, gg, _, _), = cache
         expected = np.array([sigmoid_scalar(x) for x in grid])[:, None]
         for gate in (a[:, :H], a[:, H : 2 * H], a[:, 3 * H :]):

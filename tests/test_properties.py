@@ -327,7 +327,8 @@ def test_blocked_eval_equals_a_single_pass_at_even_widths(hidden, n_rows, seq_le
     rng = np.random.default_rng(seed)
     model = init_params(dims, rng)
     batch = TrainBatch(rng.normal(size=(n_rows, seq_len, n_in)), rng.normal(size=(n_rows, 2)))
-    single, _ = nn._lstm_steps(model, batch.inputs, keep_cache=False)
+    # the training pass: one pass over all rows, in fresh arrays
+    single, _ = nn._lstm_steps(model, batch.inputs)
     preds, blocked = nn.forward(model, batch)
     assert np.array_equal(blocked, single)
     assert np.array_equal(nn.lstm_hidden(model, batch.inputs), single)
