@@ -113,6 +113,9 @@ def _cmd_plot(args) -> int:
         print(f"no rounds.csv found under {root}", file=sys.stderr)
         return 1
     out = Path(args.out) if args.out else root / "curves.svg"
+    inputs = {(d / name).resolve() for d in run_dirs for name in ("rounds.csv", "summary.json")}
+    if out.resolve() in inputs:
+        raise ConfigError(f"{out}: --out would overwrite a run file that plot reads")
     write_curves_svg(collect_series(run_dirs), out)
     print(f"wrote {out}")
     return 0

@@ -3,6 +3,8 @@
 Coordinates are kept as (lat, lon) degree pairs until normalization maps them
 into the unit square for training. Partitioning never copies points into two
 clients, and sliding windows never cross a trajectory (or split) boundary.
+Windows are read-only views of the points they slide over, so a run of n
+points is held once, not once per window step.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import ConfigError, ParseError
 
@@ -286,15 +289,16 @@ def make_windows(points: np.ndarray, seq_len: int) -> tuple[np.ndarray, np.ndarr
     """Stride-1 sliding windows over one contiguous point run.
 
     Returns (inputs, targets) with shapes (m, seq_len, 2) and (m, 2) where
-    m = max(0, n - seq_len); window k covers points k..k+seq_len.
+    m = max(0, n - seq_len); window k covers points k..k+seq_len. Both are
+    read-only strided views of ``points``: no point is copied, and a gather
+    such as ``inputs[rows]`` makes the copy it needs.
     """
     points = np.asarray(points, dtype=float)
     m = max(0, points.shape[0] - seq_len)
-    # one slice copy per time step; the result owns its memory
-    inputs = np.empty((m, seq_len, points.shape[1]))
-    for k in range(seq_len):
-        inputs[:, k] = points[k : k + m]
-    return inputs, points[seq_len : seq_len + m].copy()
+    row, col = points.strides
+    inputs = as_strided(points, (m, seq_len, points.shape[1]), (row, row, col), writeable=False)
+    targets = as_strided(points[seq_len:], (m, points.shape[1]), (row, col), writeable=False)
+    return inputs, targets
 
 
 def synth_trajectories(

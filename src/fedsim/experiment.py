@@ -20,6 +20,11 @@ client whose training diverges keeps its model and logs its event:
 
 A client that trains its own model, in any phase, is pulled toward the peer
 head it cached in its last exchange; one that got the global push is not.
+
+Each point is held once. A client's training windows are read-only views of
+its normalized training stream, indexed by stream position, and a phase
+gathers only the rows it uses. Its holdout windows are a slice of the pooled
+global holdout.
 """
 
 from __future__ import annotations
@@ -74,11 +79,11 @@ class ClientRuntime:
     """Everything one simulated client owns during a run."""
 
     n_points: int                     # raw dataset size (all segments)
-    train_inputs: np.ndarray          # (m_train, S, 2) normalized
-    train_targets: np.ndarray         # (m_train, 2)
-    window_starts: np.ndarray         # flat stream index of each window's first point
+    train_inputs: np.ndarray          # (n_stream - S, S, 2) read-only view of stream_coords
+    train_targets: np.ndarray         # (n_stream - S, 2), both indexed by stream position
+    window_starts: np.ndarray         # stream positions of the training windows
     stream_coords: np.ndarray         # (n_stream, 2) normalized training stream
-    hold_inputs: np.ndarray
+    hold_inputs: np.ndarray           # this client's rows of the pooled holdout
     hold_targets: np.ndarray
     reveal: RevealState
     link: LinkState
@@ -91,11 +96,12 @@ class ClientRuntime:
     centroid: np.ndarray = None
 
     def usable_window_indices(self) -> np.ndarray:
-        """Training windows whose points have all been revealed."""
+        """Stream positions of the training windows whose points have all
+        been revealed; they index ``train_inputs`` and ``train_targets``."""
         span = self.train_inputs.shape[1] + 1
         csum = np.concatenate([[0], np.cumsum(self.reveal.available)])
         counts = csum[self.window_starts + span] - csum[self.window_starts]
-        return np.flatnonzero(counts == span)
+        return self.window_starts[counts == span]
 
     def position(self) -> np.ndarray:
         """Newest available stream point, or the centroid before any arrives."""
@@ -227,14 +233,6 @@ def _split_runs(ds: ClientDataset, seq_len: int, holdout_fraction: float):
     return train_runs, hold_runs
 
 
-def _window_runs(runs: list[np.ndarray], bbox: BBox, seq_len: int):
-    """Normalized windows of every run, concatenated as (inputs, targets)."""
-    windows = [make_windows(bbox.normalize(run), seq_len) for run in runs]
-    inputs = np.concatenate([np.zeros((0, seq_len, 2))] + [w[0] for w in windows])
-    targets = np.concatenate([np.zeros((0, 2))] + [w[1] for w in windows])
-    return inputs, targets
-
-
 def prepare_clients(config: ExperimentConfig):
     """Build per-client runtimes, the frozen bbox, the global holdout, the
     selection RNG and the count of dataset rows the parser dropped."""
@@ -273,20 +271,34 @@ def prepare_clients(config: ExperimentConfig):
 
     global_model = init_params(dims, rng_server)
 
+    # one copy of every holdout window, in the pooled holdout; each client's
+    # holdout is its slice of it
+    hold_windows = [
+        [make_windows(bbox.normalize(run), seq_len) for run in hold_runs]
+        for _, hold_runs in splits
+    ]
+    pooled = [w for windows in hold_windows for w in windows]
+    holdout = (
+        np.concatenate([np.zeros((0, seq_len, 2))] + [w[0] for w in pooled]),
+        np.concatenate([np.zeros((0, 2))] + [w[1] for w in pooled]),
+    )
+    for part in holdout:
+        part.flags.writeable = False
+    hold_ends = np.cumsum([0] + [sum(w[1].shape[0] for w in windows) for windows in hold_windows])
+
     clients: dict[int, ClientRuntime] = {}
-    hold_inputs_all, hold_targets_all = [], []
-    for ds, (train_runs, hold_runs), ss in zip(datasets, splits, client_seqs):
+    for i, (ds, (train_runs, _), ss) in enumerate(zip(datasets, splits, client_seqs)):
         plan_ss, reveal_ss, conn_ss, train_ss, eval_ss = ss.spawn(5)
-        train_inputs, train_targets = _window_runs(train_runs, bbox, seq_len)
-        hold_inputs, hold_targets = _window_runs(hold_runs, bbox, seq_len)
-        hold_inputs_all.append(hold_inputs)
-        hold_targets_all.append(hold_targets)
+        stream_coords = bbox.normalize(np.concatenate([np.zeros((0, 2))] + train_runs))
+        # windows at every stream position; those that cross from one run
+        # into the next are never listed in window_starts
+        train_inputs, train_targets = make_windows(stream_coords, seq_len)
         offsets = np.cumsum([0] + [run.shape[0] for run in train_runs])
         window_starts = np.concatenate(
             [np.zeros(0, dtype=int)]
             + [start + np.arange(run.shape[0] - seq_len) for start, run in zip(offsets, train_runs)]
         )
-        stream_coords = bbox.normalize(np.concatenate([np.zeros((0, 2))] + train_runs))
+        hold = slice(hold_ends[i], hold_ends[i + 1])
 
         datasize_p = None if datasize_probs is None else float(datasize_probs[ds.client_id])
         probs = _client_plan(config, train_runs, datasize_p, np.random.default_rng(plan_ss))
@@ -304,11 +316,13 @@ def prepare_clients(config: ExperimentConfig):
             train_targets=train_targets,
             window_starts=window_starts,
             stream_coords=stream_coords,
-            hold_inputs=hold_inputs,
-            hold_targets=hold_targets,
+            hold_inputs=holdout[0][hold],
+            hold_targets=holdout[1][hold],
             reveal=RevealState(probs, config.slice_points),
             link=LinkState(budget_remaining=config.budget),
-            model=global_model.copy(),
+            # round 1 pushes a copy of the global model to every client, and
+            # local_only replaces it, before anyone reads it
+            model=global_model,
             rng_reveal=np.random.default_rng(reveal_ss),
             rng_conn=np.random.default_rng(conn_ss),
             rng_train=np.random.default_rng(train_ss),
@@ -316,11 +330,8 @@ def prepare_clients(config: ExperimentConfig):
             centroid=centroid,
         )
 
-    global_hold_inputs = np.concatenate(hold_inputs_all)
-    global_hold_targets = np.concatenate(hold_targets_all)
-    if global_hold_inputs.shape[0] == 0:
+    if holdout[0].shape[0] == 0:
         raise ConfigError("holdout is empty; clients have too few windows")
-    holdout = (global_hold_inputs, global_hold_targets)
     return clients, global_model, bbox, holdout, rng_select, rejected
 
 

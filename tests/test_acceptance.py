@@ -4,7 +4,11 @@ Run with `pytest tests/test_acceptance.py -s` to see the per-criterion lines.
 The trend criteria (5 and 6) run full experiments and take a few minutes.
 """
 
+import os
 import time
+from concurrent.futures import ProcessPoolExecutor
+from multiprocessing import get_context
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -91,16 +95,32 @@ def crit6_config(variant, seed, **overrides):
     return ExperimentConfig(variant=variant, seed=seed, **{**CRIT6_BASE, **overrides})
 
 
+def timed_run(config):
+    """A run's result and its wall time, both taken in the process that runs it."""
+    t0 = time.perf_counter()
+    result = run_experiment(config)
+    return result, time.perf_counter() - t0
+
+
+def timed_runs(configs):
+    """``timed_run`` of each config, in order, on two spawned workers.
+
+    The runs are independent and seed-determined, so where they run changes
+    no result. Each worker gets one BLAS thread, so two of them fill two cores.
+    """
+    one_thread = dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1")
+    with mock.patch.dict(os.environ, one_thread):
+        with ProcessPoolExecutor(2, mp_context=get_context("spawn")) as pool:
+            return list(pool.map(timed_run, configs))
+
+
 @pytest.fixture(scope="module")
 def crit6_runs():
-    """3 variants x 5 seeds at the headline setting, with per-seed timings."""
-    results = {}
-    timings = {}
-    for variant in ("fedavg", "fedcab", "feddecab"):
-        for seed in CRIT6_SEEDS:
-            t0 = time.perf_counter()
-            results[variant, seed] = run_experiment(crit6_config(variant, seed))
-            timings[variant, seed] = time.perf_counter() - t0
+    """3 variants x 5 seeds at the headline setting, with per-run timings."""
+    keys = [(variant, seed) for variant in ("fedavg", "fedcab", "feddecab") for seed in CRIT6_SEEDS]
+    runs = dict(zip(keys, timed_runs([crit6_config(*key) for key in keys])))
+    results = {key: result for key, (result, _) in runs.items()}
+    timings = {key: seconds for key, (_, seconds) in runs.items()}
     return results, timings
 
 
@@ -230,11 +250,14 @@ def test_criterion_5_fl_beats_local_only():
     wins = 0
     worst_seed_time = 0.0
     details = []
+    runs = timed_runs([
+        ExperimentConfig(variant=variant, seed=seed, **CRIT5_BASE)
+        for seed in range(5)
+        for variant in ("fedavg", "local_only")
+    ])
     for seed in range(5):
-        t0 = time.perf_counter()
-        fl = run_experiment(ExperimentConfig(variant="fedavg", seed=seed, **CRIT5_BASE))
-        lo = run_experiment(ExperimentConfig(variant="local_only", seed=seed, **CRIT5_BASE))
-        worst_seed_time = max(worst_seed_time, time.perf_counter() - t0)
+        (fl, fl_time), (lo, lo_time) = runs[2 * seed : 2 * seed + 2]
+        worst_seed_time = max(worst_seed_time, fl_time + lo_time)
         fl_mean = float(np.mean(list(fl.final_client_rmse().values())))
         lo_mean = float(np.mean(list(lo.final_client_rmse().values())))
         wins += fl_mean < lo_mean

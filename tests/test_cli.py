@@ -298,6 +298,20 @@ class TestPlotCommand:
         assert main(["plot", "--in", str(tmp_path / "run"), "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {out}: ")
 
+    @pytest.mark.parametrize("name", ["rounds.csv", "summary.json"])
+    @pytest.mark.parametrize("merged", [False, True])
+    def test_plot_onto_a_run_file_it_reads_is_an_error(self, tmp_path, capsys, name, merged):
+        config = write_config(tmp_path, rounds=1)
+        run_dir = tmp_path / "runs" / "a"
+        main(["run", "--config", str(config), "--out", str(run_dir)])
+        before = {path.name: path.read_bytes() for path in run_dir.iterdir()}
+        # the same file reached through a detour, from a single run or a parent
+        out = run_dir / ".." / "a" / name
+        source = run_dir.parent if merged else run_dir
+        assert main(["plot", "--in", str(source), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {out}: ")
+        assert {path.name: path.read_bytes() for path in run_dir.iterdir()} == before
+
     def test_plot_missing_dir_fails(self, tmp_path, capsys):
         assert main(["plot", "--in", str(tmp_path / "nothing")]) == 1
 

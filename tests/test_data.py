@@ -369,7 +369,7 @@ class TestMakeWindows:
             assert np.array_equal(targets[k], points[k + 6])
 
     @pytest.mark.parametrize("seq_len", [1, 6])
-    def test_matches_slices_and_owns_its_memory(self, seq_len):
+    def test_matches_slices_as_read_only_views_of_the_points(self, seq_len):
         rng = np.random.default_rng(seq_len)
         for n in range(seq_len + 4):
             wide = rng.normal(size=(n, 4))
@@ -380,8 +380,9 @@ class TestMakeWindows:
                 assert inputs.shape == want_inputs.shape and targets.shape == want_targets.shape
                 assert np.array_equal(inputs, want_inputs) and np.array_equal(targets, want_targets)
                 for out in (inputs, targets):
-                    assert out.flags.writeable and out.flags.c_contiguous
-                    assert not np.shares_memory(out, points)
+                    assert not out.flags.writeable
+                    if inputs.shape[0]:
+                        assert np.shares_memory(out, points)
 
 
 class TestSynthTrajectories:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import fedsim.experiment
+from fedsim.availability import reveal_round
 from fedsim.config import ExperimentConfig
 from fedsim.data import make_windows, partition_equal, synth_trajectories
 from fedsim.experiment import aggregate, prepare_clients, run_experiment
@@ -500,19 +501,18 @@ class TestPrepareClients:
         clients, _, _, (hold_in, hold_tg), _, _ = prepare_clients(cfg)
         assert hold_in.shape[0] == sum(c.hold_inputs.shape[0] for c in clients.values())
         for client in clients.values():
-            m = client.train_inputs.shape[0]
-            h = client.hold_inputs.shape[0]
-            if m and h:
+            train_windows = client.train_inputs[client.window_starts]
+            if train_windows.shape[0] and client.hold_inputs.shape[0]:
                 # stream-tail holdout: no training window may equal a holdout window
-                train_keys = {client.train_inputs[i].tobytes() for i in range(m)}
-                hold_keys = {client.hold_inputs[i].tobytes() for i in range(h)}
+                train_keys = {window.tobytes() for window in train_windows}
+                hold_keys = {window.tobytes() for window in client.hold_inputs}
                 assert not train_keys & hold_keys
 
     def test_holdout_fraction_honored(self):
         cfg = small_config(holdout_fraction=0.25)
         clients, _, _, _, _, _ = prepare_clients(cfg)
         for client in clients.values():
-            m = client.train_inputs.shape[0] + client.hold_inputs.shape[0]
+            m = client.window_starts.size + client.hold_inputs.shape[0]
             if m >= 2:
                 assert client.hold_inputs.shape[0] == min(m - 1, max(1, round(0.25 * m)))
 
@@ -541,11 +541,51 @@ class TestPrepareClients:
             m = inputs.shape[0]
             n_hold = min(m - 1, max(1, round(cfg.holdout_fraction * m))) if m >= 2 else 0
             n_train = m - n_hold
-            np.testing.assert_array_equal(client.train_inputs, inputs[:n_train])
-            np.testing.assert_array_equal(client.train_targets, targets[:n_train])
+            starts = client.window_starts
+            np.testing.assert_array_equal(client.train_inputs[starts], inputs[:n_train])
+            np.testing.assert_array_equal(client.train_targets[starts], targets[:n_train])
             np.testing.assert_array_equal(client.hold_inputs, inputs[n_train:])
             np.testing.assert_array_equal(client.hold_targets, targets[n_train:])
             sizes = [w[0].shape[0] for w in windows]
             short_segments += sizes.count(0)
             spanning_holdouts += any(n_train < edge < m for edge in np.cumsum(sizes))
         assert short_segments and spanning_holdouts
+
+    def test_usable_windows_never_span_two_runs(self):
+        # two vehicles per client: a client's training stream is both of its
+        # trajectories end to end, and the windows across the seam are not
+        # training windows however much of the stream is revealed
+        cfg = small_config(
+            partition="by_vehicle", vehicles_per_client=2, n_clients=3, synth_points_each=40,
+            reveal_slice_points=7,
+        )
+        clients, *_ = prepare_clients(cfg)
+        seams = 0
+        for client in clients.values():
+            positions = np.arange(client.train_inputs.shape[0])
+            spanning = np.setdiff1d(positions, client.window_starts)
+            seams += spanning.size > 0
+            rng = np.random.default_rng(0)
+            while client.reveal.cursor < client.reveal.probs.size:
+                reveal_round(client.reveal, rng)
+                usable = client.usable_window_indices()
+                assert np.isin(usable, client.window_starts).all()
+                assert not np.isin(usable, spanning).any()
+            # with every point revealed, every training window is usable
+            np.testing.assert_array_equal(client.usable_window_indices(), client.window_starts)
+        assert seams == len(clients)
+
+    def test_client_arrays_are_views_of_the_stream_and_the_pooled_holdout(self):
+        cfg = small_config(partition="by_vehicle", vehicles_per_client=2, n_clients=3)
+        clients, _, _, holdout, _, _ = prepare_clients(cfg)
+        for client in clients.values():
+            for train in (client.train_inputs, client.train_targets):
+                assert not train.flags.writeable
+                assert np.shares_memory(train, client.stream_coords)
+            for hold, pooled in zip((client.hold_inputs, client.hold_targets), holdout):
+                assert not hold.flags.writeable
+                assert np.shares_memory(hold, pooled)
+            # no client holds a window array of its own
+            for value in vars(client).values():
+                if isinstance(value, np.ndarray) and value.ndim == 3:
+                    assert not value.flags.owndata
