@@ -271,20 +271,18 @@ def prepare_clients(config: ExperimentConfig):
 
     global_model = init_params(dims, rng_server)
 
-    # one copy of every holdout window, in the pooled holdout; each client's
-    # holdout is its slice of it
+    # every holdout window is stored once, in the pooled holdout; a client's
+    # holdout is its slice of it. Every holdout run has a window
     hold_windows = [
-        [make_windows(bbox.normalize(run), seq_len) for run in hold_runs]
-        for _, hold_runs in splits
+        make_windows(bbox.normalize(run), seq_len) for _, runs in splits for run in runs
     ]
-    pooled = [w for windows in hold_windows for w in windows]
     holdout = (
-        np.concatenate([np.zeros((0, seq_len, 2))] + [w[0] for w in pooled]),
-        np.concatenate([np.zeros((0, 2))] + [w[1] for w in pooled]),
+        np.concatenate([np.zeros((0, seq_len, 2))] + [w[0] for w in hold_windows]),
+        np.concatenate([np.zeros((0, 2))] + [w[1] for w in hold_windows]),
     )
     for part in holdout:
         part.flags.writeable = False
-    hold_ends = np.cumsum([0] + [sum(w[1].shape[0] for w in windows) for windows in hold_windows])
+    hold_ends = np.cumsum([0] + [sum(len(run) - seq_len for run in runs) for _, runs in splits])
 
     clients: dict[int, ClientRuntime] = {}
     for i, (ds, (train_runs, _), ss) in enumerate(zip(datasets, splits, client_seqs)):
