@@ -34,7 +34,7 @@ inputs, targets = make_windows(bbox.normalize(traj.coords), seq_len=6)
 split = int(0.8 * inputs.shape[0])
 print(f"{inputs.shape[0]} windows -> {split} train / {inputs.shape[0] - split} holdout")
 
-preds, hidden = forward(model, TrainBatch(inputs[:split], targets[:split]))
+preds = forward(model, TrainBatch(inputs[:split], targets[:split]))
 print(f"before training: loss {mse_loss(preds, targets[:split]):.5f}")
 
 model = train_local(

@@ -87,14 +87,19 @@ def _cmd_gradcheck(args) -> int:
         )
         analytic = backward(model, batch, kl_anchor=target).values
         flat = model.values
+        # the KL term's log(|v| + 1e-8) bends sharply near v = 0, and a central
+        # difference's error grows as (step / |v|)^2 there: a step of at most
+        # |v| / 1000 holds it near 1e-7 of the derivative, where --eps alone
+        # gave 1e-4 at |v| = 1.5e-4
+        steps = np.where(flat != 0.0, np.minimum(args.eps, np.abs(flat) / 1000), args.eps)
         numeric = np.zeros_like(flat)
         for k in range(flat.size):
             bumped = flat.copy()
-            bumped[k] += args.eps
+            bumped[k] += steps[k]
             hi = batch_objective(ParamSet(bumped, dims), batch, kl_anchor=target)
-            bumped[k] -= 2 * args.eps
+            bumped[k] -= 2 * steps[k]
             lo = batch_objective(ParamSet(bumped, dims), batch, kl_anchor=target)
-            numeric[k] = (hi - lo) / (2 * args.eps)
+            numeric[k] = (hi - lo) / (2 * steps[k])
         denom = np.maximum(1.0, np.maximum(np.abs(analytic), np.abs(numeric)))
         worst = max(worst, float(np.max(np.abs(analytic - numeric) / denom)))
     ok = worst < args.tolerance
@@ -152,7 +157,8 @@ def build_parser() -> argparse.ArgumentParser:
     grad.add_argument("--hidden", type=int, default=8)
     grad.add_argument("--steps", type=int, default=4)
     grad.add_argument("--batch", type=int, default=4)
-    grad.add_argument("--eps", type=float, default=1e-5)
+    grad.add_argument("--eps", type=float, default=1e-5,
+                      help="largest finite-difference step; a parameter v gets at most |v|/1000")
     grad.add_argument("--tolerance", type=float, default=1e-4)
     grad.add_argument("--seed", type=int, default=0)
     grad.set_defaults(func=_cmd_gradcheck)

@@ -38,19 +38,35 @@ step's ``z``, and ``h`` and ``c`` are zeroed at the start of each block. With
 no fresh arrays per step, the allocator does not hand pages back to the
 kernel and fault them in again on every step.
 
-Evaluation walks the batch in blocks of ``EVAL_BLOCK_ROWS`` rows, so its
-working set stays a fixed size however large the pooled holdout grows. A
-tail of one row joins the block before it: a 1-row GEMM goes to gemv, which
-rounds differently from the same row inside a larger GEMM. Each block's
-final hidden state is written into one B x H result, and the head GEMM then
-runs once over all B rows. The head GEMM is not blocked because it is narrow
-(H x O, O = 2 for lat/lon), and a narrow GEMM may round a row differently
-when its row count changes. With these rules the blocked pass is
-bit-identical to a single pass at even hidden widths. At odd widths of 15 and
-more it is not: there the gate GEMM ``z @ w`` rounds a row differently as its
-row count changes (at H=21, from two rows upward, under OpenBLAS's SkylakeX
-kernel). Training (``backward``) runs its batch, at most ``batch_size``
-rows, as one block.
+Evaluation walks the batch in row blocks and holds one block at a time, so
+its working set stays a fixed size however large the pooled holdout grows.
+A row of a block takes I + 8H floats of working set, and a block has as many
+rows as fit in ``EVAL_WORK_BYTES``, rounded down to a multiple of 16, at most
+``EVAL_BLOCK_ROWS`` and at least 16: at I = 2 that is 512 rows for every H
+up to 31, 496 at H = 32 and 240 at H = 64. A tail of one row joins the block
+before it: a 1-row GEMM goes to gemv, which rounds differently from the same
+row inside a larger GEMM. Each block writes its own result into the B-row
+output: ``lstm_hidden`` its final ``h``, ``forward`` its head output
+(``apply_fc`` on the hidden half of ``z``). So no B x H array exists, and
+``forward``'s only B-sized array is its B x O result.
+
+The head GEMM is narrow (H x O, O = 2 for lat/lon), and a narrow GEMM may
+round a row differently when its row count changes. Over random shapes with
+H up to 128, O up to 5 and fewer than 3,000 rows, at one BLAS thread, blocks
+of arbitrary sizes moved bits in 65 to 312 of 480 shapes, by OpenBLAS kernel
+(SkylakeX, Haswell, Sandybridge, Prescott, Zen). Blocks of 16-row multiples
+with the one-row tail joined kept the bits of one GEMM over every row in all
+2,000 shapes under Haswell, Sandybridge, Prescott and Zen. Under SkylakeX
+they kept them in every shape below about 2^20 multiply-adds (M x H x O); at
+and above it SkylakeX takes another path for the one large GEMM, and 30
+shapes differed. Every benchmark workload stays far below that size (3,184
+rows at H = 64 is 0.39 x 2^20). The blocked result is the defined one.
+
+With these rules the blocked pass is bit-identical to a single pass at even
+hidden widths. At odd widths of 15 and more it is not: there the gate GEMM
+``z @ w`` rounds a row differently as its row count changes (at H=21, from
+two rows upward, under OpenBLAS's SkylakeX kernel). Training (``backward``)
+runs its batch, at most ``batch_size`` rows, as one block.
 """
 
 from __future__ import annotations
@@ -62,11 +78,17 @@ import numpy as np
 from .errors import ConfigError, NumericError
 
 DIST_EPS = 1e-8
-# Rows per block of the cache-free LSTM pass (see the module docstring). Of
+# Row cap on a block of the cache-free LSTM pass (see the module docstring). Of
 # 128, 256 and 512 (sweep in BENCH_6.json), only 512 keeps pace with a single
 # pass at H=8, where smaller blocks pay per-call overhead; at H=32 and 64 the
 # three are within noise of each other and faster than a single pass.
 EVAL_BLOCK_ROWS = 512
+# Byte cap on one block's working set: half the 2 MiB L2 per core of the host
+# it was swept on (two sweeps in BENCH_17.json, at the benchmark's holdout
+# shapes). 256 KiB ran 3-12% slower at H=32 and 64. 512 KiB and 1 MiB ran
+# within 2% of no cap at H=8 and 32, and 3-5% faster at H=64; 1 MiB also
+# keeps every H up to 31 at EVAL_BLOCK_ROWS rows.
+EVAL_WORK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -173,12 +195,13 @@ def _fc_views(fc_block: np.ndarray, dims: Dims):
 
 def _halved_gates(model: ParamSet):
     # halve the i, f and o columns once, so each step's sigmoid is one tanh
-    # (see the module docstring)
+    # (see the module docstring). The recurrent block read as 4H-wide rows is
+    # the I+H weight rows, then the bias row; the g columns are copied back
     H = model.dims.n_hidden
-    w, b = _lstm_views(model)
-    scale = np.full(4 * H, 0.5)
-    scale[2 * H : 3 * H] = 1.0
-    return w * scale, b * scale
+    rows = model.lstm_block.reshape(-1, 4 * H)
+    half = rows * 0.5
+    half[:, 2 * H : 3 * H] = rows[:, 2 * H : 3 * H]
+    return half[:-1], half[-1]
 
 
 def _lstm_step(z, w, b, c_prev, a=None, gg=None, c=None, hc=None, h=None):
@@ -203,14 +226,24 @@ def _lstm_step(z, w, b, c_prev, a=None, gg=None, c=None, hc=None, h=None):
     return a, gg, c, hc, h
 
 
-def _run_lstm(model: ParamSet, inputs: np.ndarray) -> np.ndarray:
+def _eval_block_rows(n_in: int, n_hidden: int) -> int:
+    # rows per block of the cache-free pass: a multiple of 16 whose working
+    # set fits EVAL_WORK_BYTES, and at most EVAL_BLOCK_ROWS
+    fit = EVAL_WORK_BYTES // (8 * (n_in + 8 * n_hidden)) // 16 * 16
+    return max(16, min(EVAL_BLOCK_ROWS, fit))
+
+
+def _run_lstm(model: ParamSet, inputs: np.ndarray, head: bool) -> np.ndarray:
     # cache-free pass in row blocks; a 0- or 1-row tail joins the block before
     # it. One working set, sized for the largest block, serves every block and
-    # step: x and h are the two halves of z, and c is updated in place
+    # step: x and h are the two halves of z, and c is updated in place. Each
+    # block's final h, or with head=True its predictions, goes into the result
     n_batch, n_steps, n_in = inputs.shape
-    H = model.dims.n_hidden
+    d = model.dims
+    H = d.n_hidden
     w, b = _halved_gates(model)
-    rows = min(n_batch, EVAL_BLOCK_ROWS + 1)
+    block_rows = _eval_block_rows(n_in, H)
+    rows = min(n_batch, block_rows + 1)
     # one allocation for z, a, gg, c and hc. When glibc's malloc frees a mapped
     # block above its mmap threshold, it raises that threshold to the block's
     # size and its trim threshold to twice that; so after the first call, the
@@ -220,10 +253,10 @@ def _run_lstm(model: ParamSet, inputs: np.ndarray) -> np.ndarray:
     z_buf = work[: rows * (n_in + H)].reshape(rows, n_in + H)
     a_buf = work[rows * (n_in + H) : rows * (n_in + 5 * H)].reshape(rows, 4 * H)
     gg_buf, c_buf, hc_buf = work[rows * (n_in + 5 * H) :].reshape(3, rows, H)
-    hidden = np.empty((n_batch, H))
+    out = np.empty((n_batch, d.n_out if head else H))
     start = 0
     while start < n_batch:
-        stop = start + EVAL_BLOCK_ROWS
+        stop = start + block_rows
         if n_batch - stop <= 1:
             stop = n_batch
         n = stop - start
@@ -235,9 +268,9 @@ def _run_lstm(model: ParamSet, inputs: np.ndarray) -> np.ndarray:
         for t in range(n_steps):
             x[...] = block[:, t]
             _lstm_step(z, w, b, c, a, gg, c, hc, h)
-        hidden[start:stop] = h
+        out[start:stop] = apply_fc(model.fc_block, h, d) if head else h
         start = stop
-    return hidden
+    return out
 
 
 def _lstm_steps(model: ParamSet, inputs: np.ndarray):
@@ -259,7 +292,7 @@ def _lstm_steps(model: ParamSet, inputs: np.ndarray):
 
 def lstm_hidden(model: ParamSet, inputs: np.ndarray) -> np.ndarray:
     """Final-step hidden state (the sequence embedding), B x H."""
-    return _run_lstm(model, inputs)
+    return _run_lstm(model, inputs, head=False)
 
 
 def apply_fc(fc_block: np.ndarray, hidden: np.ndarray, dims: Dims) -> np.ndarray:
@@ -268,10 +301,9 @@ def apply_fc(fc_block: np.ndarray, hidden: np.ndarray, dims: Dims) -> np.ndarray
     return hidden @ w + b
 
 
-def forward(model: ParamSet, batch: TrainBatch) -> tuple[np.ndarray, np.ndarray]:
-    """Predictions (B x O) and the final hidden state (B x H)."""
-    hidden = _run_lstm(model, batch.inputs)
-    return apply_fc(model.fc_block, hidden, model.dims), hidden
+def forward(model: ParamSet, batch: TrainBatch) -> np.ndarray:
+    """Predictions, B x O."""
+    return _run_lstm(model, batch.inputs, head=True)
 
 
 def mse_loss(predictions: np.ndarray, targets: np.ndarray) -> float:
@@ -374,7 +406,7 @@ def batch_objective(
     kl_anchor: np.ndarray | None = None,
 ) -> float:
     """Scalar value of the objective differentiated by :func:`backward`."""
-    preds, _ = forward(model, batch)
+    preds = forward(model, batch)
     loss = mse_loss(preds, batch.targets)
     if kl_anchor is not None:
         loss += kl_divergence(

@@ -250,6 +250,27 @@ class TestGradcheckCommand:
         assert main(["gradcheck", "--trials", "2", "--hidden", "4", "--steps", "3"]) == 0
         assert "PASS" in capsys.readouterr().out
 
+    def test_head_parameter_near_zero_under_a_kl_anchor_passes(self, capsys):
+        # trial 15 of seed 3 at H=16 has a KL anchor and a head parameter of
+        # 1.485e-4, where a 1e-5 central difference missed by 1.1e-4
+        assert main(["gradcheck", "--hidden", "16", "--seed", "3", "--trials", "16"]) == 0
+        assert "PASS" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("fault", ["kl_term_dropped", "one_entry_off"])
+    def test_corrupted_backward_fails(self, monkeypatch, capsys, fault):
+        original = fedsim.cli.backward
+
+        def corrupted(model, batch, kl_anchor=None):
+            if fault == "kl_term_dropped":
+                return original(model, batch)
+            grads = original(model, batch, kl_anchor=kl_anchor)
+            grads.fc_block[0] += 1e-3
+            return grads
+
+        monkeypatch.setattr(fedsim.cli, "backward", corrupted)
+        assert main(["gradcheck", "--hidden", "16", "--seed", "3", "--trials", "2"]) == 1
+        assert "FAIL" in capsys.readouterr().out
+
     @pytest.mark.parametrize(
         "flag, value",
         [

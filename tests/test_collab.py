@@ -26,7 +26,7 @@ def with_head(model, head):
 
 
 def holdout_mse(model, inputs, targets):
-    return mse_loss(forward(model, TrainBatch(inputs, targets))[0], targets)
+    return mse_loss(forward(model, TrainBatch(inputs, targets)), targets)
 
 
 def make_eval_data(dims, n, seed):
@@ -140,7 +140,7 @@ class TestStackedScoringOracle:
         inputs, _ = make_eval_data(dims, 5, 64)
         # targets the neighbors' head predicts exactly, so it beats the own head
         better = with_head(own, make_model(dims, 63).fc_block)
-        targets, _ = forward(better, TrainBatch(inputs, np.zeros((5, dims.n_out))))
+        targets = forward(better, TrainBatch(inputs, np.zeros((5, dims.n_out))))
         tied = self.check(own, 4, [(9, own.fc_block.copy()), (2, own.fc_block.copy())], inputs, targets)
         assert tied.source_id == 4
         heads = [(9, better.fc_block.copy()), (2, better.fc_block.copy()), (5, better.fc_block.copy())]
@@ -188,7 +188,7 @@ class TestCollaborativeLocalUpdate:
         model = make_model(dims, 14)
         rng = np.random.default_rng(15)
         inputs = rng.normal(size=(8, 4, 2))
-        preds, _ = forward(model, TrainBatch(inputs, np.zeros((8, dims.n_out))))
+        preds = forward(model, TrainBatch(inputs, np.zeros((8, dims.n_out))))
         anchor = make_model(dims, 16)
 
         def head_divergence(m):

@@ -120,7 +120,7 @@ class TestEvaluateRmse:
         inputs = rng.normal(size=(5, 3, 2))
         from fedsim.nn import TrainBatch, forward
 
-        preds, _ = forward(model, TrainBatch(inputs, np.zeros((5, 2))))
+        preds = forward(model, TrainBatch(inputs, np.zeros((5, 2))))
         assert evaluate_rmse(model, inputs, preds) == 0.0
 
     def test_constant_unit_error(self):
@@ -331,7 +331,7 @@ class TestScenariosEndToEnd:
         result = run_experiment(config)
 
         def degree_rmse(model, inputs, targets):
-            preds, _ = forward(model, TrainBatch(inputs, targets))
+            preds = forward(model, TrainBatch(inputs, targets))
             return np.sqrt(np.mean(np.square((preds - targets) * scale)))
 
         logged = [rmse for log in result.logs for rmse in log.client_rmse.values()]

@@ -1,4 +1,9 @@
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +24,7 @@ from fedsim.nn import (
 )
 from fedsim import nn
 from fedsim.nn import EVAL_BLOCK_ROWS, _lstm_steps
+from fedsim.training import evaluate_rmse
 
 from oracles import (
     finite_difference_gradient,
@@ -46,7 +52,8 @@ class TestForward:
         dims = Dims(2, 4, 2)
         model = ParamSet(np.zeros(dims.total_size), dims)
         batch = random_batch(dims, 3, 5, seed=1)
-        preds, hidden = forward(model, batch)
+        preds = forward(model, batch)
+        hidden = nn.lstm_hidden(model, batch.inputs)
         assert np.all(preds == 0.0)
         assert np.all(hidden == 0.0)
 
@@ -56,7 +63,8 @@ class TestForward:
         rng = np.random.default_rng(3)
         seq = rng.normal(size=(1, 4, 2))
         batch = TrainBatch(np.repeat(seq, 3, axis=0), rng.normal(size=(3, 2)))
-        preds, hidden = forward(model, batch)
+        preds = forward(model, batch)
+        hidden = nn.lstm_hidden(model, batch.inputs)
         assert np.array_equal(preds[0], preds[1]) and np.array_equal(preds[1], preds[2])
         assert np.array_equal(hidden[0], hidden[1])
 
@@ -65,7 +73,8 @@ class TestForward:
         dims = Dims(3, 5, 2)
         model = random_model(dims, seed=11)
         batch = random_batch(dims, 4, 6, seed=12)
-        preds, hidden = forward(model, batch)
+        preds = forward(model, batch)
+        hidden = nn.lstm_hidden(model, batch.inputs)
         ref_preds, ref_hidden = lstm_forward_scalar(
             model.lstm_block.tolist(),
             model.fc_block.tolist(),
@@ -82,7 +91,8 @@ class TestForward:
         dims = Dims(2, 3, 2)
         model = random_model(dims, seed=13)
         batch = random_batch(dims, 2 * EVAL_BLOCK_ROWS + 1, 3, seed=14)
-        preds, hidden = forward(model, batch)
+        preds = forward(model, batch)
+        hidden = nn.lstm_hidden(model, batch.inputs)
         ref_preds, ref_hidden = lstm_forward_scalar(
             model.lstm_block.tolist(),
             model.fc_block.tolist(),
@@ -98,8 +108,8 @@ class TestForward:
         dims = Dims(2, 4, 2)
         model = random_model(dims, seed=4)
         batch = random_batch(dims, 2, 3, seed=5)
-        p1, h1 = forward(model, batch)
-        p2, h2 = forward(model, batch)
+        p1, h1 = forward(model, batch), nn.lstm_hidden(model, batch.inputs)
+        p2, h2 = forward(model, batch), nn.lstm_hidden(model, batch.inputs)
         assert np.array_equal(p1, p2) and np.array_equal(h1, h2)
 
 
@@ -114,19 +124,40 @@ BLOCKED_SIZES = [
 class TestBlockedEval:
     """The cache-free pass walks the batch in row blocks, bit for bit."""
 
-    @pytest.mark.parametrize("hidden", [8, 32, 64])
-    @pytest.mark.parametrize("n_rows", BLOCKED_SIZES)
-    def test_equals_a_single_pass(self, monkeypatch, hidden, n_rows):
+    @staticmethod
+    def check_equals_a_single_pass(monkeypatch, hidden, n_rows):
         dims = Dims(2, hidden, 2)
         model = random_model(dims, seed=hidden)
         batch = random_batch(dims, n_rows, 6, seed=n_rows)
         hidden_blocked = nn.lstm_hidden(model, batch.inputs)
-        preds_blocked, _ = forward(model, batch)
+        preds_blocked = forward(model, batch)
+        # lift both caps, so every row runs in one block and one head GEMM
         monkeypatch.setattr(nn, "EVAL_BLOCK_ROWS", 10**9)
+        monkeypatch.setattr(nn, "EVAL_WORK_BYTES", 10**15)
+        assert nn._eval_block_rows(dims.n_in, hidden) >= n_rows
         assert np.array_equal(hidden_blocked, nn.lstm_hidden(model, batch.inputs))
-        preds_single, hidden_single = forward(model, batch)
-        assert np.array_equal(hidden_blocked, hidden_single)
-        assert np.array_equal(preds_blocked, preds_single)
+        assert np.array_equal(preds_blocked, forward(model, batch))
+
+    @pytest.mark.parametrize("hidden", [8, 32, 64])
+    @pytest.mark.parametrize("n_rows", BLOCKED_SIZES)
+    def test_equals_a_single_pass(self, monkeypatch, hidden, n_rows):
+        self.check_equals_a_single_pass(monkeypatch, hidden, n_rows)
+
+    @pytest.mark.parametrize("hidden", [32, 64])
+    @pytest.mark.parametrize("n_blocks, tail", [(2, 0), (2, 1), (2, 2), (1, 1), (3, 15)])
+    def test_equals_a_single_pass_at_byte_capped_blocks(self, monkeypatch, hidden, n_blocks, tail):
+        # above H=31 the byte cap sets the block: 496 rows at H=32, 240 at H=64
+        rows = nn._eval_block_rows(2, hidden)
+        self.check_equals_a_single_pass(monkeypatch, hidden, n_blocks * rows + tail)
+
+    @pytest.mark.parametrize(
+        "n_in, hidden, rows",
+        [(2, 4, 512), (2, 31, 512), (3, 31, 512), (2, 32, 496), (2, 64, 240), (2, 1000, 16)],
+    )
+    def test_block_rows_are_the_smaller_cap_in_multiples_of_16(self, n_in, hidden, rows):
+        # EVAL_WORK_BYTES / (8 (I + 8H)) rounded down to 16, at most
+        # EVAL_BLOCK_ROWS and at least 16
+        assert nn._eval_block_rows(n_in, hidden) == rows
 
     @pytest.mark.parametrize(
         "n_rows, blocks",
@@ -158,10 +189,44 @@ class TestBlockedEval:
         backward(model, TrainBatch(inputs, np.zeros((n_rows, 2))))
         assert seen == [n_rows] * 3
 
+    def test_byte_capped_blocks_never_leave_a_one_row_tail(self, monkeypatch):
+        model = random_model(Dims(2, 64, 2), seed=1)
+        seen = []
+        step = nn._lstm_step
+
+        def recording(z, *args):
+            seen.append(z.shape[0])
+            return step(z, *args)
+
+        monkeypatch.setattr(nn, "_lstm_step", recording)
+        nn.lstm_hidden(model, np.zeros((2 * 240 + 1, 1, 2)))
+        assert seen == [240, 241]
+
+    def test_eval_holds_one_block_and_no_hidden_array(self):
+        # at H=64 and 20,000 rows a (B, H) hidden array would be 10 MB; the
+        # eval may hold one block's working set, the halved gate weights and
+        # a few (B, O) arrays
+        dims = Dims(2, 64, 2)
+        n_rows = 20_000
+        model = random_model(dims, seed=7)
+        batch = random_batch(dims, n_rows, 6, seed=8)
+        work = 8 * (nn._eval_block_rows(2, 64) + 1) * (2 + 8 * 64)
+        gates = 8 * dims.lstm_size
+        preds = 8 * n_rows * dims.n_out
+        tracemalloc.start()
+        try:
+            evaluate_rmse(model, batch.inputs, batch.targets)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < work + gates + 3 * preds
+
     @pytest.mark.parametrize("hidden", [8, 21, 32, 64])
     @pytest.mark.parametrize("n_rows", [1, 2, 3, 16, EVAL_BLOCK_ROWS + 1])
     def test_reused_buffers_give_the_training_pass_bits(self, hidden, n_rows):
-        # both passes run one block of n_rows here, so odd widths hold too
+        # both passes run one block of n_rows here, so odd widths hold too,
+        # except 513 rows at H=32 and 64: the byte cap cuts that eval in two,
+        # and at even widths blocks keep the bits
         dims = Dims(2, hidden, 2)
         model = random_model(dims, seed=hidden)
         inputs = random_batch(dims, n_rows, 6, seed=n_rows).inputs
@@ -172,15 +237,68 @@ class TestBlockedEval:
         # every block after the first starts from zero h and c in buffers
         # that held the block before it
         dims = Dims(2, 32, 2)
+        rows = nn._eval_block_rows(2, 32)
         first, second = random_model(dims, seed=3), random_model(dims, seed=4)
-        large = random_batch(dims, 2 * EVAL_BLOCK_ROWS + 2, 6, seed=5).inputs
+        large = random_batch(dims, 2 * rows + 2, 6, seed=5).inputs
         small = random_batch(dims, 5, 6, seed=6).inputs
         small_alone = nn.lstm_hidden(second, small)
         hidden = nn.lstm_hidden(first, large)
         assert np.array_equal(nn.lstm_hidden(second, small), small_alone)
-        for start in (0, EVAL_BLOCK_ROWS, 2 * EVAL_BLOCK_ROWS):
-            block = slice(start, start + EVAL_BLOCK_ROWS)
+        for start in (0, rows, 2 * rows):
+            block = slice(start, start + rows)
             assert np.array_equal(hidden[block], nn.lstm_hidden(first, large[block]))
+
+
+# The global holdout evals of the benchmark workloads: fleet_churn (H=8,
+# 2720 rows), headline (H=32, 1720 rows) and sgd_bulk (H=64, 3184 rows).
+# evaluate_rmse's float can hide a one-ulp move of one prediction, so the
+# script also prints a digest of the predictions it squared.
+EVAL_BITS_SCRIPT = """
+import hashlib
+import numpy as np
+from fedsim import training
+from fedsim.nn import Dims, init_params
+digests = []
+def forward(model, batch):
+    preds = training_forward(model, batch)
+    digests.append(hashlib.sha256(preds.tobytes()).hexdigest())
+    return preds
+training_forward, training.forward = training.forward, forward
+for hidden in (8, 32, 64):
+    for n_rows in (1720, 2720, 3184):
+        rng = np.random.default_rng(10_000 * hidden + n_rows)
+        model = init_params(Dims(2, hidden, 2), rng)
+        inputs = rng.normal(size=(n_rows, 6, 2))
+        targets = rng.normal(size=(n_rows, 2))
+        rmse = training.evaluate_rmse(model, inputs, targets)
+        print(hidden, n_rows, rmse.hex(), digests[-1])
+"""
+
+KERNELS = {
+    "native": {},
+    # what an AVX2 host runs: OpenBLAS's Haswell kernel, numpy without AVX-512
+    "haswell": {
+        "OPENBLAS_CORETYPE": "Haswell",
+        "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR",
+    },
+}
+
+
+@pytest.mark.parametrize("kernel", sorted(KERNELS))
+def test_eval_bits_hold_at_one_and_two_blas_threads(kernel):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    outputs = []
+    for threads in ("1", "2"):
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES")}
+        env.update(KERNELS[kernel], OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", EVAL_BITS_SCRIPT], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        outputs.append(done.stdout.splitlines())
+    assert len(outputs[0]) == 9
+    assert outputs[0] == outputs[1]
 
 
 class TestMseLoss:
@@ -204,7 +322,7 @@ class TestBackward:
         dims = Dims(2, 4, 2)
         model = random_model(dims, seed=8)
         inputs = np.random.default_rng(9).normal(size=(3, 4, 2))
-        preds, _ = forward(model, TrainBatch(inputs, np.zeros((3, 2))))
+        preds = forward(model, TrainBatch(inputs, np.zeros((3, 2))))
         grads = backward(model, TrainBatch(inputs, preds))
         assert np.max(np.abs(grads.lstm_block)) < 1e-14
         assert np.max(np.abs(grads.fc_block)) < 1e-14
@@ -260,7 +378,8 @@ class TestGateEdgeCases:
         model = self.saturated_model(dims, seed=21)
         batch = random_batch(dims, 5, 4, seed=22)
         with np.errstate(all="raise"):
-            preds, hidden = forward(model, batch)
+            preds = forward(model, batch)
+            hidden = nn.lstm_hidden(model, batch.inputs)
             grads = backward(model, batch)
             _, cache = _lstm_steps(model, batch.inputs)
         assert np.all(np.isfinite(preds)) and np.all(np.isfinite(hidden))
@@ -370,7 +489,9 @@ class TestFcHead:
         dims = Dims(2, 4, 2)
         model = random_model(dims, seed=20)
         zeroed = ParamSet(np.concatenate([model.lstm_block, np.zeros(dims.fc_size)]), dims)
-        preds, hidden = forward(zeroed, random_batch(dims, 3, 4, seed=21))
+        batch = random_batch(dims, 3, 4, seed=21)
+        preds = forward(zeroed, batch)
+        hidden = nn.lstm_hidden(zeroed, batch.inputs)
         assert np.all(preds == 0.0)
         assert np.any(hidden != 0.0)
 
