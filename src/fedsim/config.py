@@ -229,22 +229,14 @@ class ExperimentConfig:
         return _VARIANT_FLAGS[self.variant][0]
 
     @property
-    def decentralized_enabled(self) -> bool:
-        return _VARIANT_FLAGS[self.variant][1] and self.decentral_freq > 0.0
-
-    @property
     def proximal_mu(self) -> float:
         return self.prox_mu if _VARIANT_FLAGS[self.variant][2] else 0.0
 
-    def decentral_period(self) -> int | None:
-        """Peer rounds run every ceil(1/f)-th round; None means never."""
-        if not self.decentralized_enabled:
-            return None
-        return math.ceil(1.0 / self.decentral_freq)
-
     def is_decentral_round(self, t: int) -> bool:
-        period = self.decentral_period()
-        return period is not None and t % period == 0
+        """Peer rounds run every ceil(1/f)-th round of a variant with them; f=0 is never."""
+        if not (_VARIANT_FLAGS[self.variant][1] and self.decentral_freq > 0.0):
+            return False
+        return t % math.ceil(1.0 / self.decentral_freq) == 0
 
     def eta_at(self, t: int) -> float:
         return self.eta0 * self.eta_decay ** (t - 1)

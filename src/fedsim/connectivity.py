@@ -65,12 +65,11 @@ def participation(n_uploads: int, t: int) -> float:
     return n_uploads / t
 
 
-def charge_upload(state: LinkState) -> LinkState:
+def charge_upload(state: LinkState) -> None:
     """Account one server upload against the budget of a client that can upload."""
     if state.budget_remaining is not None:
         state.budget_remaining -= 1
     state.n_uploads += 1
-    return state
 
 
 def build_neighbor_graph(positions: dict[int, np.ndarray], chi: int) -> dict[int, list[int]]:

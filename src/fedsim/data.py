@@ -1,9 +1,10 @@
 """Trajectory dataset handling: parsing, normalization, partitioning, windows.
 
 Coordinates are kept as (lat, lon) degree pairs until normalization maps them
-into the unit square for training. Partitioning never copies points into two
-clients, and sliding windows never cross a trajectory (or split) boundary.
-Windows are read-only views of the points they slide over, so a run of n
+into the unit square for training. Partitioning gives each point to at most
+one client, and sliding windows never cross a trajectory (or split) boundary.
+No point is copied: a partition's segments are views of the parsed coords,
+and windows are read-only views of the points they slide over, so a run of n
 points is held once, not once per window step.
 """
 
@@ -12,7 +13,7 @@ from __future__ import annotations
 import csv
 import math
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -48,23 +49,6 @@ class Trajectory:
     @property
     def n_points(self) -> int:
         return self.timestamps.size
-
-
-@dataclass
-class ClientDataset:
-    """One client's share of the data as contiguous raw-coordinate segments."""
-
-    client_id: int
-    segments: list[np.ndarray] = field(default_factory=list)
-
-    @property
-    def n_points(self) -> int:
-        return sum(seg.shape[0] for seg in self.segments)
-
-    def all_points(self) -> np.ndarray:
-        if not self.segments:
-            return np.zeros((0, 2))
-        return np.concatenate(self.segments, axis=0)
 
 
 def _parse_timestamp(raw: str) -> float:
@@ -235,24 +219,25 @@ class BBox:
 
 def partition_equal(
     trajectories: list[Trajectory], n_clients: int, points_per_client: int
-) -> list[ClientDataset]:
+) -> list[list[np.ndarray]]:
     """Give each client `points_per_client` consecutive points in file order.
 
-    A trajectory may be split across a client boundary; each client's share of
-    it becomes its own segment so windows never span the split.
+    Returns each client's list of segments, by client id. A trajectory may be
+    split across a client boundary; each client's share of it becomes its own
+    segment so windows never span the split.
     """
     total = sum(t.n_points for t in trajectories)
     needed = n_clients * points_per_client
     if total < needed:
         raise ConfigError(f"need {needed} points for {n_clients} clients, have {total}")
-    clients = [ClientDataset(client_id=i) for i in range(n_clients)]
+    clients: list[list[np.ndarray]] = [[] for _ in range(n_clients)]
     cid = 0
     room = points_per_client
     for traj in trajectories:
         offset = 0
         while offset < traj.n_points and cid < n_clients:
             take = min(room, traj.n_points - offset)
-            clients[cid].segments.append(traj.coords[offset : offset + take].copy())
+            clients[cid].append(traj.coords[offset : offset + take])
             offset += take
             room -= take
             if room == 0:
@@ -265,9 +250,10 @@ def partition_equal(
 
 def partition_by_vehicle(
     trajectories: list[Trajectory], vehicles_per_client: int
-) -> list[ClientDataset]:
+) -> list[list[np.ndarray]]:
     """Chunk vehicles (sorted by id) into clients; leftovers go to the last.
 
+    Returns each client's list of segments, by client id: its vehicles' coords.
     Client data sizes may be highly skewed; that is the point of this mode.
     """
     ordered = sorted(trajectories, key=lambda t: t.vehicle_id)
@@ -278,10 +264,10 @@ def partition_by_vehicle(
             f"have {len(ordered)} vehicles, need at least {vehicles_per_client}"
         )
     n_clients = len(ordered) // vehicles_per_client
-    clients = [ClientDataset(client_id=i) for i in range(n_clients)]
+    clients: list[list[np.ndarray]] = [[] for _ in range(n_clients)]
     for idx, traj in enumerate(ordered):
         cid = min(idx // vehicles_per_client, n_clients - 1)
-        clients[cid].segments.append(traj.coords.copy())
+        clients[cid].append(traj.coords)
     return clients
 
 

@@ -53,7 +53,6 @@ from .connectivity import (
 )
 from .data import (
     BBox,
-    ClientDataset,
     make_windows,
     parse_csv,
     parse_tdrive,
@@ -88,12 +87,12 @@ class ClientRuntime:
     reveal: RevealState
     link: LinkState
     model: ParamSet
+    rng_reveal: np.random.Generator
+    rng_conn: np.random.Generator
+    rng_train: np.random.Generator
+    rng_eval: np.random.Generator
+    centroid: np.ndarray
     cache: CollabCache | None = None
-    rng_reveal: np.random.Generator = None
-    rng_conn: np.random.Generator = None
-    rng_train: np.random.Generator = None
-    rng_eval: np.random.Generator = None
-    centroid: np.ndarray = None
 
     def usable_window_indices(self) -> np.ndarray:
         """Stream positions of the training windows whose points have all
@@ -162,11 +161,8 @@ def aggregate(models: list[ParamSet], weights: list[float] | None = None) -> Par
 
     ``weights``, one per model, are nonnegative with a positive sum.
     """
-    if weights is None:
-        w = np.full(len(models), 1.0 / len(models))
-    else:
-        w = np.asarray(weights, dtype=float)
-        w = w / w.sum()
+    w = np.ones(len(models)) if weights is None else np.asarray(weights, dtype=float)
+    w = w / w.sum()
     return ParamSet(sum(wi * m.values for wi, m in zip(w, models)), models[0].dims)
 
 
@@ -209,8 +205,8 @@ def _client_plan(
     return np.concatenate([np.zeros(0)] + parts)
 
 
-def _split_runs(ds: ClientDataset, seq_len: int, holdout_fraction: float):
-    """Cut one client's segments into training runs and holdout runs.
+def _split_runs(segments: list[np.ndarray], seq_len: int, holdout_fraction: float):
+    """Cut one client's list of segments into training runs and holdout runs.
 
     The client's windows, in segment order, train except the last ``n_hold``.
     A segment whose first ``k`` windows train gives the training run
@@ -218,11 +214,11 @@ def _split_runs(ds: ClientDataset, seq_len: int, holdout_fraction: float):
     ``seg[k:]``; the two share ``seq_len`` points of input context but never a
     target. No run is empty.
     """
-    m = sum(max(0, seg.shape[0] - seq_len) for seg in ds.segments)
+    m = sum(max(0, seg.shape[0] - seq_len) for seg in segments)
     n_hold = min(m - 1, max(1, round(holdout_fraction * m))) if m >= 2 else 0
     remaining = m - n_hold
     train_runs, hold_runs = [], []
-    for seg in ds.segments:
+    for seg in segments:
         m_s = max(0, seg.shape[0] - seq_len)
         k = min(m_s, remaining)
         remaining -= k
@@ -249,13 +245,13 @@ def prepare_clients(config: ExperimentConfig):
             )
 
     seq_len = config.seq_len
-    splits = [_split_runs(ds, seq_len, config.holdout_fraction) for ds in datasets]
+    splits = [_split_runs(segments, seq_len, config.holdout_fraction) for segments in datasets]
     train_point_arrays = [run for train_runs, _ in splits for run in train_runs]
     if not train_point_arrays:
         raise ConfigError("no client has enough points to form a single window")
     bbox = BBox.from_points(np.concatenate(train_point_arrays))
 
-    counts = [ds.n_points for ds in datasets]
+    counts = [sum(seg.shape[0] for seg in segments) for segments in datasets]
     datasize_probs = None
     if config.scenario == "datasize":
         threshold = datasize_threshold(counts, config.datasize_percentile)
@@ -285,7 +281,7 @@ def prepare_clients(config: ExperimentConfig):
     hold_ends = np.cumsum([0] + [sum(len(run) - seq_len for run in runs) for _, runs in splits])
 
     clients: dict[int, ClientRuntime] = {}
-    for i, (ds, (train_runs, _), ss) in enumerate(zip(datasets, splits, client_seqs)):
+    for i, (segments, (train_runs, _), ss) in enumerate(zip(datasets, splits, client_seqs)):
         plan_ss, reveal_ss, conn_ss, train_ss, eval_ss = ss.spawn(5)
         stream_coords = bbox.normalize(np.concatenate([np.zeros((0, 2))] + train_runs))
         # windows at every stream position; those that cross from one run
@@ -298,18 +294,14 @@ def prepare_clients(config: ExperimentConfig):
         )
         hold = slice(hold_ends[i], hold_ends[i + 1])
 
-        datasize_p = None if datasize_probs is None else float(datasize_probs[ds.client_id])
+        datasize_p = None if datasize_probs is None else float(datasize_probs[i])
         probs = _client_plan(config, train_runs, datasize_p, np.random.default_rng(plan_ss))
 
-        if stream_coords.shape[0]:
-            centroid = stream_coords.mean(axis=0)
-        elif ds.n_points:
-            centroid = bbox.normalize(ds.all_points()).mean(axis=0)
-        else:
-            centroid = np.array([0.5, 0.5])
+        # a client with no window has no stream, but it holds at least one point
+        points = stream_coords if stream_coords.size else bbox.normalize(np.concatenate(segments))
 
-        clients[ds.client_id] = ClientRuntime(
-            n_points=ds.n_points,
+        clients[i] = ClientRuntime(
+            n_points=counts[i],
             train_inputs=train_inputs,
             train_targets=train_targets,
             window_starts=window_starts,
@@ -325,7 +317,7 @@ def prepare_clients(config: ExperimentConfig):
             rng_conn=np.random.default_rng(conn_ss),
             rng_train=np.random.default_rng(train_ss),
             rng_eval=np.random.default_rng(eval_ss),
-            centroid=centroid,
+            centroid=points.mean(axis=0),
         )
 
     if holdout[0].shape[0] == 0:
@@ -347,16 +339,18 @@ def _sample_eval_batch(client: ClientRuntime, usable: np.ndarray, batch_size: in
 def _train_phase(
     config: ExperimentConfig,
     clients: dict[int, ClientRuntime],
-    usable: dict[int, np.ndarray],
+    ids: list[int],
     eta: float,
     prox_mu: float,
     anchored: set[int],
-) -> set[int]:
-    """Local SGD of every client in ``usable`` over its usable windows, in id order.
+) -> tuple[dict[int, np.ndarray], set[int]]:
+    """Local SGD of every client in ``ids`` that has a usable window, in id order.
 
     A client in ``anchored`` is pulled toward its cached peer head once it has
-    one. Returns the ids whose training diverged; their models stay as they were.
+    one. Returns the usable windows of each client that trained, and the ids
+    whose training diverged; their models stay as they were.
     """
+    usable = {cid: w for cid in ids if (w := clients[cid].usable_window_indices()).size}
     diverged = set()
     for cid in sorted(usable):
         client = clients[cid]
@@ -375,7 +369,7 @@ def _train_phase(
             )
         except NumericError:
             diverged.add(cid)
-    return diverged
+    return usable, diverged
 
 
 def _decentralized_round(
@@ -393,8 +387,7 @@ def _decentralized_round(
     heads = {cid: clients[cid].model.fc_block.copy() for cid in sorted(clients)}
     positions = {cid: clients[cid].position() for cid in sorted(clients)}
     graph = build_neighbor_graph(positions, config.chi)
-    usable = {u: w for u in offline if (w := clients[u].usable_window_indices()).size}
-    diverged = _train_phase(config, clients, usable, eta, 0.0, set(offline))
+    usable, diverged = _train_phase(config, clients, offline, eta, 0.0, set(offline))
     for u in offline:
         client = clients[u]
         if u in diverged:
@@ -525,8 +518,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         for cid in online:
             if cid not in own:
                 clients[cid].model = global_model.copy()
-        usable = {cid: w for cid in online if (w := clients[cid].usable_window_indices()).size}
-        diverged = _train_phase(config, clients, usable, eta, config.proximal_mu, own)
+        usable, diverged = _train_phase(config, clients, online, eta, config.proximal_mu, own)
         trained: dict[int, float] = {}
         for cid in online:
             client = clients[cid]
@@ -554,8 +546,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             if config.is_decentral_round(t):
                 _decentralized_round(config, clients, offline, eta, log)
             elif config.offline_train_every_round:
-                usable = {u: w for u in offline if (w := clients[u].usable_window_indices()).size}
-                diverged = _train_phase(config, clients, usable, eta, 0.0, set(offline))
+                _, diverged = _train_phase(config, clients, offline, eta, 0.0, set(offline))
                 for u in sorted(diverged):
                     # divergence skips this client's offline update only
                     log.events.append(f"numeric_abort_offline:{u}")

@@ -83,16 +83,15 @@ def combined_weight(
     return pos_divergence * pos_participation / (m_t * m_t) * beta
 
 
-def straggler_boost(entries: list[RankEntry], gamma: float) -> list[RankEntry]:
-    """Multiply weights of below-mean updaters by gamma (strict inequality)."""
+def straggler_boost(entries: list[RankEntry], gamma: float) -> None:
+    """Multiply weights of below-mean updaters by gamma in place (strict inequality)."""
     mean_updates = sum(e.n_updates for e in entries) / len(entries)
     for entry in entries:
         if entry.n_updates < mean_updates:
             entry.weight *= gamma
-    return entries
 
 
-def build_rank_entries(participants: list[RankEntry], comp: CompensatorState) -> list[RankEntry]:
+def build_rank_entries(participants: list[RankEntry], comp: CompensatorState) -> None:
     """Assign positions and weights to this round's participants in place."""
     m_t = len(participants)
     pos_div = rank_positions([(e.client_id, e.divergence) for e in participants])
@@ -108,15 +107,13 @@ def build_rank_entries(participants: list[RankEntry], comp: CompensatorState) ->
             comp.beta_for(entry.client_id),
         )
     straggler_boost(participants, comp.gamma)
-    return participants
 
 
-def decay_compensators(comp: CompensatorState, ranked_ids: list[int]) -> CompensatorState:
+def decay_compensators(comp: CompensatorState, ranked_ids: list[int]) -> None:
     """Per-round decay: beta toward its floor for ranked clients, alpha always."""
     for cid in ranked_ids:
         comp.beta[cid] = max(comp.beta_for(cid) - comp.delta_beta, 1.0)
     comp.alpha -= comp.delta_alpha
-    return comp
 
 
 def select_top_k(entries: list[RankEntry], k: int) -> list[int]:

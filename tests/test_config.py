@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from fedsim.config import ExperimentConfig
+from fedsim.config import VARIANTS, ExperimentConfig
 from fedsim.errors import ConfigError
 
 
@@ -18,7 +18,8 @@ class TestDefaults:
         assert cfg.budget == 20
         assert cfg.sample_ratio == 0.10 and cfg.k_selected == 4
         assert cfg.p_offline == 0.2 and cfg.p_recover == 0.1
-        assert cfg.decentral_freq == 0.5 and cfg.decentral_period() == 2
+        assert cfg.decentral_freq == 0.5
+        assert [t for t in range(1, 7) if cfg.is_decentral_round(t)] == [2, 4, 6]
         assert cfg.epochs == 1 and cfg.eta0 == 0.001
         assert cfg.seq_len == 6 and cfg.batch_size == 16
         assert cfg.points_per_client == 2500
@@ -38,8 +39,11 @@ class TestDefaults:
         assert ExperimentConfig(variant="fedavg").proximal_mu == 0.0
         assert ExperimentConfig(variant="fedprox").proximal_mu == 0.01
         assert ExperimentConfig(variant="fedcab").selection_mode == "ranked"
-        assert not ExperimentConfig(variant="fedcab").decentralized_enabled
-        assert ExperimentConfig(variant="feddecab").decentralized_enabled
+        # only feddecab has peer rounds; at the default f=0.5 every second round
+        for variant in VARIANTS:
+            cfg = ExperimentConfig(variant=variant)
+            peer_rounds = [t for t in range(1, 5) if cfg.is_decentral_round(t)]
+            assert peer_rounds == ([2, 4] if variant == "feddecab" else []), variant
         assert ExperimentConfig(variant="fedprox_plus").selection_mode == "ranked"
         assert ExperimentConfig(variant="fedprox_plus").proximal_mu == 0.01
 
@@ -49,9 +53,9 @@ class TestDefaults:
 
     def test_schedule_helpers(self):
         cfg = ExperimentConfig(variant="feddecab", decentral_freq=0.25)
-        assert cfg.decentral_period() == 4
         assert [t for t in range(1, 13) if cfg.is_decentral_round(t)] == [4, 8, 12]
-        assert ExperimentConfig(decentral_freq=0.0).decentral_period() is None
+        never = ExperimentConfig(variant="feddecab", decentral_freq=0.0)
+        assert not any(never.is_decentral_round(t) for t in range(1, 13))
 
     def test_eta_schedule(self):
         cfg = ExperimentConfig(eta0=0.1, eta_decay=0.5)

@@ -305,8 +305,8 @@ class TestPartitionEqual:
         trajectories = synth_trajectories(seed=1, n_vehicles=2, points_each=50, kind="circle")
         clients = partition_equal(trajectories, n_clients=4, points_per_client=25)
         assert len(clients) == 4
-        assert all(c.n_points == 25 for c in clients)
-        stacked = np.concatenate([c.all_points() for c in clients])
+        assert all(sum(seg.shape[0] for seg in segments) == 25 for segments in clients)
+        stacked = np.concatenate([seg for segments in clients for seg in segments])
         source = np.concatenate([t.coords for t in trajectories])
         assert np.array_equal(stacked, source[:100])
 
@@ -314,8 +314,8 @@ class TestPartitionEqual:
         trajectories = synth_trajectories(seed=2, n_vehicles=3, points_each=40, kind="sinusoid")
         clients = partition_equal(trajectories, n_clients=3, points_per_client=30)
         seen = set()
-        for c in clients:
-            for row in c.all_points():
+        for segments in clients:
+            for row in np.concatenate(segments):
                 key = (row[0], row[1])
                 assert key not in seen
                 seen.add(key)
@@ -331,24 +331,37 @@ class TestPartitionByVehicle:
         trajectories = synth_trajectories(seed=4, n_vehicles=8, points_each=12, kind="circle")
         clients = partition_by_vehicle(trajectories, vehicles_per_client=4)
         assert len(clients) == 2
-        assert all(len(c.segments) == 4 for c in clients)
+        assert all(len(segments) == 4 for segments in clients)
 
     def test_one_vehicle_per_client(self):
         trajectories = synth_trajectories(seed=5, n_vehicles=5, points_each=9, kind="circle")
         clients = partition_by_vehicle(trajectories, vehicles_per_client=1)
         assert len(clients) == 5
-        assert all(len(c.segments) == 1 for c in clients)
+        assert all(len(segments) == 1 for segments in clients)
 
     def test_leftover_vehicles_go_to_last_client(self):
         trajectories = synth_trajectories(seed=6, n_vehicles=9, points_each=7, kind="circle")
         clients = partition_by_vehicle(trajectories, vehicles_per_client=4)
         assert len(clients) == 2
-        assert len(clients[0].segments) == 4
-        assert len(clients[1].segments) == 5
+        assert len(clients[0]) == 4
+        assert len(clients[1]) == 5
 
     def test_zero_vehicles_rejected(self):
         with pytest.raises(ConfigError):
             partition_by_vehicle([], vehicles_per_client=1)
+
+
+@pytest.mark.parametrize("partition", ["equal", "by_vehicle"])
+def test_partitions_hand_out_views_of_the_parsed_points(partition):
+    trajectories = synth_trajectories(seed=7, n_vehicles=5, points_each=30, kind="circle")
+    if partition == "equal":
+        clients = partition_equal(trajectories, n_clients=4, points_per_client=35)
+    else:
+        clients = partition_by_vehicle(trajectories, vehicles_per_client=2)
+    for segments in clients:
+        for seg in segments:
+            sources = [t for t in trajectories if np.shares_memory(seg, t.coords)]
+            assert len(sources) == 1
 
 
 class TestMakeWindows:

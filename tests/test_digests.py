@@ -11,12 +11,17 @@ headline's hidden width of 32, feddecab over a CSV fleet with peer
 rounds every round, and two feddecab runs that diverge: one aborts in its
 online phase, one loses clients in peer rounds. The values were taken with numpy
 2.4 and OpenBLAS on x86-64; another BLAS may round GEMMs differently. A change that alters any output bit must
-re-pin them and say why in CHANGES.md.
+re-pin them and say why in CHANGES.md. A failed pin names the numeric platform
+it ran on: the pins were taken with OpenBLAS's SkylakeX kernel and numpy's
+X86_V4 dispatch, and another kernel moves bits.
 """
 
+import ctypes
 import hashlib
 import json
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 import fedsim.training
@@ -196,6 +201,33 @@ DIVERGING_DIGESTS = {
 }
 
 
+def _numeric_platform() -> str:
+    """numpy's version, the OpenBLAS kernel and thread count, and numpy's
+    enabled SIMD dispatch targets; "unknown" where numpy bundles no OpenBLAS."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    core = threads = "unknown"
+    libs = Path(np.__file__).parent.parent / "numpy.libs"
+    for lib_path in sorted(libs.glob("libscipy_openblas*")):
+        try:
+            lib = ctypes.CDLL(str(lib_path))
+            get_core = lib.scipy_openblas_get_corename64_
+            get_threads = lib.scipy_openblas_get_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get_core.argtypes, get_core.restype = [], ctypes.c_char_p
+        get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+        core, threads = get_core().decode(), get_threads()
+        break
+    dispatch = [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
+    return (
+        f"numpy {np.__version__}, OpenBLAS core {core}, {threads} BLAS threads, "
+        f"dispatch {' '.join(dispatch) or 'none'}"
+    )
+
+
 def _sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -208,7 +240,7 @@ def _rounds_and_summary_sha256(overrides, out_dir) -> tuple[str, str]:
 
 @pytest.mark.parametrize("case", sorted(DIGESTS))
 def test_outputs_match_pinned_digests(case, tmp_path):
-    assert _rounds_and_summary_sha256(CASES[case], tmp_path) == DIGESTS[case]
+    assert _rounds_and_summary_sha256(CASES[case], tmp_path) == DIGESTS[case], _numeric_platform()
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -220,7 +252,8 @@ def test_diverging_runs_match_pinned_digests(case, tmp_path):
     paths = emit_reports(result, tmp_path)
     summary = json.loads(paths["summary"].read_text(encoding="utf-8"))
     assert None not in (summary["final_rmse"], *summary["final_client_rmse"].values())
-    assert (_sha256(paths["rounds"]), _sha256(paths["summary"])) == DIVERGING_DIGESTS[case]
+    digests = (_sha256(paths["rounds"]), _sha256(paths["summary"]))
+    assert digests == DIVERGING_DIGESTS[case], _numeric_platform()
 
 
 def test_feddecab_fleet_matches_pinned_digests(tmp_path, monkeypatch):
@@ -228,7 +261,8 @@ def test_feddecab_fleet_matches_pinned_digests(tmp_path, monkeypatch):
     _write_fleet_csv(tmp_path / FLEET_CSV)
     result = run_experiment(ExperimentConfig(**FLEET))
     paths = emit_reports(result, tmp_path / "out")
-    assert (_sha256(paths["rounds"]), _sha256(paths["summary"])) == FLEET_DIGESTS
+    digests = (_sha256(paths["rounds"]), _sha256(paths["summary"]))
+    assert digests == FLEET_DIGESTS, _numeric_platform()
 
 
 @pytest.mark.parametrize("proximal,plain", [("fedprox", "fedavg"), ("fedprox_plus", "fedcab")])
@@ -262,4 +296,10 @@ def test_rounds_that_aggregate_nothing_reuse_the_global_rmse(tmp_path, monkeypat
     # one holdout eval per trained client, and one global eval (round 1)
     assert n_forward == sum(len(log.client_rmse) for log in result.logs) + 1
     paths = emit_reports(result, tmp_path)
-    assert _sha256(paths["rounds"]) == EMPTY_SELECTION_ROUNDS_SHA256
+    assert _sha256(paths["rounds"]) == EMPTY_SELECTION_ROUNDS_SHA256, _numeric_platform()
+
+
+def test_a_failed_pin_names_the_numeric_platform():
+    note = _numeric_platform()
+    assert note.startswith(f"numpy {np.__version__}, OpenBLAS core ")
+    assert " BLAS threads, dispatch " in note

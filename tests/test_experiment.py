@@ -4,7 +4,7 @@ import pytest
 import fedsim.experiment
 from fedsim.availability import reveal_round
 from fedsim.config import ExperimentConfig
-from fedsim.data import make_windows, partition_equal, synth_trajectories
+from fedsim.data import Trajectory, make_windows, partition_equal, synth_trajectories, write_csv
 from fedsim.experiment import aggregate, prepare_clients, run_experiment
 from fedsim.nn import Dims, ParamSet, TrainBatch, forward, init_params, model_divergence
 from fedsim.reports import rows_for_log
@@ -442,6 +442,33 @@ class TestEngineEdgeCases:
             event.startswith("numeric_abort:") for log in result.logs for event in log.events
         )
 
+    def test_client_without_a_window_stands_at_its_points_mean_and_skips(self, tmp_path):
+        # vehicle v002 has seq_len = 4 points: no window, so no training stream
+        fleet = synth_trajectories(seed=5, n_vehicles=6, points_each=120, kind="circle")
+        fleet[2] = short = Trajectory("v002", fleet[2].timestamps[:4], fleet[2].coords[:4])
+        path = tmp_path / "fleet.csv"
+        write_csv(path, fleet)
+        cfg = small_config(
+            dataset="csv", data_path=str(path), p_offline=0.5, p_recover=0.5,
+            decentral_freq=1.0,
+        )
+        clients, _, bbox, _, _, _ = prepare_clients(cfg)
+        client = clients[2]
+        assert client.stream_coords.shape == (0, 2)
+        assert client.window_starts.size == 0 and client.hold_inputs.shape[0] == 0
+        np.testing.assert_array_equal(client.position(), bbox.normalize(short.coords).mean(axis=0))
+
+        result = run_experiment(cfg)
+        assert len(result.logs) == cfg.rounds
+        online = [log for log in result.logs if 2 in log.online]
+        peer = [log for log in result.logs if log.decentralized and 2 in log.offline]
+        assert online and peer
+        for log in online:
+            assert log.provenance[2] == "skip" and "no_usable_windows:2" in log.events
+        for log in peer:
+            assert {"peer_update_skipped:2", "peer_eval_skipped:2"} <= set(log.events)
+            assert 2 not in log.collab_sources
+
     def test_aggregate_by_datasize_changes_global_path(self):
         base = dict(rounds=6, seed=13, partition="equal", points_per_client=100,
                     synth_vehicles=3, synth_points_each=250)
@@ -533,9 +560,9 @@ class TestPrepareClients:
         trajectories = synth_trajectories(cfg.seed, 8, 100, "sinusoid")
         datasets = partition_equal(trajectories, 8, 51)
         short_segments = spanning_holdouts = 0
-        for ds in datasets:
-            client = clients[ds.client_id]
-            windows = [make_windows(bbox.normalize(seg), cfg.seq_len) for seg in ds.segments]
+        for cid, segments in enumerate(datasets):
+            client = clients[cid]
+            windows = [make_windows(bbox.normalize(seg), cfg.seq_len) for seg in segments]
             inputs = np.concatenate([w[0] for w in windows])
             targets = np.concatenate([w[1] for w in windows])
             m = inputs.shape[0]
