@@ -236,7 +236,8 @@ class ExperimentConfig:
         """Peer rounds run every ceil(1/f)-th round of a variant with them; f=0 is never."""
         if not (_VARIANT_FLAGS[self.variant][1] and self.decentral_freq > 0.0):
             return False
-        return t % math.ceil(1.0 / self.decentral_freq) == 0
+        period = 1.0 / self.decentral_freq  # inf for a subnormal f: no peer round
+        return period <= t and t % math.ceil(period) == 0
 
     def eta_at(self, t: int) -> float:
         return self.eta0 * self.eta_decay ** (t - 1)

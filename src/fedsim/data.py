@@ -257,8 +257,6 @@ def partition_by_vehicle(
     Client data sizes may be highly skewed; that is the point of this mode.
     """
     ordered = sorted(trajectories, key=lambda t: t.vehicle_id)
-    if not ordered:
-        raise ConfigError("no vehicles to partition")
     if len(ordered) < vehicles_per_client:
         raise ConfigError(
             f"have {len(ordered)} vehicles, need at least {vehicles_per_client}"
@@ -302,11 +300,14 @@ def synth_trajectories(
     base_lat, base_lon = 30.0, 120.0
     t0 = 1_600_000_000.0
     step_s = 60.0
+    try:
+        k = np.arange(points_each, dtype=float)
+    except (ValueError, MemoryError) as exc:
+        raise ConfigError(f"{points_each} points per vehicle: {exc}") from exc
     trajectories = []
     for v in range(n_vehicles):
         vid = f"v{v:03d}"
-        ts = t0 + step_s * np.arange(points_each)
-        k = np.arange(points_each, dtype=float)
+        ts = t0 + step_s * k
         if kind == "random-walk":
             heading = rng.uniform(0.0, 2.0 * np.pi)
             drift = 0.004 * np.array([np.sin(heading), np.cos(heading)])

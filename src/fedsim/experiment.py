@@ -119,7 +119,6 @@ class RoundLog:
     offline: list[int]
     provenance: dict[int, str] = field(default_factory=dict)
     entries: list[RankEntry] = field(default_factory=list)
-    ranked: bool = False
     selected: list[int] = field(default_factory=list)
     alpha: float | None = None
     rmse_global: float = float("nan")
@@ -417,11 +416,12 @@ def _server_round(
     ``trained`` maps each trained client to its divergence from the global
     model. Returns the new global model, or None when nobody was selected.
     """
-    participants = [cid for cid in sorted(trained) if clients[cid].link.can_upload]
+    participants = []
     for cid in sorted(trained):
-        if not clients[cid].link.can_upload:
+        if clients[cid].link.can_upload:
+            participants.append(cid)
+        else:
             log.events.append(f"budget_exhausted:{cid}")
-    m_t = len(participants)
     log.entries = [
         RankEntry(
             client_id=cid,
@@ -432,17 +432,16 @@ def _server_round(
         for cid in participants
     ]
 
-    if m_t == 0:
+    if not participants:
         log.events.append("empty_selection")
-        log.selected = []
-    elif log.ranked:
+    elif config.selection_mode != "uniform":
         build_rank_entries(log.entries, comp)
         if config.selection_mode == "proportional":
             log.selected = sample_proportional(log.entries, config.k_selected, rng_select)
         else:
             log.selected = select_top_k(log.entries, config.k_selected)
     else:
-        take = min(config.k_selected, m_t)
+        take = min(config.k_selected, len(participants))
         picked = rng_select.choice(np.array(participants), size=take, replace=False)
         log.selected = sorted(int(c) for c in picked)
 
@@ -452,13 +451,10 @@ def _server_round(
     new_global = None
     if log.selected:
         uploaded = [clients[cid].model for cid in sorted(log.selected)]
-        if config.aggregate_by_datasize:
-            sizes = [float(clients[cid].n_points) for cid in sorted(log.selected)]
-            new_global = aggregate(uploaded, weights=sizes)
-        else:
-            new_global = aggregate(uploaded)
+        sizes = [float(clients[cid].n_points) for cid in sorted(log.selected)]
+        new_global = aggregate(uploaded, sizes if config.aggregate_by_datasize else None)
 
-    if log.ranked:
+    if config.selection_mode != "uniform":
         decay_compensators(comp, participants)
         log.alpha = comp.alpha
     return new_global
@@ -485,7 +481,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         gamma=config.gamma,
         beta0=config.beta0,
     )
-    ranked_mode = not isolated and config.selection_mode in ("ranked", "proportional")
     # min-max normalization is per-axis affine, so degree-space errors are the
     # per-axis errors rescaled before pooling
     scale = bbox.scale() if config.rmse_units == "degrees" else 1.0
@@ -510,7 +505,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                 states, config.p_offline, config.p_recover, rngs_conn
             )
         log = RoundLog(t=t, eta=eta, online=online, recovered=recovered, offline=offline)
-        log.ranked = ranked_mode
         _reveal_all(clients)
 
         # a client resuming its own model keeps it; the others get the global push

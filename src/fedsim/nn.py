@@ -41,9 +41,9 @@ kernel and fault them in again on every step.
 Evaluation walks the batch in row blocks and holds one block at a time, so
 its working set stays a fixed size however large the pooled holdout grows.
 A row of a block takes I + 8H floats of working set, and a block has as many
-rows as fit in ``EVAL_WORK_BYTES``, rounded down to a multiple of 16, at most
-``EVAL_BLOCK_ROWS`` and at least 16: at I = 2 that is 512 rows for every H
-up to 31, 496 at H = 32 and 240 at H = 64. A tail of one row joins the block
+rows as fit in ``EVAL_WORK_BYTES``, rounded down to a multiple of 16 and at
+least 16: at I = 2 that is 3,840 rows at H = 4, 1,984 at H = 8, 496 at
+H = 32 and 240 at H = 64. A tail of one row joins the block
 before it: a 1-row GEMM goes to gemv, which rounds differently from the same
 row inside a larger GEMM. Each block writes its own result into the B-row
 output: ``lstm_hidden`` its final ``h``, ``forward`` its head output
@@ -78,16 +78,11 @@ import numpy as np
 from .errors import ConfigError, NumericError
 
 DIST_EPS = 1e-8
-# Row cap on a block of the cache-free LSTM pass (see the module docstring). Of
-# 128, 256 and 512 (sweep in BENCH_6.json), only 512 keeps pace with a single
-# pass at H=8, where smaller blocks pay per-call overhead; at H=32 and 64 the
-# three are within noise of each other and faster than a single pass.
-EVAL_BLOCK_ROWS = 512
 # Byte cap on one block's working set: half the 2 MiB L2 per core of the host
 # it was swept on (two sweeps in BENCH_17.json, at the benchmark's holdout
 # shapes). 256 KiB ran 3-12% slower at H=32 and 64. 512 KiB and 1 MiB ran
-# within 2% of no cap at H=8 and 32, and 3-5% faster at H=64; 1 MiB also
-# keeps every H up to 31 at EVAL_BLOCK_ROWS rows.
+# within 2% of no cap at H=8 and 32, and 3-5% faster at H=64. It alone sets a
+# block's rows: at I=2, 1,984 at H=8, 496 at H=32 and 240 at H=64.
 EVAL_WORK_BYTES = 1 << 20
 
 
@@ -228,9 +223,8 @@ def _lstm_step(z, w, b, c_prev, a=None, gg=None, c=None, hc=None, h=None):
 
 def _eval_block_rows(n_in: int, n_hidden: int) -> int:
     # rows per block of the cache-free pass: a multiple of 16 whose working
-    # set fits EVAL_WORK_BYTES, and at most EVAL_BLOCK_ROWS
-    fit = EVAL_WORK_BYTES // (8 * (n_in + 8 * n_hidden)) // 16 * 16
-    return max(16, min(EVAL_BLOCK_ROWS, fit))
+    # set fits EVAL_WORK_BYTES, and at least 16
+    return max(16, EVAL_WORK_BYTES // (8 * (n_in + 8 * n_hidden)) // 16 * 16)
 
 
 def _run_lstm(model: ParamSet, inputs: np.ndarray, head: bool) -> np.ndarray:

@@ -83,7 +83,7 @@ def rows_for_log(log: RoundLog) -> list[list[str]]:
             rows.append([t, "client", str(cid), key, fmt(per_client[cid])])
     for entry in sorted(log.entries, key=lambda e: e.client_id):
         for key, (name, fmt, _) in _SCHEMA["rank"].items():
-            if key == "P_L" and not log.ranked:
+            if key == "P_L" and log.alpha is None:
                 break  # positions and weights come only from ranked rounds
             rows.append([t, "rank", str(entry.client_id), key, fmt(getattr(entry, name))])
     return rows
@@ -141,8 +141,6 @@ def _read_row(logs, entries, t_raw, record, client, key, value) -> None:
             RankEntry(client_id=cid, divergence=0.0, participation=0.0, n_updates=0),
         )
         setattr(entry, name, parse(value))
-        # only ranked rounds write positions
-        log.ranked |= key == "P_L"
 
 
 def _finite_or_none(value: float | None) -> float | None:
@@ -179,8 +177,6 @@ def rmse_series(logs: list[RoundLog]) -> list[tuple[float, float]]:
 
 def write_curves_svg(series: dict[str, list[tuple[float, float]]], path: str | Path) -> None:
     """Plot one polyline per labeled series with a text legend."""
-    if not series:
-        raise ConfigError("nothing to plot")
     width, height = 720, 440
     margin_l, margin_r, margin_t, margin_b = 60, 20, 40, 45
     plot_w = width - margin_l - margin_r
@@ -269,9 +265,6 @@ def collect_series(run_dirs: list[str | Path]) -> dict[str, list[tuple[float, fl
     series: dict[str, list[tuple[float, float]]] = {}
     for run_dir in run_dirs:
         run_dir = Path(run_dir)
-        rounds_path = run_dir / "rounds.csv"
-        if not rounds_path.exists():
-            raise ConfigError(f"{run_dir} contains no rounds.csv")
         label = run_dir.name
         summary_path = run_dir / "summary.json"
         if summary_path.exists():
@@ -284,5 +277,5 @@ def collect_series(run_dirs: list[str | Path]) -> dict[str, list[tuple[float, fl
             label = f"{meta.get('variant', label)} (seed {meta.get('seed', '?')})"
         if label in series:
             label = f"{label} [{run_dir.name}]"
-        series[label] = rmse_series(read_rounds_csv(rounds_path))
+        series[label] = rmse_series(read_rounds_csv(run_dir / "rounds.csv"))
     return series

@@ -72,6 +72,14 @@ class TestRunCommand:
         assert f"error: {data}: cannot read" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_dataset_of_only_a_header_is_an_error(self, tmp_path, capsys):
+        data = tmp_path / "fleet.csv"
+        data.write_text("vehicle_id,timestamp,lat,lon\n", encoding="utf-8")
+        config = write_config(tmp_path, dataset="csv", data_path=str(data))
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+        assert f"error: no trajectories parsed from {data}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_dataset_path_that_is_a_directory_is_an_error(self, tmp_path, capsys):
         data = tmp_path / "fleet"
         data.mkdir()
@@ -180,6 +188,15 @@ class TestConfigErrors:
         code = main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
         assert code == 2
         assert "JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("points", [10**15, 10**19])
+    def test_oversized_synthetic_fleet_is_an_error(self, tmp_path, capsys, points):
+        # numpy refuses either size at once: too much memory, or past its size limit
+        config = write_config(tmp_path, synth_points_each=points)
+        code = main(["run", "--config", str(config), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert f"error: {points} points per vehicle" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_oversized_model_is_an_error(self, tmp_path, capsys):
         config = write_config(tmp_path, hidden=10**11)
@@ -360,6 +377,24 @@ class TestPlotCommand:
         assert message in err
 
     @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("round,record,client,value\n1,round,,0.5\n", "{rounds}: unexpected header"),
+            ("round,record,client,key,value\n", "series contain no plottable points"),
+        ],
+    )
+    def test_rounds_csv_with_a_wrong_header_or_no_rows_is_an_error(
+        self, tmp_path, capsys, text, message
+    ):
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        rounds = run_dir / "rounds.csv"
+        rounds.write_text(text, encoding="utf-8")
+        assert main(["plot", "--in", str(run_dir)]) == 2
+        assert message.format(rounds=rounds) in capsys.readouterr().err
+        assert not (run_dir / "curves.svg").exists()
+
+    @pytest.mark.parametrize(
         "text, location",
         [
             ('{\n  "variant": "fedavg",\n  "seed":\n', ":4: "),
@@ -429,6 +464,14 @@ class TestSynthCommand:
         code = main(["synth", "--kind", "sinusoid", "--out", str(out), "--seed", "-1"])
         assert code == 2
         assert "--seed" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("points", [10**15, 10**19])
+    def test_oversized_fleet_is_an_error(self, tmp_path, capsys, points):
+        out = tmp_path / "synthetic.csv"
+        code = main(["synth", "--kind", "sinusoid", "--out", str(out), "--points", str(points)])
+        assert code == 2
+        assert f"error: {points} points per vehicle" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("flag", ["--vehicles", "--points"])

@@ -114,6 +114,7 @@ class TestValidation:
             dict(weak_areas=[[1.0, 1.0, 0.0, 2.0]]),
             dict(weak_areas=[[0.0, 1.0, 2.0, -2.0]]),
             dict(hidden=0),
+            dict(partition="striped"),
         ],
     )
     def test_rejects(self, bad):

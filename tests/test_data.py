@@ -169,6 +169,17 @@ class TestBothLayouts:
         assert repr(line.format(*malformed).split(",")[2]) in str(err.value)
 
     @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    def test_empty_vehicle_id_is_a_parse_error(self, tmp_path, layout):
+        parse, line = LAYOUTS[layout]
+        path = tmp_path / f"{layout}.txt"
+        # the parser strips the id, so a blank one is empty
+        rows = LAYOUT_ROWS[:2] + [(" ", "1003", "30.0", "120.0")] + LAYOUT_ROWS[2:]
+        path.write_text("".join(line.format(*row) + "\n" for row in rows), encoding="utf-8")
+        with pytest.raises(ParseError) as err:
+            parse(path)
+        assert err.value.line == 3 and "empty vehicle id" in str(err.value)
+
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
     def test_bytes_that_are_not_utf8_are_a_parse_error(self, tmp_path, layout):
         parse, line = LAYOUTS[layout]
         path = tmp_path / f"{layout}.txt"

@@ -7,7 +7,7 @@ from fedsim.config import ExperimentConfig
 from fedsim.data import Trajectory, make_windows, partition_equal, synth_trajectories, write_csv
 from fedsim.experiment import aggregate, prepare_clients, run_experiment
 from fedsim.nn import Dims, ParamSet, TrainBatch, forward, init_params, model_divergence
-from fedsim.reports import rows_for_log
+from fedsim.reports import rows_for_log, write_rounds_csv
 from fedsim.training import evaluate_rmse, train_local
 
 
@@ -260,10 +260,18 @@ class TestRoundLoop:
         result = run_experiment(cfg)
         for log in result.logs:
             assert log.alpha is None
-            assert not log.ranked
+            assert not {"P_L", "P_A", "R"} & {row[3] for row in rows_for_log(log)}
 
 
 class TestVariantReduction:
+    def test_feddecab_at_a_subnormal_freq_equals_freq_zero(self, tmp_path):
+        # 1 / 5e-324 overflows to inf: a period that never comes
+        base = dict(variant="feddecab", p_offline=0.4, p_recover=0.3, rounds=6, seed=9)
+        for name, freq in (("subnormal", 5e-324), ("zero", 0.0)):
+            result = run_experiment(small_config(decentral_freq=freq, **base))
+            write_rounds_csv(result.logs, tmp_path / f"{name}.csv")
+        assert (tmp_path / "subnormal.csv").read_bytes() == (tmp_path / "zero.csv").read_bytes()
+
     def test_feddecab_freq_zero_equals_fedcab(self):
         base = dict(p_offline=0.4, p_recover=0.3, rounds=14, scenario="random", seed=9)
         a = run_experiment(small_config(variant="feddecab", decentral_freq=0.0, **base))
@@ -508,7 +516,7 @@ class TestLocalOnly:
             assert log.online == sorted(range(cfg.n_clients))
             assert log.recovered == [] and log.offline == []
             assert set(log.provenance.values()) <= {"local", "skip"}
-            assert not (log.ranked or log.entries or log.selected or log.decentralized)
+            assert not (log.entries or log.selected or log.decentralized)
             assert log.alpha is None and log.payloads == {}
             assert log.rmse_global == pytest.approx(np.mean(list(log.client_rmse.values())))
 

@@ -23,7 +23,7 @@ from fedsim.nn import (
     sgd_step,
 )
 from fedsim import nn
-from fedsim.nn import EVAL_BLOCK_ROWS, _lstm_steps
+from fedsim.nn import _lstm_steps
 from fedsim.training import evaluate_rmse
 
 from oracles import (
@@ -90,7 +90,7 @@ class TestForward:
         # two blocks, the second taking the 1-row remainder
         dims = Dims(2, 3, 2)
         model = random_model(dims, seed=13)
-        batch = random_batch(dims, 2 * EVAL_BLOCK_ROWS + 1, 3, seed=14)
+        batch = random_batch(dims, 2 * nn._eval_block_rows(2, 3) + 1, 3, seed=14)
         preds = forward(model, batch)
         hidden = nn.lstm_hidden(model, batch.inputs)
         ref_preds, ref_hidden = lstm_forward_scalar(
@@ -113,12 +113,12 @@ class TestForward:
         assert np.array_equal(p1, p2) and np.array_equal(h1, h2)
 
 
-BLOCKED_SIZES = [
-    2 * EVAL_BLOCK_ROWS,
-    2 * EVAL_BLOCK_ROWS + 1,
-    2 * EVAL_BLOCK_ROWS + 2,
-    EVAL_BLOCK_ROWS + 1,
-]
+# fixed row counts: several blocks at H=32 (496 rows each) and H=64 (240),
+# one block at H=8 (1,984). Cases sized from each width's own block are in
+# test_equals_a_single_pass_at_byte_capped_blocks
+BLOCKED_SIZES = [1024, 1025, 1026, 513]
+# rows of one block at I=2 and H=31: 512
+ROWS_AT_31 = nn._eval_block_rows(2, 31)
 
 
 class TestBlockedEval:
@@ -131,8 +131,7 @@ class TestBlockedEval:
         batch = random_batch(dims, n_rows, 6, seed=n_rows)
         hidden_blocked = nn.lstm_hidden(model, batch.inputs)
         preds_blocked = forward(model, batch)
-        # lift both caps, so every row runs in one block and one head GEMM
-        monkeypatch.setattr(nn, "EVAL_BLOCK_ROWS", 10**9)
+        # lift the byte cap, so every row runs in one block and one head GEMM
         monkeypatch.setattr(nn, "EVAL_WORK_BYTES", 10**15)
         assert nn._eval_block_rows(dims.n_in, hidden) >= n_rows
         assert np.array_equal(hidden_blocked, nn.lstm_hidden(model, batch.inputs))
@@ -143,35 +142,37 @@ class TestBlockedEval:
     def test_equals_a_single_pass(self, monkeypatch, hidden, n_rows):
         self.check_equals_a_single_pass(monkeypatch, hidden, n_rows)
 
-    @pytest.mark.parametrize("hidden", [32, 64])
+    @pytest.mark.parametrize("hidden", [8, 32, 64])
     @pytest.mark.parametrize("n_blocks, tail", [(2, 0), (2, 1), (2, 2), (1, 1), (3, 15)])
     def test_equals_a_single_pass_at_byte_capped_blocks(self, monkeypatch, hidden, n_blocks, tail):
-        # above H=31 the byte cap sets the block: 496 rows at H=32, 240 at H=64
+        # the byte cap sets the block: 1,984 rows at H=8, 496 at H=32, 240 at H=64
         rows = nn._eval_block_rows(2, hidden)
         self.check_equals_a_single_pass(monkeypatch, hidden, n_blocks * rows + tail)
 
     @pytest.mark.parametrize(
         "n_in, hidden, rows",
-        [(2, 4, 512), (2, 31, 512), (3, 31, 512), (2, 32, 496), (2, 64, 240), (2, 1000, 16)],
+        [
+            (2, 4, 3840), (2, 8, 1984), (2, 31, 512), (3, 31, 512), (2, 32, 496),
+            (2, 64, 240), (2, 1000, 16),
+        ],
     )
     def test_block_rows_are_the_smaller_cap_in_multiples_of_16(self, n_in, hidden, rows):
-        # EVAL_WORK_BYTES / (8 (I + 8H)) rounded down to 16, at most
-        # EVAL_BLOCK_ROWS and at least 16
+        # EVAL_WORK_BYTES / (8 (I + 8H)) rounded down to 16, and at least 16
         assert nn._eval_block_rows(n_in, hidden) == rows
 
     @pytest.mark.parametrize(
         "n_rows, blocks",
         [
             (2, [2]),
-            (EVAL_BLOCK_ROWS, [EVAL_BLOCK_ROWS]),
-            (EVAL_BLOCK_ROWS + 1, [EVAL_BLOCK_ROWS + 1]),
-            (2 * EVAL_BLOCK_ROWS, [EVAL_BLOCK_ROWS, EVAL_BLOCK_ROWS]),
-            (2 * EVAL_BLOCK_ROWS + 1, [EVAL_BLOCK_ROWS, EVAL_BLOCK_ROWS + 1]),
-            (2 * EVAL_BLOCK_ROWS + 2, [EVAL_BLOCK_ROWS, EVAL_BLOCK_ROWS, 2]),
+            (ROWS_AT_31, [ROWS_AT_31]),
+            (ROWS_AT_31 + 1, [ROWS_AT_31 + 1]),
+            (2 * ROWS_AT_31, [ROWS_AT_31, ROWS_AT_31]),
+            (2 * ROWS_AT_31 + 1, [ROWS_AT_31, ROWS_AT_31 + 1]),
+            (2 * ROWS_AT_31 + 2, [ROWS_AT_31, ROWS_AT_31, 2]),
         ],
     )
     def test_row_blocks_never_leave_a_one_row_tail(self, monkeypatch, n_rows, blocks):
-        dims = Dims(2, 4, 2)
+        dims = Dims(2, 31, 2)
         model = random_model(dims, seed=1)
         inputs = np.zeros((n_rows, 3, 2))
         seen = []
@@ -222,7 +223,7 @@ class TestBlockedEval:
         assert peak < work + gates + 3 * preds
 
     @pytest.mark.parametrize("hidden", [8, 21, 32, 64])
-    @pytest.mark.parametrize("n_rows", [1, 2, 3, 16, EVAL_BLOCK_ROWS + 1])
+    @pytest.mark.parametrize("n_rows", [1, 2, 3, 16, 513])
     def test_reused_buffers_give_the_training_pass_bits(self, hidden, n_rows):
         # both passes run one block of n_rows here, so odd widths hold too,
         # except 513 rows at H=32 and 64: the byte cap cuts that eval in two,

@@ -207,7 +207,7 @@ def test_config_from_dict_raises_only_fedsim_errors(raw):
 # Values at and just past the edge of each field's range. The engine checks
 # none of these again, so a config that loads must run to its end or stop
 # with a FedsimError that depends on the data.
-PROBABILITY_EDGES = st.sampled_from([-0.5, 0.0, 1.0, 1.5])
+PROBABILITY_EDGES = st.sampled_from([-0.5, 0.0, 5e-324, 1.0, 1.5])
 EDGES = {
     "rounds": st.sampled_from([0, 1]),
     "epochs": st.sampled_from([0, 1]),
@@ -314,15 +314,21 @@ def test_a_config_at_an_edge_is_rejected_or_runs_to_its_end_or_a_fedsim_error(ed
 
 # Even hidden widths only: at odd widths of 15 and more the gate GEMM rounds a
 # row differently as its row count changes, so blocks do not keep the bits of
-# one pass there (see the nn module docstring).
+# one pass there (see the nn module docstring). A batch is up to two whole
+# blocks of its width plus a tail, at least 2 rows in all.
 @given(
     st.integers(1, 32).map(lambda k: 2 * k),
-    st.integers(2, 1600),
+    st.integers(0, 2),
+    st.data(),
     st.integers(1, 6),
     st.integers(1, 3),
     st.integers(0, 2**32 - 1),
 )
-def test_blocked_eval_equals_a_single_pass_at_even_widths(hidden, n_rows, seq_len, n_in, seed):
+def test_blocked_eval_equals_a_single_pass_at_even_widths(
+    hidden, n_blocks, data, seq_len, n_in, seed
+):
+    rows = nn._eval_block_rows(n_in, hidden)
+    n_rows = n_blocks * rows + data.draw(st.integers(0 if n_blocks else 2, rows - 1), "tail")
     dims = Dims(n_in, hidden, 2)
     rng = np.random.default_rng(seed)
     model = init_params(dims, rng)

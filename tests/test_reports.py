@@ -114,7 +114,7 @@ class TestRoundsCsv:
         assert {"L", "A", "n"} <= keys and not keys & {"P_L", "P_A", "R", "alpha"}
         path = tmp_path / "rounds.csv"
         write_rounds_csv(result.logs, path)
-        assert not any(log.ranked or log.alpha is not None for log in read_rounds_csv(path))
+        assert not any(log.alpha is not None for log in read_rounds_csv(path))
 
     def test_rows_deterministic(self):
         result = tiny_result()
@@ -210,6 +210,12 @@ class TestCurvesSvg:
         series = collect_series([tmp_path / "feddecab", tmp_path / "fedavg"])
         assert sorted(series) == ["fedavg (seed 1)", "feddecab (seed 1)"]
         assert all(len(points) == 5 for points in series.values())
+
+    def test_collect_series_keeps_runs_of_the_same_variant_and_seed_apart(self, tmp_path):
+        for name in ("first", "second"):
+            emit_reports(tiny_result(variant="fedavg"), tmp_path / name)
+        series = collect_series([tmp_path / "first", tmp_path / "second"])
+        assert list(series) == ["fedavg (seed 1)", "fedavg (seed 1) [second]"]
 
 
 class TestEmitReports:

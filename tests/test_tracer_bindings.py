@@ -37,5 +37,5 @@ def test_every_hook_fires_on_a_feddecab_run():
     with tracer.Tracer() as traced:
         result = run_experiment(config)
     assert any(log.collab_sources for log in result.logs)
-    assert any(log.ranked and log.entries for log in result.logs)
+    assert any(log.alpha is not None and log.entries for log in result.logs)
     assert [key for key in tracer._HOOKS if traced.spans[key].calls == 0] == []
