@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import sys
 import types
 import typing
 from collections.abc import Mapping
@@ -35,15 +36,57 @@ _VARIANT_FLAGS = {
     "local_only": ("uniform", False, False),
 }
 
-# Fields that must be >= 1 when set, and fields that are probabilities.
-_COUNTS = (
-    "rounds", "k_per_round", "chi", "hidden", "seq_len", "batch_size",
-    "synth_vehicles", "synth_points_each", "points_per_client", "vehicles_per_client",
-    "reveal_slice_points",
-)
-_PROBABILITIES = (
-    "p_offline", "p_recover", "decentral_freq", "constant_p", "p_company", "p_private",
-)
+
+@dataclass(frozen=True)
+class _Interval:
+    """The numbers from ``lo`` to ``hi``, an infinite bound being no bound. The
+    brackets in ``ends`` say which bounds are in: ``[]`` both, ``()`` neither."""
+
+    lo: float
+    hi: float
+    ends: str
+
+    def __contains__(self, value) -> bool:
+        above = value >= self.lo if self.ends[0] == "[" else value > self.lo
+        below = value <= self.hi if self.ends[1] == "]" else value < self.hi
+        return above and below
+
+    def __str__(self) -> str:
+        if self.hi == math.inf:
+            return f"{'>=' if self.ends[0] == '[' else '>'} {self.lo}"
+        return f"in {self.ends[0]}{self.lo}, {self.hi}{self.ends[1]}"
+
+
+# Each field's range: an interval, or a tuple of the values allowed. A field
+# left out takes any value of its type; validate checks the rules that tie
+# fields together. None passes wherever the type allows it.
+_RANGES = {
+    **dict.fromkeys(
+        ("synth_vehicles", "synth_points_each", "points_per_client", "vehicles_per_client",
+         "reveal_slice_points", "rounds", "k_per_round", "chi", "hidden", "seq_len",
+         "batch_size"),
+        _Interval(1, math.inf, "[)"),
+    ),
+    **dict.fromkeys(("epochs", "budget", "prox_mu", "seed"), _Interval(0, math.inf, "[)")),
+    **dict.fromkeys(("alpha_dir", "eta0", "eta_decay", "gamma"), _Interval(0, math.inf, "()")),
+    **dict.fromkeys(
+        ("p_low", "p_high", "p_company", "p_private", "constant_p", "p_offline", "p_recover",
+         "decentral_freq"),
+        _Interval(0, 1, "[]"),
+    ),
+    "datasize_percentile": _Interval(0, 100, "()"),
+    "n_clients": _Interval(2, math.inf, "[)"),
+    "sample_ratio": _Interval(0, 1, "(]"),
+    "holdout_fraction": _Interval(0, 1, "()"),
+    "dataset": ("synthetic", "csv", "tdrive"),
+    "synth_kind": SYNTH_KINDS,
+    "partition": ("equal", "by_vehicle"),
+    "scenario": SCENARIOS,
+    "variant": VARIANTS,
+    "selection": SELECTION_MODES,
+    "rmse_units": ("normalized", "degrees"),
+    **dict.fromkeys(("n_in", "n_out"), (2,)),  # a point is a lat/lon pair
+}
 
 
 @dataclass
@@ -119,43 +162,16 @@ class ExperimentConfig:
     def validate(self) -> None:
         hints = typing.get_type_hints(type(self))
         for f in fields(self):
-            value = getattr(self, f.name)
+            value, rule = getattr(self, f.name), _RANGES.get(f.name)
             if not _matches_type(value, hints[f.name]):
                 raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
-        if self.variant not in VARIANTS:
-            raise ConfigError(f"unknown variant {self.variant!r}, expected one of {VARIANTS}")
-        if self.scenario not in SCENARIOS:
-            raise ConfigError(f"unknown scenario {self.scenario!r}, expected one of {SCENARIOS}")
-        if self.selection is not None and self.selection not in SELECTION_MODES:
-            raise ConfigError(
-                f"unknown selection {self.selection!r}, expected one of {SELECTION_MODES}"
-            )
-        if self.dataset not in ("synthetic", "csv", "tdrive"):
-            raise ConfigError(f"unknown dataset source {self.dataset!r}")
+            if value is not None and rule is not None and value not in rule:
+                allowed = rule if isinstance(rule, _Interval) else f"one of {rule}"
+                raise ConfigError(f"{f.name} must be {allowed}, got {value!r}")
         if self.dataset != "synthetic" and not self.data_path:
             raise ConfigError(f"dataset {self.dataset!r} requires data_path")
-        if self.partition not in ("equal", "by_vehicle"):
-            raise ConfigError(f"unknown partition mode {self.partition!r}")
-        if self.n_clients < 2:
-            raise ConfigError(f"n_clients must be >= 2, got {self.n_clients}")
-        for name in _COUNTS:
-            value = getattr(self, name)
-            if value is not None and value < 1:
-                raise ConfigError(f"{name} must be >= 1, got {value}")
-        if not 0.0 < self.sample_ratio <= 1.0:
-            raise ConfigError(f"sample_ratio must be in (0, 1], got {self.sample_ratio}")
-        if not 0.0 < self.holdout_fraction < 1.0:
-            raise ConfigError(
-                f"holdout_fraction must be in (0, 1), got {self.holdout_fraction}"
-            )
-        for name in _PROBABILITIES:
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ConfigError(f"{name} must be in [0, 1], got {value}")
-        if self.budget is not None and self.budget < 0:
-            raise ConfigError(f"budget must be >= 0 or null, got {self.budget}")
-        if self.eta0 <= 0 or self.eta_decay <= 0:
-            raise ConfigError("eta0 and eta_decay must be positive")
+        if self.p_low > self.p_high:
+            raise ConfigError(f"p_low must be <= p_high, got {self.p_low} and {self.p_high}")
         # the schedule is monotone, so its last round holds its extreme rate
         try:
             eta_last = self.eta_at(self.rounds)
@@ -166,38 +182,10 @@ class ExperimentConfig:
                 f"eta0={self.eta0} and eta_decay={self.eta_decay} give a learning rate "
                 f"of {eta_last} in round {self.rounds}; it must stay positive and finite"
             )
-        if self.prox_mu < 0:
-            raise ConfigError(f"prox_mu must be >= 0, got {self.prox_mu}")
-        if self.epochs < 0:
-            raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
-        if self.rmse_units not in ("normalized", "degrees"):
-            raise ConfigError(f"unknown rmse_units {self.rmse_units!r}")
-        if (self.n_in, self.n_out) != (2, 2):
-            raise ConfigError(
-                f"n_in and n_out must be 2, a lat/lon pair, got {self.n_in} and {self.n_out}"
-            )
-        if self.alpha_dir <= 0:
-            raise ConfigError(f"alpha_dir must be > 0, got {self.alpha_dir}")
-        if not 0.0 <= self.p_low <= self.p_high <= 1.0:
-            raise ConfigError(
-                f"need 0 <= p_low <= p_high <= 1, got {self.p_low}, {self.p_high}"
-            )
-        if self.gamma <= 0:
-            raise ConfigError(f"gamma must be > 0, got {self.gamma}")
-        if not 0.0 < self.datasize_percentile < 100.0:
-            raise ConfigError(
-                f"datasize_percentile must be in (0, 100), got {self.datasize_percentile}"
-            )
-        if self.synth_kind not in SYNTH_KINDS:
-            raise ConfigError(
-                f"unknown synth_kind {self.synth_kind!r}, expected one of {SYNTH_KINDS}"
-            )
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         for box in self.weak_areas:
             if len(box) != 4 or not (box[0] < box[1] and box[2] < box[3]):
                 raise ConfigError(
-                    "each weak area must be [lat_min, lat_max, lon_min, lon_max] "
+                    "each box of weak_areas must be [lat_min, lat_max, lon_min, lon_max] "
                     f"with each min below its max, got {box}"
                 )
 
@@ -271,7 +259,8 @@ class ExperimentConfig:
 def _matches_type(value, hint) -> bool:
     """Whether a config value fits its field annotation. JSON booleans are
     not numbers, an int is accepted where a float is expected, and a float
-    must be finite (a NaN would reach summary.json as invalid JSON)."""
+    must be finite (a NaN would reach summary.json as invalid JSON), as must
+    an int in its place."""
     if typing.get_origin(hint) in (typing.Union, types.UnionType):
         return any(_matches_type(value, arg) for arg in typing.get_args(hint))
     if hint is type(None):
@@ -281,7 +270,7 @@ def _matches_type(value, hint) -> bool:
     if hint is int:
         return isinstance(value, numbers.Integral)
     if hint is float:
-        return isinstance(value, numbers.Real) and math.isfinite(value)
+        return isinstance(value, numbers.Real) and abs(value) <= sys.float_info.max
     if typing.get_origin(hint) is list:
         (item,) = typing.get_args(hint)
         return isinstance(value, list) and all(_matches_type(v, item) for v in value)

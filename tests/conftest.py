@@ -1,5 +1,9 @@
+import ctypes
 import sys
 from pathlib import Path
+
+import numpy as np
+import pytest
 
 # Tests import the shared oracle helpers as a plain module.
 sys.path.insert(0, str(Path(__file__).resolve().parent))
@@ -16,3 +20,29 @@ else:
         "fedsim", derandomize=True, max_examples=60, deadline=None, database=None
     )
     settings.load_profile("fedsim")
+
+
+@pytest.fixture
+def one_blas_thread():
+    """Run the test at one BLAS thread and restore the count after it.
+
+    OpenBLAS splits a GEMM of more than 1,024 rows across threads, and under
+    some kernels (Haswell) the split rounds differently, so a blocked pass
+    and a single pass over such rows agree only at one thread count. Where
+    numpy bundles no OpenBLAS, the test runs at whatever count the BLAS has.
+    """
+    libs = Path(np.__file__).parent.parent / "numpy.libs"
+    for lib_path in sorted(libs.glob("libscipy_openblas*")):
+        try:
+            lib = ctypes.CDLL(str(lib_path))
+            get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        before = get()
+        set_(1)
+        yield
+        set_(before)
+        return
+    yield

@@ -115,10 +115,13 @@ class TestValidation:
             dict(weak_areas=[[0.0, 1.0, 2.0, -2.0]]),
             dict(hidden=0),
             dict(partition="striped"),
+            dict(alpha0=10**400),  # an int past the largest float
         ],
     )
     def test_rejects(self, bad):
-        with pytest.raises(ConfigError):
+        # the message names the field at fault, or one of the fields whose
+        # joint rule the case breaks
+        with pytest.raises(ConfigError, match="|".join(bad)):
             ExperimentConfig(**bad)
 
 

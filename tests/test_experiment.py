@@ -551,6 +551,15 @@ class TestPrepareClients:
             if m >= 2:
                 assert client.hold_inputs.shape[0] == min(m - 1, max(1, round(0.25 * m)))
 
+    def test_a_client_of_a_few_windows_keeps_one_to_train_on(self):
+        # round(0.95 m) >= m for 2 <= m <= 10 windows: only the cap at m - 1
+        # leaves a training window
+        cfg = small_config(partition="equal", points_per_client=10, holdout_fraction=0.95)
+        clients, _, _, _, _, _ = prepare_clients(cfg)
+        for client in clients.values():
+            assert 2 <= client.window_starts.size + client.hold_inputs.shape[0] <= 10
+            assert client.window_starts.size == 1
+
     def test_bootstrap_not_yet_revealed_at_build(self):
         cfg = small_config()
         clients, _, _, _, _, _ = prepare_clients(cfg)

@@ -137,11 +137,13 @@ class TestBlockedEval:
         assert np.array_equal(hidden_blocked, nn.lstm_hidden(model, batch.inputs))
         assert np.array_equal(preds_blocked, forward(model, batch))
 
+    @pytest.mark.usefixtures("one_blas_thread")
     @pytest.mark.parametrize("hidden", [8, 32, 64])
     @pytest.mark.parametrize("n_rows", BLOCKED_SIZES)
     def test_equals_a_single_pass(self, monkeypatch, hidden, n_rows):
         self.check_equals_a_single_pass(monkeypatch, hidden, n_rows)
 
+    @pytest.mark.usefixtures("one_blas_thread")
     @pytest.mark.parametrize("hidden", [8, 32, 64])
     @pytest.mark.parametrize("n_blocks, tail", [(2, 0), (2, 1), (2, 2), (1, 1), (3, 15)])
     def test_equals_a_single_pass_at_byte_capped_blocks(self, monkeypatch, hidden, n_blocks, tail):
@@ -222,6 +224,7 @@ class TestBlockedEval:
             tracemalloc.stop()
         assert peak < work + gates + 3 * preds
 
+    @pytest.mark.usefixtures("one_blas_thread")
     @pytest.mark.parametrize("hidden", [8, 21, 32, 64])
     @pytest.mark.parametrize("n_rows", [1, 2, 3, 16, 513])
     def test_reused_buffers_give_the_training_pass_bits(self, hidden, n_rows):

@@ -7,6 +7,9 @@ pass.
 The examples come from the derandomized profile in conftest.py.
 """
 
+import math
+import typing
+
 import numpy as np
 import pytest
 
@@ -15,7 +18,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from fedsim.availability import RevealState, reveal_round  # noqa: E402
-from fedsim.config import SCENARIOS, VARIANTS, ExperimentConfig  # noqa: E402
+from fedsim.config import SCENARIOS, VARIANTS, ExperimentConfig, _Interval, _RANGES  # noqa: E402
 from fedsim.data import Trajectory, parse_csv, parse_tdrive, write_csv  # noqa: E402
 from fedsim.errors import FedsimError  # noqa: E402
 from fedsim.experiment import aggregate, prepare_clients, run_experiment  # noqa: E402
@@ -204,43 +207,46 @@ def test_config_from_dict_raises_only_fedsim_errors(raw):
         pass
 
 
-# Values at and just past the edge of each field's range. The engine checks
-# none of these again, so a config that loads must run to its end or stop
-# with a FedsimError that depends on the data.
-PROBABILITY_EDGES = st.sampled_from([-0.5, 0.0, 5e-324, 1.0, 1.5])
+# Fields with no entry in the config's range table: their type is their whole
+# range, or a rule that ties fields together checks them.
+UNBOUNDED = ("alpha0", "beta0", "delta_alpha", "delta_beta", "data_path", "weak_areas",
+             "offline_train_every_round", "aggregate_by_datasize")
+
+
+def test_every_config_field_has_a_range_or_is_unbounded():
+    assert sorted([*_RANGES, *UNBOUNDED]) == sorted(ExperimentConfig.__dataclass_fields__)
+
+
+def _edges(name, rule):
+    """Each finite bound of an interval with the integers or floats on either
+    side of it, or the values just outside a tuple of allowed values."""
+    if not isinstance(rule, _Interval):
+        return [min(rule) - 1, max(rule) + 1] if isinstance(rule[0], int) else ["?"]
+    bounds = [b for b in (rule.lo, rule.hi) if math.isfinite(b)]
+    hint = typing.get_type_hints(ExperimentConfig)[name]
+    if int in (hint, *typing.get_args(hint)):
+        return [b + step for b in bounds for step in (-1, 0, 1)]
+    return [math.nextafter(b, toward) for b in bounds for toward in (-math.inf, b, math.inf)]
+
+
+# Values at and just past the edge of each field's range, and hand-picked
+# values: more than the data holds, a diverging learning rate, weak boxes on
+# and off their shape rule, and extreme finite values of the unbounded
+# compensator fields. The
+# engine checks none of these again, so a config that loads must run to its
+# end or stop with a FedsimError that depends on the data.
+EXTRAS = {
+    "points_per_client": [10**6],
+    **dict.fromkeys(("chi", "k_per_round", "synth_vehicles"), [9]),
+    "eta0": [50.0],
+    "weak_areas": [
+        [[0.0, 90.0, 0.0, 180.0]], [[30.0, 30.0, 119.0, 121.0]], [[29.0, 31.0, 121.0, 119.0]]
+    ],
+    **dict.fromkeys(("alpha0", "beta0", "delta_alpha", "delta_beta"), [-1e308, 0.0, 1e308]),
+}
 EDGES = {
-    "rounds": st.sampled_from([0, 1]),
-    "epochs": st.sampled_from([0, 1]),
-    "hidden": st.sampled_from([0, 1]),
-    "seq_len": st.sampled_from([0, 1]),
-    "batch_size": st.sampled_from([0, 1]),
-    "chi": st.sampled_from([0, 1, 9]),
-    "k_per_round": st.sampled_from([0, 1, 9]),
-    "budget": st.sampled_from([-1, 0, 1]),
-    "n_in": st.sampled_from([1, 3]),
-    "n_out": st.sampled_from([1, 3]),
-    "reveal_slice_points": st.sampled_from([0, 1]),
-    "synth_vehicles": st.sampled_from([0, 1, 9]),
-    "synth_points_each": st.sampled_from([0, 1, 3]),
-    "points_per_client": st.sampled_from([0, 1, 10**6]),
-    "vehicles_per_client": st.sampled_from([0, 2]),
-    "holdout_fraction": st.sampled_from([0.0, 0.01, 1.0]),
-    "sample_ratio": st.sampled_from([0.0, 0.01, 1.0]),
-    "datasize_percentile": st.sampled_from([0.0, 1.0, 99.0, 100.0]),
-    "alpha_dir": st.sampled_from([0.0, 1e-3]),
-    "gamma": st.sampled_from([0.0, 1e-3]),
-    "eta0": st.sampled_from([0.0, 50.0]),
-    "p_low": PROBABILITY_EDGES,
-    "p_high": PROBABILITY_EDGES,
-    "p_offline": PROBABILITY_EDGES,
-    "p_recover": PROBABILITY_EDGES,
-    "decentral_freq": PROBABILITY_EDGES,
-    "constant_p": PROBABILITY_EDGES,
-    "p_company": PROBABILITY_EDGES,
-    "p_private": PROBABILITY_EDGES,
-    "weak_areas": st.sampled_from(
-        [[[0.0, 90.0, 0.0, 180.0]], [[30.0, 30.0, 119.0, 121.0]], [[29.0, 31.0, 121.0, 119.0]]]
-    ),
+    name: (_edges(name, _RANGES[name]) if name in _RANGES else []) + EXTRAS.get(name, [])
+    for name in _RANGES.keys() | EXTRAS.keys()
 }
 
 # the scenario that reads each scenario-specific field
@@ -290,7 +296,7 @@ def small_configs(draw):
 def test_a_config_at_an_edge_is_rejected_or_runs_to_its_end_or_a_fedsim_error(edge, data):
     raw = data.draw(small_configs())
     for name in [edge] + data.draw(st.lists(st.sampled_from(sorted(EDGES)), max_size=1)):
-        raw[name] = data.draw(EDGES[name])
+        raw[name] = data.draw(st.sampled_from(EDGES[name]))
         raw["scenario"] = SCENARIO_OF.get(name, raw["scenario"])
     try:
         config = ExperimentConfig.from_dict(raw)
@@ -316,6 +322,7 @@ def test_a_config_at_an_edge_is_rejected_or_runs_to_its_end_or_a_fedsim_error(ed
 # row differently as its row count changes, so blocks do not keep the bits of
 # one pass there (see the nn module docstring). A batch is up to two whole
 # blocks of its width plus a tail, at least 2 rows in all.
+@pytest.mark.usefixtures("one_blas_thread")
 @given(
     st.integers(1, 32).map(lambda k: 2 * k),
     st.integers(0, 2),
