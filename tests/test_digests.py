@@ -7,7 +7,8 @@ bytes across commits: one uniform-selection run (fedavg), one ranked run
 isolated local_only baseline, fedavg and feddecab with offline clients
 training every round, feddecab over several batches and epochs, fedavg weighted by
 client data size, fedavg over an equal-points partition, feddecab at the
-headline's hidden width of 32, feddecab over a CSV fleet with peer
+headline's hidden width of 32, feddecab under the regional and the datasize
+availability scenarios, feddecab over a CSV fleet with peer
 rounds every round, and two feddecab runs that diverge: one aborts in its
 online phase, one loses clients in peer rounds. The values were taken with numpy
 2.4 and OpenBLAS on x86-64; another BLAS may round GEMMs differently. A change that alters any output bit must
@@ -27,7 +28,7 @@ import pytest
 import fedsim.training
 from fedsim.config import ExperimentConfig
 from fedsim.data import Trajectory, synth_trajectories, write_csv
-from fedsim.experiment import run_experiment
+from fedsim.experiment import prepare_clients, run_experiment
 from fedsim.reports import emit_reports
 
 BASE = dict(
@@ -61,7 +62,10 @@ BASE = dict(
 # at 51 points, so some clients hold a segment too short for a window and some
 # holdouts span two segments. Every other case runs hidden=8; the hidden32 case
 # pins the LSTM step at the width of the benchmark's headline, over batches of
-# one, three and four rows.
+# one, three and four rows. Every other case runs the random scenario: the
+# regional case lays one weak box over part of the fleet, and the datasize case
+# runs the uneven fleet, whose one client of three vehicles is the company
+# device.
 CASES = {
     "fedavg": dict(variant="fedavg"),
     "fedcab": dict(variant="fedcab"),
@@ -81,6 +85,12 @@ CASES = {
     ),
     "fedavg_equal_partition": dict(variant="fedavg", partition="equal", points_per_client=51),
     "feddecab_hidden32": dict(variant="feddecab", hidden=32, batch_size=4, epochs=2),
+    "feddecab_regional": dict(
+        variant="feddecab", scenario="regional", weak_areas=[[29.9, 30.5, 120.0, 120.6]]
+    ),
+    "feddecab_datasize": dict(
+        variant="feddecab", scenario="datasize", synth_vehicles=17, vehicles_per_client=2
+    ),
 }
 
 # feddecab over a CSV of 32 vehicles of 12 to 52 points, one client each, with
@@ -159,6 +169,14 @@ DIGESTS = {
     "feddecab_hidden32": (
         "0e22ddb9b191035f6d0046e8e3af1c7ef2278caac056b3918b9cff1d811f3d87",
         "1a2fa53888aedc46d80bf122dd64ac1d13d8ae92371cb4623583fc0a0eed5579",
+    ),
+    "feddecab_regional": (
+        "1d395b71d9170cc1669c3f1282c7b74d522a00619a74e3744cc1b2a8f4cfdb38",
+        "5ea134d8ff58c9f117e78d769b7da4e508bed9f37c0c926259b14247dc2389c3",
+    ),
+    "feddecab_datasize": (
+        "c3b1afb8ec9d1375fb5d1722203a40bcbbf119c6f346c9a8e5b028e8c61791b4",
+        "7f45630656140e19a56c89fd1f4219b302b1bce009e99ee803f869e054929e92",
     ),
 }
 
@@ -279,6 +297,19 @@ def test_datasize_pin_differs_from_uniform_weights(tmp_path):
     overrides = dict(CASES["fedavg_by_datasize"], aggregate_by_datasize=False)
     rounds_sha, _ = _rounds_and_summary_sha256(overrides, tmp_path)
     assert rounds_sha != DIGESTS["fedavg_by_datasize"][0]
+
+
+def test_scenario_pins_reach_both_probabilities():
+    # a box over every point, or none, would pin a constant plan
+    config = ExperimentConfig(**dict(BASE, **CASES["feddecab_regional"]))
+    clients, *_ = prepare_clients(config)
+    assert any(
+        {config.p_low, config.p_high} <= set(client.reveal.probs) for client in clients.values()
+    )
+    config = ExperimentConfig(**dict(BASE, **CASES["feddecab_datasize"]))
+    clients, *_ = prepare_clients(config)
+    plans = {float(p) for client in clients.values() for p in client.reveal.probs}
+    assert plans == {config.p_company, config.p_private}
 
 
 def test_rounds_that_aggregate_nothing_reuse_the_global_rmse(tmp_path, monkeypatch):
