@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import replace
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ExperimentConfig
+from .config import _RANGES, ExperimentConfig, _Interval
 from .data import SYNTH_KINDS, synth_trajectories, write_csv
 from .errors import ConfigError, FedsimError
 from .experiment import run_experiment
@@ -56,25 +57,35 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _check_seed(args) -> None:
-    if args.seed < 0:
-        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+# Each numeric flag's range, in the order checked. A flag that repeats a
+# config field has that field's range.
+_POSITIVE = _Interval(0, math.inf, "()")
+_GRADCHECK_RANGES = {
+    "seed": _RANGES["seed"],
+    "trials": _Interval(1, math.inf, "[)"),
+    "hidden": _RANGES["hidden"],
+    "steps": _RANGES["seq_len"],
+    "batch": _RANGES["batch_size"],
+    "eps": _POSITIVE,
+    "tolerance": _POSITIVE,
+}
+_SYNTH_RANGES = {
+    "seed": _RANGES["seed"],
+    "vehicles": _RANGES["synth_vehicles"],
+    "points": _RANGES["synth_points_each"],
+}
 
 
-def _check_counts(args, *names) -> None:
-    for name in names:
-        if getattr(args, name) < 1:
-            raise ConfigError(f"--{name} must be >= 1, got {getattr(args, name)}")
+def _check_flags(args, ranges) -> None:
+    for name, interval in ranges.items():
+        value = getattr(args, name)
+        if value not in interval:  # NaN is in no interval
+            raise ConfigError(f"--{name} must be {interval}, got {value}")
 
 
 def _cmd_gradcheck(args) -> int:
     """Analytic gradients against central finite differences on small models."""
-    _check_seed(args)
-    _check_counts(args, "trials", "hidden", "steps", "batch")
-    # `not x > 0` also rejects NaN
-    for name in ("eps", "tolerance"):
-        if not getattr(args, name) > 0:
-            raise ConfigError(f"--{name} must be > 0, got {getattr(args, name)}")
+    _check_flags(args, _GRADCHECK_RANGES)
     rng = np.random.default_rng(args.seed)
     dims = Dims(2, args.hidden, 2)
     worst = 0.0
@@ -127,8 +138,7 @@ def _cmd_plot(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    _check_seed(args)
-    _check_counts(args, "vehicles", "points")
+    _check_flags(args, _SYNTH_RANGES)
     trajectories = synth_trajectories(args.seed, args.vehicles, args.points, args.kind)
     write_csv(args.out, trajectories)
     total = sum(t.n_points for t in trajectories)

@@ -63,8 +63,7 @@ class _Interval:
 _RANGES = {
     **dict.fromkeys(
         ("synth_vehicles", "synth_points_each", "points_per_client", "vehicles_per_client",
-         "reveal_slice_points", "rounds", "k_per_round", "chi", "hidden", "seq_len",
-         "batch_size"),
+         "reveal_slice_points", "rounds", "chi", "hidden", "seq_len", "batch_size"),
         _Interval(1, math.inf, "[)"),
     ),
     **dict.fromkeys(("epochs", "budget", "prox_mu", "seed"), _Interval(0, math.inf, "[)")),
@@ -85,7 +84,6 @@ _RANGES = {
     "variant": VARIANTS,
     "selection": SELECTION_MODES,
     "rmse_units": ("normalized", "degrees"),
-    **dict.fromkeys(("n_in", "n_out"), (2,)),  # a point is a lat/lon pair
 }
 
 
@@ -120,7 +118,6 @@ class ExperimentConfig:
     n_clients: int = 40
     rounds: int = 240
     sample_ratio: float = 0.10
-    k_per_round: int | None = None        # overrides sample_ratio when set
     epochs: int = 1
     eta0: float = 0.001
     eta_decay: float = 1.0
@@ -145,9 +142,7 @@ class ExperimentConfig:
     prox_mu: float = 0.01
 
     # model
-    n_in: int = 2
     hidden: int = 32
-    n_out: int = 2
     seq_len: int = 6
     batch_size: int = 16
 
@@ -193,8 +188,6 @@ class ExperimentConfig:
 
     @property
     def k_selected(self) -> int:
-        if self.k_per_round is not None:
-            return self.k_per_round
         return max(1, round(self.sample_ratio * self.n_clients))
 
     @property

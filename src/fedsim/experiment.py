@@ -231,7 +231,7 @@ def _split_runs(segments: list[np.ndarray], seq_len: int, holdout_fraction: floa
 def prepare_clients(config: ExperimentConfig):
     """Build per-client runtimes, the frozen bbox, the global holdout, the
     selection RNG and the count of dataset rows the parser dropped."""
-    dims = Dims(config.n_in, config.hidden, config.n_out)
+    dims = Dims(2, config.hidden, 2)  # a point in and a point out, each a lat/lon pair
     trajectories, rejected = load_trajectories(config)
     if config.partition == "equal":
         datasets = partition_equal(trajectories, config.n_clients, config.points_per_client)

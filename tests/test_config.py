@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -61,6 +62,14 @@ class TestDefaults:
         cfg = ExperimentConfig(eta0=0.1, eta_decay=0.5)
         assert [cfg.eta_at(t) for t in (1, 2, 3)] == pytest.approx([0.1, 0.05, 0.025])
 
+    def test_a_ratio_of_k_to_n_clients_selects_k(self):
+        # how a config that set K directly says it now: sample_ratio = k / n
+        for n in range(2, 101):
+            cfg = ExperimentConfig(n_clients=n)
+            assert [replace(cfg, sample_ratio=k / n).k_selected for k in range(1, n + 1)] == list(
+                range(1, n + 1)
+            ), n
+
 
 class TestValidation:
     @pytest.mark.parametrize(
@@ -102,8 +111,6 @@ class TestValidation:
             dict(synth_kind="spiral"),
             dict(vehicles_per_client=0),
             dict(seed=-1),
-            dict(n_in=3),
-            dict(n_out=1),
             dict(constant_p=1.5),
             dict(p_company=-0.1),
             dict(p_private=1.01),

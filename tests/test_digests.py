@@ -124,65 +124,65 @@ def _write_fleet_csv(path) -> None:
 DIGESTS = {
     "fedavg": (
         "dfa6d476fcee47400f2c8d97aa93aa0623bf8b3521a96d1c3342083af54ae2a2",
-        "2955b5cdb8071831bcfbf4a4052dab7a51f50702fb25942738060cb25e4cc70f",
+        "f89f498aec520896ddaec226c90422922fdc48c2d61bf57f8758e2d2d7b17d63",
     ),
     "fedcab": (
         "a493e40cbc56f0a805d50263dc3dc1464896f3b042939218a10cd2a7d7d518cc",
-        "246463462e8b8c8d030bd34329034120829885204762d67ef009c8623c564834",
+        "dd72f4fa12e9f99944c8d42246913a80cd6595a5d43a6adfceafed2183bcdea7",
     ),
     "feddecab": (
         "be7397d3fba2a497386a7103982e288fc309558254488312d5d4bbf581b33f46",
-        "08c0556b77d2b8bea48814e08da809f3a814a3938080621faebc104adfb4e124",
+        "718bda00b3736c7a3f67369b9b34d1f7ef10b7b244f2b7a7fc1019dcc7bec34e",
     ),
     "fedprox": (
         "a403b7d8865754df55cc4c385f6429b2771be9adbe5301c166ad9be89ae98c2b",
-        "abd448c8fa905b8d96cc55ee44a5e221d6908695bbbdaf82261c29ffeb2228b1",
+        "37a9a3144f9703d56f22c456634ea401e18310eaa6f14bcf1a147581d7d0d279",
     ),
     "fedprox_plus": (
         "b326b619e77d03d27c8c5a900df9716e32436eaec57dc9007784a96f1e78133e",
-        "b8206990e46e6ea81ea6b8030700adc8198dca79f9711166390463aa1189b946",
+        "ded9a19464e86389e87b8a3c4dedff5e57cb72382435911ec906bc09e2f66b85",
     ),
     "local_only": (
         "804ceccc0248ade120cf7390db84b2d8f57a31ae763ce3ef0fc594350703f6d1",
-        "624cef4f3d2cd6ce709c3f47fed8473bb94bc3c86a2964f7646b36d5e1e00537",
+        "be323df9df641b4350dcc39ab4b008447815290bbf08150d41761810265c14cd",
     ),
     "fedavg_offline": (
         "279831935ead16ce931c3d69bb51d7f9d6d0d71feea837e3dce8cf8e2674b818",
-        "886b4c64d727386a51a53ce8910f5c7e8dd65acc71d70fc9891c1c93a5e178ae",
+        "0965f1793ff870da75704ef4c5b5a819f817b573cad7c6c2d2d11bc1f44c49ed",
     ),
     "feddecab_offline": (
         "3f586e615e3c3a46e24483de8df2cb93d1262abc320efdb0a948609ce78ef974",
-        "1b08772f5c9befab0feeaf1f98391f0c18a9bd076b4458bed72955b70a5de967",
+        "b75361c76d4fc695c674a89b5325290b79d46425753cc6534c7ede2b96c19dad",
     ),
     "feddecab_multi_batch": (
         "d4d9381dbb06fd4dd163f0d82b7fcf868c958cee85693bd9f668a883973b9449",
-        "a7ec7773f0ba095d14f5356bb07ec8f3736d84d35269b998ce26369c4d398e07",
+        "55053ff78ad6060ae43e08fb90d2f124985f63663a110796468001d07fa7cbab",
     ),
     "fedavg_by_datasize": (
         "fe6d80ee45e427d801646501a589aab986dad2624d8ac584afc4fa49172f2878",
-        "9cdf0595652c3fb0746479d3f68e7be37d2fa068a5bdf336e335f599f837ede4",
+        "d24a5c17f1614725b43de6ced28a64411d79ebf8191233140657c7f68b99e8af",
     ),
     "fedavg_equal_partition": (
         "c1c1d690e6bfcb3ac93c5c76b2ac808d8d1fc929b836ad24b02ad8c19eca5130",
-        "ed1eb59636e90f0ea981d92536ad9663126d959693e223752d5a3b0183995c0d",
+        "20cea0b36f16c2d2b3553ce0a5eb305b2d37184cf5daed0794af46c33a795b57",
     ),
     "feddecab_hidden32": (
         "0e22ddb9b191035f6d0046e8e3af1c7ef2278caac056b3918b9cff1d811f3d87",
-        "1a2fa53888aedc46d80bf122dd64ac1d13d8ae92371cb4623583fc0a0eed5579",
+        "e0a09bec70e6d0f11f9d6e3281dc68ceecc66b5f7561538ae7c487fc13af76ad",
     ),
     "feddecab_regional": (
         "1d395b71d9170cc1669c3f1282c7b74d522a00619a74e3744cc1b2a8f4cfdb38",
-        "5ea134d8ff58c9f117e78d769b7da4e508bed9f37c0c926259b14247dc2389c3",
+        "274d968e57af9508e97139bab87b001b7eed1f61e1fefde22f819d7e510d7c4d",
     ),
     "feddecab_datasize": (
         "c3b1afb8ec9d1375fb5d1722203a40bcbbf119c6f346c9a8e5b028e8c61791b4",
-        "7f45630656140e19a56c89fd1f4219b302b1bce009e99ee803f869e054929e92",
+        "cfce425c82912b3d9bfd52056c790da184057028ca9c69c89d5b15bac2528ca7",
     ),
 }
 
 FLEET_DIGESTS = (
     "30abdcf23353dd1daab36fe2b81397a5a6125f9a6926f129b0d1478619ad7105",
-    "fd799b3f499c0b5df458a83e2619e8286966433e1a31dea697a85eb56518c3f2",
+    "799537d75ff7d04592ceff4e74d27e0b1612082e9a24c88c1e7a24ca73903b48",
 )
 
 
@@ -210,11 +210,11 @@ DIVERGING = {
 DIVERGING_DIGESTS = {
     "online_abort": (
         "9e4e36d3af2ab7da27fcf8d3609689a3bfbd6126ad9424dd99e1e42413f89eee",
-        "9171142d3c4ef2d3578f639bcc7e27a9ad2787f37d90f6e06f65f8e17d630c8f",
+        "e8f45cdbbcff3359d29cae3e4481eadaff4e733638e02b038e34335202f57d4a",
     ),
     "peer_abort": (
         "3a90b6fd9d4a6768d79bb12e05f4f4d8bf4d3fbb38c9c8873f90ae925dd3d263",
-        "bf4e2d1e74086bfd6cb16633c863fd977bf1a7f9fdf33bb46221c5f9545e6573",
+        "d5f186adc1f6383103823bf12b6873a8e9c69cf74cd115962c306189d17b323a",
     ),
 }
 

@@ -212,7 +212,7 @@ class TestRoundLoop:
             n_clients=6, synth_vehicles=6, decentral_freq=0.5,
         )
         result = run_experiment(cfg)
-        head_size = Dims(cfg.n_in, cfg.hidden, cfg.n_out).fc_size
+        head_size = Dims(2, cfg.hidden, 2).fc_size
         peer_logs = [log for log in result.logs if log.decentralized and log.payloads]
         assert peer_logs
         for log in peer_logs:
@@ -234,7 +234,7 @@ class TestRoundLoop:
     def test_payload_bounded_by_chi_heads(self):
         cfg = small_config(p_offline=0.5, p_recover=0.2, rounds=16, chi=2)
         result = run_experiment(cfg)
-        head_size = Dims(cfg.n_in, cfg.hidden, cfg.n_out).fc_size
+        head_size = Dims(2, cfg.hidden, 2).fc_size
         seen = 0
         for log in result.logs:
             for cid, payload in log.payloads.items():

@@ -237,7 +237,7 @@ def _edges(name, rule):
 # end or stop with a FedsimError that depends on the data.
 EXTRAS = {
     "points_per_client": [10**6],
-    **dict.fromkeys(("chi", "k_per_round", "synth_vehicles"), [9]),
+    **dict.fromkeys(("chi", "synth_vehicles"), [9]),
     "eta0": [50.0],
     "weak_areas": [
         [[0.0, 90.0, 0.0, 180.0]], [[30.0, 30.0, 119.0, 121.0]], [[29.0, 31.0, 121.0, 119.0]]
