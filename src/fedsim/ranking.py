@@ -125,11 +125,33 @@ def select_top_k(entries: list[RankEntry], k: int) -> list[int]:
 def sample_proportional(
     entries: list[RankEntry], k: int, rng: np.random.Generator
 ) -> list[int]:
-    """Weight-proportional sampling without replacement (ablation mode)."""
+    """Weight-proportional sampling without replacement (ablation mode).
+
+    A negative or NaN weight counts as zero. If any weight is +inf, only the
+    +inf weights are drawn from, equally; weights whose sum overflows are
+    divided by the largest first. When fewer than k weights are positive, all
+    of them are selected and the rest are drawn uniformly from the others.
+    """
     k = min(k, len(entries))
     ids = np.array([e.client_id for e in entries])
-    weights = np.array([max(e.weight, 0.0) for e in entries], dtype=float)
-    if weights.sum() <= 0:
-        weights = np.ones_like(weights)
-    picked = rng.choice(ids, size=k, replace=False, p=weights / weights.sum())
+    weights = np.array([e.weight for e in entries], dtype=float)
+    weights[~(weights > 0)] = 0.0
+    if np.isinf(weights).any():
+        weights = (weights == np.inf).astype(float)
+    with np.errstate(over="ignore"):
+        total = weights.sum()
+    if np.isinf(total):
+        weights /= weights.max()
+        total = weights.sum()
+    p = weights / total if total > 0 else weights
+    sure = p > 0
+    n_sure = int(sure.sum())
+    if n_sure >= max(k, 1):
+        picked = rng.choice(ids, size=k, replace=False, p=p)
+    else:
+        others = ids[~sure]
+        filled = rng.choice(
+            others, size=k - n_sure, replace=False, p=np.ones(others.size) / others.size
+        )
+        picked = np.concatenate([ids[sure], filled])
     return sorted(int(cid) for cid in picked)
