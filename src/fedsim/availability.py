@@ -55,7 +55,7 @@ def assign_regional(
 ) -> np.ndarray:
     """Region availability: p_low inside any weak-signal box, p_high outside."""
     coords = np.asarray(coords, dtype=float)
-    probs = np.full(coords.shape[0], p_high)
+    probs = np.full(coords.shape[0], p_high, dtype=float)
     for area in weak_areas:
         probs[area.contains(coords)] = p_low
     return probs

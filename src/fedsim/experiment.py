@@ -188,20 +188,17 @@ def _client_plan(
     datasize_p: float | None,
     rng_plan: np.random.Generator,
 ) -> np.ndarray:
-    """Availability probabilities over one client's training stream."""
-    parts = []
-    for run in train_runs:
-        n = run.shape[0]
-        if config.scenario == "random":
-            parts.append(assign_random(n, config.alpha_dir, rng_plan))
-        elif config.scenario == "regional":
-            areas = [BBox(*box) for box in config.weak_areas]
-            parts.append(assign_regional(run, areas, config.p_low, config.p_high))
-        elif config.scenario == "datasize":
-            parts.append(np.full(n, datasize_p))
-        else:  # constant
-            parts.append(np.full(n, config.constant_p))
-    return np.concatenate([np.zeros(0)] + parts)
+    """Availability probabilities over one client's training stream. The
+    random scenario draws once per run; the others are pointwise."""
+    if config.scenario == "random":
+        parts = [assign_random(run.shape[0], config.alpha_dir, rng_plan) for run in train_runs]
+        return np.concatenate([np.zeros(0)] + parts)
+    points = np.concatenate([np.zeros((0, 2))] + train_runs)
+    if config.scenario == "regional":
+        areas = [BBox(*box) for box in config.weak_areas]
+        return assign_regional(points, areas, config.p_low, config.p_high)
+    p = datasize_p if config.scenario == "datasize" else config.constant_p
+    return np.full(points.shape[0], p, dtype=float)
 
 
 def _split_runs(segments: list[np.ndarray], seq_len: int, holdout_fraction: float):
