@@ -57,26 +57,11 @@ def _cmd_run(args) -> int:
     return 0
 
 
-# Each numeric flag's range, in the order checked. A flag that repeats a
-# config field has that field's range.
 _POSITIVE = _Interval(0, math.inf, "()")
-_GRADCHECK_RANGES = {
-    "seed": _RANGES["seed"],
-    "trials": _Interval(1, math.inf, "[)"),
-    "hidden": _RANGES["hidden"],
-    "steps": _RANGES["seq_len"],
-    "batch": _RANGES["batch_size"],
-    "eps": _POSITIVE,
-    "tolerance": _POSITIVE,
-}
-_SYNTH_RANGES = {
-    "seed": _RANGES["seed"],
-    "vehicles": _RANGES["synth_vehicles"],
-    "points": _RANGES["synth_points_each"],
-}
 
 
-def _check_flags(args, ranges) -> None:
+def _check_flags(args, **ranges) -> None:
+    # in order; a flag that repeats a config field has that field's range
     for name, interval in ranges.items():
         value = getattr(args, name)
         if value not in interval:  # NaN is in no interval
@@ -85,7 +70,9 @@ def _check_flags(args, ranges) -> None:
 
 def _cmd_gradcheck(args) -> int:
     """Analytic gradients against central finite differences on small models."""
-    _check_flags(args, _GRADCHECK_RANGES)
+    _check_flags(args, seed=_RANGES["seed"], trials=_Interval(1, math.inf, "[)"),
+                 hidden=_RANGES["hidden"], steps=_RANGES["seq_len"], batch=_RANGES["batch_size"],
+                 eps=_POSITIVE, tolerance=_POSITIVE)
     rng = np.random.default_rng(args.seed)
     dims = Dims(2, args.hidden, 2)
     worst = 0.0
@@ -138,7 +125,8 @@ def _cmd_plot(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    _check_flags(args, _SYNTH_RANGES)
+    _check_flags(args, seed=_RANGES["seed"], vehicles=_RANGES["synth_vehicles"],
+                 points=_RANGES["synth_points_each"])
     trajectories = synth_trajectories(args.seed, args.vehicles, args.points, args.kind)
     write_csv(args.out, trajectories)
     total = sum(t.n_points for t in trajectories)

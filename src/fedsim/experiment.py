@@ -185,11 +185,12 @@ def load_trajectories(config: ExperimentConfig):
 def _client_plan(
     config: ExperimentConfig,
     train_runs: list[np.ndarray],
-    datasize_p: float | None,
+    client_p: float,
     rng_plan: np.random.Generator,
 ) -> np.ndarray:
     """Availability probabilities over one client's training stream. The
-    random scenario draws once per run; the others are pointwise."""
+    random scenario draws once per run; the others are pointwise, and the
+    datasize and constant ones give every point ``client_p``."""
     if config.scenario == "random":
         parts = [assign_random(run.shape[0], config.alpha_dir, rng_plan) for run in train_runs]
         return np.concatenate([np.zeros(0)] + parts)
@@ -197,8 +198,7 @@ def _client_plan(
     if config.scenario == "regional":
         areas = [BBox(*box) for box in config.weak_areas]
         return assign_regional(points, areas, config.p_low, config.p_high)
-    p = datasize_p if config.scenario == "datasize" else config.constant_p
-    return np.full(points.shape[0], p, dtype=float)
+    return np.full(points.shape[0], client_p, dtype=float)
 
 
 def _split_runs(segments: list[np.ndarray], seq_len: int, holdout_fraction: float):
@@ -248,12 +248,10 @@ def prepare_clients(config: ExperimentConfig):
     bbox = BBox.from_points(np.concatenate(train_point_arrays))
 
     counts = [sum(seg.shape[0] for seg in segments) for segments in datasets]
-    datasize_probs = None
+    client_p = [config.constant_p] * len(datasets)
     if config.scenario == "datasize":
         threshold = datasize_threshold(counts, config.datasize_percentile)
-        datasize_probs = assign_by_datasize(
-            counts, threshold, config.p_company, config.p_private
-        )
+        client_p = assign_by_datasize(counts, threshold, config.p_company, config.p_private)
 
     root = np.random.SeedSequence(config.seed)
     server_ss, select_ss, clients_ss = root.spawn(3)
@@ -290,8 +288,7 @@ def prepare_clients(config: ExperimentConfig):
         )
         hold = slice(hold_ends[i], hold_ends[i + 1])
 
-        datasize_p = None if datasize_probs is None else float(datasize_probs[i])
-        probs = _client_plan(config, train_runs, datasize_p, np.random.default_rng(plan_ss))
+        probs = _client_plan(config, train_runs, client_p[i], np.random.default_rng(plan_ss))
 
         # a client with no window has no stream, but it holds at least one point
         points = stream_coords if stream_coords.size else bbox.normalize(np.concatenate(segments))

@@ -134,24 +134,15 @@ def sample_proportional(
     """
     k = min(k, len(entries))
     ids = np.array([e.client_id for e in entries])
-    weights = np.array([e.weight for e in entries], dtype=float)
-    weights[~(weights > 0)] = 0.0
-    if np.isinf(weights).any():
-        weights = (weights == np.inf).astype(float)
+    w = np.array([e.weight for e in entries], dtype=float)
+    w = 1.0 * (w == np.inf) if np.isposinf(w).any() else np.where(w > 0, w, 0.0)
     with np.errstate(over="ignore"):
-        total = weights.sum()
-    if np.isinf(total):
-        weights /= weights.max()
-        total = weights.sum()
-    p = weights / total if total > 0 else weights
+        if np.isinf(w.sum()):
+            w /= w.max()
+    p = w / (w.sum() or 1.0)
     sure = p > 0
-    n_sure = int(sure.sum())
-    if n_sure >= max(k, 1):
-        picked = rng.choice(ids, size=k, replace=False, p=p)
-    else:
-        others = ids[~sure]
-        filled = rng.choice(
-            others, size=k - n_sure, replace=False, p=np.ones(others.size) / others.size
-        )
-        picked = np.concatenate([ids[sure], filled])
-    return sorted(int(cid) for cid in picked)
+    if sure.sum() >= max(k, 1):
+        return sorted(int(cid) for cid in rng.choice(ids, size=k, replace=False, p=p))
+    rest = ids[~sure]
+    filled = rng.choice(rest, size=k - sure.sum(), replace=False, p=np.ones(rest.size) / rest.size)
+    return sorted(int(cid) for cid in (*ids[sure], *filled))
