@@ -22,6 +22,25 @@ else:
     settings.load_profile("fedsim")
 
 
+def openblas():
+    """numpy's bundled OpenBLAS, opened with ctypes, with its core-name and
+    thread-count calls typed; None where numpy bundles no OpenBLAS that has
+    them."""
+    libs = Path(np.__file__).parent.parent / "numpy.libs"
+    for lib_path in sorted(libs.glob("libscipy_openblas*")):
+        try:
+            lib = ctypes.CDLL(str(lib_path))
+            get_core = lib.scipy_openblas_get_corename64_
+            get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get_core.argtypes, get_core.restype = [], ctypes.c_char_p
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return lib
+    return None
+
+
 @pytest.fixture
 def one_blas_thread():
     """Run the test at one BLAS thread and restore the count after it.
@@ -31,18 +50,11 @@ def one_blas_thread():
     and a single pass over such rows agree only at one thread count. Where
     numpy bundles no OpenBLAS, the test runs at whatever count the BLAS has.
     """
-    libs = Path(np.__file__).parent.parent / "numpy.libs"
-    for lib_path in sorted(libs.glob("libscipy_openblas*")):
-        try:
-            lib = ctypes.CDLL(str(lib_path))
-            get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
-        except (OSError, AttributeError):
-            continue
-        get.argtypes, get.restype = [], ctypes.c_int
-        set_.argtypes, set_.restype = [ctypes.c_int], None
-        before = get()
-        set_(1)
+    lib = openblas()
+    if lib is None:
         yield
-        set_(before)
         return
+    before = lib.scipy_openblas_get_num_threads64_()
+    lib.scipy_openblas_set_num_threads64_(1)
     yield
+    lib.scipy_openblas_set_num_threads64_(before)

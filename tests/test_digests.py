@@ -17,10 +17,8 @@ it ran on: the pins were taken with OpenBLAS's SkylakeX kernel and numpy's
 X86_V4 dispatch, and another kernel moves bits.
 """
 
-import ctypes
 import hashlib
 import json
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +28,8 @@ from fedsim.config import ExperimentConfig
 from fedsim.data import Trajectory, synth_trajectories, write_csv
 from fedsim.experiment import prepare_clients, run_experiment
 from fedsim.reports import emit_reports
+
+from conftest import openblas
 
 BASE = dict(
     dataset="synthetic",
@@ -227,18 +227,10 @@ def _numeric_platform() -> str:
     except ImportError:  # numpy 1.x
         from numpy.core import _multiarray_umath as umath
     core = threads = "unknown"
-    libs = Path(np.__file__).parent.parent / "numpy.libs"
-    for lib_path in sorted(libs.glob("libscipy_openblas*")):
-        try:
-            lib = ctypes.CDLL(str(lib_path))
-            get_core = lib.scipy_openblas_get_corename64_
-            get_threads = lib.scipy_openblas_get_num_threads64_
-        except (OSError, AttributeError):
-            continue
-        get_core.argtypes, get_core.restype = [], ctypes.c_char_p
-        get_threads.argtypes, get_threads.restype = [], ctypes.c_int
-        core, threads = get_core().decode(), get_threads()
-        break
+    lib = openblas()
+    if lib is not None:
+        core = lib.scipy_openblas_get_corename64_().decode()
+        threads = lib.scipy_openblas_get_num_threads64_()
     dispatch = [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
     return (
         f"numpy {np.__version__}, OpenBLAS core {core}, {threads} BLAS threads, "
