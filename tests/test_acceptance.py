@@ -371,3 +371,34 @@ def test_criterion_9_variant_reduction(tmp_path):
         f"feddecab(f=0) == fedcab bit-exact: {fedcab_exact}; "
         f"neutral compensators + uniform sampling == fedavg bit-exact: {fedavg_exact}",
     )
+
+
+def test_criterion_10_recovered_clients_do_best_under_feddecab(crit6_runs):
+    # the paper's claim for offline models: a client back online resumes from
+    # its own model, which under feddecab trained in peer rounds toward its
+    # neighbours' heads while it was offline. Each run's score is the mean
+    # holdout RMSE of the clients that recovered in a round, over every round
+    results, _ = crit6_runs
+    medians, evals = {}, {}
+    for variant in ("fedavg", "fedcab", "feddecab"):
+        means = []
+        evals[variant] = 0
+        for seed in CRIT6_SEEDS:
+            errors = [
+                log.client_rmse[c]
+                for log in results[variant, seed].logs
+                for c in log.recovered
+                if c in log.client_rmse
+            ]
+            means.append(float(np.mean(errors)))
+            evals[variant] += len(errors)
+        medians[variant] = float(np.median(means))
+    ok = medians["feddecab"] <= medians["fedcab"] and medians["feddecab"] <= medians["fedavg"]
+    report(
+        10,
+        ok,
+        "median RMSE of recovered clients feddecab "
+        f"{medians['feddecab']:.4f} ({evals['feddecab']} evals), fedcab {medians['fedcab']:.4f} "
+        f"({evals['fedcab']}), fedavg {medians['fedavg']:.4f} ({evals['fedavg']}); "
+        "feddecab <= both",
+    )
