@@ -99,7 +99,8 @@ def _cmd_gradcheck(args) -> int:
             lo = batch_objective(ParamSet(bumped, dims), batch, kl_anchor=target)
             numeric[k] = (hi - lo) / (2 * steps[k])
         denom = np.maximum(1.0, np.maximum(np.abs(analytic), np.abs(numeric)))
-        worst = max(worst, float(np.max(np.abs(analytic - numeric) / denom)))
+        # np.maximum, unlike max, keeps a NaN error, which then fails the check
+        worst = float(np.maximum(worst, np.max(np.abs(analytic - numeric) / denom)))
     ok = worst < args.tolerance
     print(f"gradcheck: {args.trials} trials, max relative error {worst:.3e} "
           f"({'PASS' if ok else 'FAIL'} at {args.tolerance:g})")

@@ -69,13 +69,14 @@ def _parse_timestamp(raw: str) -> float:
 
 
 def utf8_lines(path: str | Path):
-    """The lines of a text file, ends kept, for csv.reader.
+    """The lines of a text file, ends kept, for csv.reader; one leading
+    byte-order mark, as Windows tools write, is dropped.
 
     An unreadable path, or bytes that are not UTF-8, raise ParseError; the
     decoder reads ahead, so a bad byte's line is found from the raw bytes.
     """
     try:
-        fh = Path(path).open(newline="", encoding="utf-8")
+        fh = Path(path).open(newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise ParseError(f"cannot read ({exc.strerror})", path=path) from None
     with fh:
@@ -93,14 +94,15 @@ def utf8_lines(path: str | Path):
     raise ParseError(f"not UTF-8 text ({reason})", path=path, line=line)
 
 
-def _read_rows(path: str | Path, tdrive: bool) -> tuple[list[Trajectory], int]:
+def parse_csv(path: str | Path, tdrive: bool = False) -> tuple[list[Trajectory], int]:
     """Rows of four fields into per-vehicle trajectories, plus the rejected count.
 
     The CSV layout is `vehicle_id,timestamp,lat,lon` with an optional header
-    line; the T-Drive layout is headerless `id,datetime,longitude,latitude`.
-    One streaming pass checks each row (ParseError at its line) into typed
-    columns. Rows out of the degree ranges (NaN too) are dropped and counted;
-    a stable lexsort keeps the first row of a duplicate timestamp in file order.
+    line; the T-Drive layout (``tdrive=True``) is headerless
+    `id,datetime,longitude,latitude`. One streaming pass checks each row
+    (ParseError at its line) into typed columns. Rows out of the degree ranges
+    (NaN too) are dropped and counted; a stable lexsort keeps the first row of
+    a duplicate timestamp in file order.
     """
     path = Path(path)
     ids: dict[str, int] = {}
@@ -139,22 +141,6 @@ def _read_rows(path: str | Path, tdrive: bool) -> tuple[list[Trajectory], int]:
     parts = zip(np.split(vehicle, cuts), np.split(ts, cuts), np.split(coords, cuts))
     trajectories = [Trajectory(names[v[0]], t, c) for v, t, c in parts if t.size]
     return trajectories, int(keep.size - np.count_nonzero(keep))
-
-
-def parse_csv(path: str | Path) -> tuple[list[Trajectory], int]:
-    """Read `vehicle_id,timestamp,lat,lon` rows into per-vehicle trajectories.
-
-    Rows with out-of-range coordinates are dropped; the second return value
-    counts them. Structurally malformed rows raise :class:`ParseError` with
-    the line number.
-    """
-    return _read_rows(path, tdrive=False)
-
-
-def parse_tdrive(path: str | Path) -> tuple[list[Trajectory], int]:
-    """Read headerless T-Drive rows `id,datetime,longitude,latitude`, as
-    :func:`parse_csv` does; note the swapped axis order."""
-    return _read_rows(path, tdrive=True)
 
 
 def write_csv(path: str | Path, trajectories: list[Trajectory]) -> None:

@@ -55,7 +55,6 @@ from .data import (
     BBox,
     make_windows,
     parse_csv,
-    parse_tdrive,
     partition_by_vehicle,
     partition_equal,
     synth_trajectories,
@@ -175,8 +174,7 @@ def load_trajectories(config: ExperimentConfig):
         return synth_trajectories(
             config.seed, config.synth_vehicles, config.synth_points_each, config.synth_kind
         ), 0
-    parse = parse_csv if config.dataset == "csv" else parse_tdrive
-    trajectories, rejected = parse(config.data_path)
+    trajectories, rejected = parse_csv(config.data_path, tdrive=config.dataset == "tdrive")
     if not trajectories:
         raise ConfigError(f"no trajectories parsed from {config.data_path}")
     return trajectories, rejected

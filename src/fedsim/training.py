@@ -7,14 +7,6 @@ import numpy as np
 from .nn import ParamSet, TrainBatch, backward, forward, sgd_step
 
 
-def iterate_batches(
-    n_items: int, batch_size: int, rng: np.random.Generator
-) -> list[np.ndarray]:
-    """Shuffled index batches covering every item once; the tail may be short."""
-    order = rng.permutation(n_items)
-    return [order[i : i + batch_size] for i in range(0, n_items, batch_size)]
-
-
 def train_local(
     model: ParamSet,
     inputs: np.ndarray,
@@ -39,7 +31,10 @@ def train_local(
     prox_ref = model.copy() if prox_mu > 0 else None
     current = model
     for _ in range(epochs):
-        for idx in iterate_batches(n, batch_size, rng):
+        # one shuffle per epoch covers every window once; the tail may be short
+        order = rng.permutation(n)
+        for start in range(0, n, batch_size):
+            idx = order[start : start + batch_size]
             batch = TrainBatch(inputs[idx], targets[idx])
             grads = backward(current, batch, kl_anchor=kl_anchor)
             if prox_mu > 0:

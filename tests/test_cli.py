@@ -1,4 +1,5 @@
 import json
+import xml.etree.ElementTree as ET
 
 import pytest
 
@@ -302,6 +303,11 @@ class TestGradcheckCommand:
         assert main(["gradcheck", "--hidden", "16", "--seed", "3", "--trials", "2"]) == 1
         assert "FAIL" in capsys.readouterr().out
 
+    def test_a_nan_error_fails(self, monkeypatch, capsys):
+        monkeypatch.setattr(fedsim.cli, "batch_objective", lambda *a, **k: float("nan"))
+        assert main(["gradcheck", "--hidden", "2", "--steps", "2", "--trials", "2"]) == 1
+        assert "max relative error nan (FAIL" in capsys.readouterr().out
+
     @pytest.mark.parametrize(
         "flag, value",
         [
@@ -342,6 +348,22 @@ class TestPlotCommand:
         assert main(["plot", "--in", str(tmp_path / "runs"), "--out", str(out)]) == 0
         svg = out.read_text(encoding="utf-8")
         assert svg.count("<polyline") == 2
+
+    def test_labels_with_markup_characters_are_escaped(self, tmp_path):
+        # one label is a run directory's name, the other a summary's variant
+        runs = tmp_path / "runs"
+        for name, variant in (("a&b<c", None), ("b", "fedavg<&>")):
+            (runs / name).mkdir(parents=True)
+            (runs / name / "rounds.csv").write_text(
+                "round,record,client,key,value\n1,round,,rmse_global,0.5\n", encoding="utf-8"
+            )
+            if variant:
+                summary = json.dumps({"variant": variant, "seed": 0})
+                (runs / name / "summary.json").write_text(summary, encoding="utf-8")
+        out = tmp_path / "merged.svg"
+        assert main(["plot", "--in", str(runs), "--out", str(out)]) == 0
+        texts = [el.text for el in ET.parse(out).iter("{http://www.w3.org/2000/svg}text")]
+        assert {"a&b<c", "fedavg<&> (seed 0)"} <= set(texts)
 
     def test_plot_into_a_missing_directory_is_an_error(self, tmp_path, capsys):
         config = write_config(tmp_path, rounds=1)

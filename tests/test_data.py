@@ -1,4 +1,5 @@
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -7,7 +8,6 @@ from fedsim.data import (
     BBox,
     make_windows,
     parse_csv,
-    parse_tdrive,
     partition_by_vehicle,
     partition_equal,
     synth_trajectories,
@@ -111,7 +111,7 @@ class TestParseTdrive:
             "1,2008-02-02 15:46:08,116.51135,39.93883\n",
             encoding="utf-8",
         )
-        trajectories, rejected = parse_tdrive(path)
+        trajectories, rejected = parse_csv(path, tdrive=True)
         assert rejected == 0
         assert trajectories[0].coords[0, 0] == pytest.approx(39.92123)  # lat
         assert trajectories[0].coords[0, 1] == pytest.approx(116.51172)  # lon
@@ -120,7 +120,7 @@ class TestParseTdrive:
         path = tmp_path / "tdrive.txt"
         path.write_text("vehicle_id,timestamp,lat,lon\n1,1000,116.5,39.9\n", encoding="utf-8")
         with pytest.raises(ParseError) as err:
-            parse_tdrive(path)
+            parse_csv(path, tdrive=True)
         assert err.value.line == 1
 
 
@@ -138,7 +138,7 @@ LAYOUT_ROWS = [
 # layout -> (reader, line format); T-Drive puts longitude before latitude
 LAYOUTS = {
     "csv": (parse_csv, "{0},{1},{2},{3}"),
-    "tdrive": (parse_tdrive, "{0},{1},{3},{2}"),
+    "tdrive": (partial(parse_csv, tdrive=True), "{0},{1},{3},{2}"),
 }
 
 
@@ -167,6 +167,24 @@ class TestBothLayouts:
         assert err.value.line == 3
         # the third field of the line is the first coordinate read
         assert repr(line.format(*malformed).split(",")[2]) in str(err.value)
+
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    def test_a_leading_byte_order_mark_is_ignored(self, tmp_path, layout):
+        parse, line = LAYOUTS[layout]
+        # the CSV copy starts with its header, which the mark would hide
+        header = "vehicle_id,timestamp,lat,lon\n" if layout == "csv" else ""
+        text = header + "".join(line.format(*row) + "\n" for row in LAYOUT_ROWS)
+        plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        want, want_rejected = parse(plain)
+        got, got_rejected = parse(marked)
+        assert got_rejected == want_rejected == 1
+        assert [t.vehicle_id for t in got] == [t.vehicle_id for t in want] == ["a", "b"]
+        for a, b in zip(got, want):
+            assert a.timestamps.tobytes() == b.timestamps.tobytes()
+            assert a.coords.tobytes() == b.coords.tobytes()
 
     @pytest.mark.parametrize("layout", sorted(LAYOUTS))
     def test_empty_vehicle_id_is_a_parse_error(self, tmp_path, layout):

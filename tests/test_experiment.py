@@ -10,6 +10,8 @@ from fedsim.nn import Dims, ParamSet, TrainBatch, forward, init_params, model_di
 from fedsim.reports import rows_for_log, write_rounds_csv
 from fedsim.training import evaluate_rmse, train_local
 
+from oracles import brute_force_top_k
+
 
 def small_config(**overrides):
     base = dict(
@@ -172,6 +174,15 @@ class TestRoundLoop:
                 assert uploads[entry.client_id] < 3  # only budgeted clients rank
             for cid in log.selected:
                 uploads[cid] += 1
+
+    def test_ranked_rounds_select_the_top_k_weights(self):
+        cfg = small_config(variant="fedcab", p_offline=0.4, p_recover=0.3, rounds=16)
+        result = run_experiment(cfg)
+        ranked = [log for log in result.logs if len(log.entries) > cfg.k_selected]
+        assert ranked
+        for log in result.logs:
+            weights = {e.client_id: e.weight for e in log.entries}
+            assert log.selected == brute_force_top_k(weights, cfg.k_selected)
 
     def test_recovered_clients_never_get_global_push(self):
         cfg = small_config(p_offline=0.5, p_recover=0.5, rounds=20)
@@ -551,13 +562,17 @@ class TestPrepareClients:
             if m >= 2:
                 assert client.hold_inputs.shape[0] == min(m - 1, max(1, round(0.25 * m)))
 
-    def test_a_client_of_a_few_windows_keeps_one_to_train_on(self):
+    @pytest.mark.parametrize("points_per_client", [6, 10])
+    def test_a_client_of_a_few_windows_keeps_one_to_train_on(self, points_per_client):
         # round(0.95 m) >= m for 2 <= m <= 10 windows: only the cap at m - 1
-        # leaves a training window
-        cfg = small_config(partition="equal", points_per_client=10, holdout_fraction=0.95)
+        # leaves a training window; 6 points at seq_len 4 give exactly m = 2
+        cfg = small_config(
+            partition="equal", points_per_client=points_per_client, holdout_fraction=0.95
+        )
         clients, _, _, _, _, _ = prepare_clients(cfg)
         for client in clients.values():
-            assert 2 <= client.window_starts.size + client.hold_inputs.shape[0] <= 10
+            m = client.window_starts.size + client.hold_inputs.shape[0]
+            assert 2 <= m <= points_per_client - cfg.seq_len
             assert client.window_starts.size == 1
 
     def test_bootstrap_not_yet_revealed_at_build(self):

@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from fedsim.availability import RevealState, reveal_round  # noqa: E402
 from fedsim.config import SCENARIOS, VARIANTS, ExperimentConfig, _Interval, _RANGES  # noqa: E402
-from fedsim.data import Trajectory, parse_csv, parse_tdrive, write_csv  # noqa: E402
+from fedsim.data import Trajectory, parse_csv, write_csv  # noqa: E402
 from fedsim.errors import FedsimError  # noqa: E402
 from fedsim.experiment import aggregate, prepare_clients, run_experiment  # noqa: E402
 from fedsim import nn  # noqa: E402
@@ -84,7 +84,7 @@ def test_csv_and_its_tdrive_copy_parse_alike(tmp_path_factory, rows):
     )
     tdrive_path.write_text("".join(f"{v},{t},{o},{a}\n" for v, t, a, o in rows), encoding="utf-8")
     from_csv, csv_rejected = parse_csv(csv_path)
-    from_tdrive, tdrive_rejected = parse_tdrive(tdrive_path)
+    from_tdrive, tdrive_rejected = parse_csv(tdrive_path, tdrive=True)
     want, want_rejected = parse_rows_by_loop(csv_path, tdrive=False)
     assert csv_rejected == tdrive_rejected == want_rejected
     assert len(from_csv) == len(from_tdrive) == len(want)
