@@ -53,8 +53,8 @@ def assign_random(n_points: int, alpha_dir: float, rng: np.random.Generator) -> 
 def assign_regional(
     coords: np.ndarray, weak_areas: list[BBox], p_low: float, p_high: float
 ) -> np.ndarray:
-    """Region availability: p_low inside any weak-signal box, p_high outside."""
-    coords = np.asarray(coords, dtype=float)
+    """Region availability over float64 (n, 2) coordinates: p_low inside any
+    weak-signal box, p_high outside."""
     probs = np.full(coords.shape[0], p_high, dtype=float)
     for area in weak_areas:
         probs[area.contains(coords)] = p_low

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -26,12 +25,6 @@ def _load_config(args) -> ExperimentConfig:
         value = getattr(args, name, None)
         if value is not None:
             overrides[name] = value
-    env_seed = os.environ.get("FEDSIM_SEED")
-    if env_seed is not None:
-        try:
-            overrides["seed"] = int(env_seed)
-        except ValueError:
-            raise ConfigError(f"FEDSIM_SEED must be an integer, got {env_seed!r}") from None
     return replace(config, **overrides)
 
 

@@ -21,7 +21,6 @@ class CollabCache:
 
     head: np.ndarray
     source_id: int
-    loss: float
 
 
 def evaluate_candidates(
@@ -38,21 +37,24 @@ def evaluate_candidates(
     Ties keep the client's own head, then the lowest neighbor id.
     """
     dims = own_model.dims
-    hidden = lstm_hidden(own_model, eval_inputs)
     neighbor_heads = sorted(neighbor_heads, key=lambda kv: kv[0])
     sources = [own_id] + [nid for nid, _ in neighbor_heads]
     heads = np.stack([own_model.fc_block] + [head for _, head in neighbor_heads])
     w, b = _fc_views(heads, dims)
-    # one stacked product scores every head; each (M, O) slice has the bits of
-    # the 2-D product apply_fc would give
-    diff = np.matmul(hidden, w) + b[:, None, :] - eval_targets
-    losses = np.mean(diff * diff, axis=(1, 2)).tolist()
+    # a diverged head's loss overflows to inf or NaN, and neither wins; the
+    # run's events report the divergence, so numpy's warnings would only repeat it
+    with np.errstate(over="ignore", invalid="ignore"):
+        hidden = lstm_hidden(own_model, eval_inputs)
+        # one stacked product scores every head; each (M, O) slice has the bits
+        # of the 2-D product apply_fc would give
+        diff = np.matmul(hidden, w) + b[:, None, :] - eval_targets
+        losses = np.mean(diff * diff, axis=(1, 2)).tolist()
     # strict < over [own, neighbors by id]: ties keep the earlier, NaN never wins
     best = 0
     for k in range(1, len(losses)):
         if losses[k] < losses[best]:
             best = k
-    return CollabCache(head=heads[best], source_id=sources[best], loss=losses[best])
+    return CollabCache(head=heads[best], source_id=sources[best])
 
 
 def head_payload_values(n_neighbors: int, dims) -> int:

@@ -240,7 +240,7 @@ class ExperimentConfig:
     @classmethod
     def from_file(cls, path: str | Path) -> "ExperimentConfig":
         try:
-            with Path(path).open(encoding="utf-8") as fh:
+            with Path(path).open(encoding="utf-8-sig") as fh:
                 raw = json.load(fh)
         except OSError as exc:
             raise ConfigError(f"{path}: cannot read config ({exc.strerror})") from exc

@@ -1,8 +1,8 @@
-"""Client connectivity dynamics, upload budgets, and the neighbor graph.
+"""Client connectivity dynamics, upload counts, and the neighbor graph.
 
 Each client's online/offline state evolves as an independent two-state
 Markov chain driven by its own RNG stream, so stepping order never changes
-outcomes. Budgets cap server uploads only; offline computation is free.
+outcomes.
 """
 
 from __future__ import annotations
@@ -17,18 +17,10 @@ NEIGHBOR_BLOCK_ENTRIES = 1 << 16
 
 @dataclass
 class LinkState:
-    """One client's connectivity record.
-
-    ``budget_remaining`` of None means an unlimited budget.
-    """
+    """One client's connectivity record: online now, and server uploads so far."""
 
     online: bool = True
     n_uploads: int = 0
-    budget_remaining: int | None = None
-
-    @property
-    def can_upload(self) -> bool:
-        return self.budget_remaining is None or self.budget_remaining > 0
 
 
 def step_connectivity(
@@ -63,13 +55,6 @@ def step_connectivity(
 def participation(n_uploads: int, t: int) -> float:
     """Fraction of rounds so far in which the client uploaded to the server."""
     return n_uploads / t
-
-
-def charge_upload(state: LinkState) -> None:
-    """Account one server upload against the budget of a client that can upload."""
-    if state.budget_remaining is not None:
-        state.budget_remaining -= 1
-    state.n_uploads += 1
 
 
 def build_neighbor_graph(positions: dict[int, np.ndarray], chi: int) -> dict[int, list[int]]:

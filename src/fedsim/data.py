@@ -10,6 +10,7 @@ points is held once, not once per window step.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
 from array import array
@@ -29,22 +30,12 @@ SYNTH_KINDS = ("random-walk", "sinusoid", "circle")
 
 @dataclass
 class Trajectory:
-    """All points of one vehicle, time-sorted; coords is an (n, 2) lat/lon array."""
+    """All points of one vehicle, time-sorted: float64 ``timestamps`` of
+    shape (n,) and lat/lon ``coords`` of shape (n, 2), with n >= 1."""
 
     vehicle_id: str
     timestamps: np.ndarray
     coords: np.ndarray
-
-    def __post_init__(self):
-        self.timestamps = np.asarray(self.timestamps, dtype=float)
-        self.coords = np.asarray(self.coords, dtype=float)
-        if self.coords.shape != (self.timestamps.size, 2):
-            raise ConfigError(
-                f"coords shape {self.coords.shape} inconsistent with "
-                f"{self.timestamps.size} timestamps"
-            )
-        if self.timestamps.size < 1:
-            raise ConfigError("a trajectory needs at least one point")
 
     @property
     def n_points(self) -> int:
@@ -107,25 +98,27 @@ def parse_csv(path: str | Path, tdrive: bool = False) -> tuple[list[Trajectory],
     path = Path(path)
     ids: dict[str, int] = {}
     vix, ts, first, second = array("q"), array("d"), array("d"), array("d")
-    reader = csv.reader(utf8_lines(path))
-    for row in reader:
-        # the physical line a row ends on; a quoted field may span lines
-        lineno = reader.line_num
-        header = not tdrive and lineno == 1 and [c.strip() for c in row] == CSV_HEADER
-        if not row or header:
-            continue
-        if len(row) != 4:
-            raise ParseError(f"expected 4 fields, got {len(row)}", path=path, line=lineno)
-        try:
-            vid = row[0].strip()
-            ts.append(_parse_timestamp(row[1]))
-            first.append(float(row[2]))
-            second.append(float(row[3]))
-        except ValueError as exc:
-            raise ParseError(str(exc), path=path, line=lineno) from exc
-        if not vid:
-            raise ParseError("empty vehicle id", path=path, line=lineno)
-        vix.append(ids.setdefault(vid, len(ids)))
+    # closed on the way out, so an error that is kept holds no open file
+    with contextlib.closing(utf8_lines(path)) as lines:
+        reader = csv.reader(lines)
+        for row in reader:
+            # the physical line a row ends on; a quoted field may span lines
+            lineno = reader.line_num
+            header = not tdrive and lineno == 1 and [c.strip() for c in row] == CSV_HEADER
+            if not row or header:
+                continue
+            if len(row) != 4:
+                raise ParseError(f"expected 4 fields, got {len(row)}", path=path, line=lineno)
+            try:
+                vid = row[0].strip()
+                ts.append(_parse_timestamp(row[1]))
+                first.append(float(row[2]))
+                second.append(float(row[3]))
+            except ValueError as exc:
+                raise ParseError(str(exc), path=path, line=lineno) from exc
+            if not vid:
+                raise ParseError("empty vehicle id", path=path, line=lineno)
+            vix.append(ids.setdefault(vid, len(ids)))
     names = sorted(ids)
     rank = np.argsort([ids[name] for name in names])  # vehicle index -> id rank
     vehicle, ts = rank[np.frombuffer(vix, dtype=np.int64)], np.frombuffer(ts)
@@ -161,7 +154,10 @@ def write_csv(path: str | Path, trajectories: list[Trajectory]) -> None:
 
 @dataclass(frozen=True)
 class BBox:
-    """Axis-aligned lat/lon box: the normalization map, or a weak-signal area."""
+    """Axis-aligned lat/lon box: the normalization map, or a weak-signal area.
+
+    Its methods take float64 coordinate arrays whose last axis is (lat, lon).
+    """
 
     lat_min: float
     lat_max: float
@@ -174,7 +170,6 @@ class BBox:
 
     @classmethod
     def from_points(cls, coords: np.ndarray) -> "BBox":
-        coords = np.asarray(coords, dtype=float)
         return cls(
             float(coords[:, 0].min()),
             float(coords[:, 0].max()),
@@ -183,7 +178,6 @@ class BBox:
         )
 
     def contains(self, coords: np.ndarray) -> np.ndarray:
-        coords = np.asarray(coords, dtype=float)
         return (
             (coords[..., 0] >= self.lat_min)
             & (coords[..., 0] <= self.lat_max)
@@ -192,7 +186,6 @@ class BBox:
         )
 
     def normalize(self, coords: np.ndarray) -> np.ndarray:
-        coords = np.asarray(coords, dtype=float)
         out = np.empty_like(coords)
         out[..., 0] = (coords[..., 0] - self.lat_min) / (self.lat_max - self.lat_min)
         out[..., 1] = (coords[..., 1] - self.lon_min) / (self.lon_max - self.lon_min)
@@ -256,14 +249,13 @@ def partition_by_vehicle(
 
 
 def make_windows(points: np.ndarray, seq_len: int) -> tuple[np.ndarray, np.ndarray]:
-    """Stride-1 sliding windows over one contiguous point run.
+    """Stride-1 sliding windows over one contiguous run of float64 (n, 2) points.
 
     Returns (inputs, targets) with shapes (m, seq_len, 2) and (m, 2) where
     m = max(0, n - seq_len); window k covers points k..k+seq_len. Both are
     read-only strided views of ``points``: no point is copied, and a gather
     such as ``inputs[rows]`` makes the copy it needs.
     """
-    points = np.asarray(points, dtype=float)
     m = max(0, points.shape[0] - seq_len)
     row, col = points.strides
     # as_strided rather than sliding_window_view: under half the cost per call

@@ -21,7 +21,6 @@ class ParseError(FedsimError, ValueError):
         elif loc:
             loc = f"{loc} "
         super().__init__(f"{loc}{message}")
-        self.path = path
         self.line = line
 
 

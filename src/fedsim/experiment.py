@@ -44,13 +44,7 @@ from .availability import (
 )
 from .collab import CollabCache, evaluate_candidates, head_payload_values
 from .config import ExperimentConfig
-from .connectivity import (
-    LinkState,
-    build_neighbor_graph,
-    charge_upload,
-    participation,
-    step_connectivity,
-)
+from .connectivity import LinkState, build_neighbor_graph, participation, step_connectivity
 from .data import (
     BBox,
     make_windows,
@@ -300,7 +294,7 @@ def prepare_clients(config: ExperimentConfig):
             hold_inputs=holdout[0][hold],
             hold_targets=holdout[1][hold],
             reveal=RevealState(probs, config.slice_points),
-            link=LinkState(budget_remaining=config.budget),
+            link=LinkState(),
             # round 1 pushes a copy of the global model to every client, and
             # local_only replaces it, before anyone reads it
             model=global_model,
@@ -407,10 +401,12 @@ def _server_round(
 
     ``trained`` maps each trained client to its divergence from the global
     model. Returns the new global model, or None when nobody was selected.
+    The budget caps a client's server uploads only; offline computation is
+    free.
     """
     participants = []
     for cid in sorted(trained):
-        if clients[cid].link.can_upload:
+        if config.budget is None or clients[cid].link.n_uploads < config.budget:
             participants.append(cid)
         else:
             log.events.append(f"budget_exhausted:{cid}")
@@ -438,7 +434,7 @@ def _server_round(
         log.selected = sorted(int(c) for c in picked)
 
     for cid in log.selected:
-        charge_upload(clients[cid].link)
+        clients[cid].link.n_uploads += 1
 
     new_global = None
     if log.selected:

@@ -111,22 +111,15 @@ class Dims:
 class ParamSet:
     """Model parameters as one flat vector, recurrent block then head block.
 
-    A float64 ``values`` array is kept as given, without a copy.
-    ``lstm_block`` and ``fc_block`` are views into it, so writing through them
-    changes ``values``. ``==`` compares identity; compare ``values`` with
-    ``np.array_equal`` for equal parameters.
+    ``values`` is a float64 array of shape ``(dims.total_size,)``, kept as
+    given, without a copy or a check. ``lstm_block`` and ``fc_block`` are
+    views into it, so writing through them changes ``values``. ``==``
+    compares identity; compare ``values`` with ``np.array_equal`` for equal
+    parameters.
     """
 
     values: np.ndarray
     dims: Dims
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (self.dims.total_size,):
-            raise ConfigError(
-                f"parameter vector has shape {self.values.shape}, "
-                f"expected ({self.dims.total_size},)"
-            )
 
     @property
     def lstm_block(self) -> np.ndarray:
@@ -309,7 +302,12 @@ def kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
 
 def model_divergence(model: ParamSet, reference: ParamSet) -> float:
     """KL divergence of the full parameter vector against a reference model."""
-    return kl_divergence(param_distribution(model.values), param_distribution(reference.values))
+    # a diverged model's mass overflows and its KL is NaN; the run's events
+    # already report the divergence, so numpy's warnings would only repeat it
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        return kl_divergence(
+            param_distribution(model.values), param_distribution(reference.values)
+        )
 
 
 def _fc_kl_gradient(fc: np.ndarray, target_fc: np.ndarray) -> np.ndarray:
@@ -338,9 +336,10 @@ def backward(
     """
     d = model.dims
     I, H = d.n_in, d.n_hidden
-    # a diverging model overflows to inf and NaN; the finite check below
-    # raises on that, so numpy's warnings would only repeat it
-    with np.errstate(over="ignore", invalid="ignore"):
+    # a diverging model overflows to inf and NaN, and its head's KL term takes
+    # the log of 0; the finite check below raises on that, so numpy's warnings
+    # would only repeat it
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         hidden, cache = _lstm_steps(model, batch.inputs)
         preds = apply_fc(model.fc_block, hidden, d)
 

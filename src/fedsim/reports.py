@@ -8,6 +8,7 @@ round-trips exactly; id lists are pipe-joined.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import math
@@ -106,17 +107,19 @@ def read_rounds_csv(path: str | Path) -> list[RoundLog]:
     """
     logs: dict[int, RoundLog] = {}
     entries: dict[int, dict[int, RankEntry]] = {}
-    reader = csv.reader(utf8_lines(path))
-    header = next(reader, None)
-    if header != CSV_COLUMNS:
-        raise ConfigError(f"{path}: unexpected header {header}")
-    for row in reader:
-        try:
-            if len(row) != len(CSV_COLUMNS):
-                raise ValueError(f"expected {len(CSV_COLUMNS)} fields, got {len(row)}")
-            _read_row(logs, entries, *row)
-        except ValueError as exc:
-            raise ConfigError(f"{path}:{reader.line_num}: {exc}") from None
+    # closed on the way out, so an error that is kept holds no open file
+    with contextlib.closing(utf8_lines(path)) as lines:
+        reader = csv.reader(lines)
+        header = next(reader, None)
+        if header != CSV_COLUMNS:
+            raise ConfigError(f"{path}: unexpected header {header}")
+        for row in reader:
+            try:
+                if len(row) != len(CSV_COLUMNS):
+                    raise ValueError(f"expected {len(CSV_COLUMNS)} fields, got {len(row)}")
+                _read_row(logs, entries, *row)
+            except ValueError as exc:
+                raise ConfigError(f"{path}:{reader.line_num}: {exc}") from None
     for t, per_round in entries.items():
         logs[t].entries = [per_round[cid] for cid in sorted(per_round)]
     return [logs[t] for t in sorted(logs)]

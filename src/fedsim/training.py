@@ -30,18 +30,21 @@ def train_local(
         return model.copy()
     prox_ref = model.copy() if prox_mu > 0 else None
     current = model
-    for _ in range(epochs):
-        # one shuffle per epoch covers every window once; the tail may be short
-        order = rng.permutation(n)
-        for start in range(0, n, batch_size):
-            idx = order[start : start + batch_size]
-            batch = TrainBatch(inputs[idx], targets[idx])
-            grads = backward(current, batch, kl_anchor=kl_anchor)
-            if prox_mu > 0:
-                grads = ParamSet(
-                    grads.values + prox_mu * (current.values - prox_ref.values), grads.dims
-                )
-            current = sgd_step(current, grads, eta)
+    # a step that overflows leaves a model that the next backward raises on,
+    # or that the run's events report, so numpy's warnings would only repeat it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(epochs):
+            # one shuffle per epoch covers every window once; the tail may be short
+            order = rng.permutation(n)
+            for start in range(0, n, batch_size):
+                idx = order[start : start + batch_size]
+                batch = TrainBatch(inputs[idx], targets[idx])
+                grads = backward(current, batch, kl_anchor=kl_anchor)
+                if prox_mu > 0:
+                    grads = ParamSet(
+                        grads.values + prox_mu * (current.values - prox_ref.values), grads.dims
+                    )
+                current = sgd_step(current, grads, eta)
     return current
 
 

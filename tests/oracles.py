@@ -118,7 +118,7 @@ def brute_force_neighbors(positions, chi):
 
 
 def best_head_by_loop(hidden, targets, own_id, own_head, neighbor_heads, n_hidden, n_out):
-    """(source id, loss) of the head with the lowest MSE, one 2-D product per head.
+    """Source id of the head with the lowest MSE, one 2-D product per head.
 
     Candidates are scanned as [own, neighbors by ascending id] with a strict
     ``<``, so ties keep the earlier candidate and a NaN loss never replaces one.
@@ -131,7 +131,7 @@ def best_head_by_loop(hidden, targets, own_id, own_head, neighbor_heads, n_hidde
         loss = float(np.mean(diff * diff))
         if best_loss is None or loss < best_loss:
             best_id, best_loss = cid, loss
-    return best_id, best_loss
+    return best_id
 
 
 def windows_by_slices(points, seq_len):

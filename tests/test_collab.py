@@ -67,7 +67,7 @@ class TestEvaluateCandidates:
         )
         own_loss = holdout_mse(own, inputs, targets)
         assert cache.source_id == 7
-        assert cache.loss < own_loss
+        assert holdout_mse(with_head(own, cache.head), inputs, targets) < own_loss
 
     def test_argmin_contract_over_all_candidates(self):
         dims = Dims(2, 4, 2)
@@ -78,7 +78,8 @@ class TestEvaluateCandidates:
         candidate_losses = [holdout_mse(own, inputs, targets)] + [
             holdout_mse(with_head(own, head), inputs, targets) for _, head in heads
         ]
-        assert cache.loss <= min(candidate_losses) + 1e-15
+        chosen = holdout_mse(with_head(own, cache.head), inputs, targets)
+        assert chosen <= min(candidate_losses) + 1e-15
 
     def test_lstm_block_of_winner_is_local(self):
         # the cache holds a head only: the recurrent block stays the client's
@@ -107,8 +108,7 @@ class TestEvaluateCandidates:
 
 
 class TestStackedScoringOracle:
-    """The stacked product picks the head, and gives the loss bits, of one
-    2-D product per head."""
+    """The stacked product picks the head that one 2-D product per head picks."""
 
     def check(self, own, own_id, neighbor_heads, inputs, targets):
         dims = own.dims
@@ -117,7 +117,7 @@ class TestStackedScoringOracle:
         expected = best_head_by_loop(
             hidden, targets, own_id, own.fc_block, neighbor_heads, dims.n_hidden, dims.n_out
         )
-        assert (cache.source_id, cache.loss) == expected
+        assert cache.source_id == expected
         winner = dict([(own_id, own.fc_block)] + list(neighbor_heads))[cache.source_id]
         assert np.array_equal(cache.head, winner)
         return cache
@@ -154,7 +154,8 @@ class TestStackedScoringOracle:
         nan_head[0] = np.nan
         for heads in ([(1, nan_head)], [(1, nan_head), (3, make_model(dims, 68).fc_block.copy())]):
             cache = self.check(own, 0, heads, inputs, targets)
-            assert cache.source_id != 1 and np.isfinite(cache.loss)
+            assert cache.source_id != 1
+            assert np.isfinite(holdout_mse(with_head(own, cache.head), inputs, targets))
 
     def test_single_row_batch_without_neighbors(self):
         dims = Dims(2, 8, 2)

@@ -139,9 +139,11 @@ class TestSerialization:
         again = ExperimentConfig.from_dict(json.loads(cfg.to_json()))
         assert again == cfg
 
-    def test_from_file(self, tmp_path):
+    @pytest.mark.parametrize("encoding", ["utf-8", "utf-8-sig"])
+    def test_from_file(self, tmp_path, encoding):
+        # utf-8-sig writes a leading byte-order mark, as Windows tools do
         path = tmp_path / "cfg.json"
-        path.write_text('{"variant": "fedcab", "seed": 4}', encoding="utf-8")
+        path.write_text('{"variant": "fedcab", "seed": 4}', encoding=encoding)
         cfg = ExperimentConfig.from_file(path)
         assert cfg.variant == "fedcab" and cfg.seed == 4
 

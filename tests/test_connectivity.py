@@ -2,19 +2,13 @@ import numpy as np
 import pytest
 
 import fedsim.connectivity
-from fedsim.connectivity import (
-    LinkState,
-    build_neighbor_graph,
-    charge_upload,
-    participation,
-    step_connectivity,
-)
+from fedsim.connectivity import LinkState, build_neighbor_graph, participation, step_connectivity
 
 from oracles import brute_force_neighbors, markov_online_fraction
 
 
-def make_states(n, budget=None):
-    return {cid: LinkState(budget_remaining=budget) for cid in range(n)}
+def make_states(n):
+    return {cid: LinkState() for cid in range(n)}
 
 
 def make_rngs(n, seed):
@@ -81,31 +75,6 @@ class TestParticipation:
         for n in range(0, 8):
             for t in range(max(n, 1), 12):
                 assert participation(n, t + 1) <= participation(n, t)
-
-
-class TestChargeUpload:
-    def test_single_charge(self):
-        state = LinkState(budget_remaining=20)
-        charge_upload(state)
-        assert state.budget_remaining == 19 and state.n_uploads == 1
-
-    def test_budget_exhaustion_blocks_upload(self):
-        state = LinkState(budget_remaining=20)
-        for _ in range(20):
-            charge_upload(state)
-        assert state.budget_remaining == 0 and not state.can_upload
-
-    def test_conservation_after_charges(self):
-        state = LinkState(budget_remaining=20)
-        for _ in range(13):
-            charge_upload(state)
-        assert state.n_uploads + state.budget_remaining == 20
-
-    def test_unlimited_budget_never_blocks(self):
-        state = LinkState(budget_remaining=None)
-        for _ in range(100):
-            charge_upload(state)
-        assert state.n_uploads == 100 and state.can_upload
 
 
 class TestNeighborGraph:

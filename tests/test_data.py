@@ -4,16 +4,20 @@ from functools import partial
 import numpy as np
 import pytest
 
+import fedsim.data
+import fedsim.reports
 from fedsim.data import (
+    CSV_HEADER,
     BBox,
     make_windows,
     parse_csv,
     partition_by_vehicle,
     partition_equal,
     synth_trajectories,
+    utf8_lines,
     write_csv,
 )
-from fedsim.errors import ConfigError, ParseError
+from fedsim.errors import ConfigError, FedsimError, ParseError
 
 from oracles import parse_rows_by_loop, windows_by_slices
 
@@ -232,6 +236,35 @@ class TestBothLayouts:
             parse(path)
         assert err.value.line == 4
         assert "expected 4 fields, got 3" in str(err.value)
+
+
+# each reader of utf8_lines, the module it looks the name up in, and its header
+READERS = {
+    "parse_csv": (fedsim.data, CSV_HEADER),
+    "read_rounds_csv": (fedsim.reports, fedsim.reports.CSV_COLUMNS),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(READERS))
+def test_a_kept_error_holds_no_open_file(tmp_path, monkeypatch, reader):
+    # the error's traceback keeps the reader's frame and the line generator in
+    # it; the reader closes that generator, and so its file, as the error leaves
+    module, header = READERS[reader]
+    closed = []
+
+    def recorded_lines(path):
+        try:
+            yield from utf8_lines(path)
+        finally:
+            closed.append(path)
+
+    monkeypatch.setattr(module, "utf8_lines", recorded_lines)
+    path = tmp_path / "bad.csv"
+    path.write_text(",".join(header) + "\nbad,row\nnever,read\n", encoding="utf-8")
+    with pytest.raises(FedsimError) as err:
+        getattr(module, reader)(path)
+    assert "bad.csv:2" in str(err.value)
+    assert closed == [path]
 
 
 # padded ids name the same vehicle as their stripped form, and "10" sorts

@@ -253,7 +253,6 @@ def test_outputs_match_pinned_digests(case, tmp_path):
     assert _rounds_and_summary_sha256(CASES[case], tmp_path) == DIGESTS[case], _numeric_platform()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("case", sorted(DIVERGING))
 def test_diverging_runs_match_pinned_digests(case, tmp_path):
     overrides, event = DIVERGING[case]

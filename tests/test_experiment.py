@@ -175,6 +175,23 @@ class TestRoundLoop:
             for cid in log.selected:
                 uploads[cid] += 1
 
+    @pytest.mark.parametrize("budget", [1, None])
+    def test_clients_past_their_budget_are_logged_and_never_rank(self, budget):
+        cfg = small_config(p_offline=0.3, p_recover=0.5, budget=budget, rounds=12)
+        result = run_experiment(cfg)
+        uploads = {cid: 0 for cid in range(cfg.n_clients)}
+        n_events = 0
+        for log in result.logs:
+            trained = sorted(cid for cid, how in log.provenance.items() if how != "skip")
+            spent = [cid for cid in trained if budget is not None and uploads[cid] >= budget]
+            events = [e for e in log.events if e.startswith("budget_exhausted:")]
+            assert events == [f"budget_exhausted:{cid}" for cid in spent]
+            assert not set(spent) & {e.client_id for e in log.entries}
+            n_events += len(events)
+            for cid in log.selected:
+                uploads[cid] += 1
+        assert (n_events > 0) == (budget is not None)
+
     def test_ranked_rounds_select_the_top_k_weights(self):
         cfg = small_config(variant="fedcab", p_offline=0.4, p_recover=0.3, rounds=16)
         result = run_experiment(cfg)
@@ -424,7 +441,6 @@ class TestEngineEdgeCases:
         assert sorted(result.logs[1].collab_sources) == list(range(cfg.n_clients))
         assert anchored == [False] * 2 * cfg.n_clients + [True] * 2 * cfg.n_clients
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_offline_training_divergence_skips_the_client(self):
         # everyone is offline from round 2, and round 3 trains them at eta 5e16
         cfg = small_config(
@@ -438,7 +454,6 @@ class TestEngineEdgeCases:
         assert aborted == [f"numeric_abort_offline:{u}" for u in last.offline]
         assert not any(e.startswith("numeric_abort:") for log in result.logs for e in log.events)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_peer_round_divergence_skips_the_client(self):
         # everyone is offline from round 2, whose peer round trains them at
         # eta 5e18; every client has revealed usable windows by then
@@ -452,7 +467,6 @@ class TestEngineEdgeCases:
         assert peer.collab_sources == {} and peer.payloads == {}
         assert not any(e.startswith("numeric_abort:") for log in result.logs for e in log.events)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_numeric_divergence_aborts_with_partial_logs(self):
         cfg = small_config(eta0=1e18, rounds=10)
         result = run_experiment(cfg)
@@ -531,7 +545,6 @@ class TestLocalOnly:
             assert log.alpha is None and log.payloads == {}
             assert log.rmse_global == pytest.approx(np.mean(list(log.client_rmse.values())))
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_numeric_divergence_aborts_with_partial_logs(self):
         cfg = small_config(variant="local_only", eta0=1e18, rounds=10)
         result = run_experiment(cfg)

@@ -8,7 +8,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fedsim.errors import ConfigError
 from fedsim.nn import (
     Dims,
     ParamSet,
@@ -529,9 +528,3 @@ class TestParamSetViews:
         model = random_model(Dims(2, 3, 2), seed=25)
         assert (model == model) is True
         assert (model == model.copy()) is False
-
-    @pytest.mark.parametrize("delta", [-1, 1])
-    def test_wrong_length_rejected(self, delta):
-        dims = Dims(2, 3, 2)
-        with pytest.raises(ConfigError):
-            ParamSet(np.zeros(dims.total_size + delta), dims)

@@ -43,7 +43,7 @@ def fleets(draw):
         ts = draw(st.lists(st.floats(**FINITE), min_size=1, max_size=8, unique=True))
         lat = draw(st.lists(st.floats(-90.0, 90.0), min_size=len(ts), max_size=len(ts)))
         lon = draw(st.lists(st.floats(-180.0, 180.0), min_size=len(ts), max_size=len(ts)))
-        fleet.append(Trajectory(vid, ts, np.column_stack([lat, lon])))
+        fleet.append(Trajectory(vid, np.array(ts), np.column_stack([lat, lon])))
     return fleet
 
 

@@ -151,7 +151,6 @@ class TestSummaryJson:
         summary = strict_json(paths["summary"].read_text(encoding="utf-8"))
         assert summary["best_rmse"] is None and summary["final_rmse"] is None
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowed_rmse_writes_null(self, tmp_path):
         # the learning rate grows tenfold a round until the error overflows
         result = run_experiment(small_config(variant="fedcab", eta0=2.0, eta_decay=10.0))
@@ -181,7 +180,6 @@ class TestCurvesSvg:
         assert ">feddecab</text>" in svg
         assert ">fedavg</text>" in svg
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_diverged_run_plots_finite_rounds_only(self, tmp_path):
         # eta 1e18 blows the global error up to ~1e147 in round 1, and round 2
         # aborts with that same error: a flat series past 2**53
