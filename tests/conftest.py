@@ -5,6 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fedsim.data import Trajectory, synth_trajectories, write_csv
+
 # Tests import the shared oracle helpers as a plain module.
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
@@ -20,6 +22,19 @@ else:
         "fedsim", derandomize=True, max_examples=60, deadline=None, database=None
     )
     settings.load_profile("fedsim")
+
+
+def write_ragged_fleet_csv(path) -> None:
+    """32 whole vehicles for clients of two: 40 points at each even index and
+    6 at each odd one, or 3 at an index of 3 mod 8. At seq_len=4 the four
+    3-point vehicles hold no window, and the twelve clients of a 40-point and
+    a 6-point vehicle keep a holdout that spans both."""
+    trajectories = synth_trajectories(17, 32, 40, "sinusoid")
+    lengths = [40 if i % 2 == 0 else 3 if i % 8 == 3 else 6 for i in range(len(trajectories))]
+    write_csv(path, [
+        Trajectory(t.vehicle_id, t.timestamps[:n], t.coords[:n])
+        for t, n in zip(trajectories, lengths)
+    ])
 
 
 def openblas():

@@ -8,9 +8,10 @@ isolated local_only baseline, fedavg and feddecab with offline clients
 training every round, feddecab over several batches and epochs, fedavg weighted by
 client data size, fedavg over an equal-points partition, feddecab at the
 headline's hidden width of 32, feddecab under the regional and the datasize
-availability scenarios, feddecab over a CSV fleet with peer
-rounds every round, and two feddecab runs that diverge: one aborts in its
-online phase, one loses clients in peer rounds. The values were taken with numpy
+availability scenarios, feddecab over a CSV fleet with peer rounds every
+round, the rounds of fedavg over a ragged CSV fleet of two vehicles per
+client, and two feddecab runs that diverge: one aborts in its online phase,
+one loses clients in peer rounds. The values were taken with numpy
 2.4 and OpenBLAS on x86-64; another BLAS may round GEMMs differently. A change that alters any output bit must
 re-pin them and say why in CHANGES.md. A failed pin names the numeric platform
 it ran on: the pins were taken with OpenBLAS's SkylakeX kernel and numpy's
@@ -29,7 +30,7 @@ from fedsim.data import Trajectory, synth_trajectories, write_csv
 from fedsim.experiment import prepare_clients, run_experiment
 from fedsim.reports import emit_reports
 
-from conftest import openblas
+from conftest import openblas, write_ragged_fleet_csv
 
 BASE = dict(
     dataset="synthetic",
@@ -120,6 +121,16 @@ def _write_fleet_csv(path) -> None:
     ])
 
 
+# rounds.csv of fedavg over a CSV of 32 whole vehicles, two per client, some
+# too short for a window and some whose client's holdout spans both of its
+# vehicles; summary.json holds the config, so only the rounds are pinned
+RAGGED_CSV = "ragged.csv"
+RAGGED = dict(
+    BASE, variant="fedavg", dataset="csv", data_path=RAGGED_CSV, n_clients=16,
+    vehicles_per_client=2,
+)
+
+
 # case -> (rounds.csv sha256, summary.json sha256)
 DIGESTS = {
     "fedavg": (
@@ -184,6 +195,8 @@ FLEET_DIGESTS = (
     "30abdcf23353dd1daab36fe2b81397a5a6125f9a6926f129b0d1478619ad7105",
     "799537d75ff7d04592ceff4e74d27e0b1612082e9a24c88c1e7a24ca73903b48",
 )
+
+RAGGED_ROUNDS_SHA256 = "cb768ffc838824fffab89e76195be20159efc2111985ba0430dc618914375dbc"
 
 
 # rounds.csv of a feddecab run where every client goes offline after round 1,
@@ -272,6 +285,14 @@ def test_feddecab_fleet_matches_pinned_digests(tmp_path, monkeypatch):
     paths = emit_reports(result, tmp_path / "out")
     digests = (_sha256(paths["rounds"]), _sha256(paths["summary"]))
     assert digests == FLEET_DIGESTS, _numeric_platform()
+
+
+def test_ragged_fleet_matches_pinned_rounds(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    write_ragged_fleet_csv(tmp_path / RAGGED_CSV)
+    result = run_experiment(ExperimentConfig(**RAGGED))
+    paths = emit_reports(result, tmp_path / "out")
+    assert _sha256(paths["rounds"]) == RAGGED_ROUNDS_SHA256, _numeric_platform()
 
 
 @pytest.mark.parametrize("proximal,plain", [("fedprox", "fedavg"), ("fedprox_plus", "fedcab")])
