@@ -19,7 +19,6 @@ base = dict(
     synth_kind="sinusoid",
     synth_vehicles=20,
     synth_points_each=160,
-    partition="by_vehicle",
     vehicles_per_client=1,
     n_clients=20,
     rounds=60,

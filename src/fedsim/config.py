@@ -62,8 +62,8 @@ class _Interval:
 # fields together. None passes wherever the type allows it.
 _RANGES = {
     **dict.fromkeys(
-        ("synth_vehicles", "synth_points_each", "points_per_client", "vehicles_per_client",
-         "reveal_slice_points", "rounds", "chi", "hidden", "seq_len", "batch_size"),
+        ("synth_vehicles", "synth_points_each", "vehicles_per_client", "reveal_slice_points",
+         "rounds", "chi", "hidden", "seq_len", "batch_size"),
         _Interval(1, math.inf, "[)"),
     ),
     **dict.fromkeys(("epochs", "budget", "prox_mu", "seed"), _Interval(0, math.inf, "[)")),
@@ -76,10 +76,9 @@ _RANGES = {
     "datasize_percentile": _Interval(0, 100, "()"),
     "n_clients": _Interval(2, math.inf, "[)"),
     "sample_ratio": _Interval(0, 1, "(]"),
-    "holdout_fraction": _Interval(0, 1, "()"),
     "dataset": ("synthetic", "csv", "tdrive"),
     "synth_kind": SYNTH_KINDS,
-    "partition": ("equal", "by_vehicle"),
+    "partition": ("by_vehicle",),
     "scenario": SCENARIOS,
     "variant": VARIANTS,
     "selection": SELECTION_MODES,
@@ -96,9 +95,8 @@ class ExperimentConfig:
     synth_vehicles: int = 40
     synth_points_each: int = 420
 
-    # partitioning
-    partition: str = "by_vehicle"         # equal | by_vehicle
-    points_per_client: int = 2500
+    # partitioning: each client holds whole vehicles
+    partition: str = "by_vehicle"         # by_vehicle, the only partition
     vehicles_per_client: int = 1
 
     # availability scenario
@@ -147,7 +145,6 @@ class ExperimentConfig:
     batch_size: int = 16
 
     # evaluation / reproducibility
-    holdout_fraction: float = 0.2
     rmse_units: str = "normalized"        # normalized | degrees
     seed: int = 0
 

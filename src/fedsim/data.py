@@ -69,7 +69,7 @@ def utf8_lines(path: str | Path):
     try:
         fh = Path(path).open(newline="", encoding="utf-8-sig")
     except OSError as exc:
-        raise ParseError(f"cannot read ({exc.strerror})", path=path) from None
+        raise ParseError(f"{path}: cannot read ({exc.strerror})") from None
     with fh:
         try:
             yield from fh
@@ -79,10 +79,11 @@ def utf8_lines(path: str | Path):
     raw = Path(path).read_bytes()
     try:
         raw.decode("utf-8")
-        line = None
+        where = path
     except UnicodeDecodeError as exc:
         line = raw.count(b"\n", 0, exc.start) + 1
-    raise ParseError(f"not UTF-8 text ({reason})", path=path, line=line)
+        where = f"{path}:{line}"
+    raise ParseError(f"{where}: not UTF-8 text ({reason})")
 
 
 def parse_csv(path: str | Path, tdrive: bool = False) -> tuple[list[Trajectory], int]:
@@ -108,16 +109,16 @@ def parse_csv(path: str | Path, tdrive: bool = False) -> tuple[list[Trajectory],
             if not row or header:
                 continue
             if len(row) != 4:
-                raise ParseError(f"expected 4 fields, got {len(row)}", path=path, line=lineno)
+                raise ParseError(f"{path}:{lineno}: expected 4 fields, got {len(row)}")
             try:
                 vid = row[0].strip()
                 ts.append(_parse_timestamp(row[1]))
                 first.append(float(row[2]))
                 second.append(float(row[3]))
             except ValueError as exc:
-                raise ParseError(str(exc), path=path, line=lineno) from exc
+                raise ParseError(f"{path}:{lineno}: {exc}") from exc
             if not vid:
-                raise ParseError("empty vehicle id", path=path, line=lineno)
+                raise ParseError(f"{path}:{lineno}: empty vehicle id")
             vix.append(ids.setdefault(vid, len(ids)))
     names = sorted(ids)
     rank = np.argsort([ids[name] for name in names])  # vehicle index -> id rank
@@ -194,37 +195,6 @@ class BBox:
     def scale(self) -> np.ndarray:
         """Per-axis degree extent; converts unit-square errors back to degrees."""
         return np.array([self.lat_max - self.lat_min, self.lon_max - self.lon_min])
-
-
-def partition_equal(
-    trajectories: list[Trajectory], n_clients: int, points_per_client: int
-) -> list[list[np.ndarray]]:
-    """Give each client `points_per_client` consecutive points in file order.
-
-    Returns each client's list of segments, by client id. A trajectory may be
-    split across a client boundary; each client's share of it becomes its own
-    segment so windows never span the split.
-    """
-    total = sum(t.n_points for t in trajectories)
-    needed = n_clients * points_per_client
-    if total < needed:
-        raise ConfigError(f"need {needed} points for {n_clients} clients, have {total}")
-    clients: list[list[np.ndarray]] = [[] for _ in range(n_clients)]
-    cid = 0
-    room = points_per_client
-    for traj in trajectories:
-        offset = 0
-        while offset < traj.n_points and cid < n_clients:
-            take = min(room, traj.n_points - offset)
-            clients[cid].append(traj.coords[offset : offset + take])
-            offset += take
-            room -= take
-            if room == 0:
-                cid += 1
-                room = points_per_client
-        if cid >= n_clients:
-            break
-    return clients
 
 
 def partition_by_vehicle(

@@ -10,18 +10,8 @@ class ConfigError(FedsimError, ValueError):
 
 
 class ParseError(FedsimError, ValueError):
-    """Malformed input data; carries the offending location when known."""
-
-    def __init__(self, message, path=None, line=None):
-        loc = ""
-        if path is not None:
-            loc = f"{path}:"
-        if line is not None:
-            loc = f"{loc}{line}: "
-        elif loc:
-            loc = f"{loc} "
-        super().__init__(f"{loc}{message}")
-        self.line = line
+    """Malformed input data; the message starts with the file, and the line
+    when known."""
 
 
 class NumericError(FedsimError, ArithmeticError):

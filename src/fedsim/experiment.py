@@ -45,14 +45,7 @@ from .availability import (
 from .collab import CollabCache, evaluate_candidates, head_payload_values
 from .config import ExperimentConfig
 from .connectivity import LinkState, build_neighbor_graph, participation, step_connectivity
-from .data import (
-    BBox,
-    make_windows,
-    parse_csv,
-    partition_by_vehicle,
-    partition_equal,
-    synth_trajectories,
-)
+from .data import BBox, make_windows, parse_csv, partition_by_vehicle, synth_trajectories
 from .errors import ConfigError, NumericError
 from .nn import Dims, ParamSet, init_params, model_divergence
 from .ranking import (
@@ -64,6 +57,9 @@ from .ranking import (
     select_top_k,
 )
 from .training import evaluate_rmse, train_local
+
+# Share of each client's windows, the last by stream order, held out for testing.
+HOLDOUT_FRACTION = 0.2
 
 
 @dataclass
@@ -193,17 +189,19 @@ def _client_plan(
     return np.full(points.shape[0], client_p, dtype=float)
 
 
-def _split_runs(segments: list[np.ndarray], seq_len: int, holdout_fraction: float):
+def _split_runs(segments: list[np.ndarray], seq_len: int):
     """Cut one client's list of segments into training runs and holdout runs.
 
-    The client's windows, in segment order, train except the last ``n_hold``.
-    A segment whose first ``k`` windows train gives the training run
-    ``seg[:k + seq_len]`` and, if it has more windows, the holdout run
-    ``seg[k:]``; the two share ``seq_len`` points of input context but never a
-    target. No run is empty.
+    The client's windows, in segment order, train except the last ``n_hold``:
+    ``HOLDOUT_FRACTION`` of them, rounded and at least one, or none for a
+    client of one window. A segment whose first ``k`` windows train gives the
+    training run ``seg[:k + seq_len]`` and, if it has more windows, the
+    holdout run ``seg[k:]``; the two share ``seq_len`` points of input context
+    but never a target. No run is empty.
     """
     m = sum(max(0, seg.shape[0] - seq_len) for seg in segments)
-    n_hold = min(m - 1, max(1, round(holdout_fraction * m))) if m >= 2 else 0
+    # round(0.2 m) <= 0.2 m + 0.5 <= m - 1 for m >= 2: a window is left to train on
+    n_hold = max(1, round(HOLDOUT_FRACTION * m)) if m >= 2 else 0
     remaining = m - n_hold
     train_runs, hold_runs = [], []
     for seg in segments:
@@ -222,18 +220,15 @@ def prepare_clients(config: ExperimentConfig):
     selection RNG and the count of dataset rows the parser dropped."""
     dims = Dims(2, config.hidden, 2)  # a point in and a point out, each a lat/lon pair
     trajectories, rejected = load_trajectories(config)
-    if config.partition == "equal":
-        datasets = partition_equal(trajectories, config.n_clients, config.points_per_client)
-    else:
-        datasets = partition_by_vehicle(trajectories, config.vehicles_per_client)
-        if len(datasets) != config.n_clients:
-            raise ConfigError(
-                f"by-vehicle partition yields {len(datasets)} clients, "
-                f"config says {config.n_clients}"
-            )
+    datasets = partition_by_vehicle(trajectories, config.vehicles_per_client)
+    if len(datasets) != config.n_clients:
+        raise ConfigError(
+            f"by-vehicle partition yields {len(datasets)} clients, "
+            f"config says {config.n_clients}"
+        )
 
     seq_len = config.seq_len
-    splits = [_split_runs(segments, seq_len, config.holdout_fraction) for segments in datasets]
+    splits = [_split_runs(segments, seq_len) for segments in datasets]
     train_point_arrays = [run for train_runs, _ in splits for run in train_runs]
     if not train_point_arrays:
         raise ConfigError("no client has enough points to form a single window")

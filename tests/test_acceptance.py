@@ -52,7 +52,6 @@ CRIT5_BASE = dict(
     synth_kind="sinusoid",
     synth_vehicles=10,
     synth_points_each=60,
-    partition="by_vehicle",
     vehicles_per_client=1,
     n_clients=10,
     rounds=60,
@@ -73,7 +72,6 @@ CRIT6_BASE = dict(
     synth_kind="sinusoid",
     synth_vehicles=40,
     synth_points_each=220,
-    partition="by_vehicle",
     vehicles_per_client=1,
     n_clients=40,
     rounds=120,

@@ -200,6 +200,18 @@ class TestConfigErrors:
         assert capsys.readouterr().err.startswith("error:")
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "retired", [{"partition": "equal"}, {"points_per_client": 2500}, {"holdout_fraction": 0.2}]
+    )
+    def test_a_retired_setting_is_named_in_the_error(self, tmp_path, capsys, retired):
+        # a client holds whole vehicles, and the holdout is a fixed 20%
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(retired), encoding="utf-8")
+        code = main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and next(iter(retired)) in err
+
     def test_config_that_is_not_an_object_is_an_error(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("[1, 2]\n", encoding="utf-8")

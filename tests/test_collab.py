@@ -1,10 +1,12 @@
 import numpy as np
 
+import fedsim.collab
 from fedsim.collab import evaluate_candidates, head_payload_values
 from fedsim.nn import (
     Dims,
     ParamSet,
     TrainBatch,
+    _fc_views,
     forward,
     init_params,
     kl_divergence,
@@ -32,6 +34,22 @@ def holdout_mse(model, inputs, targets):
 def make_eval_data(dims, n, seed):
     rng = np.random.default_rng(seed)
     return rng.normal(size=(n, 4, dims.n_in)), rng.normal(size=(n, dims.n_out))
+
+
+class RecordingNumpy:
+    """numpy as a module sees it, except that np.matmul keeps its left operand
+    and its product."""
+
+    def __init__(self):
+        self.products = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def matmul(self, a, b):
+        product = np.matmul(a, b)
+        self.products.append((a, product))
+        return product
 
 
 class TestEvaluateCandidates:
@@ -133,6 +151,27 @@ class TestStackedScoringOracle:
                     heads = [(int(nid), rng.normal(size=dims.fc_size)) for nid in ids]
                     inputs, targets = make_eval_data(dims, m, int(rng.integers(1 << 30)))
                     self.check(own, 50, heads, inputs, targets)
+
+    def test_each_slice_of_the_stacked_product_has_the_bits_of_the_2d_one(self, monkeypatch):
+        # the stacked product scores each head as apply_fc's hidden @ w_k would
+        spy = RecordingNumpy()
+        monkeypatch.setattr(fedsim.collab, "np", spy)
+        rng = np.random.default_rng(71)
+        for hidden_units in (3, 8, 32):
+            dims = Dims(2, hidden_units, 2)
+            for m in range(1, 41):
+                for k in range(8):
+                    own = make_model(dims, int(rng.integers(1 << 30)))
+                    heads = [(nid, rng.normal(size=dims.fc_size)) for nid in range(k)]
+                    inputs, targets = make_eval_data(dims, m, int(rng.integers(1 << 30)))
+                    evaluate_candidates(own, k, heads, inputs, targets)
+                    (hidden, product), = spy.products
+                    spy.products.clear()
+                    assert hidden.tobytes() == lstm_hidden(own, inputs).tobytes()
+                    assert product.shape == (k + 1, m, dims.n_out)
+                    for head, stacked in zip([own.fc_block] + [h for _, h in heads], product):
+                        w, _ = _fc_views(head, dims)
+                        assert stacked.tobytes() == (hidden @ w).tobytes(), (hidden_units, m, k)
 
     def test_duplicate_heads_tie_to_own_then_lowest_id(self):
         dims = Dims(2, 6, 2)

@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -10,8 +12,8 @@ class TestDefaults:
     def test_headline_defaults(self):
         # the documented default setting: 40 clients, 240 rounds, budget 20,
         # 10% sampling, offline 0.2 / recovery 0.1, peer rounds at half
-        # cadence, E=1 at eta 0.001, 6-step windows in batches of 16,
-        # 2500 points per client under equal partitioning
+        # cadence, E=1 at eta 0.001, 6-step windows in batches of 16, one
+        # vehicle per client
         cfg = ExperimentConfig()
         assert cfg.n_clients == 40
         assert cfg.rounds == 240
@@ -22,7 +24,6 @@ class TestDefaults:
         assert [t for t in range(1, 7) if cfg.is_decentral_round(t)] == [2, 4, 6]
         assert cfg.epochs == 1 and cfg.eta0 == 0.001
         assert cfg.seq_len == 6 and cfg.batch_size == 16
-        assert cfg.points_per_client == 2500
         assert cfg.vehicles_per_client == 1
         assert cfg.chi == 3
         assert cfg.slice_points == 16 * 6
@@ -83,7 +84,7 @@ class TestValidation:
             dict(rounds=0),
             dict(sample_ratio=0.0),
             dict(sample_ratio=1.5),
-            dict(holdout_fraction=1.0),
+            dict(partition="equal"),  # clients hold whole vehicles only
             dict(p_offline=1.5),
             dict(decentral_freq=2.0),
             dict(budget=-1),
@@ -115,7 +116,7 @@ class TestValidation:
             dict(constant_p=1.5),
             dict(p_company=-0.1),
             dict(p_private=1.01),
-            dict(points_per_client=0),
+            dict(batch_size=0),
             dict(synth_vehicles=0),
             dict(synth_points_each=0),
             dict(reveal_slice_points=0),
@@ -146,6 +147,14 @@ class TestSerialization:
         path.write_text('{"variant": "fedcab", "seed": 4}', encoding=encoding)
         cfg = ExperimentConfig.from_file(path)
         assert cfg.variant == "fedcab" and cfg.seed == 4
+
+    def test_every_json_block_of_the_readme_loads(self):
+        # a key deleted from the config but left in the README fails here
+        readme = Path(__file__).resolve().parent.parent / "README.md"
+        blocks = re.findall(r"^```json\n(.*?)^```", readme.read_text(encoding="utf-8"), re.M | re.S)
+        assert blocks
+        for block in blocks:
+            ExperimentConfig.from_dict(json.loads(block))
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError):

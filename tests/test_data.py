@@ -12,7 +12,6 @@ from fedsim.data import (
     make_windows,
     parse_csv,
     partition_by_vehicle,
-    partition_equal,
     synth_trajectories,
     utf8_lines,
     write_csv,
@@ -71,9 +70,10 @@ class TestParseCsv:
 
     def test_malformed_row_reports_line_number(self, tmp_path):
         rows = ["a,1000,30.0,120.0", "a,not-a-time,xx,120.0"]
+        path = fixture_csv(tmp_path, rows)
         with pytest.raises(ParseError) as err:
-            parse_csv(fixture_csv(tmp_path, rows))
-        assert err.value.line == 3
+            parse_csv(path)
+        assert str(err.value).startswith(f"{path}:3: ")
 
     def test_empty_file_gives_empty_list(self, tmp_path):
         path = tmp_path / "empty.csv"
@@ -125,7 +125,7 @@ class TestParseTdrive:
         path.write_text("vehicle_id,timestamp,lat,lon\n1,1000,116.5,39.9\n", encoding="utf-8")
         with pytest.raises(ParseError) as err:
             parse_csv(path, tdrive=True)
-        assert err.value.line == 1
+        assert str(err.value).startswith(f"{path}:1: ")
 
 
 # (vehicle, timestamp, lat, lon): an ISO timestamp, a duplicate timestamp
@@ -166,9 +166,10 @@ class TestBothLayouts:
         assert np.array_equal(b.coords, [[30.0, 120.0], [30.4, 120.4]])
 
         malformed = ("a", "1003", "bad-lat", "bad-lon")
+        path = write(LAYOUT_ROWS[:2] + [malformed] + LAYOUT_ROWS[2:])
         with pytest.raises(ParseError) as err:
-            parse(write(LAYOUT_ROWS[:2] + [malformed] + LAYOUT_ROWS[2:]))
-        assert err.value.line == 3
+            parse(path)
+        assert str(err.value).startswith(f"{path}:3: ")
         # the third field of the line is the first coordinate read
         assert repr(line.format(*malformed).split(",")[2]) in str(err.value)
 
@@ -199,7 +200,7 @@ class TestBothLayouts:
         path.write_text("".join(line.format(*row) + "\n" for row in rows), encoding="utf-8")
         with pytest.raises(ParseError) as err:
             parse(path)
-        assert err.value.line == 3 and "empty vehicle id" in str(err.value)
+        assert str(err.value) == f"{path}:3: empty vehicle id"
 
     @pytest.mark.parametrize("layout", sorted(LAYOUTS))
     def test_bytes_that_are_not_utf8_are_a_parse_error(self, tmp_path, layout):
@@ -209,7 +210,7 @@ class TestBothLayouts:
         path.write_bytes(b"\n".join(rows + [b"\xffa,1003,30.0,120.0", b""]))
         with pytest.raises(ParseError) as err:
             parse(path)
-        assert err.value.line == 3 and "not UTF-8" in str(err.value)
+        assert str(err.value).startswith(f"{path}:3: not UTF-8 text (")
 
     @pytest.mark.parametrize("layout", sorted(LAYOUTS))
     @pytest.mark.parametrize("stamp", ["nan", "inf", "-inf", " -Infinity "])
@@ -221,8 +222,7 @@ class TestBothLayouts:
         path.write_text("".join(line.format(*row) + "\n" for row in rows), encoding="utf-8")
         with pytest.raises(ParseError) as err:
             parse(path)
-        assert err.value.line == 4
-        assert f"non-finite timestamp {stamp.strip()!r}" in str(err.value)
+        assert str(err.value) == f"{path}:4: non-finite timestamp {stamp.strip()!r}"
 
     @pytest.mark.parametrize("layout", sorted(LAYOUTS))
     def test_error_names_the_physical_line_after_a_multiline_field(self, tmp_path, layout):
@@ -234,8 +234,7 @@ class TestBothLayouts:
         path.write_text(text, encoding="utf-8")
         with pytest.raises(ParseError) as err:
             parse(path)
-        assert err.value.line == 4
-        assert "expected 4 fields, got 3" in str(err.value)
+        assert str(err.value) == f"{path}:4: expected 4 fields, got 3"
 
 
 # each reader of utf8_lines, the module it looks the name up in, and its header
@@ -362,32 +361,6 @@ class TestNormalize:
             BBox(1.0, 1.0, 0.0, 2.0)
 
 
-class TestPartitionEqual:
-    def test_four_clients_twenty_five_each(self):
-        trajectories = synth_trajectories(seed=1, n_vehicles=2, points_each=50, kind="circle")
-        clients = partition_equal(trajectories, n_clients=4, points_per_client=25)
-        assert len(clients) == 4
-        assert all(sum(seg.shape[0] for seg in segments) == 25 for segments in clients)
-        stacked = np.concatenate([seg for segments in clients for seg in segments])
-        source = np.concatenate([t.coords for t in trajectories])
-        assert np.array_equal(stacked, source[:100])
-
-    def test_every_point_assigned_to_at_most_one_client(self):
-        trajectories = synth_trajectories(seed=2, n_vehicles=3, points_each=40, kind="sinusoid")
-        clients = partition_equal(trajectories, n_clients=3, points_per_client=30)
-        seen = set()
-        for segments in clients:
-            for row in np.concatenate(segments):
-                key = (row[0], row[1])
-                assert key not in seen
-                seen.add(key)
-
-    def test_insufficient_data_rejected(self):
-        trajectories = synth_trajectories(seed=3, n_vehicles=1, points_each=10, kind="circle")
-        with pytest.raises(ConfigError):
-            partition_equal(trajectories, n_clients=2, points_per_client=10)
-
-
 class TestPartitionByVehicle:
     def test_eight_vehicles_in_chunks_of_four(self):
         trajectories = synth_trajectories(seed=4, n_vehicles=8, points_each=12, kind="circle")
@@ -413,13 +386,9 @@ class TestPartitionByVehicle:
             partition_by_vehicle([], vehicles_per_client=1)
 
 
-@pytest.mark.parametrize("partition", ["equal", "by_vehicle"])
-def test_partitions_hand_out_views_of_the_parsed_points(partition):
+def test_partitions_hand_out_views_of_the_parsed_points():
     trajectories = synth_trajectories(seed=7, n_vehicles=5, points_each=30, kind="circle")
-    if partition == "equal":
-        clients = partition_equal(trajectories, n_clients=4, points_per_client=35)
-    else:
-        clients = partition_by_vehicle(trajectories, vehicles_per_client=2)
+    clients = partition_by_vehicle(trajectories, vehicles_per_client=2)
     for segments in clients:
         for seg in segments:
             sources = [t for t in trajectories if np.shares_memory(seg, t.coords)]

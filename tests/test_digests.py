@@ -5,13 +5,12 @@ moves the numerics between commits would pass them. These digests pin the
 bytes across commits: one uniform-selection run (fedavg), one ranked run
 (fedcab), one with peer rounds (feddecab), both proximal variants, the
 isolated local_only baseline, fedavg and feddecab with offline clients
-training every round, feddecab over several batches and epochs, fedavg weighted by
-client data size, fedavg over an equal-points partition, feddecab at the
-headline's hidden width of 32, feddecab under the regional and the datasize
-availability scenarios, feddecab over a CSV fleet with peer rounds every
-round, the rounds of fedavg over a ragged CSV fleet of two vehicles per
-client, and two feddecab runs that diverge: one aborts in its online phase,
-one loses clients in peer rounds. The values were taken with numpy
+training every round, feddecab over several batches and epochs, fedavg
+weighted by client data size, feddecab at the headline's hidden width of 32,
+feddecab under the regional and the datasize availability scenarios, feddecab
+over a CSV fleet with peer rounds every round, the rounds of fedavg over a
+ragged CSV fleet of two vehicles per client, and two feddecab runs that
+diverge: one aborts in its online phase, one loses clients in peer rounds. The values were taken with numpy
 2.4 and OpenBLAS on x86-64; another BLAS may round GEMMs differently. A change that alters any output bit must
 re-pin them and say why in CHANGES.md. A failed pin names the numeric platform
 it ran on: the pins were taken with OpenBLAS's SkylakeX kernel and numpy's
@@ -58,12 +57,9 @@ BASE = dict(
 # batch at batch_size=8, and the proximal pull is zero on a round's first
 # step; so the proximal variants run at batch_size=4, where the pull acts.
 # On BASE every client holds 100 points, so size weights equal the uniform
-# ones; the datasize case uses uneven clients and selects every client. BASE
-# gives each client one whole vehicle; the equal-partition case cuts vehicles
-# at 51 points, so some clients hold a segment too short for a window and some
-# holdouts span two segments. Every other case runs hidden=8; the hidden32 case
-# pins the LSTM step at the width of the benchmark's headline, over batches of
-# one, three and four rows. Every other case runs the random scenario: the
+# ones; the datasize case uses uneven clients and selects every client. Every
+# other case runs hidden=8; the hidden32 case pins the LSTM step at the width
+# of the benchmark's headline, over batches of one, three and four rows. Every other case runs the random scenario: the
 # regional case lays one weak box over part of the fleet, and the datasize case
 # runs the uneven fleet, whose one client of three vehicles is the company
 # device.
@@ -84,7 +80,6 @@ CASES = {
         sample_ratio=1.0,
         aggregate_by_datasize=True,
     ),
-    "fedavg_equal_partition": dict(variant="fedavg", partition="equal", points_per_client=51),
     "feddecab_hidden32": dict(variant="feddecab", hidden=32, batch_size=4, epochs=2),
     "feddecab_regional": dict(
         variant="feddecab", scenario="regional", weak_areas=[[29.9, 30.5, 120.0, 120.6]]
@@ -135,65 +130,61 @@ RAGGED = dict(
 DIGESTS = {
     "fedavg": (
         "dfa6d476fcee47400f2c8d97aa93aa0623bf8b3521a96d1c3342083af54ae2a2",
-        "f89f498aec520896ddaec226c90422922fdc48c2d61bf57f8758e2d2d7b17d63",
+        "19eb9e091781f1c20581d196b30b0f6818e909aa35431a46640bb4a20b2d4aa0",
     ),
     "fedcab": (
         "a493e40cbc56f0a805d50263dc3dc1464896f3b042939218a10cd2a7d7d518cc",
-        "dd72f4fa12e9f99944c8d42246913a80cd6595a5d43a6adfceafed2183bcdea7",
+        "f4fd5aa6ca4ff0991e542147629fa9f68f9ee819e7b39928960fab82af8757cb",
     ),
     "feddecab": (
         "be7397d3fba2a497386a7103982e288fc309558254488312d5d4bbf581b33f46",
-        "718bda00b3736c7a3f67369b9b34d1f7ef10b7b244f2b7a7fc1019dcc7bec34e",
+        "4eb5e3c12b2880f9c19e42e1b4761e7bd0599d7178f0ccd294b64d9871115afa",
     ),
     "fedprox": (
         "a403b7d8865754df55cc4c385f6429b2771be9adbe5301c166ad9be89ae98c2b",
-        "37a9a3144f9703d56f22c456634ea401e18310eaa6f14bcf1a147581d7d0d279",
+        "020d626d2d68cd73d828f0d0b6534c2f8b923e5df7ab12a02709992c16f1bc02",
     ),
     "fedprox_plus": (
         "b326b619e77d03d27c8c5a900df9716e32436eaec57dc9007784a96f1e78133e",
-        "ded9a19464e86389e87b8a3c4dedff5e57cb72382435911ec906bc09e2f66b85",
+        "9f683e1cc7bc29821de887148f48a72b92aadc288a41d91a4a12885980e06ea4",
     ),
     "local_only": (
         "804ceccc0248ade120cf7390db84b2d8f57a31ae763ce3ef0fc594350703f6d1",
-        "be323df9df641b4350dcc39ab4b008447815290bbf08150d41761810265c14cd",
+        "cd8530e7e83fbe1bf2f847afc03a54f41ee1a9b74f9bd45259f82ee3856551a1",
     ),
     "fedavg_offline": (
         "279831935ead16ce931c3d69bb51d7f9d6d0d71feea837e3dce8cf8e2674b818",
-        "0965f1793ff870da75704ef4c5b5a819f817b573cad7c6c2d2d11bc1f44c49ed",
+        "aa01c2673d72af424efd7412c75c1a8c38d20e85b1c080d8f49a0341e4760de4",
     ),
     "feddecab_offline": (
         "3f586e615e3c3a46e24483de8df2cb93d1262abc320efdb0a948609ce78ef974",
-        "b75361c76d4fc695c674a89b5325290b79d46425753cc6534c7ede2b96c19dad",
+        "9173fc090d691330d0a7d5023945095b4def7d53e298632b289ca1cf80fd8056",
     ),
     "feddecab_multi_batch": (
         "d4d9381dbb06fd4dd163f0d82b7fcf868c958cee85693bd9f668a883973b9449",
-        "55053ff78ad6060ae43e08fb90d2f124985f63663a110796468001d07fa7cbab",
+        "cc057704ec9b96bbc3253477d3e356f89495ffa9d5333fff3fbf4c1d49b7a9c9",
     ),
     "fedavg_by_datasize": (
         "fe6d80ee45e427d801646501a589aab986dad2624d8ac584afc4fa49172f2878",
-        "d24a5c17f1614725b43de6ced28a64411d79ebf8191233140657c7f68b99e8af",
-    ),
-    "fedavg_equal_partition": (
-        "c1c1d690e6bfcb3ac93c5c76b2ac808d8d1fc929b836ad24b02ad8c19eca5130",
-        "20cea0b36f16c2d2b3553ce0a5eb305b2d37184cf5daed0794af46c33a795b57",
+        "be99f9b9d6bfe3a706f3c1bade249d87cc2dc30d1b7b75df32f3a6302f8ee25a",
     ),
     "feddecab_hidden32": (
         "0e22ddb9b191035f6d0046e8e3af1c7ef2278caac056b3918b9cff1d811f3d87",
-        "e0a09bec70e6d0f11f9d6e3281dc68ceecc66b5f7561538ae7c487fc13af76ad",
+        "dcef51eb46b96f37dbb1d0c746a66b66552c101cbde742839bf8e9b6d5daa2a0",
     ),
     "feddecab_regional": (
         "1d395b71d9170cc1669c3f1282c7b74d522a00619a74e3744cc1b2a8f4cfdb38",
-        "274d968e57af9508e97139bab87b001b7eed1f61e1fefde22f819d7e510d7c4d",
+        "25a18fc8c561b2ae5a1b759c825bc5ef74540dfbc46c39f16dbca72eeb44ed64",
     ),
     "feddecab_datasize": (
         "c3b1afb8ec9d1375fb5d1722203a40bcbbf119c6f346c9a8e5b028e8c61791b4",
-        "cfce425c82912b3d9bfd52056c790da184057028ca9c69c89d5b15bac2528ca7",
+        "bfcaa918c267863920888291bf7d9f55b0b8d8cf9446d0d6bd528e19800c1792",
     ),
 }
 
 FLEET_DIGESTS = (
     "30abdcf23353dd1daab36fe2b81397a5a6125f9a6926f129b0d1478619ad7105",
-    "799537d75ff7d04592ceff4e74d27e0b1612082e9a24c88c1e7a24ca73903b48",
+    "39c636928f2ec239b8a13b646818a1d83857b6687679cc878d087254aa2f0fcf",
 )
 
 RAGGED_ROUNDS_SHA256 = "cb768ffc838824fffab89e76195be20159efc2111985ba0430dc618914375dbc"
@@ -223,11 +214,11 @@ DIVERGING = {
 DIVERGING_DIGESTS = {
     "online_abort": (
         "9e4e36d3af2ab7da27fcf8d3609689a3bfbd6126ad9424dd99e1e42413f89eee",
-        "e8f45cdbbcff3359d29cae3e4481eadaff4e733638e02b038e34335202f57d4a",
+        "f299ff93e559636d4a784a6650333b469f69ae9831ae0258d2e34f041e890504",
     ),
     "peer_abort": (
         "3a90b6fd9d4a6768d79bb12e05f4f4d8bf4d3fbb38c9c8873f90ae925dd3d263",
-        "d5f186adc1f6383103823bf12b6873a8e9c69cf74cd115962c306189d17b323a",
+        "24a56c319794ab3480d001faf50d886961b971a0a5071aaed3499e4c586bec85",
     ),
 }
 

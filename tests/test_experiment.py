@@ -4,12 +4,20 @@ import pytest
 import fedsim.experiment
 from fedsim.availability import reveal_round
 from fedsim.config import ExperimentConfig
-from fedsim.data import Trajectory, make_windows, partition_equal, synth_trajectories, write_csv
+from fedsim.data import (
+    Trajectory,
+    make_windows,
+    parse_csv,
+    partition_by_vehicle,
+    synth_trajectories,
+    write_csv,
+)
 from fedsim.experiment import aggregate, prepare_clients, run_experiment
 from fedsim.nn import Dims, ParamSet, TrainBatch, forward, init_params, model_divergence
 from fedsim.reports import rows_for_log, write_rounds_csv
 from fedsim.training import evaluate_rmse, train_local
 
+from conftest import write_ragged_fleet_csv
 from oracles import brute_force_top_k
 
 
@@ -391,10 +399,7 @@ class TestScenariosEndToEnd:
                 rows.append(f"{vid},2008-02-02 15:{k // 60:02d}:{k % 60:02d},116.{500 + k},39.{900 + k}")
         path = tmp_path / "tdrive.txt"
         path.write_text("\n".join(rows) + "\n", encoding="utf-8")
-        cfg = small_config(
-            dataset="tdrive", data_path=str(path), n_clients=4,
-            partition="equal", points_per_client=100,
-        )
+        cfg = small_config(dataset="tdrive", data_path=str(path), n_clients=4)
         result = run_experiment(cfg)
         assert len(result.logs) == cfg.rounds
 
@@ -503,11 +508,11 @@ class TestEngineEdgeCases:
             assert 2 not in log.collab_sources
 
     def test_aggregate_by_datasize_changes_global_path(self):
-        base = dict(rounds=6, seed=13, partition="equal", points_per_client=100,
-                    synth_vehicles=3, synth_points_each=250)
+        base = dict(rounds=6, seed=13)
         plain = run_experiment(small_config(**base))
         weighted = run_experiment(small_config(aggregate_by_datasize=True, **base))
-        # equal partition sizes: weighting by size must not change anything
+        # one vehicle of 120 points per client: weighting by size must not
+        # change anything
         assert [l.rmse_global for l in plain.logs] == [l.rmse_global for l in weighted.logs]
 
 
@@ -568,25 +573,23 @@ class TestPrepareClients:
                 assert not train_keys & hold_keys
 
     def test_holdout_fraction_honored(self):
-        cfg = small_config(holdout_fraction=0.25)
+        # the fixed 20% of each client's windows, rounded and at least one
+        cfg = small_config(synth_points_each=37)
         clients, _, _, _, _, _ = prepare_clients(cfg)
         for client in clients.values():
             m = client.window_starts.size + client.hold_inputs.shape[0]
-            if m >= 2:
-                assert client.hold_inputs.shape[0] == min(m - 1, max(1, round(0.25 * m)))
+            assert m == 33 and client.hold_inputs.shape[0] == 7
 
-    @pytest.mark.parametrize("points_per_client", [6, 10])
-    def test_a_client_of_a_few_windows_keeps_one_to_train_on(self, points_per_client):
-        # round(0.95 m) >= m for 2 <= m <= 10 windows: only the cap at m - 1
-        # leaves a training window; 6 points at seq_len 4 give exactly m = 2
-        cfg = small_config(
-            partition="equal", points_per_client=points_per_client, holdout_fraction=0.95
-        )
+    @pytest.mark.parametrize("points_each", [6, 10])
+    def test_a_client_of_a_few_windows_keeps_one_to_train_on(self, points_each):
+        # 6 points at seq_len 4 give m = 2 windows and 10 give m = 6; the
+        # holdout takes one of them and the rest train
+        cfg = small_config(synth_points_each=points_each)
         clients, _, _, _, _, _ = prepare_clients(cfg)
+        m = points_each - cfg.seq_len
         for client in clients.values():
-            m = client.window_starts.size + client.hold_inputs.shape[0]
-            assert 2 <= m <= points_per_client - cfg.seq_len
-            assert client.window_starts.size == 1
+            assert client.hold_inputs.shape[0] == 1
+            assert client.window_starts.size == m - 1
 
     def test_bootstrap_not_yet_revealed_at_build(self):
         cfg = small_config()
@@ -594,16 +597,17 @@ class TestPrepareClients:
         for client in clients.values():
             assert client.reveal.cursor == 0
 
-    def test_split_is_the_full_window_list_cut_at_n_train(self):
-        # 8 vehicles of 100 points cut into clients of 51: some clients hold a
-        # segment too short for a window, and some holdouts span two segments
+    def test_split_is_the_full_window_list_cut_at_n_train(self, tmp_path):
+        # whole vehicles, two per client: some clients hold a vehicle too
+        # short for a window, and some holdouts span both vehicles
+        path = tmp_path / "ragged.csv"
+        write_ragged_fleet_csv(path)
         cfg = ExperimentConfig(
-            dataset="synthetic", synth_kind="sinusoid", synth_vehicles=8, synth_points_each=100,
-            n_clients=8, partition="equal", points_per_client=51, seq_len=4, seed=5,
+            dataset="csv", data_path=str(path), n_clients=16, vehicles_per_client=2, seq_len=4,
+            seed=5,
         )
         clients, _, bbox, _, _, _ = prepare_clients(cfg)
-        trajectories = synth_trajectories(cfg.seed, 8, 100, "sinusoid")
-        datasets = partition_equal(trajectories, 8, 51)
+        datasets = partition_by_vehicle(parse_csv(path)[0], 2)
         short_segments = spanning_holdouts = 0
         for cid, segments in enumerate(datasets):
             client = clients[cid]
@@ -611,7 +615,7 @@ class TestPrepareClients:
             inputs = np.concatenate([w[0] for w in windows])
             targets = np.concatenate([w[1] for w in windows])
             m = inputs.shape[0]
-            n_hold = min(m - 1, max(1, round(cfg.holdout_fraction * m))) if m >= 2 else 0
+            n_hold = max(1, round(0.2 * m)) if m >= 2 else 0
             n_train = m - n_hold
             starts = client.window_starts
             np.testing.assert_array_equal(client.train_inputs[starts], inputs[:n_train])
@@ -628,7 +632,7 @@ class TestPrepareClients:
         # trajectories end to end, and the windows across the seam are not
         # training windows however much of the stream is revealed
         cfg = small_config(
-            partition="by_vehicle", vehicles_per_client=2, n_clients=3, synth_points_each=40,
+            vehicles_per_client=2, n_clients=3, synth_points_each=40,
             reveal_slice_points=7,
         )
         clients, *_ = prepare_clients(cfg)
@@ -646,7 +650,7 @@ class TestPrepareClients:
         assert seams == len(clients)
 
     def test_client_arrays_are_views_of_the_stream_and_the_pooled_holdout(self):
-        cfg = small_config(partition="by_vehicle", vehicles_per_client=2, n_clients=3)
+        cfg = small_config(vehicles_per_client=2, n_clients=3)
         clients, _, _, holdout, _, _ = prepare_clients(cfg)
         for client in clients.values():
             for train in (client.train_inputs, client.train_targets):

@@ -236,7 +236,6 @@ def _edges(name, rule):
 # engine checks none of these again, so a config that loads must run to its
 # end or stop with a FedsimError that depends on the data.
 EXTRAS = {
-    "points_per_client": [10**6],
     **dict.fromkeys(("chi", "synth_vehicles"), [9]),
     "eta0": [50.0],
     "weak_areas": [
@@ -264,16 +263,14 @@ SCENARIO_OF = {
 
 @st.composite
 def small_configs(draw):
-    """A small valid config. By-vehicle fleets have one vehicle per client."""
+    """A small valid config: a fleet of one vehicle per client."""
     n_clients = draw(st.integers(2, 4))
     return dict(
         variant=draw(st.sampled_from(VARIANTS)),
         scenario=draw(st.sampled_from(SCENARIOS)),
-        partition=draw(st.sampled_from(["by_vehicle", "equal"])),
         n_clients=n_clients,
         synth_vehicles=n_clients,
         synth_points_each=draw(st.integers(8, 30)),
-        points_per_client=draw(st.integers(5, 8)),
         rounds=draw(st.integers(1, 3)),
         hidden=draw(st.integers(1, 3)),
         seq_len=draw(st.integers(1, 3)),
