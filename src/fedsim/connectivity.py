@@ -72,14 +72,9 @@ def build_neighbor_graph(positions: dict[int, np.ndarray], chi: int) -> dict[int
     for start in range(0, n, n_rows):
         rows = np.arange(start, min(start + n_rows, n))
         dists = np.linalg.norm(pts - pts[rows, None], axis=2)
-        dists[np.arange(rows.size), rows] = np.inf  # no client is its own neighbour
-        # the m smallest entries of every row hold all that tie with its k-th
-        kth = np.partition(dists, k - 1, axis=1)[:, k - 1 : k]
-        m = int(np.count_nonzero(dists <= kth, axis=1).max())
-        near = np.argpartition(dists, m - 1, axis=1)[:, :m]
-        # ids are sorted, so ordering by (distance, index) sends ties to the lower id
-        by_rank = np.lexsort((near, np.take_along_axis(dists, near, axis=1)), axis=1)
-        order = np.take_along_axis(near, by_rank, axis=1)[:, :k]
+        # ids are sorted, so the stable sort sends distance ties to the lower id
+        order = np.argsort(dists, axis=1, kind="stable")
+        order = order[order != rows[:, None]].reshape(rows.size, n - 1)[:, :k]
         for i, row in zip(rows.tolist(), order.tolist()):
             graph[ids[i]] = [ids[j] for j in row]
     return graph

@@ -186,6 +186,10 @@ class TestConfigErrors:
             {"scenario": "regional", "weak_areas": [[30.0, 30.0, 120.0, 121.0]]},
             {"partition": "equal", "points_per_client": 0},
             {"synth_points_each": 0},
+            # retired: a client holds whole vehicles, and the holdout is a fixed 20%
+            {"partition": "equal"},
+            {"points_per_client": 2500},
+            {"holdout_fraction": 0.2},
         ],
     )
     def test_bad_field_is_an_error_with_exit_code_2(self, tmp_path, capsys, monkeypatch, bad):
@@ -197,20 +201,9 @@ class TestConfigErrors:
         path.write_text(json.dumps(bad), encoding="utf-8")
         code = main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
         assert code == 2
-        assert capsys.readouterr().err.startswith("error:")
-        assert not (tmp_path / "o").exists()
-
-    @pytest.mark.parametrize(
-        "retired", [{"partition": "equal"}, {"points_per_client": 2500}, {"holdout_fraction": 0.2}]
-    )
-    def test_a_retired_setting_is_named_in_the_error(self, tmp_path, capsys, retired):
-        # a client holds whole vehicles, and the holdout is a fixed 20%
-        path = tmp_path / "old.json"
-        path.write_text(json.dumps(retired), encoding="utf-8")
-        code = main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
-        assert code == 2
         err = capsys.readouterr().err
-        assert err.startswith("error:") and next(iter(retired)) in err
+        assert err.startswith("error:") and any(key in err for key in bad)
+        assert not (tmp_path / "o").exists()
 
     def test_config_that_is_not_an_object_is_an_error(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
