@@ -2,8 +2,8 @@
 """Show the three trajectory-availability scenarios and the reveal stream.
 
 Every point of a client's stream carries a probability of ever becoming
-usable; points arrive slice by slice, and a point that misses its slice is
-lost for good.
+usable. Each point's fate, joined or lost, is drawn once up front; points
+arrive slice by slice, and a lost point never joins later.
 """
 
 import numpy as np
@@ -44,11 +44,13 @@ threshold = datasize_threshold(counts, percentile=80.0)
 per_client = assign_by_datasize(counts, threshold, p_company=0.95, p_private=0.3)
 print(f"datasize: counts {counts} at threshold {threshold:.0f} -> {per_client}")
 
-# the reveal stream: one slice per round, losses are permanent
-state = RevealState(assign_random(traj.n_points, 0.5, np.random.default_rng(3)), slice_size=96)
+# the reveal stream: fates drawn once, one slice revealed per round
+probs = assign_random(traj.n_points, 0.5, np.random.default_rng(3))
+state = RevealState(rng.random(traj.n_points) < probs, slice_size=96)
+revealed = np.zeros(traj.n_points, dtype=bool)
 print("\nround  cursor  available  lost")
 for t in range(1, 8):
-    reveal_round(state, rng)
-    n_available = np.count_nonzero(state.available)
+    revealed[reveal_round(state)] = True
+    n_available = np.count_nonzero(revealed)
     print(f"{t:>5}  {state.cursor:>6}  {n_available:>9}  {state.cursor - n_available:>4}")
-print(f"nothing past the cursor is available: {not state.available[state.cursor :].any()}")
+print(f"nothing past the cursor is available: {not revealed[state.cursor :].any()}")

@@ -2,15 +2,15 @@
 
 Every training point of a client carries a probability of ever becoming
 usable, and the availability scenarios differ only in how those
-probabilities are assigned. A client's :class:`RevealState` holds them
-with its reveal progress. Points arrive slice by slice as rounds progress;
-each point either joins the available set or is permanently lost the moment
-its slice is processed.
+probabilities are assigned. Each point's fate, joined or lost, is drawn once
+when the client is set up; points arrive slice by slice as rounds progress,
+and a fate becomes known the moment its slice is revealed. A lost point
+never joins later.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,22 +21,13 @@ from .data import BBox
 class RevealState:
     """One client's training stream and the progress of its reveal.
 
-    ``probs[i]`` is the probability that point i ever becomes usable. Points
-    in [0, cursor) have been processed; each is either available or lost,
-    and neither set ever shrinks.
+    ``joins[i]`` is point i's fate, drawn at set-up: whether it ever becomes
+    usable. Points in [0, cursor) have been revealed.
     """
 
-    probs: np.ndarray
+    joins: np.ndarray
     slice_size: int
     cursor: int = 0
-    available: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        self.available = np.zeros(self.n_points, dtype=bool)
-
-    @property
-    def n_points(self) -> int:
-        return self.probs.size
 
 
 def assign_random(n_points: int, alpha_dir: float, rng: np.random.Generator) -> np.ndarray:
@@ -79,20 +70,11 @@ def datasize_threshold(client_point_counts: list[int], percentile: float) -> flo
     return float(np.percentile(counts, percentile, method="higher"))
 
 
-def reveal_round(state: RevealState, rng: np.random.Generator) -> np.ndarray:
-    """Process the next slice of the stream; returns newly available indices.
+def reveal_round(state: RevealState) -> np.ndarray:
+    """Reveal the next slice of the stream; returns its joined indices.
 
-    Each point of the slice independently joins the available set with its
-    probability, otherwise it is permanently lost. Past the end of the
-    stream this is a no-op returning an empty array.
+    Past the end of the stream this is a no-op returning an empty array.
     """
     start = state.cursor
-    stop = min(start + state.slice_size, state.n_points)
-    if start >= stop:
-        return np.zeros(0, dtype=int)
-    draws = rng.random(stop - start)
-    joined = draws < state.probs[start:stop]
-    idx = np.arange(start, stop)
-    state.available[idx[joined]] = True
-    state.cursor = stop
-    return idx[joined]
+    state.cursor = min(start + state.slice_size, state.joins.size)
+    return start + np.flatnonzero(state.joins[start : state.cursor])

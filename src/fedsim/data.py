@@ -92,7 +92,8 @@ def parse_csv(path: str | Path, tdrive: bool = False) -> tuple[list[Trajectory],
     The CSV layout is `vehicle_id,timestamp,lat,lon` with an optional header
     line; the T-Drive layout (``tdrive=True``) is headerless
     `id,datetime,longitude,latitude`. One streaming pass checks each row
-    (ParseError at its line) into typed columns. Rows out of the degree ranges
+    (ParseError at its line, also for a field over csv's size limit) into
+    typed columns. Rows out of the degree ranges
     (NaN too) are dropped and counted; a stable lexsort keeps the first row of
     a duplicate timestamp in file order.
     """
@@ -102,24 +103,27 @@ def parse_csv(path: str | Path, tdrive: bool = False) -> tuple[list[Trajectory],
     # closed on the way out, so an error that is kept holds no open file
     with contextlib.closing(utf8_lines(path)) as lines:
         reader = csv.reader(lines)
-        for row in reader:
-            # the physical line a row ends on; a quoted field may span lines
-            lineno = reader.line_num
-            header = not tdrive and lineno == 1 and [c.strip() for c in row] == CSV_HEADER
-            if not row or header:
-                continue
-            if len(row) != 4:
-                raise ParseError(f"{path}:{lineno}: expected 4 fields, got {len(row)}")
-            try:
-                vid = row[0].strip()
-                ts.append(_parse_timestamp(row[1]))
-                first.append(float(row[2]))
-                second.append(float(row[3]))
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}") from exc
-            if not vid:
-                raise ParseError(f"{path}:{lineno}: empty vehicle id")
-            vix.append(ids.setdefault(vid, len(ids)))
+        try:
+            for row in reader:
+                # the physical line a row ends on; a quoted field may span lines
+                lineno = reader.line_num
+                header = not tdrive and lineno == 1 and [c.strip() for c in row] == CSV_HEADER
+                if not row or header:
+                    continue
+                if len(row) != 4:
+                    raise ParseError(f"{path}:{lineno}: expected 4 fields, got {len(row)}")
+                try:
+                    vid = row[0].strip()
+                    ts.append(_parse_timestamp(row[1]))
+                    first.append(float(row[2]))
+                    second.append(float(row[3]))
+                except ValueError as exc:
+                    raise ParseError(f"{path}:{lineno}: {exc}") from exc
+                if not vid:
+                    raise ParseError(f"{path}:{lineno}: empty vehicle id")
+                vix.append(ids.setdefault(vid, len(ids)))
+        except csv.Error as exc:  # a field over csv's size limit
+            raise ParseError(f"{path}:{reader.line_num}: {exc}") from None
     names = sorted(ids)
     rank = np.argsort([ids[name] for name in names])  # vehicle index -> id rank
     vehicle, ts = rank[np.frombuffer(vix, dtype=np.int64)], np.frombuffer(ts)

@@ -76,7 +76,6 @@ class ClientRuntime:
     reveal: RevealState
     link: LinkState
     model: ParamSet
-    rng_reveal: np.random.Generator
     rng_conn: np.random.Generator
     rng_train: np.random.Generator
     rng_eval: np.random.Generator
@@ -84,16 +83,17 @@ class ClientRuntime:
     cache: CollabCache | None = None
 
     def usable_window_indices(self) -> np.ndarray:
-        """Stream positions of the training windows whose points have all
-        been revealed; they index ``train_inputs`` and ``train_targets``."""
+        """Stream positions of the revealed training windows whose points
+        all joined; they index ``train_inputs`` and ``train_targets``."""
         span = self.train_inputs.shape[1] + 1
-        csum = np.concatenate([[0], np.cumsum(self.reveal.available)])
-        counts = csum[self.window_starts + span] - csum[self.window_starts]
-        return self.window_starts[counts == span]
+        cursor = self.reveal.cursor
+        starts = self.window_starts[self.window_starts + span <= cursor]
+        csum = np.concatenate([[0], np.cumsum(self.reveal.joins[:cursor])])
+        return starts[csum[starts + span] - csum[starts] == span]
 
     def position(self) -> np.ndarray:
-        """Newest available stream point, or the centroid before any arrives."""
-        newest = np.flatnonzero(self.reveal.available)
+        """Newest joined stream point, or the centroid before any arrives."""
+        newest = np.flatnonzero(self.reveal.joins[: self.reveal.cursor])
         return self.stream_coords[newest[-1]] if newest.size else self.centroid
 
 
@@ -276,6 +276,7 @@ def prepare_clients(config: ExperimentConfig):
         hold = slice(hold_ends[i], hold_ends[i + 1])
 
         probs = _client_plan(config, train_runs, client_p[i], np.random.default_rng(plan_ss))
+        joins = np.random.default_rng(reveal_ss).random(probs.size) < probs
 
         # a client with no window has no stream, but it holds at least one point
         points = stream_coords if stream_coords.size else bbox.normalize(np.concatenate(segments))
@@ -288,12 +289,11 @@ def prepare_clients(config: ExperimentConfig):
             stream_coords=stream_coords,
             hold_inputs=holdout[0][hold],
             hold_targets=holdout[1][hold],
-            reveal=RevealState(probs, config.slice_points),
+            reveal=RevealState(joins, config.slice_points),
             link=LinkState(),
             # round 1 pushes a copy of the global model to every client, and
             # local_only replaces it, before anyone reads it
             model=global_model,
-            rng_reveal=np.random.default_rng(reveal_ss),
             rng_conn=np.random.default_rng(conn_ss),
             rng_train=np.random.default_rng(train_ss),
             rng_eval=np.random.default_rng(eval_ss),
@@ -307,7 +307,7 @@ def prepare_clients(config: ExperimentConfig):
 
 def _reveal_all(clients: dict[int, ClientRuntime]) -> None:
     for cid in sorted(clients):
-        reveal_round(clients[cid].reveal, clients[cid].rng_reveal)
+        reveal_round(clients[cid].reveal)
 
 
 def _sample_eval_batch(client: ClientRuntime, usable: np.ndarray, batch_size: int):

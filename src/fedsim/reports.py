@@ -101,25 +101,28 @@ def write_rounds_csv(logs: list[RoundLog], path: str | Path) -> None:
 def read_rounds_csv(path: str | Path) -> list[RoundLog]:
     """Rebuild round logs from rounds.csv (inverse of write_rounds_csv).
 
-    A malformed row, or one with an unknown record or key, raises
-    ConfigError, and bytes that are not UTF-8 raise ParseError, naming the
-    file and line.
+    A malformed row, one with an unknown record or key, or a field over
+    csv's size limit raises ConfigError, and bytes that are not UTF-8 raise
+    ParseError, naming the file and line.
     """
     logs: dict[int, RoundLog] = {}
     entries: dict[int, dict[int, RankEntry]] = {}
     # closed on the way out, so an error that is kept holds no open file
     with contextlib.closing(utf8_lines(path)) as lines:
         reader = csv.reader(lines)
-        header = next(reader, None)
-        if header != CSV_COLUMNS:
-            raise ConfigError(f"{path}: unexpected header {header}")
-        for row in reader:
-            try:
-                if len(row) != len(CSV_COLUMNS):
-                    raise ValueError(f"expected {len(CSV_COLUMNS)} fields, got {len(row)}")
-                _read_row(logs, entries, *row)
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{reader.line_num}: {exc}") from None
+        try:
+            header = next(reader, None)
+            if header != CSV_COLUMNS:
+                raise ConfigError(f"{path}: unexpected header {header}")
+            for row in reader:
+                try:
+                    if len(row) != len(CSV_COLUMNS):
+                        raise ValueError(f"expected {len(CSV_COLUMNS)} fields, got {len(row)}")
+                    _read_row(logs, entries, *row)
+                except ValueError as exc:
+                    raise ConfigError(f"{path}:{reader.line_num}: {exc}") from None
+        except csv.Error as exc:  # a field over csv's size limit
+            raise ConfigError(f"{path}:{reader.line_num}: {exc}") from None
     for t, per_round in entries.items():
         logs[t].entries = [per_round[cid] for cid in sorted(per_round)]
     return [logs[t] for t in sorted(logs)]

@@ -1,10 +1,12 @@
 import ctypes
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
+import fedsim.experiment
 from fedsim.data import Trajectory, synth_trajectories, write_csv
 
 # Tests import the shared oracle helpers as a plain module.
@@ -22,6 +24,21 @@ else:
         "fedsim", derandomize=True, max_examples=60, deadline=None, database=None
     )
     settings.load_profile("fedsim")
+
+
+def prepare_clients_and_plans(config):
+    """``prepare_clients(config)`` and the availability plan it drew for each
+    client, in client order. A client keeps only the fates drawn from its
+    plan, so the plans are recorded through a spy on ``_client_plan``."""
+    plans = []
+    client_plan = fedsim.experiment._client_plan
+
+    def spy(*args):
+        plans.append(client_plan(*args))
+        return plans[-1]
+
+    with mock.patch.object(fedsim.experiment, "_client_plan", spy):
+        return fedsim.experiment.prepare_clients(config), plans
 
 
 def write_ragged_fleet_csv(path) -> None:

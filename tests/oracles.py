@@ -146,6 +146,28 @@ def windows_by_slices(points, seq_len):
     )
 
 
+def reveal_by_slices(probs, slice_size, rng):
+    """The streaming reveal drawn slice by slice: each round draws one number
+    per point of its slice and marks the points whose draw falls under their
+    probability. Returns one (cursor, newly joined indices) pair per round,
+    until the stream ends, and the final mask of joined points."""
+    n = len(probs)
+    available = [False] * n
+    rounds = []
+    cursor = 0
+    while cursor < n:
+        stop = min(cursor + slice_size, n)
+        draws = rng.random(stop - cursor)
+        new = []
+        for i in range(cursor, stop):
+            if draws[i - cursor] < probs[i]:
+                available[i] = True
+                new.append(i)
+        rounds.append((stop, new))
+        cursor = stop
+    return rounds, available
+
+
 def parse_rows_by_loop(path, tdrive):
     """(trajectories as (id, timestamps, coords) triples, rejected count) of a
     well-formed CSV or T-Drive file, one row tuple at a time.

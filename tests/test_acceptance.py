@@ -216,28 +216,30 @@ def test_criterion_3_connectivity_statistics():
 
 
 def test_criterion_4_reveal_statistics():
-    # statistics at p = 0.7 over 10k points
+    # statistics at p = 0.7 over 10k points; each fate is drawn once
     n = 10_000
-    state = RevealState(np.full(n, 0.7), slice_size=96)
-    rng = np.random.default_rng(3)
+    state = RevealState(np.random.default_rng(3).random(n) < 0.7, slice_size=96)
+    joined = 0
     while state.cursor < n:
-        reveal_round(state, rng)
-    rate = np.count_nonzero(state.available) / n
+        joined += reveal_round(state).size
+    rate = joined / n
     sigma = float(np.sqrt(0.7 * 0.3 / n))
     stats_ok = abs(rate - 0.7) < 3 * sigma
 
-    # invariants on every step of a 240-round trace
+    # invariants on every step of a 240-round trace: a round reveals only
+    # its own slice, so the revealed prefix never changes and nothing at or
+    # past the cursor is revealed; the trace ends having revealed every join
     n2 = 240 * 16
-    state2 = RevealState(np.random.default_rng(4).uniform(size=n2), slice_size=16)
-    rng2 = np.random.default_rng(5)
-    prev_avail, prev_cursor = state2.available.copy(), state2.cursor
+    probs2 = np.random.default_rng(4).uniform(size=n2)
+    state2 = RevealState(np.random.default_rng(5).random(n2) < probs2, slice_size=16)
+    revealed = np.zeros(n2, dtype=bool)
     invariants_ok = True
     for _ in range(240):
-        reveal_round(state2, rng2)
-        invariants_ok &= bool(np.all(state2.available[prev_avail]))
-        invariants_ok &= np.array_equal(state2.available[:prev_cursor], prev_avail[:prev_cursor])
-        invariants_ok &= not bool(np.any(state2.available[state2.cursor :]))
-        prev_avail, prev_cursor = state2.available.copy(), state2.cursor
+        prev_cursor = state2.cursor
+        new = reveal_round(state2)
+        invariants_ok &= bool(np.all((new >= prev_cursor) & (new < state2.cursor)))
+        revealed[new] = True
+    invariants_ok &= np.array_equal(revealed, state2.joins)
     report(
         4,
         stats_ok and invariants_ok,

@@ -88,69 +88,65 @@ class TestAssignByDatasize:
 
 
 class TestRevealRound:
-    def make(self, n, slice_size, probs):
-        state = RevealState(np.asarray(probs, dtype=float), slice_size)
-        assert state.n_points == n
-        return state
+    def make(self, probs, slice_size, seed):
+        # fates drawn once, as prepare_clients draws them
+        probs = np.asarray(probs, dtype=float)
+        return RevealState(np.random.default_rng(seed).random(probs.size) < probs, slice_size)
 
     def test_all_ones_reveal_everything(self):
-        state = self.make(10, 4, np.ones(10))
-        rng = np.random.default_rng(5)
+        state = self.make(np.ones(10), 4, 5)
         got = []
         for _ in range(4):
-            got.extend(reveal_round(state, rng).tolist())
+            got.extend(reveal_round(state).tolist())
         assert got == list(range(10))
-        assert np.count_nonzero(state.available) == state.cursor == 10
+        assert state.cursor == 10
 
     def test_all_zeros_lose_everything(self):
-        state = self.make(10, 4, np.zeros(10))
-        rng = np.random.default_rng(6)
+        state = self.make(np.zeros(10), 4, 6)
         for _ in range(4):
-            assert reveal_round(state, rng).size == 0
-        assert state.cursor == 10 and np.count_nonzero(state.available) == 0
+            assert reveal_round(state).size == 0
+        assert state.cursor == 10
 
     def test_empirical_rate_within_three_sigma(self):
         n = 10_000
-        state = self.make(n, 500, np.full(n, 0.7))
-        rng = np.random.default_rng(7)
+        state = self.make(np.full(n, 0.7), 500, 7)
+        joined = 0
         while state.cursor < n:
-            reveal_round(state, rng)
-        rate = np.count_nonzero(state.available) / n
+            joined += reveal_round(state).size
+        rate = joined / n
         sigma = np.sqrt(0.7 * 0.3 / n)
         assert abs(rate - 0.7) < 3 * sigma
 
     def test_monotone_and_conserved_over_trace(self):
         n = 240 * 8
-        state = self.make(n, 8, np.random.default_rng(8).uniform(size=n))
-        rng = np.random.default_rng(9)
-        prev_avail, prev_cursor = state.available.copy(), state.cursor
+        state = self.make(np.random.default_rng(8).uniform(size=n), 8, 9)
+        revealed = np.zeros(n, dtype=bool)
         for _ in range(240):
-            reveal_round(state, rng)
-            # the available set only grows, and the processed prefix never
-            # changes, so a lost point stays lost
-            assert np.all(state.available[prev_avail])
-            assert np.array_equal(state.available[:prev_cursor], prev_avail[:prev_cursor])
-            # conservation: nothing at or past the cursor is available
-            assert not np.any(state.available[state.cursor :])
-            prev_avail, prev_cursor = state.available.copy(), state.cursor
+            prev_cursor = state.cursor
+            new = reveal_round(state)
+            # each round reveals only points of its own slice, so the
+            # revealed prefix never changes, a lost point stays lost, and
+            # nothing at or past the cursor is revealed
+            assert np.all((new >= prev_cursor) & (new < state.cursor))
+            revealed[new] = True
         assert state.cursor == n
+        np.testing.assert_array_equal(revealed, state.joins)
 
     def test_past_end_is_noop(self):
-        state = self.make(5, 10, np.ones(5))
-        rng = np.random.default_rng(10)
-        reveal_round(state, rng)
+        state = self.make(np.ones(5), 10, 10)
+        reveal_round(state)
         assert state.cursor == 5
-        assert reveal_round(state, rng).size == 0
+        assert reveal_round(state).size == 0
+        assert state.cursor == 5
 
     def test_identical_seed_gives_identical_trace(self):
         n = 100
         plan_probs = np.random.default_rng(11).uniform(size=n)
         traces = []
         for _ in range(2):
-            state = self.make(n, 7, plan_probs)
-            rng = np.random.default_rng(12)
+            state = self.make(plan_probs, 7, 12)
             trace = []
             while state.cursor < n:
-                trace.append(reveal_round(state, rng).tolist())
+                trace.append(reveal_round(state).tolist())
             traces.append(trace)
         assert traces[0] == traces[1]

@@ -59,6 +59,17 @@ class TestRunCommand:
         assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
         assert f"{data}:2: not UTF-8" in capsys.readouterr().err
 
+    def test_dataset_with_an_over_long_field_is_an_error(self, tmp_path, capsys):
+        # csv refuses a field over 131,072 characters
+        data = tmp_path / "fleet.csv"
+        data.write_text(
+            "vehicle_id,timestamp,lat,lon\nv,1000,30.0," + "1" * 131_073 + "\n", encoding="utf-8"
+        )
+        config = write_config(tmp_path, dataset="csv", data_path=str(data))
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+        assert f"error: {data}:2: field larger than field limit" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_dataset_is_an_error(self, tmp_path, capsys):
         data = tmp_path / "nope.csv"
         config = write_config(tmp_path, dataset="csv", data_path=str(data))
@@ -165,33 +176,34 @@ class TestRunCommand:
         assert "error:" in capsys.readouterr().err
 
 
+# Each case is bound to its id, so deleting one case leaves every other id as it was.
+BAD_FIELDS = {
+    "bad0": {"rounds": "5"},
+    "bad1": {"budget": "x"},
+    "bad2": {"offline_train_every_round": 1},
+    "bad3": {"weak_areas": [[0.0, 1.0]]},
+    "bad4": {"alpha_dir": float("nan")},
+    "bad5": {"alpha_dir": 0},
+    "bad6": {"p_low": 0.9, "p_high": 0.2},
+    "bad7": {"gamma": 0},
+    "bad8": {"datasize_percentile": 0},
+    "bad9": {"synth_kind": "spiral"},
+    "bad10": {"vehicles_per_client": 0},
+    "bad11": {"n_in": 3},
+    "bad12": {"scenario": "constant", "constant_p": 1.5},
+    "bad13": {"reveal_slice_points": 0},
+    "bad14": {"scenario": "regional", "weak_areas": [[30.0, 30.0, 120.0, 121.0]]},
+    "bad15": {"partition": "equal", "points_per_client": 0},
+    "bad16": {"synth_points_each": 0},
+    # retired: a client holds whole vehicles, and the holdout is a fixed 20%
+    "bad17": {"partition": "equal"},
+    "bad18": {"points_per_client": 2500},
+    "bad19": {"holdout_fraction": 0.2},
+}
+
+
 class TestConfigErrors:
-    @pytest.mark.parametrize(
-        "bad",
-        [
-            {"rounds": "5"},
-            {"budget": "x"},
-            {"offline_train_every_round": 1},
-            {"weak_areas": [[0.0, 1.0]]},
-            {"alpha_dir": float("nan")},
-            {"alpha_dir": 0},
-            {"p_low": 0.9, "p_high": 0.2},
-            {"gamma": 0},
-            {"datasize_percentile": 0},
-            {"synth_kind": "spiral"},
-            {"vehicles_per_client": 0},
-            {"n_in": 3},
-            {"scenario": "constant", "constant_p": 1.5},
-            {"reveal_slice_points": 0},
-            {"scenario": "regional", "weak_areas": [[30.0, 30.0, 120.0, 121.0]]},
-            {"partition": "equal", "points_per_client": 0},
-            {"synth_points_each": 0},
-            # retired: a client holds whole vehicles, and the holdout is a fixed 20%
-            {"partition": "equal"},
-            {"points_per_client": 2500},
-            {"holdout_fraction": 0.2},
-        ],
-    )
+    @pytest.mark.parametrize("bad", list(BAD_FIELDS.values()), ids=list(BAD_FIELDS))
     def test_bad_field_is_an_error_with_exit_code_2(self, tmp_path, capsys, monkeypatch, bad):
         def never_called(config):
             raise AssertionError("the run started with a config that should not load")
@@ -390,6 +402,10 @@ class TestPlotCommand:
             ("1,bogus,3,rmse,0.2", 3, "unknown record 'bogus'"),
             ("1,client,3,rmsee,0.2", 3, "unknown client key 'rmsee'"),
             ("1,rank,3,Q,0.2", 3, "unknown rank key 'Q'"),
+            pytest.param(
+                "1,round,,eta," + "9" * 131_073, 3, "field larger than field limit",
+                id="over_long_field",
+            ),
         ],
     )
     def test_malformed_rounds_csv_is_an_error(self, tmp_path, capsys, bad_row, line, message):

@@ -73,60 +73,61 @@ class TestDefaults:
                 assert cfg.k_selected == k, (k, n)
 
 
+# Each case is bound to its id, so deleting one case leaves every other id as it was.
+REJECTED = {
+    "bad0": dict(variant="moon"),
+    "bad1": dict(scenario="foggy"),
+    "bad2": dict(selection="lottery"),
+    "bad3": dict(n_clients=1),
+    "bad4": dict(rounds=0),
+    "bad5": dict(sample_ratio=0.0),
+    "bad6": dict(sample_ratio=1.5),
+    "bad7": dict(partition="equal"),  # clients hold whole vehicles only
+    "bad8": dict(p_offline=1.5),
+    "bad9": dict(decentral_freq=2.0),
+    "bad10": dict(budget=-1),
+    "bad11": dict(eta0=0.0),
+    "bad12": dict(eta_decay=1e-300),  # the learning rate underflows to 0.0
+    "bad13": dict(eta_decay=1e300),  # and here it overflows
+    "bad14": dict(prox_mu=-0.01),
+    "bad15": dict(epochs=-1),
+    "bad16": dict(chi=0),
+    "bad17": dict(rmse_units="miles"),
+    "bad18": dict(dataset="csv"),  # missing data_path
+    "bad19": dict(dataset="parquet", data_path="x"),
+    "bad20": dict(rounds="5"),
+    "bad21": dict(rounds=5.0),
+    "bad22": dict(seed=True),
+    "bad23": dict(budget="20"),
+    "bad24": dict(offline_train_every_round=1),
+    "bad25": dict(weak_areas=[[0.0, 1.0]]),
+    "bad26": dict(weak_areas=[["a", 1.0, 2.0, 3.0]]),
+    "bad27": dict(alpha_dir=float("nan")),
+    "bad28": dict(eta0=float("inf")),
+    "bad29": dict(alpha_dir=0.0),
+    "bad30": dict(p_low=0.9, p_high=0.2),
+    "bad31": dict(gamma=0.0),
+    "bad32": dict(datasize_percentile=100.0),
+    "bad33": dict(synth_kind="spiral"),
+    "bad34": dict(vehicles_per_client=0),
+    "bad35": dict(seed=-1),
+    "bad36": dict(constant_p=1.5),
+    "bad37": dict(p_company=-0.1),
+    "bad38": dict(p_private=1.01),
+    "bad39": dict(batch_size=0),
+    "bad40": dict(synth_vehicles=0),
+    "bad41": dict(synth_points_each=0),
+    "bad42": dict(reveal_slice_points=0),
+    "bad43": dict(weak_areas=[[1.0, 1.0, 0.0, 2.0]]),
+    "bad44": dict(weak_areas=[[0.0, 1.0, 2.0, -2.0]]),
+    "bad45": dict(hidden=0),
+    "bad46": dict(partition="striped"),
+    "bad47": dict(alpha0=10**400),  # an int past the largest float
+}
+
+
 class TestValidation:
-    @pytest.mark.parametrize(
-        "bad",
-        [
-            dict(variant="moon"),
-            dict(scenario="foggy"),
-            dict(selection="lottery"),
-            dict(n_clients=1),
-            dict(rounds=0),
-            dict(sample_ratio=0.0),
-            dict(sample_ratio=1.5),
-            dict(partition="equal"),  # clients hold whole vehicles only
-            dict(p_offline=1.5),
-            dict(decentral_freq=2.0),
-            dict(budget=-1),
-            dict(eta0=0.0),
-            dict(eta_decay=1e-300),  # the learning rate underflows to 0.0
-            dict(eta_decay=1e300),  # and here it overflows
-            dict(prox_mu=-0.01),
-            dict(epochs=-1),
-            dict(chi=0),
-            dict(rmse_units="miles"),
-            dict(dataset="csv"),  # missing data_path
-            dict(dataset="parquet", data_path="x"),
-            dict(rounds="5"),
-            dict(rounds=5.0),
-            dict(seed=True),
-            dict(budget="20"),
-            dict(offline_train_every_round=1),
-            dict(weak_areas=[[0.0, 1.0]]),
-            dict(weak_areas=[["a", 1.0, 2.0, 3.0]]),
-            dict(alpha_dir=float("nan")),
-            dict(eta0=float("inf")),
-            dict(alpha_dir=0.0),
-            dict(p_low=0.9, p_high=0.2),
-            dict(gamma=0.0),
-            dict(datasize_percentile=100.0),
-            dict(synth_kind="spiral"),
-            dict(vehicles_per_client=0),
-            dict(seed=-1),
-            dict(constant_p=1.5),
-            dict(p_company=-0.1),
-            dict(p_private=1.01),
-            dict(batch_size=0),
-            dict(synth_vehicles=0),
-            dict(synth_points_each=0),
-            dict(reveal_slice_points=0),
-            dict(weak_areas=[[1.0, 1.0, 0.0, 2.0]]),
-            dict(weak_areas=[[0.0, 1.0, 2.0, -2.0]]),
-            dict(hidden=0),
-            dict(partition="striped"),
-            dict(alpha0=10**400),  # an int past the largest float
-        ],
-    )
+    @pytest.mark.parametrize("bad", list(REJECTED.values()), ids=list(REJECTED))
     def test_rejects(self, bad):
         # the message names the field at fault, or one of the fields whose
         # joint rule the case breaks

@@ -26,10 +26,10 @@ import pytest
 import fedsim.training
 from fedsim.config import ExperimentConfig
 from fedsim.data import Trajectory, synth_trajectories, write_csv
-from fedsim.experiment import prepare_clients, run_experiment
+from fedsim.experiment import run_experiment
 from fedsim.reports import emit_reports
 
-from conftest import openblas, write_ragged_fleet_csv
+from conftest import openblas, prepare_clients_and_plans, write_ragged_fleet_csv
 
 BASE = dict(
     dataset="synthetic",
@@ -305,14 +305,11 @@ def test_datasize_pin_differs_from_uniform_weights(tmp_path):
 def test_scenario_pins_reach_both_probabilities():
     # a box over every point, or none, would pin a constant plan
     config = ExperimentConfig(**dict(BASE, **CASES["feddecab_regional"]))
-    clients, *_ = prepare_clients(config)
-    assert any(
-        {config.p_low, config.p_high} <= set(client.reveal.probs) for client in clients.values()
-    )
+    _, plans = prepare_clients_and_plans(config)
+    assert any({config.p_low, config.p_high} <= set(plan) for plan in plans)
     config = ExperimentConfig(**dict(BASE, **CASES["feddecab_datasize"]))
-    clients, *_ = prepare_clients(config)
-    plans = {float(p) for client in clients.values() for p in client.reveal.probs}
-    assert plans == {config.p_company, config.p_private}
+    _, plans = prepare_clients_and_plans(config)
+    assert {float(p) for plan in plans for p in plan} == {config.p_company, config.p_private}
 
 
 def test_rounds_that_aggregate_nothing_reuse_the_global_rmse(tmp_path, monkeypatch):

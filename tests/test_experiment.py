@@ -641,9 +641,8 @@ class TestPrepareClients:
             positions = np.arange(client.train_inputs.shape[0])
             spanning = np.setdiff1d(positions, client.window_starts)
             seams += spanning.size > 0
-            rng = np.random.default_rng(0)
-            while client.reveal.cursor < client.reveal.probs.size:
-                reveal_round(client.reveal, rng)
+            while client.reveal.cursor < client.reveal.joins.size:
+                reveal_round(client.reveal)
                 assert not np.isin(client.usable_window_indices(), spanning).any()
             # with every point revealed, every training window is usable
             np.testing.assert_array_equal(client.usable_window_indices(), client.window_starts)

@@ -1,5 +1,5 @@
-"""Property tests over generated inputs: the parsers and top-k selection
-against the scalar oracles, the invariants of the streaming reveal,
+"""Property tests over generated inputs: the parsers, top-k selection and
+the streaming reveal against the scalar oracles,
 aggregation as an order-free convex combination, config loading, whole runs
 of small edge-case configs, and the row-blocked eval pass against a single
 pass.
@@ -15,18 +15,19 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from fedsim.availability import RevealState, reveal_round  # noqa: E402
 from fedsim.config import SCENARIOS, VARIANTS, ExperimentConfig, _Interval, _RANGES  # noqa: E402
 from fedsim.data import Trajectory, parse_csv, write_csv  # noqa: E402
 from fedsim.errors import FedsimError  # noqa: E402
-from fedsim.experiment import aggregate, prepare_clients, run_experiment  # noqa: E402
+from fedsim.experiment import aggregate, run_experiment  # noqa: E402
 from fedsim import nn  # noqa: E402
 from fedsim.nn import Dims, ParamSet, TrainBatch, init_params  # noqa: E402
 from fedsim.ranking import RankEntry, select_top_k  # noqa: E402
 
-from oracles import brute_force_top_k, parse_rows_by_loop  # noqa: E402
+from conftest import prepare_clients_and_plans  # noqa: E402
+from oracles import brute_force_top_k, parse_rows_by_loop, reveal_by_slices  # noqa: E402
 
 # ids that csv quoting and the parser's strip leave as they are
 VEHICLE_IDS = st.text(st.sampled_from("ab9_ ,\"'-é"), min_size=1, max_size=6).filter(
@@ -99,23 +100,18 @@ def test_csv_and_its_tdrive_copy_parse_alike(tmp_path_factory, rows):
     st.integers(1, 20),
     st.integers(0, 2**32 - 1),
 )
-def test_reveal_sets_only_grow_and_classify_the_processed_prefix(probs, slice_size, seed):
-    state = RevealState(np.array(probs, dtype=float), slice_size)
-    rng = np.random.default_rng(seed)
-    while True:
-        cursor, available = state.cursor, state.available.copy()
-        new = reveal_round(state, rng)
-        assert state.cursor == min(cursor + slice_size, state.n_points)
-        # the returned indices are exactly the points that just became available
-        assert new.tolist() == np.flatnonzero(state.available & ~available).tolist()
-        # the available set only grows, and the processed prefix never changes
-        assert np.all(state.available[available])
-        assert np.array_equal(state.available[:cursor], available[:cursor])
-        # nothing at or past the cursor is available
-        assert not np.any(state.available[state.cursor :])
-        if state.cursor == cursor:  # past the end: a no-op
-            assert new.size == 0
-            break
+@example([], 3, 0)  # an empty stream
+@example([0.5] * 5, 20, 1)  # a slice longer than the stream
+def test_reveal_round_matches_the_slice_by_slice_draw(probs, slice_size, seed):
+    # fates drawn at once give the rounds of drawing each slice as it arrives
+    want, available = reveal_by_slices(probs, slice_size, np.random.default_rng(seed))
+    joins = np.random.default_rng(seed).random(len(probs)) < np.array(probs, dtype=float)
+    state = RevealState(joins, slice_size)
+    assert joins.tolist() == available
+    # every round, then one past the end of the stream, which is a no-op
+    for cursor, new in want + [(len(probs), [])]:
+        assert reveal_round(state).tolist() == new
+        assert state.cursor == cursor
 
 
 # a few repeated values, so weights tie, next to arbitrary finite ones
@@ -297,7 +293,7 @@ def test_a_config_at_an_edge_is_rejected_or_runs_to_its_end_or_a_fedsim_error(ed
         raw["scenario"] = SCENARIO_OF.get(name, raw["scenario"])
     try:
         config = ExperimentConfig.from_dict(raw)
-        clients, model, *_ = prepare_clients(config)
+        (clients, model, *_), plans = prepare_clients_and_plans(config)
     except FedsimError:
         return
     # what the engine takes for granted without checking it
@@ -305,9 +301,12 @@ def test_a_config_at_an_edge_is_rejected_or_runs_to_its_end_or_a_fedsim_error(ed
     assert len(clients) >= 2 and min(dims.n_in, dims.n_hidden, dims.n_out) >= 1
     for client in clients.values():
         assert client.reveal.slice_size >= 1
-        assert np.all((client.reveal.probs >= 0.0) & (client.reveal.probs <= 1.0))
         assert client.train_inputs.shape[2] == dims.n_in
         assert client.train_targets.shape[1] == dims.n_out
+    assert len(plans) == len(clients)
+    for plan, client in zip(plans, clients.values()):
+        assert plan.shape == client.reveal.joins.shape
+        assert np.all((plan >= 0.0) & (plan <= 1.0))
     try:
         result = run_experiment(config)
     except FedsimError:
