@@ -21,7 +21,7 @@ from .reports import collect_series, emit_reports, write_curves_svg
 def _load_config(args) -> ExperimentConfig:
     config = ExperimentConfig.from_file(args.config)
     overrides = {}
-    for name in ("seed", "variant", "rounds", "n_clients"):
+    for name in ("seed", "variant", "rounds"):
         value = getattr(args, name, None)
         if value is not None:
             overrides[name] = value
@@ -141,7 +141,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, default=None, help="override the config seed")
     run.add_argument("--variant", default=None, help="override the algorithm variant")
     run.add_argument("--rounds", type=int, default=None, help="override the round count")
-    run.add_argument("--n-clients", dest="n_clients", type=int, default=None)
     run.set_defaults(func=_cmd_run)
 
     grad = sub.add_parser("gradcheck", help="finite-difference check of the gradients")

@@ -73,7 +73,6 @@ _RANGES = {
          "decentral_freq"),
         _Interval(0, 1, "[]"),
     ),
-    "datasize_percentile": _Interval(0, 100, "()"),
     "n_clients": _Interval(2, math.inf, "[)"),
     "sample_ratio": _Interval(0, 1, "(]"),
     "dataset": ("synthetic", "csv", "tdrive"),
@@ -82,7 +81,6 @@ _RANGES = {
     "scenario": SCENARIOS,
     "variant": VARIANTS,
     "selection": SELECTION_MODES,
-    "rmse_units": ("normalized", "degrees"),
 }
 
 
@@ -106,7 +104,6 @@ class ExperimentConfig:
     weak_areas: list[list[float]] = field(default_factory=list)
     p_low: float = 0.2
     p_high: float = 0.9
-    datasize_percentile: float = 90.0
     p_company: float = 0.95
     p_private: float = 0.3
     constant_p: float = 1.0
@@ -144,8 +141,7 @@ class ExperimentConfig:
     seq_len: int = 6
     batch_size: int = 16
 
-    # evaluation / reproducibility
-    rmse_units: str = "normalized"        # normalized | degrees
+    # reproducibility
     seed: int = 0
 
     def __post_init__(self):

@@ -196,10 +196,6 @@ class BBox:
         out[..., 1] = (coords[..., 1] - self.lon_min) / (self.lon_max - self.lon_min)
         return out
 
-    def scale(self) -> np.ndarray:
-        """Per-axis degree extent; converts unit-square errors back to degrees."""
-        return np.array([self.lat_max - self.lat_min, self.lon_max - self.lon_min])
-
 
 def partition_by_vehicle(
     trajectories: list[Trajectory], vehicles_per_client: int

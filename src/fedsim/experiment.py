@@ -60,6 +60,8 @@ from .training import evaluate_rmse, train_local
 
 # Share of each client's windows, the last by stream order, held out for testing.
 HOLDOUT_FRACTION = 0.2
+# Datasize scenario: clients at or above this percentile of point counts are company devices.
+DATASIZE_PERCENTILE = 90.0
 
 
 @dataclass
@@ -237,7 +239,7 @@ def prepare_clients(config: ExperimentConfig):
     counts = [sum(seg.shape[0] for seg in segments) for segments in datasets]
     client_p = [config.constant_p] * len(datasets)
     if config.scenario == "datasize":
-        threshold = datasize_threshold(counts, config.datasize_percentile)
+        threshold = datasize_threshold(counts, DATASIZE_PERCENTILE)
         client_p = assign_by_datasize(counts, threshold, config.p_company, config.p_private)
 
     root = np.random.SeedSequence(config.seed)
@@ -451,7 +453,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     its round RMSE is the mean per-client holdout error and it has no global
     model.
     """
-    clients, global_model, bbox, holdout, rng_select, rejected = prepare_clients(config)
+    clients, global_model, _, holdout, rng_select, rejected = prepare_clients(config)
     isolated = config.variant == "local_only"
     if isolated:
         for client in clients.values():
@@ -464,9 +466,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         gamma=config.gamma,
         beta0=config.beta0,
     )
-    # min-max normalization is per-axis affine, so degree-space errors are the
-    # per-axis errors rescaled before pooling
-    scale = bbox.scale() if config.rmse_units == "degrees" else 1.0
     states = {cid: clients[cid].link for cid in clients}
     rngs_conn = {cid: clients[cid].rng_conn for cid in clients}
 
@@ -513,7 +512,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                 trained[cid] = model_divergence(client.model, global_model)
             if client.hold_inputs.shape[0]:
                 log.client_rmse[cid] = evaluate_rmse(
-                    client.model, client.hold_inputs, client.hold_targets, scale
+                    client.model, client.hold_inputs, client.hold_targets
                 )
 
         if not (aborted or isolated):
@@ -534,7 +533,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             log.rmse_global = float(np.mean(scores)) if scores else float("nan")
         else:
             if global_rmse is None:
-                global_rmse = evaluate_rmse(global_model, *holdout, scale)
+                global_rmse = evaluate_rmse(global_model, *holdout)
             log.rmse_global = global_rmse
         logs.append(log)
         if aborted:

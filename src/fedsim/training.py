@@ -48,20 +48,13 @@ def train_local(
     return current
 
 
-def evaluate_rmse(
-    model: ParamSet, inputs: np.ndarray, targets: np.ndarray, scale=1.0
-) -> float:
-    """Root mean squared error over all predicted components.
-
-    ``scale`` multiplies the error of each output axis before pooling, so
-    the bbox extent reports degrees; at the default 1.0 no bit changes.
-    """
+def evaluate_rmse(model: ParamSet, inputs: np.ndarray, targets: np.ndarray) -> float:
+    """Root mean squared error over all predicted components."""
     # a diverged model's error overflows; reports write it as null
     with np.errstate(over="ignore", invalid="ignore"):
-        # (preds - targets) * scale, squared, in place: no B-sized temporaries
+        # (preds - targets) squared, in place: no B-sized temporaries
         err = forward(model, TrainBatch(inputs, targets))
         err -= targets
-        err *= scale
         err *= err
         # np.mean's own arithmetic, without its per-call overhead
         return float(np.sqrt(err.sum() / err.size))

@@ -52,6 +52,16 @@ class TestRunCommand:
         summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
         assert summary["rounds"] == 2
 
+    def test_retired_n_clients_flag_is_an_error(self, tmp_path, capsys):
+        # the data fixes the client count; no flag sets it
+        config = write_config(tmp_path)
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--config", str(config), "--out", str(out), "--n-clients", "4"])
+        assert exc.value.code == 2
+        assert "--n-clients" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_dataset_that_is_not_utf8_is_an_error(self, tmp_path, capsys):
         data = tmp_path / "fleet.csv"
         data.write_bytes(b"vehicle_id,timestamp,lat,lon\nv\xff,1000,30.0,120.0\n")
@@ -195,10 +205,12 @@ BAD_FIELDS = {
     "bad14": {"scenario": "regional", "weak_areas": [[30.0, 30.0, 120.0, 121.0]]},
     "bad15": {"partition": "equal", "points_per_client": 0},
     "bad16": {"synth_points_each": 0},
-    # retired: a client holds whole vehicles, and the holdout is a fixed 20%
+    # retired: a client holds whole vehicles, the holdout is a fixed 20%, the
+    # datasize threshold a fixed 90th percentile (bad8), and RMSE is normalized
     "bad17": {"partition": "equal"},
     "bad18": {"points_per_client": 2500},
     "bad19": {"holdout_fraction": 0.2},
+    "retired_rmse_units": {"rmse_units": "degrees"},
 }
 
 
@@ -444,6 +456,7 @@ class TestPlotCommand:
             ('{\n  "variant": "fedavg",\n  "seed":\n', ":4: "),
             ("[1, 2]\n", ": expected a JSON object"),
         ],
+        ids=["truncated_object", "not_an_object"],
     )
     def test_malformed_summary_json_is_an_error(self, tmp_path, capsys, text, location):
         run_dir = tmp_path / "run"

@@ -92,7 +92,6 @@ REJECTED = {
     "bad14": dict(prox_mu=-0.01),
     "bad15": dict(epochs=-1),
     "bad16": dict(chi=0),
-    "bad17": dict(rmse_units="miles"),
     "bad18": dict(dataset="csv"),  # missing data_path
     "bad19": dict(dataset="parquet", data_path="x"),
     "bad20": dict(rounds="5"),
@@ -107,7 +106,6 @@ REJECTED = {
     "bad29": dict(alpha_dir=0.0),
     "bad30": dict(p_low=0.9, p_high=0.2),
     "bad31": dict(gamma=0.0),
-    "bad32": dict(datasize_percentile=100.0),
     "bad33": dict(synth_kind="spiral"),
     "bad34": dict(vehicles_per_client=0),
     "bad35": dict(seed=-1),

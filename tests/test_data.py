@@ -352,8 +352,9 @@ class TestNormalize:
         rng = np.random.default_rng(0)
         coords = np.column_stack([rng.uniform(20, 40, 100), rng.uniform(100, 140, 100)])
         bbox = BBox.from_points(coords)
-        # the per-axis scale that converts unit-square errors back to degrees
-        back = bbox.normalize(coords) * bbox.scale() + [bbox.lat_min, bbox.lon_min]
+        # each axis's degree extent converts unit-square values back to degrees
+        extent = [bbox.lat_max - bbox.lat_min, bbox.lon_max - bbox.lon_min]
+        back = bbox.normalize(coords) * extent + [bbox.lat_min, bbox.lon_min]
         assert np.max(np.abs(back - coords)) < 1e-9
 
     def test_zero_extent_rejected(self):

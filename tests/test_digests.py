@@ -130,61 +130,61 @@ RAGGED = dict(
 DIGESTS = {
     "fedavg": (
         "dfa6d476fcee47400f2c8d97aa93aa0623bf8b3521a96d1c3342083af54ae2a2",
-        "19eb9e091781f1c20581d196b30b0f6818e909aa35431a46640bb4a20b2d4aa0",
+        "1a5d98c1554493e838e87266932a75995fed2c80122ed8e68baf5ce17e07fa50",
     ),
     "fedcab": (
         "a493e40cbc56f0a805d50263dc3dc1464896f3b042939218a10cd2a7d7d518cc",
-        "f4fd5aa6ca4ff0991e542147629fa9f68f9ee819e7b39928960fab82af8757cb",
+        "bd942bfc5cc693fe23a50f8370dc7eee2b2bcc5b05e6b79cf5da78950cbd8be3",
     ),
     "feddecab": (
         "be7397d3fba2a497386a7103982e288fc309558254488312d5d4bbf581b33f46",
-        "4eb5e3c12b2880f9c19e42e1b4761e7bd0599d7178f0ccd294b64d9871115afa",
+        "2500158437f8781fe50d5312d42897c4630affc74d05bedecdb7caf6f9095aab",
     ),
     "fedprox": (
         "a403b7d8865754df55cc4c385f6429b2771be9adbe5301c166ad9be89ae98c2b",
-        "020d626d2d68cd73d828f0d0b6534c2f8b923e5df7ab12a02709992c16f1bc02",
+        "1a95d4d2fab1b97d1d4abb2890221e11d7125c3c034305488a0decaecbe2b0a8",
     ),
     "fedprox_plus": (
         "b326b619e77d03d27c8c5a900df9716e32436eaec57dc9007784a96f1e78133e",
-        "9f683e1cc7bc29821de887148f48a72b92aadc288a41d91a4a12885980e06ea4",
+        "0eaea19053d29d7443d57275b7141df7a27ee034bc76e005b6df1de99a02ff36",
     ),
     "local_only": (
         "804ceccc0248ade120cf7390db84b2d8f57a31ae763ce3ef0fc594350703f6d1",
-        "cd8530e7e83fbe1bf2f847afc03a54f41ee1a9b74f9bd45259f82ee3856551a1",
+        "61fa0dc503707d6ea5211aa9a5dad45f2baef7cb2f8dab73e5f7f07f78abd706",
     ),
     "fedavg_offline": (
         "279831935ead16ce931c3d69bb51d7f9d6d0d71feea837e3dce8cf8e2674b818",
-        "aa01c2673d72af424efd7412c75c1a8c38d20e85b1c080d8f49a0341e4760de4",
+        "781cf41caa6f064d668543f15de36f4bf8509d1172ca01c50ad656305eac3610",
     ),
     "feddecab_offline": (
         "3f586e615e3c3a46e24483de8df2cb93d1262abc320efdb0a948609ce78ef974",
-        "9173fc090d691330d0a7d5023945095b4def7d53e298632b289ca1cf80fd8056",
+        "5e7239cadc8a356e87795a99a579908e1ed068ad42fe16d8c1c5dd1e059bd0b3",
     ),
     "feddecab_multi_batch": (
         "d4d9381dbb06fd4dd163f0d82b7fcf868c958cee85693bd9f668a883973b9449",
-        "cc057704ec9b96bbc3253477d3e356f89495ffa9d5333fff3fbf4c1d49b7a9c9",
+        "0f278e6112487caf081a9aa82fed37ce60c00f75129db32bf0103f884f584413",
     ),
     "fedavg_by_datasize": (
         "fe6d80ee45e427d801646501a589aab986dad2624d8ac584afc4fa49172f2878",
-        "be99f9b9d6bfe3a706f3c1bade249d87cc2dc30d1b7b75df32f3a6302f8ee25a",
+        "80455d4d2451e9a040e99beea8bfcce2f479adfef13e60319d0aef446f8a95b6",
     ),
     "feddecab_hidden32": (
         "0e22ddb9b191035f6d0046e8e3af1c7ef2278caac056b3918b9cff1d811f3d87",
-        "dcef51eb46b96f37dbb1d0c746a66b66552c101cbde742839bf8e9b6d5daa2a0",
+        "9c5bf2fe8f6ec1d2dcbff88ffb30c1038fb634f717f77ec3aaa7f716bb173714",
     ),
     "feddecab_regional": (
         "1d395b71d9170cc1669c3f1282c7b74d522a00619a74e3744cc1b2a8f4cfdb38",
-        "25a18fc8c561b2ae5a1b759c825bc5ef74540dfbc46c39f16dbca72eeb44ed64",
+        "db7e470f77fb314aa0504408057bc8cfc49ac4f064398bbdacff0482c7ebc1cc",
     ),
     "feddecab_datasize": (
         "c3b1afb8ec9d1375fb5d1722203a40bcbbf119c6f346c9a8e5b028e8c61791b4",
-        "bfcaa918c267863920888291bf7d9f55b0b8d8cf9446d0d6bd528e19800c1792",
+        "54e67e7519d3af41690722897ad6d10df46e7f0afef96168d5471fd33ac60c51",
     ),
 }
 
 FLEET_DIGESTS = (
     "30abdcf23353dd1daab36fe2b81397a5a6125f9a6926f129b0d1478619ad7105",
-    "39c636928f2ec239b8a13b646818a1d83857b6687679cc878d087254aa2f0fcf",
+    "51b5b20224220943f429a89b88a8d68b15ec0f79f80a01a3d3133b697ef97917",
 )
 
 RAGGED_ROUNDS_SHA256 = "cb768ffc838824fffab89e76195be20159efc2111985ba0430dc618914375dbc"
@@ -214,11 +214,11 @@ DIVERGING = {
 DIVERGING_DIGESTS = {
     "online_abort": (
         "9e4e36d3af2ab7da27fcf8d3609689a3bfbd6126ad9424dd99e1e42413f89eee",
-        "f299ff93e559636d4a784a6650333b469f69ae9831ae0258d2e34f041e890504",
+        "0f12df7f5241a03cd83ad53eeb66cefcb8ba1d55ec1a6a669806762d23954002",
     ),
     "peer_abort": (
         "3a90b6fd9d4a6768d79bb12e05f4f4d8bf4d3fbb38c9c8873f90ae925dd3d263",
-        "24a56c319794ab3480d001faf50d886961b971a0a5071aaed3499e4c586bec85",
+        "82bbb733d02d853d134255c6015a0e1a7bc22ae354686a03bdd47dfe7978684c",
     ),
 }
 

@@ -346,40 +346,30 @@ class TestScenariosEndToEnd:
         assert len(result.logs) == cfg.rounds
 
     def test_datasize_scenario_runs(self):
-        cfg = small_config(
-            scenario="datasize", datasize_percentile=75.0, p_company=0.95, p_private=0.4
-        )
+        cfg = small_config(scenario="datasize", p_company=0.95, p_private=0.4)
         result = run_experiment(cfg)
         assert len(result.logs) == cfg.rounds
 
-    def test_degree_units_scale_rmse(self):
-        normalized = run_experiment(small_config(rounds=2))
-        degrees = run_experiment(small_config(rounds=2, rmse_units="degrees"))
-        # same run, different reporting units; degree errors are larger than
-        # unit-square errors whenever the bbox spans more than one degree
-        assert degrees.final_rmse() != normalized.final_rmse()
-
-    def test_degree_units_reach_client_rmse(self, monkeypatch):
-        # local_only's round RMSE is the mean client RMSE, so it shows whether
-        # the units reach the per-client holdout evals
-        config = small_config(variant="local_only", seed=2, rounds=3, rmse_units="degrees")
-        scale = prepare_clients(config)[2].scale()
+    def test_logged_client_rmse_is_its_holdout_eval(self, monkeypatch):
+        # local_only's round RMSE is the mean client RMSE, so every round's
+        # number comes from the per-client holdout evals
+        config = small_config(variant="local_only", seed=2, rounds=3)
         scored = []  # (model, inputs, targets) of every holdout eval, in call order
         original = fedsim.experiment.evaluate_rmse
 
-        def recording(model, inputs, targets, *args):
+        def recording(model, inputs, targets):
             scored.append((model.copy(), inputs, targets))
-            return original(model, inputs, targets, *args)
+            return original(model, inputs, targets)
 
         monkeypatch.setattr(fedsim.experiment, "evaluate_rmse", recording)
         result = run_experiment(config)
 
-        def degree_rmse(model, inputs, targets):
+        def recomputed(model, inputs, targets):
             preds = forward(model, TrainBatch(inputs, targets))
-            return np.sqrt(np.mean(np.square((preds - targets) * scale)))
+            return np.sqrt(np.mean(np.square(preds - targets)))
 
         logged = [rmse for log in result.logs for rmse in log.client_rmse.values()]
-        assert logged == pytest.approx([degree_rmse(*call) for call in scored], rel=1e-12)
+        assert logged == pytest.approx([recomputed(*call) for call in scored], rel=1e-12)
         for log in result.logs:
             assert log.rmse_global == pytest.approx(np.mean(list(log.client_rmse.values())))
 

@@ -21,7 +21,7 @@ from fedsim.availability import RevealState, reveal_round  # noqa: E402
 from fedsim.config import SCENARIOS, VARIANTS, ExperimentConfig, _Interval, _RANGES  # noqa: E402
 from fedsim.data import Trajectory, parse_csv, write_csv  # noqa: E402
 from fedsim.errors import FedsimError  # noqa: E402
-from fedsim.experiment import aggregate, run_experiment  # noqa: E402
+from fedsim.experiment import aggregate, prepare_clients, run_experiment  # noqa: E402
 from fedsim import nn  # noqa: E402
 from fedsim.nn import Dims, ParamSet, TrainBatch, init_params  # noqa: E402
 from fedsim.ranking import RankEntry, select_top_k  # noqa: E402
@@ -250,7 +250,6 @@ SCENARIO_OF = {
     "p_low": "regional",
     "p_high": "regional",
     "weak_areas": "regional",
-    "datasize_percentile": "datasize",
     "p_company": "datasize",
     "p_private": "datasize",
     "constant_p": "constant",
@@ -275,10 +274,16 @@ def small_configs(draw):
         budget=draw(st.sampled_from([None, 2])),
         offline_train_every_round=draw(st.booleans()),
         aggregate_by_datasize=draw(st.booleans()),
-        rmse_units=draw(st.sampled_from(["normalized", "degrees"])),
         eta0=0.05,
         seed=draw(st.integers(0, 3)),
     )
+
+
+@given(small_configs())
+def test_a_small_config_loads_and_prepares_its_clients(raw):
+    # the edge test below returns on any FedsimError, so a base draw that
+    # failed on its own would leave every edge case passing untested
+    prepare_clients(ExperimentConfig.from_dict(raw))
 
 
 # Every field gets its own examples, so each edge is drawn however the

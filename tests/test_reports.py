@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -132,8 +133,8 @@ class TestSummaryJson:
         assert summary["variant"] == "feddecab"
         assert summary["rounds"] == 5
         assert summary["final_rmse"] == result.final_rmse()
-        assert summary["best_rmse"] <= summary["final_rmse"] or True
-        assert summary["config"]["seed"] == 1
+        assert summary["best_rmse"] == min(log.rmse_global for log in result.logs)
+        assert summary["config"] == dataclasses.asdict(result.config)
 
     def test_nan_round_is_skipped_by_best_rmse(self, tmp_path):
         result = run_experiment(nan_first_round_config())
