@@ -1,13 +1,15 @@
-"""Client connectivity dynamics, upload counts, and the neighbor graph.
+"""Client connectivity, upload participation, and the neighbor graph.
 
-Each client's online/offline state evolves as an independent two-state
-Markov chain driven by its own RNG stream, so stepping order never changes
-outcomes.
+Each client is online or offline in a round, by its own two-state Markov
+chain. Every client is online in round 1. From round 2 on, one draw per
+client per round, from that client's own stream, moves its chain: an online
+client stays online when its draw is at least ``p_offline``, and an offline
+one recovers when its draw is under ``p_recover``. The draws are made when
+the client is set up, so only the online flags are kept, and the fleet's
+chains step together as one array expression per round.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,41 +17,29 @@ import numpy as np
 NEIGHBOR_BLOCK_ENTRIES = 1 << 16
 
 
-@dataclass
-class LinkState:
-    """One client's connectivity record: online now, and server uploads so far."""
+def online_chains(stays: np.ndarray, recovers: np.ndarray) -> np.ndarray:
+    """The (n_clients, rounds) online flags of every client's chain; column j
+    is round j + 1, and round 1 is all online. ``stays`` and ``recovers`` are
+    (n_clients, rounds - 1) bools whose column j is round j + 2's draw: does
+    it keep an online client online, and does it bring an offline one back."""
+    online = np.ones((stays.shape[0], stays.shape[1] + 1), dtype=bool)
+    for t in range(stays.shape[1]):
+        online[:, t + 1] = np.where(online[:, t], stays[:, t], recovers[:, t])
+    return online
 
-    online: bool = True
-    n_uploads: int = 0
 
-
-def step_connectivity(
-    states: dict[int, LinkState],
-    p_offline: float,
-    p_recover: float,
-    rngs: dict[int, np.random.Generator],
-) -> tuple[list[int], list[int], list[int]]:
-    """Advance every client's chain one round.
-
-    Returns (online, recovered, offline) id lists; recovered clients are those
-    offline last round and online now, and are included in the online list.
-    """
-    online, recovered, offline = [], [], []
-    for cid in sorted(states):
-        state = states[cid]
-        was_online = state.online
-        draw = rngs[cid].random()
-        if was_online:
-            state.online = draw >= p_offline
-        else:
-            state.online = draw < p_recover
-        if state.online:
-            online.append(cid)
-            if not was_online:
-                recovered.append(cid)
-        else:
-            offline.append(cid)
-    return online, recovered, offline
+def step_connectivity(online: np.ndarray, t: int) -> tuple[list[int], list[int], list[int]]:
+    """Round t's (online, recovered, offline) ids, from the flags of
+    ``online_chains``. A recovered client, offline in round t - 1, is also
+    online; nobody has recovered in round 1."""
+    now = online[:, t - 1]
+    # round 1 is compared with itself
+    recovered = now & ~online[:, max(t - 2, 0)]
+    return (
+        np.flatnonzero(now).tolist(),
+        np.flatnonzero(recovered).tolist(),
+        np.flatnonzero(~now).tolist(),
+    )
 
 
 def participation(n_uploads: int, t: int) -> float:

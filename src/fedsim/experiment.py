@@ -44,7 +44,7 @@ from .availability import (
 )
 from .collab import CollabCache, evaluate_candidates, head_payload_values
 from .config import ExperimentConfig
-from .connectivity import LinkState, build_neighbor_graph, participation, step_connectivity
+from .connectivity import build_neighbor_graph, online_chains, participation, step_connectivity
 from .data import BBox, make_windows, parse_csv, partition_by_vehicle, synth_trajectories
 from .errors import ConfigError, NumericError
 from .nn import Dims, ParamSet, init_params, model_divergence
@@ -76,13 +76,12 @@ class ClientRuntime:
     hold_inputs: np.ndarray           # this client's rows of the pooled holdout
     hold_targets: np.ndarray
     reveal: RevealState
-    link: LinkState
     model: ParamSet
-    rng_conn: np.random.Generator
     rng_train: np.random.Generator
     rng_eval: np.random.Generator
     centroid: np.ndarray
     cache: CollabCache | None = None
+    n_uploads: int = 0                # server uploads so far
 
     def usable_window_indices(self) -> np.ndarray:
         """Stream positions of the revealed training windows whose points
@@ -219,7 +218,8 @@ def _split_runs(segments: list[np.ndarray], seq_len: int):
 
 def prepare_clients(config: ExperimentConfig):
     """Build per-client runtimes, the frozen bbox, the global holdout, the
-    selection RNG and the count of dataset rows the parser dropped."""
+    selection RNG, the count of dataset rows the parser dropped, and every
+    client's online flag in every round (``connectivity.online_chains``)."""
     dims = Dims(2, config.hidden, 2)  # a point in and a point out, each a lat/lon pair
     trajectories, rejected = load_trajectories(config)
     datasets = partition_by_vehicle(trajectories, config.vehicles_per_client)
@@ -263,6 +263,14 @@ def prepare_clients(config: ExperimentConfig):
         part.flags.writeable = False
     hold_ends = np.cumsum([0] + [sum(len(run) - seq_len for run in runs) for _, runs in splits])
 
+    # a client's connectivity draw of each round after the first is kept only
+    # as the two outcomes it can give its chain
+    try:
+        stays = np.empty((len(datasets), config.rounds - 1), dtype=bool)
+    except (ValueError, MemoryError) as exc:
+        raise ConfigError(f"rounds={config.rounds} is too many to hold: {exc}") from exc
+    recovers = np.empty_like(stays)
+
     clients: dict[int, ClientRuntime] = {}
     for i, (segments, (train_runs, _), ss) in enumerate(zip(datasets, splits, client_seqs)):
         plan_ss, reveal_ss, conn_ss, train_ss, eval_ss = ss.spawn(5)
@@ -279,6 +287,8 @@ def prepare_clients(config: ExperimentConfig):
 
         probs = _client_plan(config, train_runs, client_p[i], np.random.default_rng(plan_ss))
         joins = np.random.default_rng(reveal_ss).random(probs.size) < probs
+        draws = np.random.default_rng(conn_ss).random(config.rounds - 1)
+        stays[i], recovers[i] = draws >= config.p_offline, draws < config.p_recover
 
         # a client with no window has no stream, but it holds at least one point
         points = stream_coords if stream_coords.size else bbox.normalize(np.concatenate(segments))
@@ -292,11 +302,9 @@ def prepare_clients(config: ExperimentConfig):
             hold_inputs=holdout[0][hold],
             hold_targets=holdout[1][hold],
             reveal=RevealState(joins, config.slice_points),
-            link=LinkState(),
             # round 1 pushes a copy of the global model to every client, and
             # local_only replaces it, before anyone reads it
             model=global_model,
-            rng_conn=np.random.default_rng(conn_ss),
             rng_train=np.random.default_rng(train_ss),
             rng_eval=np.random.default_rng(eval_ss),
             centroid=points.mean(axis=0),
@@ -304,7 +312,8 @@ def prepare_clients(config: ExperimentConfig):
 
     if holdout[0].shape[0] == 0:
         raise ConfigError("holdout is empty; clients have too few windows")
-    return clients, global_model, bbox, holdout, rng_select, rejected
+    online = online_chains(stays, recovers)
+    return clients, global_model, bbox, holdout, rng_select, rejected, online
 
 
 def _reveal_all(clients: dict[int, ClientRuntime]) -> None:
@@ -403,7 +412,7 @@ def _server_round(
     """
     participants = []
     for cid in sorted(trained):
-        if config.budget is None or clients[cid].link.n_uploads < config.budget:
+        if config.budget is None or clients[cid].n_uploads < config.budget:
             participants.append(cid)
         else:
             log.events.append(f"budget_exhausted:{cid}")
@@ -411,8 +420,8 @@ def _server_round(
         RankEntry(
             client_id=cid,
             divergence=trained[cid],
-            participation=participation(clients[cid].link.n_uploads, log.t),
-            n_updates=clients[cid].link.n_uploads,
+            participation=participation(clients[cid].n_uploads, log.t),
+            n_updates=clients[cid].n_uploads,
         )
         for cid in participants
     ]
@@ -431,7 +440,7 @@ def _server_round(
         log.selected = sorted(int(c) for c in picked)
 
     for cid in log.selected:
-        clients[cid].link.n_uploads += 1
+        clients[cid].n_uploads += 1
 
     new_global = None
     if log.selected:
@@ -453,7 +462,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     its round RMSE is the mean per-client holdout error and it has no global
     model.
     """
-    clients, global_model, _, holdout, rng_select, rejected = prepare_clients(config)
+    clients, global_model, _, holdout, rng_select, rejected, chains = prepare_clients(config)
     isolated = config.variant == "local_only"
     if isolated:
         for client in clients.values():
@@ -466,8 +475,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         gamma=config.gamma,
         beta0=config.beta0,
     )
-    states = {cid: clients[cid].link for cid in clients}
-    rngs_conn = {cid: clients[cid].rng_conn for cid in clients}
 
     # one slice arrives before the first round so early training is possible
     _reveal_all(clients)
@@ -479,13 +486,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     global_rmse: float | None = None
     for t in range(1, config.rounds + 1):
         eta = config.eta_at(t)
-        if t == 1 or isolated:
-            # every client starts online and nobody has recovered
-            online, recovered, offline = sorted(clients), [], []
-        else:
-            online, recovered, offline = step_connectivity(
-                states, config.p_offline, config.p_recover, rngs_conn
-            )
+        online, recovered, offline = (
+            (sorted(clients), [], []) if isolated else step_connectivity(chains, t)
+        )
         log = RoundLog(t=t, eta=eta, online=online, recovered=recovered, offline=offline)
         _reveal_all(clients)
 

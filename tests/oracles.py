@@ -105,6 +105,25 @@ def markov_online_fraction(p_offline, p_recover):
     return p_recover / (p_recover + p_offline)
 
 
+def markov_chain_by_steps(draws, p_offline, p_recover):
+    """Every client's online flags, stepped one client and one round at a time.
+
+    ``draws[i][s]`` is client i's draw of round s + 2; every client starts
+    online. An online client stays online when its draw is at least
+    ``p_offline``, and an offline one recovers when its draw is under
+    ``p_recover``. Returns one list of len(draws[i]) + 1 flags per client.
+    """
+    chains = []
+    for row in draws:
+        online = True
+        chain = [online]
+        for draw in row:
+            online = draw >= p_offline if online else draw < p_recover
+            chain.append(bool(online))
+        chains.append(chain)
+    return chains
+
+
 def brute_force_neighbors(positions, chi):
     """Ids of every client's chi nearest others, from one sorted (distance, id) list each."""
     ids = sorted(positions)

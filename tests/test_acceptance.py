@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from fedsim.config import ExperimentConfig
-from fedsim.connectivity import LinkState, step_connectivity
+from fedsim.connectivity import online_chains
 from fedsim.availability import RevealState, reveal_round
 from fedsim.experiment import run_experiment
 from fedsim.nn import Dims, ParamSet, TrainBatch, backward, batch_objective, init_params
@@ -197,14 +197,12 @@ def test_criterion_3_connectivity_statistics():
     p_offline, p_recover = 0.2, 0.1
     expected = markov_online_fraction(p_offline, p_recover)
     n, rounds, burn_in = 100, 2100, 100
-    states = {cid: LinkState() for cid in range(n)}
+    # each client's draws from its own stream, as prepare_clients draws them
     seqs = np.random.SeedSequence(2).spawn(n)
-    rngs = {cid: np.random.default_rng(seqs[cid]) for cid in range(n)}
-    online_total = 0
-    for t in range(rounds):
-        online, _, _ = step_connectivity(states, p_offline, p_recover, rngs)
-        if t >= burn_in:
-            online_total += len(online)
+    draws = np.array([np.random.default_rng(ss).random(rounds) for ss in seqs])
+    online = online_chains(draws >= p_offline, draws < p_recover)
+    # column 0 is the all-online start; the burn-in rounds follow it
+    online_total = int(online[:, 1 + burn_in :].sum())
     client_rounds = n * (rounds - burn_in)
     fraction = online_total / client_rounds
     report(

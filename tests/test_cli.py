@@ -252,6 +252,14 @@ class TestConfigErrors:
         assert "hidden width 100000000000" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_too_many_rounds_is_an_error(self, tmp_path, capsys):
+        # numpy refuses the online flags of 10**15 rounds before touching a page
+        config = write_config(tmp_path)
+        argv = ["run", "--config", str(config), "--out", str(tmp_path / "o")]
+        assert main(argv + ["--rounds", "1000000000000000"]) == 2
+        assert "error: rounds=1000000000000000" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_unreadable_config_file_is_an_error(self, tmp_path, capsys):
         missing = tmp_path / "missing.json"
         code = main(["run", "--config", str(missing), "--out", str(tmp_path / "o")])

@@ -2,43 +2,44 @@ import numpy as np
 import pytest
 
 import fedsim.connectivity
-from fedsim.connectivity import LinkState, build_neighbor_graph, participation, step_connectivity
+from fedsim.connectivity import (
+    build_neighbor_graph,
+    online_chains,
+    participation,
+    step_connectivity,
+)
 
 from oracles import brute_force_neighbors, markov_online_fraction
 
 
-def make_states(n):
-    return {cid: LinkState() for cid in range(n)}
-
-
-def make_rngs(n, seed):
+def make_chains(n, steps, p_offline, p_recover, seed):
+    """The chains of n clients over 1 + steps rounds, each client's draws
+    from its own stream, as prepare_clients draws them."""
     seqs = np.random.SeedSequence(seed).spawn(n)
-    return {cid: np.random.default_rng(seqs[cid]) for cid in range(n)}
+    draws = np.array([np.random.default_rng(ss).random(steps) for ss in seqs])
+    return online_chains(draws >= p_offline, draws < p_recover)
 
 
 class TestStepConnectivity:
     def test_no_transitions_keeps_everyone_online(self):
-        states = make_states(5)
-        rngs = make_rngs(5, seed=0)
-        for _ in range(10):
-            online, recovered, offline = step_connectivity(states, 0.0, 0.0, rngs)
+        chains = make_chains(5, 10, 0.0, 0.0, seed=0)
+        for t in range(2, 12):
+            online, recovered, offline = step_connectivity(chains, t)
             assert online == list(range(5)) and recovered == [] and offline == []
 
     def test_certain_dropout_without_recovery(self):
-        states = make_states(4)
-        rngs = make_rngs(4, seed=1)
-        online, _, offline = step_connectivity(states, 1.0, 0.0, rngs)
+        chains = make_chains(4, 6, 1.0, 0.0, seed=1)
+        online, _, offline = step_connectivity(chains, 2)
         assert online == [] and offline == list(range(4))
-        for _ in range(5):
-            online, recovered, offline = step_connectivity(states, 1.0, 0.0, rngs)
+        for t in range(3, 8):
+            online, recovered, offline = step_connectivity(chains, t)
             assert online == [] and recovered == [] and offline == list(range(4))
 
     def test_partition_and_recovered_subset(self):
-        states = make_states(30)
-        rngs = make_rngs(30, seed=2)
+        chains = make_chains(30, 50, 0.3, 0.2, seed=2)
         prev_offline = set()
-        for _ in range(50):
-            online, recovered, offline = step_connectivity(states, 0.3, 0.2, rngs)
+        for t in range(2, 52):
+            online, recovered, offline = step_connectivity(chains, t)
             assert sorted(online + offline) == list(range(30))
             assert set(recovered) <= set(online)
             assert set(recovered) <= prev_offline
@@ -50,12 +51,11 @@ class TestStepConnectivity:
         expected = markov_online_fraction(p_offline, p_recover)
         assert expected == pytest.approx(1.0 / 3.0)
         n, rounds, burn_in = 100, 2100, 100
-        states = make_states(n)
-        rngs = make_rngs(n, seed=3)
+        chains = make_chains(n, rounds, p_offline, p_recover, seed=3)
         online_count = 0
-        for t in range(rounds):
-            online, _, _ = step_connectivity(states, p_offline, p_recover, rngs)
-            if t >= burn_in:
+        for t in range(2, rounds + 2):
+            online, _, _ = step_connectivity(chains, t)
+            if t - 2 >= burn_in:
                 online_count += len(online)
         fraction = online_count / (n * (rounds - burn_in))
         assert abs(fraction - expected) < 0.01

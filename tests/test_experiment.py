@@ -12,13 +12,14 @@ from fedsim.data import (
     synth_trajectories,
     write_csv,
 )
+from fedsim.errors import ConfigError
 from fedsim.experiment import aggregate, prepare_clients, run_experiment
 from fedsim.nn import Dims, ParamSet, TrainBatch, forward, init_params, model_divergence
 from fedsim.reports import rows_for_log, write_rounds_csv
 from fedsim.training import evaluate_rmse, train_local
 
 from conftest import write_ragged_fleet_csv
-from oracles import brute_force_top_k
+from oracles import brute_force_top_k, markov_chain_by_steps
 
 
 def small_config(**overrides):
@@ -332,6 +333,20 @@ class TestVariantReduction:
         b = run_experiment(small_config(variant="fedavg", **base))
         assert log_bytes(a) != log_bytes(b)
 
+    @pytest.mark.parametrize(
+        "proximal, plain", [("fedprox", "fedavg"), ("fedprox_plus", "fedcab")]
+    )
+    def test_a_proximal_variant_at_zero_mu_equals_its_plain_one(self, proximal, plain):
+        base = dict(p_offline=0.4, p_recover=0.3, budget=6, rounds=14, scenario="random", seed=9)
+
+        def logs(variant, **mu):
+            return log_bytes(run_experiment(small_config(variant=variant, **mu, **base)))
+
+        want = logs(plain)
+        assert logs(proximal, prox_mu=0.0) == want
+        # the penalty is on: at a positive mu the runs part
+        assert logs(proximal, prox_mu=0.5) != want
+
 
 class TestScenariosEndToEnd:
     def test_regional_scenario_runs(self):
@@ -480,7 +495,7 @@ class TestEngineEdgeCases:
             dataset="csv", data_path=str(path), p_offline=0.5, p_recover=0.5,
             decentral_freq=1.0,
         )
-        clients, _, bbox, _, _, _ = prepare_clients(cfg)
+        clients, _, bbox, *_ = prepare_clients(cfg)
         client = clients[2]
         assert client.stream_coords.shape == (0, 2)
         assert client.window_starts.size == 0 and client.hold_inputs.shape[0] == 0
@@ -549,10 +564,38 @@ class TestLocalOnly:
         )
 
 
+class TestConnectivityStreams:
+    def test_a_churning_run_follows_the_chain_of_each_clients_connectivity_stream(self):
+        # a client's five streams are spawned (plan, reveal, connectivity,
+        # train, eval); its chain takes one draw of the third per round
+        config = small_config(p_offline=0.4, p_recover=0.3, rounds=14, seed=4)
+        _, _, clients_ss = np.random.SeedSequence(config.seed).spawn(3)
+        draws = [
+            np.random.default_rng(ss.spawn(5)[2]).random(config.rounds - 1).tolist()
+            for ss in clients_ss.spawn(config.n_clients)
+        ]
+        chains = markov_chain_by_steps(draws, config.p_offline, config.p_recover)
+        result = run_experiment(config)
+        assert len(result.logs) == config.rounds
+        ids = range(config.n_clients)
+        for log in result.logs:
+            now = [chains[cid][log.t - 1] for cid in ids]
+            before = [chains[cid][max(log.t - 2, 0)] for cid in ids]
+            assert log.online == [cid for cid in ids if now[cid]]
+            assert log.recovered == [cid for cid in ids if now[cid] and not before[cid]]
+            assert log.offline == [cid for cid in ids if not now[cid]]
+        assert any(log.recovered for log in result.logs)
+
+
 class TestPrepareClients:
+    def test_too_many_rounds_to_hold_is_a_config_error(self):
+        # numpy refuses the flags of 10**15 rounds before touching a page
+        with pytest.raises(ConfigError, match="rounds=1000000000000000"):
+            prepare_clients(small_config(rounds=10**15))
+
     def test_holdout_and_training_windows_are_disjoint(self):
         cfg = small_config()
-        clients, _, _, (hold_in, hold_tg), _, _ = prepare_clients(cfg)
+        clients, _, _, (hold_in, hold_tg), *_ = prepare_clients(cfg)
         assert hold_in.shape[0] == sum(c.hold_inputs.shape[0] for c in clients.values())
         for client in clients.values():
             train_windows = client.train_inputs[client.window_starts]
@@ -565,7 +608,7 @@ class TestPrepareClients:
     def test_holdout_fraction_honored(self):
         # the fixed 20% of each client's windows, rounded and at least one
         cfg = small_config(synth_points_each=37)
-        clients, _, _, _, _, _ = prepare_clients(cfg)
+        clients, *_ = prepare_clients(cfg)
         for client in clients.values():
             m = client.window_starts.size + client.hold_inputs.shape[0]
             assert m == 33 and client.hold_inputs.shape[0] == 7
@@ -575,7 +618,7 @@ class TestPrepareClients:
         # 6 points at seq_len 4 give m = 2 windows and 10 give m = 6; the
         # holdout takes one of them and the rest train
         cfg = small_config(synth_points_each=points_each)
-        clients, _, _, _, _, _ = prepare_clients(cfg)
+        clients, *_ = prepare_clients(cfg)
         m = points_each - cfg.seq_len
         for client in clients.values():
             assert client.hold_inputs.shape[0] == 1
@@ -583,7 +626,7 @@ class TestPrepareClients:
 
     def test_bootstrap_not_yet_revealed_at_build(self):
         cfg = small_config()
-        clients, _, _, _, _, _ = prepare_clients(cfg)
+        clients, *_ = prepare_clients(cfg)
         for client in clients.values():
             assert client.reveal.cursor == 0
 
@@ -596,7 +639,7 @@ class TestPrepareClients:
             dataset="csv", data_path=str(path), n_clients=16, vehicles_per_client=2, seq_len=4,
             seed=5,
         )
-        clients, _, bbox, _, _, _ = prepare_clients(cfg)
+        clients, _, bbox, *_ = prepare_clients(cfg)
         datasets = partition_by_vehicle(parse_csv(path)[0], 2)
         short_segments = spanning_holdouts = 0
         for cid, segments in enumerate(datasets):
@@ -640,7 +683,7 @@ class TestPrepareClients:
 
     def test_client_arrays_are_views_of_the_stream_and_the_pooled_holdout(self):
         cfg = small_config(vehicles_per_client=2, n_clients=3)
-        clients, _, _, holdout, _, _ = prepare_clients(cfg)
+        clients, _, _, holdout, *_ = prepare_clients(cfg)
         for client in clients.values():
             for train in (client.train_inputs, client.train_targets):
                 assert not train.flags.writeable

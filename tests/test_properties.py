@@ -1,5 +1,5 @@
-"""Property tests over generated inputs: the parsers, top-k selection and
-the streaming reveal against the scalar oracles,
+"""Property tests over generated inputs: the parsers, top-k selection, the
+streaming reveal and the connectivity chains against the scalar oracles,
 aggregation as an order-free convex combination, config loading, whole runs
 of small edge-case configs, and the row-blocked eval pass against a single
 pass.
@@ -19,6 +19,7 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from fedsim.availability import RevealState, reveal_round  # noqa: E402
 from fedsim.config import SCENARIOS, VARIANTS, ExperimentConfig, _Interval, _RANGES  # noqa: E402
+from fedsim.connectivity import online_chains, step_connectivity  # noqa: E402
 from fedsim.data import Trajectory, parse_csv, write_csv  # noqa: E402
 from fedsim.errors import FedsimError  # noqa: E402
 from fedsim.experiment import aggregate, prepare_clients, run_experiment  # noqa: E402
@@ -27,7 +28,12 @@ from fedsim.nn import Dims, ParamSet, TrainBatch, init_params  # noqa: E402
 from fedsim.ranking import RankEntry, select_top_k  # noqa: E402
 
 from conftest import prepare_clients_and_plans  # noqa: E402
-from oracles import brute_force_top_k, parse_rows_by_loop, reveal_by_slices  # noqa: E402
+from oracles import (  # noqa: E402
+    brute_force_top_k,
+    markov_chain_by_steps,
+    parse_rows_by_loop,
+    reveal_by_slices,
+)
 
 # ids that csv quoting and the parser's strip leave as they are
 VEHICLE_IDS = st.text(st.sampled_from("ab9_ ,\"'-é"), min_size=1, max_size=6).filter(
@@ -112,6 +118,41 @@ def test_reveal_round_matches_the_slice_by_slice_draw(probs, slice_size, seed):
     for cursor, new in want + [(len(probs), [])]:
         assert reveal_round(state).tolist() == new
         assert state.cursor == cursor
+
+
+# draws and probabilities that often tie, next to arbitrary ones; p may be 0 or 1
+CHAIN_DRAWS = st.one_of(st.sampled_from([0.0, 0.25, 0.5]), st.floats(0.0, 1.0, exclude_max=True))
+CHAIN_PROBS = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.floats(0.0, 1.0))
+
+
+@st.composite
+def chain_draws(draw):
+    """One row of draws per client, 1 to 6 clients, 0 to 10 rounds after the first."""
+    steps = draw(st.integers(0, 10))
+    row = st.lists(CHAIN_DRAWS, min_size=steps, max_size=steps)
+    return draw(st.lists(row, min_size=1, max_size=6))
+
+
+@given(chain_draws(), CHAIN_PROBS, CHAIN_PROBS)
+@example([[]], 0.5, 0.5)  # one client, no step
+@example([[0.0, 0.5], [0.25, 0.0]], 1.0, 0.0)  # everyone drops and stays out
+@example([[0.0, 0.5], [0.25, 0.0]], 0.0, 1.0)  # nobody ever drops
+def test_online_chains_match_the_step_by_step_chain(draws, p_offline, p_recover):
+    flags = np.array(draws, dtype=float).reshape(len(draws), -1)
+    online = online_chains(flags >= p_offline, flags < p_recover)
+    want = markov_chain_by_steps(draws, p_offline, p_recover)
+    assert online.tolist() == want
+    ids = list(range(len(draws)))
+    last_offline = set()
+    for t in range(1, len(draws[0]) + 2):
+        now, recovered, offline = step_connectivity(online, t)
+        assert now == [cid for cid in ids if want[cid][t - 1]]
+        assert recovered == [cid for cid in now if t > 1 and not want[cid][t - 2]]
+        # the three lists partition the fleet, and recovered clients were
+        # offline last round and are online now
+        assert sorted(now + offline) == ids and not set(now) & set(offline)
+        assert set(recovered) <= set(now) and set(recovered) <= last_offline
+        last_offline = set(offline)
 
 
 # a few repeated values, so weights tie, next to arbitrary finite ones
