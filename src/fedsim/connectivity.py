@@ -1,4 +1,5 @@
-"""Client connectivity, upload participation, and the neighbor graph.
+"""Client connectivity and the neighbor graph. A client's id is its row in
+every array here.
 
 Each client is online or offline in a round, by its own two-state Markov
 chain. Every client is online in round 1. From round 2 on, one draw per
@@ -7,6 +8,9 @@ client stays online when its draw is at least ``p_offline``, and an offline
 one recovers when its draw is under ``p_recover``. The draws are made when
 the client is set up, so only the online flags are kept, and the fleet's
 chains step together as one array expression per round.
+
+The neighbor graph maps the fleet's (n, 2) positions to each client's
+nearest others; in a peer round an offline client scores their heads.
 """
 
 from __future__ import annotations
@@ -42,29 +46,22 @@ def step_connectivity(online: np.ndarray, t: int) -> tuple[list[int], list[int],
     )
 
 
-def participation(n_uploads: int, t: int) -> float:
-    """Fraction of rounds so far in which the client uploaded to the server."""
-    return n_uploads / t
+def build_neighbor_graph(positions: np.ndarray, chi: int) -> np.ndarray:
+    """The (n, k) rows of every client's k = min(chi, n - 1) nearest other
+    clients, nearest first, from the (n, 2) array of their positions; a
+    client's id is its row.
 
-
-def build_neighbor_graph(positions: dict[int, np.ndarray], chi: int) -> dict[int, list[int]]:
-    """For every client, the ids of its chi nearest other clients, nearest first.
-
-    Distance is Euclidean, and ties break toward the lower client id. Needs at
-    least two clients.
+    Distance is Euclidean, and ties break toward the lower row. Needs at least
+    two clients.
     """
-    ids = sorted(positions)
-    n = len(ids)
-    pts = np.array([positions[cid] for cid in ids], dtype=float)
+    n = positions.shape[0]
     k = min(chi, n - 1)
-    graph: dict[int, list[int]] = {}
+    graph = np.empty((n, k), dtype=np.intp)
     n_rows = max(1, NEIGHBOR_BLOCK_ENTRIES // n)
     for start in range(0, n, n_rows):
         rows = np.arange(start, min(start + n_rows, n))
-        dists = np.linalg.norm(pts - pts[rows, None], axis=2)
-        # ids are sorted, so the stable sort sends distance ties to the lower id
+        dists = np.linalg.norm(positions - positions[rows, None], axis=2)
+        # the stable sort sends distance ties to the lower row
         order = np.argsort(dists, axis=1, kind="stable")
-        order = order[order != rows[:, None]].reshape(rows.size, n - 1)[:, :k]
-        for i, row in zip(rows.tolist(), order.tolist()):
-            graph[ids[i]] = [ids[j] for j in row]
+        graph[rows] = order[order != rows[:, None]].reshape(rows.size, n - 1)[:, :k]
     return graph

@@ -44,7 +44,7 @@ from .availability import (
 )
 from .collab import CollabCache, evaluate_candidates, head_payload_values
 from .config import ExperimentConfig
-from .connectivity import build_neighbor_graph, online_chains, participation, step_connectivity
+from .connectivity import build_neighbor_graph, online_chains, step_connectivity
 from .data import BBox, make_windows, parse_csv, partition_by_vehicle, synth_trajectories
 from .errors import ConfigError, NumericError
 from .nn import Dims, ParamSet, init_params, model_divergence
@@ -217,9 +217,9 @@ def _split_runs(segments: list[np.ndarray], seq_len: int):
 
 
 def prepare_clients(config: ExperimentConfig):
-    """Build per-client runtimes, the frozen bbox, the global holdout, the
-    selection RNG, the count of dataset rows the parser dropped, and every
-    client's online flag in every round (``connectivity.online_chains``)."""
+    """Build the client runtimes, a list indexed by client id, the frozen bbox,
+    the global holdout, the selection RNG, the count of dataset rows the parser
+    dropped, and every client's online flag in every round (``online_chains``)."""
     dims = Dims(2, config.hidden, 2)  # a point in and a point out, each a lat/lon pair
     trajectories, rejected = load_trajectories(config)
     datasets = partition_by_vehicle(trajectories, config.vehicles_per_client)
@@ -271,7 +271,7 @@ def prepare_clients(config: ExperimentConfig):
         raise ConfigError(f"rounds={config.rounds} is too many to hold: {exc}") from exc
     recovers = np.empty_like(stays)
 
-    clients: dict[int, ClientRuntime] = {}
+    clients: list[ClientRuntime] = []
     for i, (segments, (train_runs, _), ss) in enumerate(zip(datasets, splits, client_seqs)):
         plan_ss, reveal_ss, conn_ss, train_ss, eval_ss = ss.spawn(5)
         stream_coords = bbox.normalize(np.concatenate([np.zeros((0, 2))] + train_runs))
@@ -293,7 +293,7 @@ def prepare_clients(config: ExperimentConfig):
         # a client with no window has no stream, but it holds at least one point
         points = stream_coords if stream_coords.size else bbox.normalize(np.concatenate(segments))
 
-        clients[i] = ClientRuntime(
+        clients.append(ClientRuntime(
             n_points=counts[i],
             train_inputs=train_inputs,
             train_targets=train_targets,
@@ -308,7 +308,7 @@ def prepare_clients(config: ExperimentConfig):
             rng_train=np.random.default_rng(train_ss),
             rng_eval=np.random.default_rng(eval_ss),
             centroid=points.mean(axis=0),
-        )
+        ))
 
     if holdout[0].shape[0] == 0:
         raise ConfigError("holdout is empty; clients have too few windows")
@@ -316,9 +316,9 @@ def prepare_clients(config: ExperimentConfig):
     return clients, global_model, bbox, holdout, rng_select, rejected, online
 
 
-def _reveal_all(clients: dict[int, ClientRuntime]) -> None:
-    for cid in sorted(clients):
-        reveal_round(clients[cid].reveal)
+def _reveal_all(clients: list[ClientRuntime]) -> None:
+    for client in clients:
+        reveal_round(client.reveal)
 
 
 def _sample_eval_batch(client: ClientRuntime, usable: np.ndarray, batch_size: int):
@@ -329,7 +329,7 @@ def _sample_eval_batch(client: ClientRuntime, usable: np.ndarray, batch_size: in
 
 def _train_phase(
     config: ExperimentConfig,
-    clients: dict[int, ClientRuntime],
+    clients: list[ClientRuntime],
     ids: list[int],
     eta: float,
     prox_mu: float,
@@ -365,7 +365,7 @@ def _train_phase(
 
 def _decentralized_round(
     config: ExperimentConfig,
-    clients: dict[int, ClientRuntime],
+    clients: list[ClientRuntime],
     offline: list[int],
     eta: float,
     log: RoundLog,
@@ -374,10 +374,10 @@ def _decentralized_round(
     log.decentralized = True
     if not offline:
         return
-    dims = next(iter(clients.values())).model.dims
-    heads = {cid: clients[cid].model.fc_block.copy() for cid in sorted(clients)}
-    positions = {cid: clients[cid].position() for cid in sorted(clients)}
-    graph = build_neighbor_graph(positions, config.chi)
+    dims = clients[0].model.dims
+    # heads as they were before this pass trains anyone: np.stack copies
+    heads = np.stack([c.model.fc_block for c in clients])
+    graph = build_neighbor_graph(np.array([c.position() for c in clients]), config.chi)
     usable, diverged = _train_phase(config, clients, offline, eta, 0.0, set(offline))
     for u in offline:
         client = clients[u]
@@ -389,7 +389,7 @@ def _decentralized_round(
             log.events += [f"peer_update_skipped:{u}", f"peer_eval_skipped:{u}"]
         else:
             inputs, targets = _sample_eval_batch(client, usable[u], config.batch_size)
-            neighbors = [(nid, heads[nid]) for nid in graph[u]]
+            neighbors = [(nid, heads[nid]) for nid in graph[u].tolist()]
             log.payloads[u] = head_payload_values(len(neighbors), dims)
             client.cache = evaluate_candidates(client.model, u, neighbors, inputs, targets)
             log.collab_sources[u] = client.cache.source_id
@@ -397,7 +397,7 @@ def _decentralized_round(
 
 def _server_round(
     config: ExperimentConfig,
-    clients: dict[int, ClientRuntime],
+    clients: list[ClientRuntime],
     trained: dict[int, float],
     comp: CompensatorState,
     rng_select: np.random.Generator,
@@ -420,7 +420,7 @@ def _server_round(
         RankEntry(
             client_id=cid,
             divergence=trained[cid],
-            participation=participation(clients[cid].n_uploads, log.t),
+            participation=clients[cid].n_uploads / log.t,
             n_updates=clients[cid].n_uploads,
         )
         for cid in participants
@@ -465,7 +465,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     clients, global_model, _, holdout, rng_select, rejected, chains = prepare_clients(config)
     isolated = config.variant == "local_only"
     if isolated:
-        for client in clients.values():
+        for client in clients:
             client.model = init_params(global_model.dims, client.rng_train)
         global_model = None
     comp = CompensatorState(
@@ -487,7 +487,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     for t in range(1, config.rounds + 1):
         eta = config.eta_at(t)
         online, recovered, offline = (
-            (sorted(clients), [], []) if isolated else step_connectivity(chains, t)
+            (list(range(len(clients))), [], []) if isolated else step_connectivity(chains, t)
         )
         log = RoundLog(t=t, eta=eta, online=online, recovered=recovered, offline=offline)
         _reveal_all(clients)

@@ -125,14 +125,13 @@ def markov_chain_by_steps(draws, p_offline, p_recover):
 
 
 def brute_force_neighbors(positions, chi):
-    """Ids of every client's chi nearest others, from one sorted (distance, id) list each."""
-    ids = sorted(positions)
-    pts = np.array([positions[cid] for cid in ids], dtype=float)
-    graph = {}
-    for i, cid in enumerate(ids):
-        dists = np.linalg.norm(pts - pts[i], axis=1)
-        order = sorted((float(dists[j]), ids[j]) for j in range(len(ids)) if j != i)
-        graph[cid] = [nid for _, nid in order[:chi]]
+    """Rows of every client's chi nearest others, from one sorted (distance,
+    row) list each; ``positions`` is an (n, 2) array."""
+    graph = []
+    for i in range(len(positions)):
+        dists = np.linalg.norm(positions - positions[i], axis=1)
+        order = sorted((float(dists[j]), j) for j in range(len(positions)) if j != i)
+        graph.append([j for _, j in order[:chi]])
     return graph
 
 

@@ -2,12 +2,7 @@ import numpy as np
 import pytest
 
 import fedsim.connectivity
-from fedsim.connectivity import (
-    build_neighbor_graph,
-    online_chains,
-    participation,
-    step_connectivity,
-)
+from fedsim.connectivity import build_neighbor_graph, online_chains, step_connectivity
 
 from oracles import brute_force_neighbors, markov_online_fraction
 
@@ -61,67 +56,40 @@ class TestStepConnectivity:
         assert abs(fraction - expected) < 0.01
 
 
-class TestParticipation:
-    def test_zero_uploads(self):
-        assert participation(0, 10) == 0.0
-
-    def test_full_participation(self):
-        assert participation(10, 10) == 1.0
-
-    def test_half(self):
-        assert participation(5, 10) == 0.5
-
-    def test_nonincreasing_when_round_advances_without_upload(self):
-        for n in range(0, 8):
-            for t in range(max(n, 1), 12):
-                assert participation(n, t + 1) <= participation(n, t)
-
-
 class TestNeighborGraph:
     def test_two_clients_point_at_each_other(self):
-        graph = build_neighbor_graph(
-            {0: np.array([0.0, 0.0]), 1: np.array([1.0, 0.0])}, chi=3
-        )
-        assert graph == {0: [1], 1: [0]}
+        graph = build_neighbor_graph(np.array([[0.0, 0.0], [1.0, 0.0]]), chi=3)
+        assert graph.dtype == np.intp
+        assert graph.tolist() == [[1], [0]]
 
     def test_line_positions_nearest_two(self):
-        positions = {
-            0: np.array([0.0, 0.0]),
-            1: np.array([1.0, 0.0]),
-            2: np.array([2.0, 0.0]),
-            3: np.array([10.0, 0.0]),
-        }
+        positions = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [10.0, 0.0]])
         graph = build_neighbor_graph(positions, chi=2)
-        assert graph[2] == [1, 0]
+        assert graph[2].tolist() == [1, 0]
 
     def test_chi_at_least_n_minus_one_gives_complete_graph(self):
-        positions = {i: np.array([float(i), 0.0]) for i in range(5)}
+        positions = np.array([[float(i), 0.0] for i in range(5)])
         graph = build_neighbor_graph(positions, chi=10)
-        for cid, neighbors in graph.items():
-            assert len(neighbors) == 4
+        assert graph.shape == (5, 4)
+        for cid, neighbors in enumerate(graph.tolist()):
             assert cid not in neighbors
 
     def test_distances_sorted_ascending(self):
         rng = np.random.default_rng(5)
-        positions = {i: rng.uniform(size=2) for i in range(12)}
+        positions = rng.uniform(size=(12, 2))
         graph = build_neighbor_graph(positions, chi=6)
-        for cid, neighbors in graph.items():
+        for cid, neighbors in enumerate(graph):
             dists = [np.linalg.norm(positions[nid] - positions[cid]) for nid in neighbors]
             assert dists == sorted(dists)
 
     def test_tie_broken_by_ascending_id(self):
-        positions = {
-            0: np.array([0.0, 0.0]),
-            1: np.array([1.0, 0.0]),
-            2: np.array([-1.0, 0.0]),
-            3: np.array([0.0, 5.0]),
-        }
+        positions = np.array([[0.0, 0.0], [1.0, 0.0], [-1.0, 0.0], [0.0, 5.0]])
         graph = build_neighbor_graph(positions, chi=1)
-        assert graph[0] == [1]
+        assert graph[0].tolist() == [1]
 
 
 def random_fleets():
-    """Seeded fleets of 2 to 40 clients: spread, quantised (many equal
+    """Seeded (n, 2) fleets of 2 to 40 clients: spread, quantised (many equal
     distances) and with duplicate positions, at chi = 1, 2, 3, N - 1, N and
     N + 4."""
     rng = np.random.default_rng(41)
@@ -129,8 +97,7 @@ def random_fleets():
         spread = rng.normal(size=(n, 2))
         quantised = np.round(rng.uniform(-2, 2, size=(n, 2)))
         duplicated = spread[rng.integers(0, max(1, n // 2), size=n)]
-        for pts in (spread, quantised, duplicated):
-            positions = {3 * i + 1: pts[i] for i in range(n)}
+        for positions in (spread, quantised, duplicated):
             for chi in sorted({1, 2, 3, n - 1, n, n + 4}):
                 yield positions, chi
 
@@ -138,11 +105,13 @@ def random_fleets():
 class TestNeighborGraphOracle:
     def test_matches_brute_force_on_random_fleets(self):
         for positions, chi in random_fleets():
-            assert build_neighbor_graph(positions, chi) == brute_force_neighbors(positions, chi)
+            graph = build_neighbor_graph(positions, chi)
+            assert graph.tolist() == brute_force_neighbors(positions, chi)
 
     def test_row_blocks_match_brute_force(self, monkeypatch):
         # blocks of one row, and of a few rows with a short last block
         for entries in (1, 80, 100):
             monkeypatch.setattr(fedsim.connectivity, "NEIGHBOR_BLOCK_ENTRIES", entries)
             for positions, chi in random_fleets():
-                assert build_neighbor_graph(positions, chi) == brute_force_neighbors(positions, chi)
+                graph = build_neighbor_graph(positions, chi)
+                assert graph.tolist() == brute_force_neighbors(positions, chi)

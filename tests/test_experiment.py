@@ -19,7 +19,7 @@ from fedsim.reports import rows_for_log, write_rounds_csv
 from fedsim.training import evaluate_rmse, train_local
 
 from conftest import write_ragged_fleet_csv
-from oracles import brute_force_top_k, markov_chain_by_steps
+from oracles import brute_force_neighbors, brute_force_top_k, markov_chain_by_steps
 
 
 def small_config(**overrides):
@@ -45,6 +45,17 @@ def small_config(**overrides):
 
 def log_bytes(result):
     return "\n".join(",".join(row) for log in result.logs for row in rows_for_log(log))
+
+
+# Each reduction between variants: (richer variant, the overrides that make it
+# the poorer one, the poorer variant, an override that makes the two part).
+REDUCTIONS = {
+    "fedprox": ("fedprox", dict(prox_mu=0.0), "fedavg", dict(prox_mu=0.5)),
+    "fedprox_plus": ("fedprox_plus", dict(prox_mu=0.0), "fedcab", dict(prox_mu=0.5)),
+    "feddecab": ("feddecab", dict(decentral_freq=0.0), "fedcab", dict(decentral_freq=0.5)),
+    # uniform selection reads no compensator, so they keep their defaults here
+    "fedcab": ("fedcab", dict(selection="uniform"), "fedavg", dict(selection="ranked")),
+}
 
 
 class TestAggregate:
@@ -210,6 +221,53 @@ class TestRoundLoop:
             weights = {e.client_id: e.weight for e in log.entries}
             assert log.selected == brute_force_top_k(weights, cfg.k_selected)
 
+    def test_rank_rows_count_the_uploads_of_earlier_rounds(self):
+        cfg = small_config(
+            variant="fedcab", n_clients=8, synth_vehicles=8, synth_points_each=80, rounds=10,
+            hidden=4, p_offline=0.3, p_recover=0.4, budget=3, sample_ratio=0.25, eta0=0.05,
+            seed=4,
+        )
+        result = run_experiment(cfg)
+        # n is a client's uploads before round t, and A = n / t
+        uploads = [0] * cfg.n_clients
+        for log in result.logs:
+            for entry in log.entries:
+                assert entry.n_updates == uploads[entry.client_id]
+                assert entry.participation == uploads[entry.client_id] / log.t
+            for cid in log.selected:
+                uploads[cid] += 1
+        entries = [entry for log in result.logs for entry in log.entries]
+        assert any(entry.n_updates and entry.pos_participation for entry in entries)
+        assert any(e.startswith("budget_exhausted:") for log in result.logs for e in log.events)
+
+    def test_each_peer_scores_its_own_row_of_the_graph(self, monkeypatch):
+        graphs = []  # (positions, chi, graph) of every peer round
+        scored = []  # (index of the round's graph, client, neighbour ids) of every exchange
+        build = fedsim.experiment.build_neighbor_graph
+        evaluate = fedsim.experiment.evaluate_candidates
+
+        def graph_spy(positions, chi):
+            graphs.append((positions, chi, build(positions, chi)))
+            return graphs[-1][2]
+
+        def scoring_spy(model, own_id, neighbor_heads, inputs, targets):
+            scored.append((len(graphs) - 1, own_id, [nid for nid, _ in neighbor_heads]))
+            return evaluate(model, own_id, neighbor_heads, inputs, targets)
+
+        monkeypatch.setattr(fedsim.experiment, "build_neighbor_graph", graph_spy)
+        monkeypatch.setattr(fedsim.experiment, "evaluate_candidates", scoring_spy)
+        cfg = small_config(
+            n_clients=9, synth_vehicles=9, decentral_freq=1.0, chi=3, p_offline=0.5,
+            p_recover=0.3, seed=6,
+        )
+        result = run_experiment(cfg)
+        for positions, chi, graph in graphs:
+            assert graph.tolist() == brute_force_neighbors(positions, chi)
+        for g, u, ids in scored:
+            assert ids == graphs[g][2][u].tolist()
+        assert scored
+        assert len(scored) == sum(len(log.collab_sources) for log in result.logs)
+
     def test_recovered_clients_never_get_global_push(self):
         cfg = small_config(p_offline=0.5, p_recover=0.5, rounds=20)
         result = run_experiment(cfg)
@@ -309,43 +367,18 @@ class TestVariantReduction:
             write_rounds_csv(result.logs, tmp_path / f"{name}.csv")
         assert (tmp_path / "subnormal.csv").read_bytes() == (tmp_path / "zero.csv").read_bytes()
 
-    def test_feddecab_freq_zero_equals_fedcab(self):
-        base = dict(p_offline=0.4, p_recover=0.3, rounds=14, scenario="random", seed=9)
-        a = run_experiment(small_config(variant="feddecab", decentral_freq=0.0, **base))
-        b = run_experiment(small_config(variant="fedcab", decentral_freq=0.5, **base))
-        assert log_bytes(a) == log_bytes(b)
-
-    def test_neutral_compensators_and_uniform_sampling_equal_fedavg(self):
-        base = dict(p_offline=0.3, p_recover=0.4, rounds=14, scenario="random", seed=10)
-        neutral = dict(alpha0=1.0, beta0=1.0, gamma=1.0)
-        a = run_experiment(
-            small_config(
-                variant="feddecab", selection="uniform", decentral_freq=0.0,
-                **neutral, **base,
-            )
-        )
-        b = run_experiment(small_config(variant="fedavg", **neutral, **base))
-        assert log_bytes(a) == log_bytes(b)
-
-    def test_fedprox_differs_from_fedavg(self):
-        base = dict(rounds=8, seed=11)
-        a = run_experiment(small_config(variant="fedprox", prox_mu=0.5, **base))
-        b = run_experiment(small_config(variant="fedavg", **base))
-        assert log_bytes(a) != log_bytes(b)
-
-    @pytest.mark.parametrize(
-        "proximal, plain", [("fedprox", "fedavg"), ("fedprox_plus", "fedcab")]
-    )
-    def test_a_proximal_variant_at_zero_mu_equals_its_plain_one(self, proximal, plain):
+    @pytest.mark.parametrize("edge", sorted(REDUCTIONS))
+    def test_reductions_are_bit_exact(self, edge):
+        richer, identity, poorer, apart = REDUCTIONS[edge]
         base = dict(p_offline=0.4, p_recover=0.3, budget=6, rounds=14, scenario="random", seed=9)
 
-        def logs(variant, **mu):
-            return log_bytes(run_experiment(small_config(variant=variant, **mu, **base)))
+        def logs(variant, **overrides):
+            return log_bytes(run_experiment(small_config(variant=variant, **overrides, **base)))
 
-        want = logs(plain)
-        assert logs(proximal, prox_mu=0.0) == want
-        # the penalty is on: at a positive mu the runs part
-        assert logs(proximal, prox_mu=0.5) != want
+        want = logs(poorer)
+        assert logs(richer, **identity) == want
+        # the feature is on: away from its identity value the runs part
+        assert logs(richer, **{**identity, **apart}) != want
 
 
 class TestScenariosEndToEnd:
@@ -596,8 +629,8 @@ class TestPrepareClients:
     def test_holdout_and_training_windows_are_disjoint(self):
         cfg = small_config()
         clients, _, _, (hold_in, hold_tg), *_ = prepare_clients(cfg)
-        assert hold_in.shape[0] == sum(c.hold_inputs.shape[0] for c in clients.values())
-        for client in clients.values():
+        assert hold_in.shape[0] == sum(c.hold_inputs.shape[0] for c in clients)
+        for client in clients:
             train_windows = client.train_inputs[client.window_starts]
             if train_windows.shape[0] and client.hold_inputs.shape[0]:
                 # stream-tail holdout: no training window may equal a holdout window
@@ -609,7 +642,7 @@ class TestPrepareClients:
         # the fixed 20% of each client's windows, rounded and at least one
         cfg = small_config(synth_points_each=37)
         clients, *_ = prepare_clients(cfg)
-        for client in clients.values():
+        for client in clients:
             m = client.window_starts.size + client.hold_inputs.shape[0]
             assert m == 33 and client.hold_inputs.shape[0] == 7
 
@@ -620,14 +653,14 @@ class TestPrepareClients:
         cfg = small_config(synth_points_each=points_each)
         clients, *_ = prepare_clients(cfg)
         m = points_each - cfg.seq_len
-        for client in clients.values():
+        for client in clients:
             assert client.hold_inputs.shape[0] == 1
             assert client.window_starts.size == m - 1
 
     def test_bootstrap_not_yet_revealed_at_build(self):
         cfg = small_config()
         clients, *_ = prepare_clients(cfg)
-        for client in clients.values():
+        for client in clients:
             assert client.reveal.cursor == 0
 
     def test_split_is_the_full_window_list_cut_at_n_train(self, tmp_path):
@@ -670,7 +703,7 @@ class TestPrepareClients:
         )
         clients, *_ = prepare_clients(cfg)
         seams = 0
-        for client in clients.values():
+        for client in clients:
             positions = np.arange(client.train_inputs.shape[0])
             spanning = np.setdiff1d(positions, client.window_starts)
             seams += spanning.size > 0
@@ -684,7 +717,7 @@ class TestPrepareClients:
     def test_client_arrays_are_views_of_the_stream_and_the_pooled_holdout(self):
         cfg = small_config(vehicles_per_client=2, n_clients=3)
         clients, _, _, holdout, *_ = prepare_clients(cfg)
-        for client in clients.values():
+        for client in clients:
             for train in (client.train_inputs, client.train_targets):
                 assert not train.flags.writeable
                 assert np.shares_memory(train, client.stream_coords)

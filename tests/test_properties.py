@@ -345,12 +345,12 @@ def test_a_config_at_an_edge_is_rejected_or_runs_to_its_end_or_a_fedsim_error(ed
     # what the engine takes for granted without checking it
     dims = model.dims
     assert len(clients) >= 2 and min(dims.n_in, dims.n_hidden, dims.n_out) >= 1
-    for client in clients.values():
+    for client in clients:
         assert client.reveal.slice_size >= 1
         assert client.train_inputs.shape[2] == dims.n_in
         assert client.train_targets.shape[1] == dims.n_out
     assert len(plans) == len(clients)
-    for plan, client in zip(plans, clients.values()):
+    for plan, client in zip(plans, clients):
         assert plan.shape == client.reveal.joins.shape
         assert np.all((plan >= 0.0) & (plan <= 1.0))
     try:
