@@ -50,8 +50,6 @@ def log_bytes(result):
 # Each reduction between variants: (richer variant, the overrides that make it
 # the poorer one, the poorer variant, an override that makes the two part).
 REDUCTIONS = {
-    "fedprox": ("fedprox", dict(prox_mu=0.0), "fedavg", dict(prox_mu=0.5)),
-    "fedprox_plus": ("fedprox_plus", dict(prox_mu=0.0), "fedcab", dict(prox_mu=0.5)),
     "feddecab": ("feddecab", dict(decentral_freq=0.0), "fedcab", dict(decentral_freq=0.5)),
     # uniform selection reads no compensator, so they keep their defaults here
     "fedcab": ("fedcab", dict(selection="uniform"), "fedavg", dict(selection="ranked")),
@@ -366,6 +364,26 @@ class TestVariantReduction:
             result = run_experiment(small_config(decentral_freq=freq, **base))
             write_rounds_csv(result.logs, tmp_path / f"{name}.csv")
         assert (tmp_path / "subnormal.csv").read_bytes() == (tmp_path / "zero.csv").read_bytes()
+
+    def test_fedprox_differs_from_fedavg(self):
+        base = dict(rounds=8, seed=11)
+        a = run_experiment(small_config(variant="fedprox", prox_mu=0.5, **base))
+        b = run_experiment(small_config(variant="fedavg", **base))
+        assert log_bytes(a) != log_bytes(b)
+
+    @pytest.mark.parametrize(
+        "proximal, plain", [("fedprox", "fedavg"), ("fedprox_plus", "fedcab")]
+    )
+    def test_a_proximal_variant_at_zero_mu_equals_its_plain_one(self, proximal, plain):
+        base = dict(p_offline=0.4, p_recover=0.3, budget=6, rounds=14, scenario="random", seed=9)
+
+        def logs(variant, **mu):
+            return log_bytes(run_experiment(small_config(variant=variant, **mu, **base)))
+
+        want = logs(plain)
+        assert logs(proximal, prox_mu=0.0) == want
+        # the penalty is on: at a positive mu the runs part
+        assert logs(proximal, prox_mu=0.5) != want
 
     @pytest.mark.parametrize("edge", sorted(REDUCTIONS))
     def test_reductions_are_bit_exact(self, edge):
