@@ -72,10 +72,11 @@ def _cmd_gradcheck(args) -> int:
     for trial in range(args.trials):
         model = init_params(dims, rng)
         target = init_params(dims, rng).fc_block if trial % 2 else None
-        batch = TrainBatch(
-            rng.normal(size=(args.batch, args.steps, dims.n_in)),
-            rng.normal(size=(args.batch, dims.n_out)),
-        )
+        try:
+            inputs = rng.normal(size=(args.batch, args.steps, dims.n_in))
+            batch = TrainBatch(inputs, rng.normal(size=(args.batch, dims.n_out)))
+        except (ValueError, MemoryError) as exc:
+            raise ConfigError(f"--batch {args.batch} and --steps {args.steps}: {exc}") from exc
         analytic = backward(model, batch, kl_anchor=target).values
         flat = model.values
         # the KL term's log(|v| + 1e-8) bends sharply near v = 0, and a central

@@ -66,12 +66,13 @@ _RANGES = {
          "rounds", "chi", "hidden", "seq_len", "batch_size"),
         _Interval(1, math.inf, "[)"),
     ),
-    **dict.fromkeys(("epochs", "budget", "prox_mu", "seed"), _Interval(0, math.inf, "[)")),
+    **dict.fromkeys(
+        ("epochs", "budget", "prox_mu", "delta_alpha", "delta_beta", "seed"),
+        _Interval(0, math.inf, "[)"),
+    ),
     **dict.fromkeys(("alpha_dir", "eta0", "eta_decay", "gamma"), _Interval(0, math.inf, "()")),
     **dict.fromkeys(
-        ("p_low", "p_high", "p_company", "p_private", "constant_p", "p_offline", "p_recover",
-         "decentral_freq"),
-        _Interval(0, 1, "[]"),
+        ("constant_p", "p_offline", "p_recover", "decentral_freq"), _Interval(0, 1, "[]")
     ),
     "n_clients": _Interval(2, math.inf, "[)"),
     "sample_ratio": _Interval(0, 1, "(]"),
@@ -102,10 +103,6 @@ class ExperimentConfig:
     alpha_dir: float = 1.0
     # weak-signal boxes as [lat_min, lat_max, lon_min, lon_max] in degrees
     weak_areas: list[list[float]] = field(default_factory=list)
-    p_low: float = 0.2
-    p_high: float = 0.9
-    p_company: float = 0.95
-    p_private: float = 0.3
     constant_p: float = 1.0
     reveal_slice_points: int | None = None  # None -> batch_size * seq_len
 
@@ -158,8 +155,6 @@ class ExperimentConfig:
                 raise ConfigError(f"{f.name} must be {allowed}, got {value!r}")
         if self.dataset != "synthetic" and not self.data_path:
             raise ConfigError(f"dataset {self.dataset!r} requires data_path")
-        if self.p_low > self.p_high:
-            raise ConfigError(f"p_low must be <= p_high, got {self.p_low} and {self.p_high}")
         # the schedule is monotone, so its last round holds its extreme rate
         try:
             eta_last = self.eta_at(self.rounds)

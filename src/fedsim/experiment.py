@@ -42,7 +42,7 @@ from .availability import (
     datasize_threshold,
     reveal_round,
 )
-from .collab import CollabCache, evaluate_candidates, head_payload_values
+from .collab import evaluate_candidates, head_payload_values
 from .config import ExperimentConfig
 from .connectivity import build_neighbor_graph, online_chains, step_connectivity
 from .data import BBox, make_windows, parse_csv, partition_by_vehicle, synth_trajectories
@@ -60,8 +60,14 @@ from .training import evaluate_rmse, train_local
 
 # Share of each client's windows, the last by stream order, held out for testing.
 HOLDOUT_FRACTION = 0.2
-# Datasize scenario: clients at or above this percentile of point counts are company devices.
+# Regional scenario: a point's availability inside any weak-signal box, and outside them all.
+P_LOW = 0.2
+P_HIGH = 0.9
+# Datasize scenario: clients at or above this percentile of point counts are company
+# devices, available at P_COMPANY; the others are private devices, at P_PRIVATE.
 DATASIZE_PERCENTILE = 90.0
+P_COMPANY = 0.95
+P_PRIVATE = 0.3
 
 
 @dataclass
@@ -80,7 +86,7 @@ class ClientRuntime:
     rng_train: np.random.Generator
     rng_eval: np.random.Generator
     centroid: np.ndarray
-    cache: CollabCache | None = None
+    anchor: np.ndarray | None = None  # the head cached in its latest peer exchange
     n_uploads: int = 0                # server uploads so far
 
     def usable_window_indices(self) -> np.ndarray:
@@ -186,7 +192,7 @@ def _client_plan(
     points = np.concatenate([np.zeros((0, 2))] + train_runs)
     if config.scenario == "regional":
         areas = [BBox(*box) for box in config.weak_areas]
-        return assign_regional(points, areas, config.p_low, config.p_high)
+        return assign_regional(points, areas, P_LOW, P_HIGH)
     return np.full(points.shape[0], client_p, dtype=float)
 
 
@@ -240,7 +246,7 @@ def prepare_clients(config: ExperimentConfig):
     client_p = [config.constant_p] * len(datasets)
     if config.scenario == "datasize":
         threshold = datasize_threshold(counts, DATASIZE_PERCENTILE)
-        client_p = assign_by_datasize(counts, threshold, config.p_company, config.p_private)
+        client_p = assign_by_datasize(counts, threshold, P_COMPANY, P_PRIVATE)
 
     root = np.random.SeedSequence(config.seed)
     server_ss, select_ss, clients_ss = root.spawn(3)
@@ -345,7 +351,7 @@ def _train_phase(
     diverged = set()
     for cid in sorted(usable):
         client = clients[cid]
-        anchor = client.cache.head if cid in anchored and client.cache is not None else None
+        anchor = client.anchor if cid in anchored else None
         try:
             client.model = train_local(
                 client.model,
@@ -391,8 +397,8 @@ def _decentralized_round(
             inputs, targets = _sample_eval_batch(client, usable[u], config.batch_size)
             neighbors = [(nid, heads[nid]) for nid in graph[u].tolist()]
             log.payloads[u] = head_payload_values(len(neighbors), dims)
-            client.cache = evaluate_candidates(client.model, u, neighbors, inputs, targets)
-            log.collab_sources[u] = client.cache.source_id
+            best = evaluate_candidates(client.model, u, neighbors, inputs, targets)
+            client.anchor, log.collab_sources[u] = best.head, best.source_id
 
 
 def _server_round(

@@ -8,6 +8,7 @@ import pytest
 
 import fedsim.experiment
 from fedsim.data import Trajectory, synth_trajectories, write_csv
+from fedsim.reports import rows_for_log
 
 # Tests import the shared oracle helpers as a plain module.
 sys.path.insert(0, str(Path(__file__).resolve().parent))
@@ -24,6 +25,20 @@ else:
         "fedsim", derandomize=True, max_examples=60, deadline=None, database=None
     )
     settings.load_profile("fedsim")
+
+
+def log_bytes(result):
+    """The rows of a run's rounds.csv, joined: equal text, equal files."""
+    return "\n".join(",".join(row) for log in result.logs for row in rows_for_log(log))
+
+
+# Each reduction between variants: (richer variant, the overrides that make it
+# the poorer one, the poorer variant, an override that makes the two part).
+REDUCTIONS = {
+    "feddecab": ("feddecab", dict(decentral_freq=0.0), "fedcab", dict(decentral_freq=0.5)),
+    # uniform selection reads no compensator, so they keep their defaults here
+    "fedcab": ("fedcab", dict(selection="uniform"), "fedavg", dict(selection="ranked")),
+}
 
 
 def prepare_clients_and_plans(config):
@@ -71,6 +86,31 @@ def openblas():
         set_.argtypes, set_.restype = [ctypes.c_int], None
         return lib
     return None
+
+
+def _numeric_platform() -> str:
+    """numpy's version, the OpenBLAS kernel and thread count, and numpy's
+    enabled SIMD dispatch targets; "unknown" where numpy bundles no OpenBLAS."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    core = threads = "unknown"
+    lib = openblas()
+    if lib is not None:
+        core = lib.scipy_openblas_get_corename64_().decode()
+        threads = lib.scipy_openblas_get_num_threads64_()
+    dispatch = [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
+    return (
+        f"numpy {np.__version__}, OpenBLAS core {core}, {threads} BLAS threads, "
+        f"dispatch {' '.join(dispatch) or 'none'}"
+    )
+
+
+def pytest_terminal_summary(terminalreporter):
+    # every log names the platform its pinned bytes depend on; report-header
+    # lines would not print under -q, and summary lines do
+    terminalreporter.write_line(f"numeric platform: {_numeric_platform()}")
 
 
 @pytest.fixture

@@ -2,8 +2,8 @@
 
 Run with `pytest tests/test_acceptance.py -s` to see the per-criterion lines.
 The trend criteria (5 and 6) run full experiments on two worker processes.
-On a 2-core host the criterion-6 fixture takes about 24 s and criterion 5
-12-18 s, about half of the whole suite.
+On a 2-core host the criterion-6 fixture takes about 19 s and criterion 5
+about 12 s, half of the whole suite's 62 s.
 """
 
 import os

@@ -63,7 +63,7 @@ class TestAssignRegional:
         assert np.array_equal(probs == 0.2, expected_inside)
 
     def test_an_integer_p_high_keeps_a_fractional_p_low(self):
-        # a JSON config may give "p_high": 1, and an int array would cut 0.2 to 0
+        # a caller may pass an int p_high, and an int array would cut 0.2 to 0
         coords = np.array([[30.5, 120.5], [35.0, 125.0]])
         probs = assign_regional(coords, [BBox(30.0, 31.0, 120.0, 121.0)], p_low=0.2, p_high=1)
         assert probs.tolist() == [0.2, 1.0]

@@ -206,11 +206,14 @@ BAD_FIELDS = {
     "bad15": {"partition": "equal", "points_per_client": 0},
     "bad16": {"synth_points_each": 0},
     # retired: a client holds whole vehicles, the holdout is a fixed 20%, the
-    # datasize threshold a fixed 90th percentile (bad8), and RMSE is normalized
+    # datasize threshold a fixed 90th percentile (bad8), the scenario
+    # probabilities are constants (bad6), and RMSE is normalized
     "bad17": {"partition": "equal"},
     "bad18": {"points_per_client": 2500},
     "bad19": {"holdout_fraction": 0.2},
     "retired_rmse_units": {"rmse_units": "degrees"},
+    "retired_p_company": {"p_company": 0.95},
+    "retired_p_private": {"p_private": 0.3},
 }
 
 
@@ -356,8 +359,12 @@ class TestGradcheckCommand:
         assert "PASS" not in captured.out
 
     def test_oversized_model_is_an_error(self, capsys):
-        assert main(["gradcheck", "--hidden", str(10**11)]) == 2
-        assert "hidden width" in capsys.readouterr().err
+        # sizes of PiB scale, whose allocation fails at once on any host
+        for flag, named in [
+            ("--hidden", "hidden width"), ("--batch", "--batch"), ("--steps", "--steps")
+        ]:
+            assert main(["gradcheck", flag, str(10**14)]) == 2, flag
+            assert named in capsys.readouterr().err, flag
 
 
 class TestPlotCommand:

@@ -104,14 +104,11 @@ REJECTED = {
     "bad27": dict(alpha_dir=float("nan")),
     "bad28": dict(eta0=float("inf")),
     "bad29": dict(alpha_dir=0.0),
-    "bad30": dict(p_low=0.9, p_high=0.2),
     "bad31": dict(gamma=0.0),
     "bad33": dict(synth_kind="spiral"),
     "bad34": dict(vehicles_per_client=0),
     "bad35": dict(seed=-1),
     "bad36": dict(constant_p=1.5),
-    "bad37": dict(p_company=-0.1),
-    "bad38": dict(p_private=1.01),
     "bad39": dict(batch_size=0),
     "bad40": dict(synth_vehicles=0),
     "bad41": dict(synth_points_each=0),
@@ -121,6 +118,8 @@ REJECTED = {
     "bad45": dict(hidden=0),
     "bad46": dict(partition="striped"),
     "bad47": dict(alpha0=10**400),  # an int past the largest float
+    "bad48": dict(delta_alpha=-0.5),  # the compensators decay, never grow
+    "bad49": dict(delta_beta=-1.0),
 }
 
 

@@ -26,10 +26,10 @@ import pytest
 import fedsim.training
 from fedsim.config import ExperimentConfig
 from fedsim.data import Trajectory, synth_trajectories, write_csv
-from fedsim.experiment import run_experiment
+from fedsim.experiment import P_COMPANY, P_HIGH, P_LOW, P_PRIVATE, run_experiment
 from fedsim.reports import emit_reports
 
-from conftest import openblas, prepare_clients_and_plans, write_ragged_fleet_csv
+from conftest import _numeric_platform, prepare_clients_and_plans, write_ragged_fleet_csv
 
 BASE = dict(
     dataset="synthetic",
@@ -130,61 +130,61 @@ RAGGED = dict(
 DIGESTS = {
     "fedavg": (
         "dfa6d476fcee47400f2c8d97aa93aa0623bf8b3521a96d1c3342083af54ae2a2",
-        "1a5d98c1554493e838e87266932a75995fed2c80122ed8e68baf5ce17e07fa50",
+        "93ad01208fd7d2acc7c0b236f57f9b92975b1fa747b8ba1566d50810b86c639e",
     ),
     "fedcab": (
         "a493e40cbc56f0a805d50263dc3dc1464896f3b042939218a10cd2a7d7d518cc",
-        "bd942bfc5cc693fe23a50f8370dc7eee2b2bcc5b05e6b79cf5da78950cbd8be3",
+        "59a74a60fbd7e319ca39936413e749eabb37080fb831a3111e98921318b04f44",
     ),
     "feddecab": (
         "be7397d3fba2a497386a7103982e288fc309558254488312d5d4bbf581b33f46",
-        "2500158437f8781fe50d5312d42897c4630affc74d05bedecdb7caf6f9095aab",
+        "840c78fa24ceee5171e9392d61349040a6be70de56c2ef0876b2d1a83db638d3",
     ),
     "fedprox": (
         "a403b7d8865754df55cc4c385f6429b2771be9adbe5301c166ad9be89ae98c2b",
-        "1a95d4d2fab1b97d1d4abb2890221e11d7125c3c034305488a0decaecbe2b0a8",
+        "8681d00c915799ca37ba7e5a4aae94c5b9108b3d6d8f3104dc47421f942e6384",
     ),
     "fedprox_plus": (
         "b326b619e77d03d27c8c5a900df9716e32436eaec57dc9007784a96f1e78133e",
-        "0eaea19053d29d7443d57275b7141df7a27ee034bc76e005b6df1de99a02ff36",
+        "13d621c6264d8a1f25c9933808a93b50c6fbbca3c1a3a50ad06b24c3c2111dd9",
     ),
     "local_only": (
         "804ceccc0248ade120cf7390db84b2d8f57a31ae763ce3ef0fc594350703f6d1",
-        "61fa0dc503707d6ea5211aa9a5dad45f2baef7cb2f8dab73e5f7f07f78abd706",
+        "eaa55820b8f842d796b55dab01418e84d15a761078085358785d59c7decaf54c",
     ),
     "fedavg_offline": (
         "279831935ead16ce931c3d69bb51d7f9d6d0d71feea837e3dce8cf8e2674b818",
-        "781cf41caa6f064d668543f15de36f4bf8509d1172ca01c50ad656305eac3610",
+        "c549be31b3ec7c996bd7cd07fa00c98e7dd1a8e20f8f4d7bbf8e4a2a7c8ed883",
     ),
     "feddecab_offline": (
         "3f586e615e3c3a46e24483de8df2cb93d1262abc320efdb0a948609ce78ef974",
-        "5e7239cadc8a356e87795a99a579908e1ed068ad42fe16d8c1c5dd1e059bd0b3",
+        "016c16e0155ffef7158c62735b71def44ee05881bf33d5ec8d5318982ff7cae3",
     ),
     "feddecab_multi_batch": (
         "d4d9381dbb06fd4dd163f0d82b7fcf868c958cee85693bd9f668a883973b9449",
-        "0f278e6112487caf081a9aa82fed37ce60c00f75129db32bf0103f884f584413",
+        "6e5eebce403bb35e15a007a4da74091fa46665c425c7027083c8271bc3a6e12a",
     ),
     "fedavg_by_datasize": (
         "fe6d80ee45e427d801646501a589aab986dad2624d8ac584afc4fa49172f2878",
-        "80455d4d2451e9a040e99beea8bfcce2f479adfef13e60319d0aef446f8a95b6",
+        "cf2a75f5fad371182f04c92bde05b8d2225497a9e030cfdc7b05dca468d8d792",
     ),
     "feddecab_hidden32": (
         "0e22ddb9b191035f6d0046e8e3af1c7ef2278caac056b3918b9cff1d811f3d87",
-        "9c5bf2fe8f6ec1d2dcbff88ffb30c1038fb634f717f77ec3aaa7f716bb173714",
+        "3fa1011e5b13c3421ab7d762cd3e23d592146c722810390206c49dbf7694ba56",
     ),
     "feddecab_regional": (
         "1d395b71d9170cc1669c3f1282c7b74d522a00619a74e3744cc1b2a8f4cfdb38",
-        "db7e470f77fb314aa0504408057bc8cfc49ac4f064398bbdacff0482c7ebc1cc",
+        "a0115e8f2b67954e6fff977dd80e3bdf442f17eddd8155c0fc3e3027f545c479",
     ),
     "feddecab_datasize": (
         "c3b1afb8ec9d1375fb5d1722203a40bcbbf119c6f346c9a8e5b028e8c61791b4",
-        "54e67e7519d3af41690722897ad6d10df46e7f0afef96168d5471fd33ac60c51",
+        "30e058d21e112b6c79db7d0c906bd5aad90f374aecc8f0dc10c58bed1c947e7a",
     ),
 }
 
 FLEET_DIGESTS = (
     "30abdcf23353dd1daab36fe2b81397a5a6125f9a6926f129b0d1478619ad7105",
-    "51b5b20224220943f429a89b88a8d68b15ec0f79f80a01a3d3133b697ef97917",
+    "9db55b76e1329ad6d4708bfa124c2553a5d97c9cce14cc307a9ce3cd8c484ba8",
 )
 
 RAGGED_ROUNDS_SHA256 = "cb768ffc838824fffab89e76195be20159efc2111985ba0430dc618914375dbc"
@@ -214,32 +214,13 @@ DIVERGING = {
 DIVERGING_DIGESTS = {
     "online_abort": (
         "9e4e36d3af2ab7da27fcf8d3609689a3bfbd6126ad9424dd99e1e42413f89eee",
-        "0f12df7f5241a03cd83ad53eeb66cefcb8ba1d55ec1a6a669806762d23954002",
+        "11f39c6314bd88155db5b7f64eab1f10259845b8b3ffddf71b88c3345e927562",
     ),
     "peer_abort": (
         "3a90b6fd9d4a6768d79bb12e05f4f4d8bf4d3fbb38c9c8873f90ae925dd3d263",
-        "82bbb733d02d853d134255c6015a0e1a7bc22ae354686a03bdd47dfe7978684c",
+        "1b6b7c2845b769cf248dc832e0b4733b7afaa61e2b67a15840634f45d3ce39fe",
     ),
 }
-
-
-def _numeric_platform() -> str:
-    """numpy's version, the OpenBLAS kernel and thread count, and numpy's
-    enabled SIMD dispatch targets; "unknown" where numpy bundles no OpenBLAS."""
-    try:
-        from numpy._core import _multiarray_umath as umath
-    except ImportError:  # numpy 1.x
-        from numpy.core import _multiarray_umath as umath
-    core = threads = "unknown"
-    lib = openblas()
-    if lib is not None:
-        core = lib.scipy_openblas_get_corename64_().decode()
-        threads = lib.scipy_openblas_get_num_threads64_()
-    dispatch = [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
-    return (
-        f"numpy {np.__version__}, OpenBLAS core {core}, {threads} BLAS threads, "
-        f"dispatch {' '.join(dispatch) or 'none'}"
-    )
 
 
 def _sha256(path) -> str:
@@ -306,10 +287,10 @@ def test_scenario_pins_reach_both_probabilities():
     # a box over every point, or none, would pin a constant plan
     config = ExperimentConfig(**dict(BASE, **CASES["feddecab_regional"]))
     _, plans = prepare_clients_and_plans(config)
-    assert any({config.p_low, config.p_high} <= set(plan) for plan in plans)
+    assert any({P_LOW, P_HIGH} <= set(plan) for plan in plans)
     config = ExperimentConfig(**dict(BASE, **CASES["feddecab_datasize"]))
     _, plans = prepare_clients_and_plans(config)
-    assert {float(p) for plan in plans for p in plan} == {config.p_company, config.p_private}
+    assert {float(p) for plan in plans for p in plan} == {P_COMPANY, P_PRIVATE}
 
 
 def test_rounds_that_aggregate_nothing_reuse_the_global_rmse(tmp_path, monkeypatch):

@@ -18,7 +18,7 @@ from fedsim.nn import Dims, ParamSet, TrainBatch, forward, init_params, model_di
 from fedsim.reports import rows_for_log, write_rounds_csv
 from fedsim.training import evaluate_rmse, train_local
 
-from conftest import write_ragged_fleet_csv
+from conftest import REDUCTIONS, log_bytes, write_ragged_fleet_csv
 from oracles import brute_force_neighbors, brute_force_top_k, markov_chain_by_steps
 
 
@@ -41,19 +41,6 @@ def small_config(**overrides):
     )
     base.update(overrides)
     return ExperimentConfig(**base)
-
-
-def log_bytes(result):
-    return "\n".join(",".join(row) for log in result.logs for row in rows_for_log(log))
-
-
-# Each reduction between variants: (richer variant, the overrides that make it
-# the poorer one, the poorer variant, an override that makes the two part).
-REDUCTIONS = {
-    "feddecab": ("feddecab", dict(decentral_freq=0.0), "fedcab", dict(decentral_freq=0.5)),
-    # uniform selection reads no compensator, so they keep their defaults here
-    "fedcab": ("fedcab", dict(selection="uniform"), "fedavg", dict(selection="ranked")),
-}
 
 
 class TestAggregate:
@@ -402,17 +389,12 @@ class TestVariantReduction:
 class TestScenariosEndToEnd:
     def test_regional_scenario_runs(self):
         # weak boxes around the synthetic fleet's corridor
-        cfg = small_config(
-            scenario="regional",
-            weak_areas=[[29.0, 30.0, 119.0, 121.0]],
-            p_low=0.1,
-            p_high=0.95,
-        )
+        cfg = small_config(scenario="regional", weak_areas=[[29.0, 30.0, 119.0, 121.0]])
         result = run_experiment(cfg)
         assert len(result.logs) == cfg.rounds
 
     def test_datasize_scenario_runs(self):
-        cfg = small_config(scenario="datasize", p_company=0.95, p_private=0.4)
+        cfg = small_config(scenario="datasize")
         result = run_experiment(cfg)
         assert len(result.logs) == cfg.rounds
 

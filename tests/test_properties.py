@@ -27,7 +27,7 @@ from fedsim import nn  # noqa: E402
 from fedsim.nn import Dims, ParamSet, TrainBatch, init_params  # noqa: E402
 from fedsim.ranking import RankEntry, select_top_k  # noqa: E402
 
-from conftest import prepare_clients_and_plans  # noqa: E402
+from conftest import REDUCTIONS, log_bytes, prepare_clients_and_plans  # noqa: E402
 from oracles import (  # noqa: E402
     brute_force_top_k,
     markov_chain_by_steps,
@@ -246,8 +246,8 @@ def test_config_from_dict_raises_only_fedsim_errors(raw):
 
 # Fields with no entry in the config's range table: their type is their whole
 # range, or a rule that ties fields together checks them.
-UNBOUNDED = ("alpha0", "beta0", "delta_alpha", "delta_beta", "data_path", "weak_areas",
-             "offline_train_every_round", "aggregate_by_datasize")
+UNBOUNDED = ("alpha0", "beta0", "data_path", "weak_areas", "offline_train_every_round",
+             "aggregate_by_datasize")
 
 
 def test_every_config_field_has_a_range_or_is_unbounded():
@@ -268,10 +268,10 @@ def _edges(name, rule):
 
 # Values at and just past the edge of each field's range, and hand-picked
 # values: more than the data holds, a diverging learning rate, weak boxes on
-# and off their shape rule, and extreme finite values of the unbounded
-# compensator fields. The
-# engine checks none of these again, so a config that loads must run to its
-# end or stop with a FedsimError that depends on the data.
+# and off their shape rule, and extreme finite values of the compensator
+# fields, of which the decay rates must be >= 0. The engine checks none of
+# these again, so a config that loads must run to its end or stop with a
+# FedsimError that depends on the data.
 EXTRAS = {
     **dict.fromkeys(("chi", "synth_vehicles"), [9]),
     "eta0": [50.0],
@@ -288,11 +288,7 @@ EDGES = {
 # the scenario that reads each scenario-specific field
 SCENARIO_OF = {
     "alpha_dir": "random",
-    "p_low": "regional",
-    "p_high": "regional",
     "weak_areas": "regional",
-    "p_company": "datasize",
-    "p_private": "datasize",
     "constant_p": "constant",
 }
 
@@ -358,6 +354,26 @@ def test_a_config_at_an_edge_is_rejected_or_runs_to_its_end_or_a_fedsim_error(ed
     except FedsimError:
         return
     assert 1 <= len(result.logs) <= config.rounds
+
+
+# Every reduction between variants: the richer variant at its identity
+# overrides, and the poorer variant it then is.
+REDUCTION_EDGES = {
+    **{edge: row[:3] for edge, row in REDUCTIONS.items()},
+    "fedprox": ("fedprox", dict(prox_mu=0.0), "fedavg"),
+    "fedprox_plus": ("fedprox_plus", dict(prox_mu=0.0), "fedcab"),
+}
+
+
+@settings(max_examples=25)
+@given(small_configs())
+def test_every_variant_reduction_is_bit_exact_on_a_drawn_base(raw):
+    def logs(variant, **overrides):
+        config = ExperimentConfig(**{**raw, "variant": variant, **overrides})
+        return log_bytes(run_experiment(config))
+
+    for edge, (richer, identity, poorer) in REDUCTION_EDGES.items():
+        assert logs(richer, **identity) == logs(poorer), edge
 
 
 # Even hidden widths only: at odd widths of 15 and more the gate GEMM rounds a
