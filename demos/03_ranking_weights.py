@@ -8,6 +8,10 @@ low-divergence clients. Late joiners carry a beta multiplier that decays to
 """
 
 from fedsim.ranking import (
+    ALPHA0,
+    BETA0,
+    DELTA_BETA,
+    GAMMA,
     CompensatorState,
     RankEntry,
     build_rank_entries,
@@ -20,8 +24,8 @@ from fedsim.ranking import (
 
 m_t = 10
 
-print("divergence position -> weight, early (alpha=2) vs late (alpha<=1) phase")
-b = solve_quadratic(2.0, m_t)
+print(f"divergence position -> weight, early (alpha={ALPHA0:g}) vs late (alpha<=1) phase")
+b = solve_quadratic(ALPHA0, m_t)
 print("pos:   " + "  ".join(f"{p:>5}" for p in range(1, m_t + 1)))
 print("early: " + "  ".join(f"{weight_early(p, *b):>5.2f}" for p in range(1, m_t + 1)))
 # the late weight with the participation position at m_t: the ramp P / m_t
@@ -30,7 +34,14 @@ print("late:  " + "  ".join(f"{w:>5.2f}" for w in late))
 
 # a round of ranking: divergences and participations become positions,
 # positions become weights, stragglers get boosted, top-K upload
-comp = CompensatorState(alpha=2.0, delta_alpha=0.1, delta_beta=0.05, gamma=1.2, beta0=1.5)
+# the engine's compensators, with alpha's step for a 20-round run
+comp = CompensatorState(
+    alpha=ALPHA0,
+    delta_alpha=2.0 * (ALPHA0 - 1.0) / 20,
+    delta_beta=DELTA_BETA,
+    gamma=GAMMA,
+    beta0=BETA0,
+)
 entries = [
     RankEntry(client_id=0, divergence=0.90, participation=0.8, n_updates=8),
     RankEntry(client_id=1, divergence=0.40, participation=0.2, n_updates=2),

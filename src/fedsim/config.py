@@ -66,11 +66,8 @@ _RANGES = {
          "rounds", "chi", "hidden", "seq_len", "batch_size"),
         _Interval(1, math.inf, "[)"),
     ),
-    **dict.fromkeys(
-        ("epochs", "budget", "prox_mu", "delta_alpha", "delta_beta", "seed"),
-        _Interval(0, math.inf, "[)"),
-    ),
-    **dict.fromkeys(("alpha_dir", "eta0", "eta_decay", "gamma"), _Interval(0, math.inf, "()")),
+    **dict.fromkeys(("epochs", "budget", "prox_mu", "seed"), _Interval(0, math.inf, "[)")),
+    **dict.fromkeys(("alpha_dir", "eta0", "eta_decay"), _Interval(0, math.inf, "()")),
     **dict.fromkeys(
         ("constant_p", "p_offline", "p_recover", "decentral_freq"), _Interval(0, 1, "[]")
     ),
@@ -120,13 +117,6 @@ class ExperimentConfig:
     chi: int = 3
     offline_train_every_round: bool = False
     aggregate_by_datasize: bool = False
-
-    # compensators
-    alpha0: float = 2.0
-    delta_alpha: float | None = None      # None -> alpha reaches 1 mid-run
-    beta0: float = 1.5
-    delta_beta: float = 0.05
-    gamma: float = 1.2
 
     # algorithm
     variant: str = "feddecab"
@@ -183,13 +173,6 @@ class ExperimentConfig:
         if self.reveal_slice_points is not None:
             return self.reveal_slice_points
         return self.batch_size * self.seq_len
-
-    @property
-    def alpha_step(self) -> float:
-        if self.delta_alpha is not None:
-            return self.delta_alpha
-        # reach the linear phase halfway through the run
-        return 2.0 * max(self.alpha0 - 1.0, 0.0) / self.rounds
 
     @property
     def selection_mode(self) -> str:

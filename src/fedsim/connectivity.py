@@ -57,10 +57,12 @@ def build_neighbor_graph(positions: np.ndarray, chi: int) -> np.ndarray:
     n = positions.shape[0]
     k = min(chi, n - 1)
     graph = np.empty((n, k), dtype=np.intp)
+    x, y = positions[:, 0], positions[:, 1]
     n_rows = max(1, NEIGHBOR_BLOCK_ENTRIES // n)
     for start in range(0, n, n_rows):
         rows = np.arange(start, min(start + n_rows, n))
-        dists = np.linalg.norm(positions - positions[rows, None], axis=2)
+        dx, dy = x - x[rows, None], y - y[rows, None]
+        dists = np.sqrt(dx * dx + dy * dy)
         # the stable sort sends distance ties to the lower row
         order = np.argsort(dists, axis=1, kind="stable")
         graph[rows] = order[order != rows[:, None]].reshape(rows.size, n - 1)[:, :k]

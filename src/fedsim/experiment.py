@@ -49,6 +49,10 @@ from .data import BBox, make_windows, parse_csv, partition_by_vehicle, synth_tra
 from .errors import ConfigError, NumericError
 from .nn import Dims, ParamSet, init_params, model_divergence
 from .ranking import (
+    ALPHA0,
+    BETA0,
+    DELTA_BETA,
+    GAMMA,
     CompensatorState,
     RankEntry,
     build_rank_entries,
@@ -474,12 +478,13 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         for client in clients:
             client.model = init_params(global_model.dims, client.rng_train)
         global_model = None
+    # alpha reaches 1, and the linear phase, halfway through the run
     comp = CompensatorState(
-        alpha=config.alpha0,
-        delta_alpha=config.alpha_step,
-        delta_beta=config.delta_beta,
-        gamma=config.gamma,
-        beta0=config.beta0,
+        alpha=ALPHA0,
+        delta_alpha=2.0 * (ALPHA0 - 1.0) / config.rounds,
+        delta_beta=DELTA_BETA,
+        gamma=GAMMA,
+        beta0=BETA0,
     )
 
     # one slice arrives before the first round so early training is possible

@@ -16,6 +16,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+# The compensators' start values and beta's decay rate; alpha's rate depends
+# on the run's length, so ``run_experiment`` derives it.
+ALPHA0 = 2.0
+BETA0 = 1.5
+DELTA_BETA = 0.05
+GAMMA = 1.2
+
 
 @dataclass
 class CompensatorState:
@@ -127,22 +134,10 @@ def sample_proportional(
 ) -> list[int]:
     """Weight-proportional sampling without replacement (ablation mode).
 
-    A negative or NaN weight counts as zero. If any weight is +inf, only the
-    +inf weights are drawn from, equally; weights whose sum overflows are
-    divided by the largest first. When fewer than k weights are positive, all
-    of them are selected and the rest are drawn uniformly from the others.
+    Every weight must be positive and finite, as every weight that
+    ``build_rank_entries`` assigns under the module's compensators is.
     """
-    k = min(k, len(entries))
     ids = np.array([e.client_id for e in entries])
     w = np.array([e.weight for e in entries], dtype=float)
-    w = 1.0 * (w == np.inf) if np.isposinf(w).any() else np.where(w > 0, w, 0.0)
-    with np.errstate(over="ignore"):
-        if np.isinf(w.sum()):
-            w /= w.max()
-    p = w / (w.sum() or 1.0)
-    sure = p > 0
-    if sure.sum() >= max(k, 1):
-        return sorted(int(cid) for cid in rng.choice(ids, size=k, replace=False, p=p))
-    rest = ids[~sure]
-    filled = rng.choice(rest, size=k - sure.sum(), replace=False, p=np.ones(rest.size) / rest.size)
-    return sorted(int(cid) for cid in (*ids[sure], *filled))
+    picked = rng.choice(ids, size=min(k, len(entries)), replace=False, p=w / w.sum())
+    return sorted(int(cid) for cid in picked)

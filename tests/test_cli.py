@@ -164,20 +164,6 @@ class TestRunCommand:
         assert capsys.readouterr().err.startswith(f"error: {out}: ")
         assert blocker.read_text(encoding="utf-8") == ""
 
-    @pytest.mark.parametrize("beta0", [0.0, -1.0])
-    def test_proportional_selection_with_zero_weights_runs(self, tmp_path, capsys, beta0):
-        # a beta0 <= 0 gives no weight to a client first ranked after round 1,
-        # so rounds have fewer positive weights than clients to select
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps(dict(
-            variant="fedcab", selection="proportional", beta0=beta0, synth_vehicles=12,
-            synth_points_each=100, n_clients=12, scenario="random", alpha_dir=0.5,
-            reveal_slice_points=6, p_offline=0.3, p_recover=0.5, sample_ratio=1.0, hidden=4,
-            seq_len=4, batch_size=8, rounds=10, budget=None, eta0=0.05, seed=0,
-        )), encoding="utf-8")
-        assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
-        assert "fedcab: 10 rounds" in capsys.readouterr().out
-
     def test_invalid_config_returns_error_code(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text('{"variant": "nonsense"}', encoding="utf-8")
@@ -207,7 +193,8 @@ BAD_FIELDS = {
     "bad16": {"synth_points_each": 0},
     # retired: a client holds whole vehicles, the holdout is a fixed 20%, the
     # datasize threshold a fixed 90th percentile (bad8), the scenario
-    # probabilities are constants (bad6), and RMSE is normalized
+    # probabilities (bad6) and the ranking compensators (bad7) are constants,
+    # and RMSE is normalized
     "bad17": {"partition": "equal"},
     "bad18": {"points_per_client": 2500},
     "bad19": {"holdout_fraction": 0.2},

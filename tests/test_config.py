@@ -28,13 +28,6 @@ class TestDefaults:
         assert cfg.chi == 3
         assert cfg.slice_points == 16 * 6
 
-    def test_compensator_defaults(self):
-        cfg = ExperimentConfig()
-        assert cfg.alpha0 == 2.0
-        assert cfg.alpha_step == pytest.approx(2.0 * (2.0 - 1.0) / 240)
-        assert cfg.beta0 == 1.5 and cfg.delta_beta == 0.05
-        assert cfg.gamma == 1.2
-
     def test_variant_presets(self):
         assert ExperimentConfig(variant="fedavg").selection_mode == "uniform"
         assert ExperimentConfig(variant="fedavg").proximal_mu == 0.0
@@ -104,7 +97,6 @@ REJECTED = {
     "bad27": dict(alpha_dir=float("nan")),
     "bad28": dict(eta0=float("inf")),
     "bad29": dict(alpha_dir=0.0),
-    "bad31": dict(gamma=0.0),
     "bad33": dict(synth_kind="spiral"),
     "bad34": dict(vehicles_per_client=0),
     "bad35": dict(seed=-1),
@@ -117,9 +109,7 @@ REJECTED = {
     "bad44": dict(weak_areas=[[0.0, 1.0, 2.0, -2.0]]),
     "bad45": dict(hidden=0),
     "bad46": dict(partition="striped"),
-    "bad47": dict(alpha0=10**400),  # an int past the largest float
-    "bad48": dict(delta_alpha=-0.5),  # the compensators decay, never grow
-    "bad49": dict(delta_beta=-1.0),
+    "bad47": dict(prox_mu=10**400),  # an int past the largest float
 }
 
 

@@ -89,11 +89,11 @@ class TestNeighborGraph:
 
 
 def random_fleets():
-    """Seeded (n, 2) fleets of 2 to 40 clients: spread, quantised (many equal
-    distances) and with duplicate positions, at chi = 1, 2, 3, N - 1, N and
-    N + 4."""
+    """Seeded (n, 2) fleets of 2 to 160 clients (fleet_churn's fleet size):
+    spread, quantised (many equal distances) and with duplicate positions, at
+    chi = 1, 2, 3, N - 1, N and N + 4."""
     rng = np.random.default_rng(41)
-    for n in (2, 3, 5, 9, 17, 40):
+    for n in (2, 3, 5, 9, 17, 40, 160):
         spread = rng.normal(size=(n, 2))
         quantised = np.round(rng.uniform(-2, 2, size=(n, 2)))
         duplicated = spread[rng.integers(0, max(1, n // 2), size=n)]

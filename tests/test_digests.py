@@ -130,61 +130,61 @@ RAGGED = dict(
 DIGESTS = {
     "fedavg": (
         "dfa6d476fcee47400f2c8d97aa93aa0623bf8b3521a96d1c3342083af54ae2a2",
-        "93ad01208fd7d2acc7c0b236f57f9b92975b1fa747b8ba1566d50810b86c639e",
+        "4eb9389d432efaa6c82af20f7d3e85d87c427b446255e79f0ab645e3f170aa92",
     ),
     "fedcab": (
         "a493e40cbc56f0a805d50263dc3dc1464896f3b042939218a10cd2a7d7d518cc",
-        "59a74a60fbd7e319ca39936413e749eabb37080fb831a3111e98921318b04f44",
+        "7438c1109e03d41a1d1e4ff7e0c95f20627150d566ced842810b7d21783de196",
     ),
     "feddecab": (
         "be7397d3fba2a497386a7103982e288fc309558254488312d5d4bbf581b33f46",
-        "840c78fa24ceee5171e9392d61349040a6be70de56c2ef0876b2d1a83db638d3",
+        "d29c15935ff358006f53d2816e030908d42f743a79f918e183b4fbff90d43f6d",
     ),
     "fedprox": (
         "a403b7d8865754df55cc4c385f6429b2771be9adbe5301c166ad9be89ae98c2b",
-        "8681d00c915799ca37ba7e5a4aae94c5b9108b3d6d8f3104dc47421f942e6384",
+        "861ddf21dc66194448a44de88a7a86f047136f28dd1b18e358f4e1cef24a2d07",
     ),
     "fedprox_plus": (
         "b326b619e77d03d27c8c5a900df9716e32436eaec57dc9007784a96f1e78133e",
-        "13d621c6264d8a1f25c9933808a93b50c6fbbca3c1a3a50ad06b24c3c2111dd9",
+        "8d4a6f665042e70fbfc59904eefec44557bcaaca98fab859007602247c517f53",
     ),
     "local_only": (
         "804ceccc0248ade120cf7390db84b2d8f57a31ae763ce3ef0fc594350703f6d1",
-        "eaa55820b8f842d796b55dab01418e84d15a761078085358785d59c7decaf54c",
+        "60e7c17d100aa6d3fb688e90d6ab133640e317af26f740e0521bdad3f25f7bd1",
     ),
     "fedavg_offline": (
         "279831935ead16ce931c3d69bb51d7f9d6d0d71feea837e3dce8cf8e2674b818",
-        "c549be31b3ec7c996bd7cd07fa00c98e7dd1a8e20f8f4d7bbf8e4a2a7c8ed883",
+        "be22860123da09b00b572d223a76cdf993be56d52ca76a5fb1048dfaa611ff43",
     ),
     "feddecab_offline": (
         "3f586e615e3c3a46e24483de8df2cb93d1262abc320efdb0a948609ce78ef974",
-        "016c16e0155ffef7158c62735b71def44ee05881bf33d5ec8d5318982ff7cae3",
+        "1e69f83d12c56ccee16a50b1d47c7c37ab502e3afcc8ad92ae74ef9763303aaa",
     ),
     "feddecab_multi_batch": (
         "d4d9381dbb06fd4dd163f0d82b7fcf868c958cee85693bd9f668a883973b9449",
-        "6e5eebce403bb35e15a007a4da74091fa46665c425c7027083c8271bc3a6e12a",
+        "1e509840ee1dd8da6c34c2c58f7d6a60ba116a432dc986bcc437cad8a12a6dd7",
     ),
     "fedavg_by_datasize": (
         "fe6d80ee45e427d801646501a589aab986dad2624d8ac584afc4fa49172f2878",
-        "cf2a75f5fad371182f04c92bde05b8d2225497a9e030cfdc7b05dca468d8d792",
+        "faef4b16c5b55e514809aaf12d53b44a67910c8c23ad58636cb53bf691bc277d",
     ),
     "feddecab_hidden32": (
         "0e22ddb9b191035f6d0046e8e3af1c7ef2278caac056b3918b9cff1d811f3d87",
-        "3fa1011e5b13c3421ab7d762cd3e23d592146c722810390206c49dbf7694ba56",
+        "cae2569ec49d0f392b560152b8a10d6a95c2dbfe5d9a552b3c12990d3e35af91",
     ),
     "feddecab_regional": (
         "1d395b71d9170cc1669c3f1282c7b74d522a00619a74e3744cc1b2a8f4cfdb38",
-        "a0115e8f2b67954e6fff977dd80e3bdf442f17eddd8155c0fc3e3027f545c479",
+        "eadf7ceed1955c6df2e32849602271596dbbc45262af1888bde8ad490018c6f8",
     ),
     "feddecab_datasize": (
         "c3b1afb8ec9d1375fb5d1722203a40bcbbf119c6f346c9a8e5b028e8c61791b4",
-        "30e058d21e112b6c79db7d0c906bd5aad90f374aecc8f0dc10c58bed1c947e7a",
+        "87846c5ed8a992e7868aad65c8886ef3eee76f6eeb19a5187567612d685bc4e0",
     ),
 }
 
 FLEET_DIGESTS = (
     "30abdcf23353dd1daab36fe2b81397a5a6125f9a6926f129b0d1478619ad7105",
-    "9db55b76e1329ad6d4708bfa124c2553a5d97c9cce14cc307a9ce3cd8c484ba8",
+    "128765d8b1d76a53ffb9ba1a92a6dbe5bb8a4238404949396ede22fb696b1a6b",
 )
 
 RAGGED_ROUNDS_SHA256 = "cb768ffc838824fffab89e76195be20159efc2111985ba0430dc618914375dbc"
@@ -214,11 +214,11 @@ DIVERGING = {
 DIVERGING_DIGESTS = {
     "online_abort": (
         "9e4e36d3af2ab7da27fcf8d3609689a3bfbd6126ad9424dd99e1e42413f89eee",
-        "11f39c6314bd88155db5b7f64eab1f10259845b8b3ffddf71b88c3345e927562",
+        "fa2629f7c9ca3d9b4a2bb6fb8ca3a89a2ddc0dcd7f983b2ab11d2fbbe3af850d",
     ),
     "peer_abort": (
         "3a90b6fd9d4a6768d79bb12e05f4f4d8bf4d3fbb38c9c8873f90ae925dd3d263",
-        "1b6b7c2845b769cf248dc832e0b4733b7afaa61e2b67a15840634f45d3ce39fe",
+        "f4c153bc3a7be5b8dadb4a6c1e3719318261d4df6dc8e3b5639ef647188ea728",
     ),
 }
 

@@ -330,10 +330,11 @@ class TestRoundLoop:
             assert not set(log.selected) & set(log.offline)
 
     def test_alpha_logged_and_decaying_in_ranked_mode(self):
-        cfg = small_config(rounds=6, alpha0=2.0, delta_alpha=0.1)
+        # alpha starts at 2 and decays by 2 * (2 - 1) / rounds a round
+        cfg = small_config(rounds=6)
         result = run_experiment(cfg)
         alphas = [log.alpha for log in result.logs]
-        assert alphas == pytest.approx([2.0 - 0.1 * t for t in range(1, 7)])
+        assert alphas == pytest.approx([2.0 - t * 2.0 / 6 for t in range(1, 7)])
 
     def test_uniform_mode_logs_no_alpha_or_positions(self):
         cfg = small_config(variant="fedavg")

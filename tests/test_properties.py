@@ -25,7 +25,14 @@ from fedsim.errors import FedsimError  # noqa: E402
 from fedsim.experiment import aggregate, prepare_clients, run_experiment  # noqa: E402
 from fedsim import nn  # noqa: E402
 from fedsim.nn import Dims, ParamSet, TrainBatch, init_params  # noqa: E402
-from fedsim.ranking import RankEntry, select_top_k  # noqa: E402
+from fedsim import ranking  # noqa: E402
+from fedsim.ranking import (  # noqa: E402
+    CompensatorState,
+    RankEntry,
+    build_rank_entries,
+    decay_compensators,
+    select_top_k,
+)
 
 from conftest import REDUCTIONS, log_bytes, prepare_clients_and_plans  # noqa: E402
 from oracles import (  # noqa: E402
@@ -168,6 +175,61 @@ def test_select_top_k_matches_the_brute_force_oracle(pairs, k):
     assert select_top_k(entries, k) == brute_force_top_k(dict(pairs), k)
 
 
+# how a participant's divergence order relates to its participation order: any
+# permutation, the same order (top in both) or the reverse
+POSITION_ORDERS = ("any", "same", "reverse")
+
+
+@settings(max_examples=40)
+@given(
+    m_t=st.integers(1, 10_000),
+    rounds=st.integers(1, 1_000),
+    decays=st.integers(0, 999),
+    order=st.sampled_from(POSITION_ORDERS),
+    seed=st.integers(0, 2**32 - 1),
+)
+# 10,000 participants at the default 240 rounds: in the last two rounds of
+# alpha's quadratic phase (the second at alpha = 1 + 3.6e-15), the first of
+# its linear phase, and the last round
+@example(m_t=10_000, rounds=240, decays=119, order="same", seed=0)
+@example(m_t=10_000, rounds=240, decays=120, order="same", seed=0)
+@example(m_t=10_000, rounds=240, decays=121, order="reverse", seed=0)
+@example(m_t=10_000, rounds=240, decays=239, order="any", seed=0)
+def test_every_rank_weight_is_positive_and_finite(m_t, rounds, decays, order, seed):
+    # proportional selection draws with p = w / w.sum() and has no branch for
+    # a weight that is zero, negative, NaN or infinite, so no round may give one
+    comp = CompensatorState(
+        alpha=ranking.ALPHA0,
+        delta_alpha=2.0 * (ranking.ALPHA0 - 1.0) / rounds,
+        delta_beta=ranking.DELTA_BETA,
+        gamma=ranking.GAMMA,
+        beta0=ranking.BETA0,
+    )
+    # alpha in round decays + 1, after the decays of the rounds before it
+    for _ in range(decays % rounds):
+        decay_compensators(comp, [])
+    rng = np.random.default_rng(seed)
+    divergence = rng.permutation(m_t).astype(float)
+    participation = {
+        "any": rng.permutation(m_t), "same": divergence, "reverse": -divergence
+    }[order]
+    entries = [
+        RankEntry(cid, divergence[cid], float(participation[cid]), int(n))
+        for cid, n in enumerate(rng.integers(0, 20, size=m_t))
+    ]
+    # a client ranked j times before has the beta of j decays from BETA0; 0 to
+    # 12 decays run from BETA0 to the floor of 1 and past it
+    betas = [ranking.BETA0]
+    while len(betas) < 13:
+        betas.append(max(betas[-1] - ranking.DELTA_BETA, 1.0))
+    for cid, j in enumerate(rng.integers(0, len(betas), size=m_t)):
+        if j:
+            comp.beta[cid] = betas[j]
+    build_rank_entries(entries, comp)
+    weights = np.array([e.weight for e in entries])
+    assert np.all(np.isfinite(weights) & (weights > 0.0)), (comp.alpha, weights.min())
+
+
 # the smallest model: one input, one hidden unit and one output, 14 values
 AGG_DIMS = Dims(1, 1, 1)
 PARAMS = st.lists(
@@ -246,8 +308,7 @@ def test_config_from_dict_raises_only_fedsim_errors(raw):
 
 # Fields with no entry in the config's range table: their type is their whole
 # range, or a rule that ties fields together checks them.
-UNBOUNDED = ("alpha0", "beta0", "data_path", "weak_areas", "offline_train_every_round",
-             "aggregate_by_datasize")
+UNBOUNDED = ("data_path", "weak_areas", "offline_train_every_round", "aggregate_by_datasize")
 
 
 def test_every_config_field_has_a_range_or_is_unbounded():
@@ -267,18 +328,16 @@ def _edges(name, rule):
 
 
 # Values at and just past the edge of each field's range, and hand-picked
-# values: more than the data holds, a diverging learning rate, weak boxes on
-# and off their shape rule, and extreme finite values of the compensator
-# fields, of which the decay rates must be >= 0. The engine checks none of
-# these again, so a config that loads must run to its end or stop with a
-# FedsimError that depends on the data.
+# values: more than the data holds, a diverging learning rate, and weak boxes
+# on and off their shape rule. The engine checks none of these again, so a
+# config that loads must run to its end or stop with a FedsimError that
+# depends on the data.
 EXTRAS = {
     **dict.fromkeys(("chi", "synth_vehicles"), [9]),
     "eta0": [50.0],
     "weak_areas": [
         [[0.0, 90.0, 0.0, 180.0]], [[30.0, 30.0, 119.0, 121.0]], [[29.0, 31.0, 121.0, 119.0]]
     ],
-    **dict.fromkeys(("alpha0", "beta0", "delta_alpha", "delta_beta"), [-1e308, 0.0, 1e308]),
 }
 EDGES = {
     name: (_edges(name, _RANGES[name]) if name in _RANGES else []) + EXTRAS.get(name, [])
