@@ -46,24 +46,29 @@ def step_connectivity(online: np.ndarray, t: int) -> tuple[list[int], list[int],
     )
 
 
-def build_neighbor_graph(positions: np.ndarray, chi: int) -> np.ndarray:
-    """The (n, k) rows of every client's k = min(chi, n - 1) nearest other
-    clients, nearest first, from the (n, 2) array of their positions; a
-    client's id is its row.
+def build_neighbor_graph(
+    positions: np.ndarray, chi: int, rows: np.ndarray | None = None
+) -> np.ndarray:
+    """The k = min(chi, n - 1) nearest other clients of each client in
+    ``rows``, nearest first, from the (n, 2) array of every client's position;
+    a client's id is its row. Returns one row of the (len(rows), k) array per
+    entry of ``rows``, every client's by default.
 
     Distance is Euclidean, and ties break toward the lower row. Needs at least
     two clients.
     """
     n = positions.shape[0]
     k = min(chi, n - 1)
-    graph = np.empty((n, k), dtype=np.intp)
+    rows = np.arange(n) if rows is None else np.asarray(rows, dtype=np.intp)
+    graph = np.empty((rows.size, k), dtype=np.intp)
     x, y = positions[:, 0], positions[:, 1]
     n_rows = max(1, NEIGHBOR_BLOCK_ENTRIES // n)
-    for start in range(0, n, n_rows):
-        rows = np.arange(start, min(start + n_rows, n))
-        dx, dy = x - x[rows, None], y - y[rows, None]
+    for start in range(0, rows.size, n_rows):
+        block = rows[start : start + n_rows]
+        dx, dy = x - x[block, None], y - y[block, None]
         dists = np.sqrt(dx * dx + dy * dy)
         # the stable sort sends distance ties to the lower row
         order = np.argsort(dists, axis=1, kind="stable")
-        graph[rows] = order[order != rows[:, None]].reshape(rows.size, n - 1)[:, :k]
+        others = order[order != block[:, None]].reshape(block.size, n - 1)
+        graph[start : start + n_rows] = others[:, :k]
     return graph

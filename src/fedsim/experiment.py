@@ -42,7 +42,7 @@ from .availability import (
     datasize_threshold,
     reveal_round,
 )
-from .collab import evaluate_candidates, head_payload_values
+from .collab import evaluate_exchanges, head_payload_values
 from .config import ExperimentConfig
 from .connectivity import build_neighbor_graph, online_chains, step_connectivity
 from .data import BBox, make_windows, parse_csv, partition_by_vehicle, synth_trajectories
@@ -82,6 +82,7 @@ class ClientRuntime:
     train_inputs: np.ndarray          # (n_stream - S, S, 2) read-only view of stream_coords
     train_targets: np.ndarray         # (n_stream - S, 2), both indexed by stream position
     window_starts: np.ndarray         # stream positions of the training windows
+    window_joins: np.ndarray          # per window_starts entry: do all its points join
     stream_coords: np.ndarray         # (n_stream, 2) normalized training stream
     hold_inputs: np.ndarray           # this client's rows of the pooled holdout
     hold_targets: np.ndarray
@@ -96,11 +97,10 @@ class ClientRuntime:
     def usable_window_indices(self) -> np.ndarray:
         """Stream positions of the revealed training windows whose points
         all joined; they index ``train_inputs`` and ``train_targets``."""
-        span = self.train_inputs.shape[1] + 1
-        cursor = self.reveal.cursor
-        starts = self.window_starts[self.window_starts + span <= cursor]
-        csum = np.concatenate([[0], np.cumsum(self.reveal.joins[:cursor])])
-        return starts[csum[starts + span] - csum[starts] == span]
+        # window_starts ascends, and a window is revealed once its last point is
+        last = self.reveal.cursor - self.train_inputs.shape[1] - 1
+        n = np.searchsorted(self.window_starts, last, side="right")
+        return self.window_starts[:n][self.window_joins[:n]]
 
     def position(self) -> np.ndarray:
         """Newest joined stream point, or the centroid before any arrives."""
@@ -297,6 +297,10 @@ def prepare_clients(config: ExperimentConfig):
 
         probs = _client_plan(config, train_runs, client_p[i], np.random.default_rng(plan_ss))
         joins = np.random.default_rng(reveal_ss).random(probs.size) < probs
+        # fates never change, so whether all seq_len + 1 points of a window
+        # join is known now; joined[p] counts the joined points before p
+        joined = np.concatenate([[0], np.cumsum(joins)])
+        window_joins = joined[window_starts + seq_len + 1] - joined[window_starts] == seq_len + 1
         draws = np.random.default_rng(conn_ss).random(config.rounds - 1)
         stays[i], recovers[i] = draws >= config.p_offline, draws < config.p_recover
 
@@ -308,6 +312,7 @@ def prepare_clients(config: ExperimentConfig):
             train_inputs=train_inputs,
             train_targets=train_targets,
             window_starts=window_starts,
+            window_joins=window_joins,
             stream_coords=stream_coords,
             hold_inputs=holdout[0][hold],
             hold_targets=holdout[1][hold],
@@ -387,10 +392,11 @@ def _decentralized_round(
     dims = clients[0].model.dims
     # heads as they were before this pass trains anyone: np.stack copies
     heads = np.stack([c.model.fc_block for c in clients])
-    graph = build_neighbor_graph(np.array([c.position() for c in clients]), config.chi)
+    positions = np.array([c.position() for c in clients])
+    graph = build_neighbor_graph(positions, config.chi, np.array(offline))
     usable, diverged = _train_phase(config, clients, offline, eta, 0.0, set(offline))
-    for u in offline:
-        client = clients[u]
+    rows, batches = [], []  # the graph row and the eval batch of each exchange
+    for row, u in enumerate(offline):
         if u in diverged:
             # divergence aborts this client's peer round only
             log.events.append(f"numeric_abort_peer:{u}")
@@ -398,11 +404,15 @@ def _decentralized_round(
             # nothing to train on or to score candidates with: no exchange
             log.events += [f"peer_update_skipped:{u}", f"peer_eval_skipped:{u}"]
         else:
-            inputs, targets = _sample_eval_batch(client, usable[u], config.batch_size)
-            neighbors = [(nid, heads[nid]) for nid in graph[u].tolist()]
-            log.payloads[u] = head_payload_values(len(neighbors), dims)
-            best = evaluate_candidates(client.model, u, neighbors, inputs, targets)
-            client.anchor, log.collab_sources[u] = best.head, best.source_id
+            rows.append(row)
+            batches.append(_sample_eval_batch(clients[u], usable[u], config.batch_size))
+            log.payloads[u] = head_payload_values(graph.shape[1], dims)
+    if not rows:
+        return
+    scored = [offline[row] for row in rows]
+    models = [clients[u].model for u in scored]
+    for u, best in zip(scored, evaluate_exchanges(models, scored, graph[rows], heads, batches)):
+        clients[u].anchor, log.collab_sources[u] = best.head, best.source_id
 
 
 def _server_round(

@@ -31,12 +31,12 @@ leaves a spent g slab that ``backward`` overwrites.
 This step exists once, in ``_lstm_step``, and both passes call it. Training
 (``backward``) lets it write each step's results into fresh arrays, because
 the backward sweep reads every step's arrays from the cache. Evaluation
-(``forward``, ``lstm_hidden``) keeps no cache: it allocates one working set
-per call, sized for the largest block, and every block and step writes into
-it in place. Each step's ``h`` goes straight into the hidden half of the next
-step's ``z``, and ``h`` and ``c`` are zeroed at the start of each block. With
-no fresh arrays per step, the allocator does not hand pages back to the
-kernel and fault them in again on every step.
+(``forward``, ``lstm_hidden``, ``stacked_hidden``) keeps no cache: it
+allocates one working set per call, sized for the largest block, and every
+block and step writes into it in place. Each step's ``h`` goes straight into
+the hidden half of the next step's ``z``, and ``h`` and ``c`` are zeroed at
+the start of each block. With no fresh arrays per step, the allocator does
+not hand pages back to the kernel and fault them in again on every step.
 
 Evaluation walks the batch in row blocks and holds one block at a time, so
 its working set stays a fixed size however large the pooled holdout grows.
@@ -49,6 +49,15 @@ row inside a larger GEMM. Each block writes its own result into the B-row
 output: ``lstm_hidden`` its final ``h``, ``forward`` its head output
 (``apply_fc`` on the hidden half of ``z``). So no B x H array exists, and
 ``forward``'s only B-sized array is its B x O result.
+
+``stacked_hidden`` runs C models of one shape, each over its own batch of M
+rows, as ``(C, M, ·)`` stacks; ``_lstm_step`` indexes gate slabs with
+``...``, so it serves ``(B, ·)`` rows and such stacks alike. A block holds
+as many whole batches as fit its rows, or, for a batch over them, that
+batch's rows blocked as above. ``np.matmul`` makes one BLAS call per slice
+of a stack, with the M rows of the client's own 2-D call, and every other
+operation is elementwise, so each slice has the bits of ``lstm_hidden`` on
+that client alone, at every width.
 
 The head GEMM is narrow (H x O, O = 2 for lat/lon), and a narrow GEMM may
 round a row differently when its row count changes. Over random shapes with
@@ -169,36 +178,39 @@ def _fc_views(fc_block: np.ndarray, dims: Dims):
     return w, b
 
 
-def _halved_gates(model: ParamSet):
+def _halved_gates(lstm_block: np.ndarray, n_hidden: int):
     # halve the i, f and o columns once, so each step's sigmoid is one tanh
-    # (see the module docstring). The recurrent block read as 4H-wide rows is
-    # the I+H weight rows, then the bias row; the g columns are copied back
-    H = model.dims.n_hidden
-    rows = model.lstm_block.reshape(-1, 4 * H)
+    # (see the module docstring). A recurrent block read as 4H-wide rows is
+    # the I+H weight rows, then the bias row; the g columns are copied back.
+    # One block gives (I+H, 4H) and (1, 4H), a (C, lstm_size) stack of blocks
+    # (C, I+H, 4H) and (C, 1, 4H)
+    H = n_hidden
+    rows = lstm_block.reshape(lstm_block.shape[:-1] + (-1, 4 * H))
     half = rows * 0.5
-    half[:, 2 * H : 3 * H] = rows[:, 2 * H : 3 * H]
-    return half[:-1], half[-1]
+    half[..., 2 * H : 3 * H] = rows[..., 2 * H : 3 * H]
+    return half[..., :-1, :], half[..., -1:, :]
 
 
 def _lstm_step(z, w, b, c_prev, a=None, gg=None, c=None, hc=None, h=None):
-    # one step of the gate math; each result goes into the array given for it,
-    # or into a fresh one. Returns a (i, f and o as sigmoids in their slabs),
-    # gg, c, hc = tanh(c) and h. c may be c_prev itself
-    H = c_prev.shape[1]
+    # one step of the gate math over rows (B, ·), or a stack of them (C, M, ·)
+    # with one w and b per stack entry; each result goes into the array given
+    # for it, or into a fresh one. Returns a (i, f and o as sigmoids in their
+    # slabs), gg, c, hc = tanh(c) and h. c may be c_prev itself
+    H = c_prev.shape[-1]
     a = np.matmul(z, w, out=a)
     a += b
     np.tanh(a, out=a)
     if gg is None:
-        gg = a[:, 2 * H : 3 * H].copy()
+        gg = a[..., 2 * H : 3 * H].copy()
     else:
-        np.copyto(gg, a[:, 2 * H : 3 * H])
+        np.copyto(gg, a[..., 2 * H : 3 * H])
     a += 1.0
     a *= 0.5
-    c = np.multiply(a[:, H : 2 * H], c_prev, out=c)
-    hc = np.multiply(a[:, :H], gg, out=hc)
+    c = np.multiply(a[..., H : 2 * H], c_prev, out=c)
+    hc = np.multiply(a[..., :H], gg, out=hc)
     c += hc
     np.tanh(c, out=hc)
-    h = np.multiply(a[:, 3 * H :], hc, out=h)
+    h = np.multiply(a[..., 3 * H :], hc, out=h)
     return a, gg, c, hc, h
 
 
@@ -208,43 +220,56 @@ def _eval_block_rows(n_in: int, n_hidden: int) -> int:
     return max(16, EVAL_WORK_BYTES // (8 * (n_in + 8 * n_hidden)) // 16 * 16)
 
 
-def _run_lstm(model: ParamSet, inputs: np.ndarray, head: bool) -> np.ndarray:
-    # cache-free pass in row blocks; a 0- or 1-row tail joins the block before
-    # it. One working set, sized for the largest block, serves every block and
-    # step: x and h are the two halves of z, and c is updated in place. Each
-    # block's final h, or with head=True its predictions, goes into the result
-    n_batch, n_steps, n_in = inputs.shape
-    d = model.dims
-    H = d.n_hidden
-    w, b = _halved_gates(model)
+def _run_lstm(w, b, inputs: np.ndarray, head: ParamSet | None = None) -> np.ndarray:
+    # cache-free pass of C models, each over its own batch: w (C, I+H, 4H),
+    # b (C, 1, 4H) and inputs (C, B, S, I). A block is as many whole batches
+    # as fit the block rows, or, when one batch is over them, a run of block
+    # rows of one batch; a 0- or 1-row tail joins the run before it. One
+    # working set, sized for the largest block, serves every block and step:
+    # x and h are the two halves of z, and c is updated in place. Each block's
+    # final h, or with a head (C = 1) its predictions, goes into the result
+    n_models, n_batch, n_steps, n_in = inputs.shape
+    H = w.shape[-1] // 4
     block_rows = _eval_block_rows(n_in, H)
+    per = min(n_models, max(1, block_rows // max(n_batch, 1)))
     rows = min(n_batch, block_rows + 1)
-    # one allocation for z, a, gg, c and hc. When glibc's malloc frees a mapped
-    # block above its mmap threshold, it raises that threshold to the block's
-    # size and its trim threshold to twice that; so after the first call, the
-    # working set and the result come from heap pages already faulted in, not
-    # from fresh pages each call (counts in BENCH_15.json)
-    work = np.empty(rows * (n_in + 8 * H))
-    z_buf = work[: rows * (n_in + H)].reshape(rows, n_in + H)
-    a_buf = work[rows * (n_in + H) : rows * (n_in + 5 * H)].reshape(rows, 4 * H)
-    gg_buf, c_buf, hc_buf = work[rows * (n_in + 5 * H) :].reshape(3, rows, H)
-    out = np.empty((n_batch, d.n_out if head else H))
+    spans = []
     start = 0
     while start < n_batch:
         stop = start + block_rows
         if n_batch - stop <= 1:
             stop = n_batch
-        n = stop - start
-        z, a, gg, c, hc = z_buf[:n], a_buf[:n], gg_buf[:n], c_buf[:n], hc_buf[:n]
-        x, h = z[:, :n_in], z[:, n_in:]
-        block = inputs[start:stop]
-        h.fill(0.0)
-        c.fill(0.0)
-        for t in range(n_steps):
-            x[...] = block[:, t]
-            _lstm_step(z, w, b, c, a, gg, c, hc, h)
-        out[start:stop] = apply_fc(model.fc_block, h, d) if head else h
+        spans.append((start, stop))
         start = stop
+    # one allocation for z, a, gg, c and hc. When glibc's malloc frees a mapped
+    # block above its mmap threshold, it raises that threshold to the block's
+    # size and its trim threshold to twice that; so after the first call, the
+    # working set and the result come from heap pages already faulted in, not
+    # from fresh pages each call (counts in BENCH_15.json). One model's blocks
+    # are (rows, ·) arrays, as in training; blocks of several models' whole
+    # batches are (models, rows, ·) stacks
+    lead = () if per == 1 else (per,)
+    size = per * rows
+    work = np.empty(size * (n_in + 8 * H))
+    z_buf = work[: size * (n_in + H)].reshape(lead + (rows, n_in + H))
+    a_buf = work[size * (n_in + H) : size * (n_in + 5 * H)].reshape(lead + (rows, 4 * H))
+    gg_buf, c_buf, hc_buf = work[size * (n_in + 5 * H) :].reshape((3,) + lead + (rows, H))
+    out = np.empty((n_models, n_batch, head.dims.n_out if head else H))
+    for first in range(0, n_models, per):
+        models = first if per == 1 else slice(first, first + per)
+        w_block, b_block = w[models], b[models]
+        for start, stop in spans:
+            # the buffers' first axis is rows, or models in blocks of whole batches
+            cut = slice(stop - start) if per == 1 else slice(min(per, n_models - first))
+            z, a, gg, c, hc = (buf[cut] for buf in (z_buf, a_buf, gg_buf, c_buf, hc_buf))
+            x, h = z[..., :n_in], z[..., n_in:]
+            block = inputs[models, start:stop]
+            h.fill(0.0)
+            c.fill(0.0)
+            for t in range(n_steps):
+                x[...] = block[..., t, :]
+                _lstm_step(z, w_block, b_block, c, a, gg, c, hc, h)
+            out[models, start:stop] = apply_fc(head.fc_block, h, head.dims) if head else h
     return out
 
 
@@ -253,7 +278,7 @@ def _lstm_steps(model: ParamSet, inputs: np.ndarray):
     # each step's (z, a, gg, c_prev, hc) from the cache
     n_batch, n_steps = inputs.shape[0], inputs.shape[1]
     H = model.dims.n_hidden
-    w, b = _halved_gates(model)
+    w, b = _halved_gates(model.lstm_block, H)
     h = np.zeros((n_batch, H))
     c = np.zeros((n_batch, H))
     cache = []
@@ -267,7 +292,17 @@ def _lstm_steps(model: ParamSet, inputs: np.ndarray):
 
 def lstm_hidden(model: ParamSet, inputs: np.ndarray) -> np.ndarray:
     """Final-step hidden state (the sequence embedding), B x H."""
-    return _run_lstm(model, inputs, head=False)
+    w, b = _halved_gates(model.lstm_block, model.dims.n_hidden)
+    return _run_lstm(w[None], b[None], inputs[None])[0]
+
+
+def stacked_hidden(models: list[ParamSet], inputs: np.ndarray) -> np.ndarray:
+    """Final-step hidden states of C models of one shape, each over its own
+    batch of the (C, M, S, I) ``inputs``: C x M x H. Slice c has the bits of
+    ``lstm_hidden(models[c], inputs[c])``."""
+    blocks = np.stack([m.lstm_block for m in models])
+    w, b = _halved_gates(blocks, models[0].dims.n_hidden)
+    return _run_lstm(w, b, inputs)
 
 
 def apply_fc(fc_block: np.ndarray, hidden: np.ndarray, dims: Dims) -> np.ndarray:
@@ -278,7 +313,8 @@ def apply_fc(fc_block: np.ndarray, hidden: np.ndarray, dims: Dims) -> np.ndarray
 
 def forward(model: ParamSet, batch: TrainBatch) -> np.ndarray:
     """Predictions, B x O."""
-    return _run_lstm(model, batch.inputs, head=True)
+    w, b = _halved_gates(model.lstm_block, model.dims.n_hidden)
+    return _run_lstm(w[None], b[None], batch.inputs[None], model)[0]
 
 
 def mse_loss(predictions: np.ndarray, targets: np.ndarray) -> float:

@@ -1,4 +1,6 @@
 import ctypes
+import os
+import subprocess
 import sys
 from pathlib import Path
 from unittest import mock
@@ -11,7 +13,8 @@ from fedsim.data import Trajectory, synth_trajectories, write_csv
 from fedsim.reports import rows_for_log
 
 # Tests import the shared oracle helpers as a plain module.
-sys.path.insert(0, str(Path(__file__).resolve().parent))
+TESTS = Path(__file__).resolve().parent
+sys.path.insert(0, str(TESTS))
 
 # Property tests draw a fixed, bounded set of examples and keep no example
 # database, so a run is repeatable and its time bounded. hypothesis is
@@ -105,6 +108,32 @@ def _numeric_platform() -> str:
         f"numpy {np.__version__}, OpenBLAS core {core}, {threads} BLAS threads, "
         f"dispatch {' '.join(dispatch) or 'none'}"
     )
+
+
+# The BLAS kernel and numpy dispatch a subprocess runs under: this host's own,
+# or what an AVX2 host runs (OpenBLAS's Haswell kernel, numpy without AVX-512)
+KERNELS = {
+    "native": {},
+    "haswell": {
+        "OPENBLAS_CORETYPE": "Haswell",
+        "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR",
+    },
+}
+
+
+def python_under_kernel(script: str, kernel: str, threads: int) -> list[str]:
+    """The stdout lines of ``python -c script`` under one of ``KERNELS`` at
+    ``threads`` BLAS threads, with the package and the tests importable; the
+    script must exit 0."""
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES")}
+    path = [str(TESTS.parent / "src"), str(TESTS), env.get("PYTHONPATH")]
+    env.update(KERNELS[kernel], OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads),
+               PYTHONPATH=os.pathsep.join(filter(None, path)))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()
 
 
 def pytest_terminal_summary(terminalreporter):

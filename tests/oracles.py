@@ -152,6 +152,16 @@ def best_head_by_loop(hidden, targets, own_id, own_head, neighbor_heads, n_hidde
     return best_id
 
 
+def usable_windows_by_cumsum(window_starts, joins, cursor, seq_len):
+    """Stream positions of the training windows revealed by ``cursor`` whose
+    seq_len + 1 points all joined, from a running count of joined points
+    over the revealed stream."""
+    span = seq_len + 1
+    starts = window_starts[window_starts + span <= cursor]
+    joined = np.concatenate([[0], np.cumsum(joins[:cursor])])
+    return starts[joined[starts + span] - joined[starts] == span]
+
+
 def windows_by_slices(points, seq_len):
     """(inputs, targets) of stride-1 windows, one slice per window."""
     points = np.asarray(points, dtype=float)

@@ -1,7 +1,8 @@
 import numpy as np
+import pytest
 
 import fedsim.collab
-from fedsim.collab import evaluate_candidates, head_payload_values
+from fedsim.collab import evaluate_candidates, evaluate_exchanges, head_payload_values
 from fedsim.nn import (
     Dims,
     ParamSet,
@@ -13,9 +14,11 @@ from fedsim.nn import (
     lstm_hidden,
     mse_loss,
     param_distribution,
+    stacked_hidden,
 )
 from fedsim.training import train_local
 
+from conftest import python_under_kernel
 from oracles import best_head_by_loop
 
 
@@ -202,6 +205,82 @@ class TestStackedScoringOracle:
         inputs, targets = make_eval_data(dims, 1, 70)
         cache = self.check(own, 7, [], inputs, targets)
         assert cache.source_id == 7
+
+
+def check_exchanges_against_each_alone(hidden, seed):
+    """One ``evaluate_exchanges`` call of 8 exchanges in three row-count
+    groups of 1, 2 and 5 (which count gets which group is drawn, M = 1
+    included), against ``lstm_hidden`` and ``best_head_by_loop`` per exchange.
+    Some heads are NaN or inf, one exchange's own head among them, and four
+    neighbours' heads are equal zeros, so a row holding two of them ties."""
+    rng = np.random.default_rng(seed)
+    dims = Dims(2, hidden, 2)
+    n_clients, k = 12, 3
+    heads = rng.normal(size=(n_clients, dims.fc_size))
+    heads[1, 0], heads[4, -1], heads[7, 2] = np.nan, np.inf, -np.inf
+    heads[::3] = 0.0
+    sizes = [int(m) for m in rng.permutation([1, 4, 9])]
+    group_of = [sizes[0]] + [sizes[1]] * 2 + [sizes[2]] * 5
+    own_ids = [int(u) for u in rng.permutation(n_clients)[: len(group_of)]]
+    models = [init_params(dims, rng) for _ in own_ids]
+    models[3].fc_block[0] = np.nan
+    neighbor_ids = np.array(
+        [rng.permutation([v for v in range(n_clients) if v != u])[:k] for u in own_ids]
+    )
+    batches = [(rng.normal(size=(m, 5, 2)), rng.normal(size=(m, 2))) for m in group_of]
+    best = evaluate_exchanges(models, own_ids, neighbor_ids, heads, batches)
+    for j, (model, u, ids, (inputs, targets)) in enumerate(
+        zip(models, own_ids, neighbor_ids.tolist(), batches)
+    ):
+        hidden_alone = lstm_hidden(model, inputs)
+        group = [i for i, m in enumerate(group_of) if m == group_of[j]]
+        stacked = stacked_hidden(
+            [models[i] for i in group], np.stack([batches[i][0] for i in group])
+        )[group.index(j)]
+        assert stacked.tobytes() == hidden_alone.tobytes(), (hidden, j)
+        neighbors = [(nid, heads[nid]) for nid in ids]
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = best_head_by_loop(
+                hidden_alone, targets, u, model.fc_block, neighbors, dims.n_hidden, dims.n_out
+            )
+        assert best[j].source_id == expected, (hidden, j)
+        winner = model.fc_block if expected == u else heads[expected]
+        assert best[j].head.tobytes() == winner.tobytes()
+    return own_ids, [cache.source_id for cache in best]
+
+
+class TestStackedExchanges:
+    """A peer round's one scoring call picks what each exchange alone picks."""
+
+    @pytest.mark.parametrize("hidden", [3, 8, 21, 32])
+    def test_matches_each_exchange_alone(self, hidden):
+        adopted = []
+        for seed in range(6):
+            own_ids, sources = check_exchanges_against_each_alone(hidden, 1000 * hidden + seed)
+            adopted += [u != source for u, source in zip(own_ids, sources)]
+        # the draws let neighbours' heads win as well as own heads
+        assert any(adopted) and not all(adopted)
+
+    def test_matches_each_exchange_alone_under_the_haswell_kernel(self):
+        script = (
+            "from test_collab import check_exchanges_against_each_alone as check\n"
+            "for hidden in (8, 21):\n"
+            "    check(hidden, 7)\n"
+        )
+        python_under_kernel(script, "haswell", 1)
+
+    def test_a_single_exchange_goes_through_evaluate_candidates(self, monkeypatch):
+        calls = []
+        evaluate = fedsim.collab.evaluate_candidates
+
+        def spy(*args):
+            calls.append(args[1])
+            return evaluate(*args)
+
+        monkeypatch.setattr(fedsim.collab, "evaluate_candidates", spy)
+        own_ids, _ = check_exchanges_against_each_alone(8, 5)
+        # exchange 0 is the group of one; the stacked groups do not call it
+        assert calls == [own_ids[0]]
 
 
 class TestCollaborativeLocalUpdate:

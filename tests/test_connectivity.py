@@ -115,3 +115,20 @@ class TestNeighborGraphOracle:
             for positions, chi in random_fleets():
                 graph = build_neighbor_graph(positions, chi)
                 assert graph.tolist() == brute_force_neighbors(positions, chi)
+
+    def test_subsets_of_rows_match_the_same_rows_of_brute_force(self, monkeypatch):
+        # blocks of one row, and of a few rows, so that a subset spans blocks;
+        # subsets unsorted, of one row, and the fleet reversed
+        rng = np.random.default_rng(43)
+        for entries in (1, 100, fedsim.connectivity.NEIGHBOR_BLOCK_ENTRIES):
+            monkeypatch.setattr(fedsim.connectivity, "NEIGHBOR_BLOCK_ENTRIES", entries)
+            for positions, chi in random_fleets():
+                n = positions.shape[0]
+                brute = brute_force_neighbors(positions, chi)
+                for rows in (
+                    rng.permutation(n)[: rng.integers(1, n + 1)],
+                    np.array([n - 1]),
+                    np.arange(n)[::-1],
+                ):
+                    graph = build_neighbor_graph(positions, chi, rows)
+                    assert graph.tolist() == [brute[u] for u in rows.tolist()]

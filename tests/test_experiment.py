@@ -226,30 +226,36 @@ class TestRoundLoop:
         assert any(e.startswith("budget_exhausted:") for log in result.logs for e in log.events)
 
     def test_each_peer_scores_its_own_row_of_the_graph(self, monkeypatch):
-        graphs = []  # (positions, chi, graph) of every peer round
+        graphs = []  # (positions, chi, rows, graph) of every peer round
         scored = []  # (index of the round's graph, client, neighbour ids) of every exchange
         build = fedsim.experiment.build_neighbor_graph
-        evaluate = fedsim.experiment.evaluate_candidates
+        evaluate = fedsim.experiment.evaluate_exchanges
 
-        def graph_spy(positions, chi):
-            graphs.append((positions, chi, build(positions, chi)))
-            return graphs[-1][2]
+        def graph_spy(positions, chi, rows):
+            graphs.append((positions, chi, rows, build(positions, chi, rows)))
+            return graphs[-1][3]
 
-        def scoring_spy(model, own_id, neighbor_heads, inputs, targets):
-            scored.append((len(graphs) - 1, own_id, [nid for nid, _ in neighbor_heads]))
-            return evaluate(model, own_id, neighbor_heads, inputs, targets)
+        def scoring_spy(models, own_ids, neighbor_ids, heads, batches):
+            for u, ids in zip(own_ids, neighbor_ids.tolist()):
+                scored.append((len(graphs) - 1, u, ids))
+            return evaluate(models, own_ids, neighbor_ids, heads, batches)
 
         monkeypatch.setattr(fedsim.experiment, "build_neighbor_graph", graph_spy)
-        monkeypatch.setattr(fedsim.experiment, "evaluate_candidates", scoring_spy)
+        monkeypatch.setattr(fedsim.experiment, "evaluate_exchanges", scoring_spy)
         cfg = small_config(
             n_clients=9, synth_vehicles=9, decentral_freq=1.0, chi=3, p_offline=0.5,
             p_recover=0.3, seed=6,
         )
         result = run_experiment(cfg)
-        for positions, chi, graph in graphs:
-            assert graph.tolist() == brute_force_neighbors(positions, chi)
+        # a peer round asks for the rows of its offline clients only
+        peer_rounds = [log.offline for log in result.logs if log.decentralized and log.offline]
+        assert [rows.tolist() for _, _, rows, _ in graphs] == peer_rounds
+        for positions, chi, rows, graph in graphs:
+            brute = brute_force_neighbors(positions, chi)
+            assert graph.tolist() == [brute[u] for u in rows.tolist()]
         for g, u, ids in scored:
-            assert ids == graphs[g][2][u].tolist()
+            rows, graph = graphs[g][2], graphs[g][3]
+            assert ids == graph[rows.tolist().index(u)].tolist()
         assert scored
         assert len(scored) == sum(len(log.collab_sources) for log in result.logs)
 

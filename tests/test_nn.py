@@ -1,9 +1,5 @@
 import math
-import os
-import subprocess
-import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +21,7 @@ from fedsim import nn
 from fedsim.nn import _lstm_steps
 from fedsim.training import evaluate_rmse
 
+from conftest import KERNELS, python_under_kernel
 from oracles import (
     finite_difference_gradient,
     gradcheck_relative_error,
@@ -277,29 +274,9 @@ for hidden in (8, 32, 64):
         print(hidden, n_rows, rmse.hex(), digests[-1])
 """
 
-KERNELS = {
-    "native": {},
-    # what an AVX2 host runs: OpenBLAS's Haswell kernel, numpy without AVX-512
-    "haswell": {
-        "OPENBLAS_CORETYPE": "Haswell",
-        "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR",
-    },
-}
-
-
 @pytest.mark.parametrize("kernel", sorted(KERNELS))
 def test_eval_bits_hold_at_one_and_two_blas_threads(kernel):
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    outputs = []
-    for threads in ("1", "2"):
-        env = {k: v for k, v in os.environ.items()
-               if k not in ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES")}
-        env.update(KERNELS[kernel], OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")])))
-        done = subprocess.run([sys.executable, "-c", EVAL_BITS_SCRIPT], env=env,
-                              capture_output=True, text=True, timeout=300)
-        assert done.returncode == 0, done.stderr
-        outputs.append(done.stdout.splitlines())
+    outputs = [python_under_kernel(EVAL_BITS_SCRIPT, kernel, threads) for threads in (1, 2)]
     assert len(outputs[0]) == 9
     assert outputs[0] == outputs[1]
 

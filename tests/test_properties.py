@@ -20,7 +20,7 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 from fedsim.availability import RevealState, reveal_round  # noqa: E402
 from fedsim.config import SCENARIOS, VARIANTS, ExperimentConfig, _Interval, _RANGES  # noqa: E402
 from fedsim.connectivity import online_chains, step_connectivity  # noqa: E402
-from fedsim.data import Trajectory, parse_csv, write_csv  # noqa: E402
+from fedsim.data import Trajectory, parse_csv, synth_trajectories, write_csv  # noqa: E402
 from fedsim.errors import FedsimError  # noqa: E402
 from fedsim.experiment import aggregate, prepare_clients, run_experiment  # noqa: E402
 from fedsim import nn  # noqa: E402
@@ -40,6 +40,7 @@ from oracles import (  # noqa: E402
     markov_chain_by_steps,
     parse_rows_by_loop,
     reveal_by_slices,
+    usable_windows_by_cumsum,
 )
 
 # ids that csv quoting and the parser's strip leave as they are
@@ -130,6 +131,52 @@ def test_reveal_round_matches_the_slice_by_slice_draw(probs, slice_size, seed):
 # draws and probabilities that often tie, next to arbitrary ones; p may be 0 or 1
 CHAIN_DRAWS = st.one_of(st.sampled_from([0.0, 0.25, 0.5]), st.floats(0.0, 1.0, exclude_max=True))
 CHAIN_PROBS = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.floats(0.0, 1.0))
+
+
+@settings(max_examples=30)
+@given(
+    st.integers(1, 3),
+    st.data(),
+    st.integers(1, 4),
+    st.sampled_from([("random", 0.3), ("random", 3.0), ("constant", 0.6), ("constant", 1.0)]),
+    st.integers(1, 9),
+    st.integers(0, 3),
+)
+@example(2, None, 4, ("constant", 0.6), 3, 0)  # a client of two 3-point vehicles: no window
+def test_usable_windows_found_at_set_up_match_the_cumsum_rule(
+    tmp_path_factory, per_client, data, seq_len, scenario, slice_points, seed
+):
+    # whole vehicles of 1 to 30 points, per_client to a client; the first
+    # vehicle is long enough for a holdout, and a short one holds no window
+    n_clients = 3
+    if data is None:
+        lengths = [30] * per_client + [3] * per_client + [12] * per_client
+    else:
+        lengths = [30] + data.draw(
+            st.lists(st.integers(1, 30), min_size=n_clients * per_client - 1,
+                     max_size=n_clients * per_client - 1), "lengths")
+    path = tmp_path_factory.mktemp("fleet") / "fleet.csv"
+    write_csv(path, [
+        Trajectory(t.vehicle_id, t.timestamps[:n], t.coords[:n])
+        for t, n in zip(synth_trajectories(seed, len(lengths), 30, "sinusoid"), lengths)
+    ])
+    kind, value = scenario
+    config = ExperimentConfig(
+        dataset="csv", data_path=str(path), n_clients=n_clients, vehicles_per_client=per_client,
+        seq_len=seq_len, scenario=kind, alpha_dir=value if kind == "random" else 1.0,
+        constant_p=value if kind == "constant" else 1.0, reveal_slice_points=slice_points,
+        seed=seed,
+    )
+    clients = prepare_clients(config)[0]
+    for client in clients:
+        for cursor in range(client.reveal.joins.size + 1):
+            client.reveal.cursor = cursor
+            expected = usable_windows_by_cumsum(
+                client.window_starts, client.reveal.joins, cursor, seq_len
+            )
+            assert client.usable_window_indices().tolist() == expected.tolist()
+    if data is None:
+        assert clients[1].window_starts.size == 0
 
 
 @st.composite
