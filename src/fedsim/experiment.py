@@ -23,8 +23,9 @@ head it cached in its last exchange; one that got the global push is not.
 
 Each point is held once. A client's training windows are read-only views of
 its normalized training stream, indexed by stream position, and a phase
-gathers only the rows it uses. Its holdout windows are a slice of the pooled
-global holdout.
+gathers only the rows it uses: those of the windows whose points all join,
+listed at set-up, that the reveal has reached. Its holdout windows are a slice
+of the pooled global holdout. It stands at the newest joined point revealed.
 """
 
 from __future__ import annotations
@@ -82,7 +83,7 @@ class ClientRuntime:
     train_inputs: np.ndarray          # (n_stream - S, S, 2) read-only view of stream_coords
     train_targets: np.ndarray         # (n_stream - S, 2), both indexed by stream position
     window_starts: np.ndarray         # stream positions of the training windows
-    window_joins: np.ndarray          # per window_starts entry: do all its points join
+    ready: np.ndarray                 # the window_starts whose seq_len + 1 points all join
     stream_coords: np.ndarray         # (n_stream, 2) normalized training stream
     hold_inputs: np.ndarray           # this client's rows of the pooled holdout
     hold_targets: np.ndarray
@@ -90,22 +91,16 @@ class ClientRuntime:
     model: ParamSet
     rng_train: np.random.Generator
     rng_eval: np.random.Generator
-    centroid: np.ndarray
+    position: np.ndarray              # newest revealed joined point; its points' mean before one
     anchor: np.ndarray | None = None  # the head cached in its latest peer exchange
     n_uploads: int = 0                # server uploads so far
 
     def usable_window_indices(self) -> np.ndarray:
         """Stream positions of the revealed training windows whose points
         all joined; they index ``train_inputs`` and ``train_targets``."""
-        # window_starts ascends, and a window is revealed once its last point is
+        # ready ascends, and a window is revealed once its last point is
         last = self.reveal.cursor - self.train_inputs.shape[1] - 1
-        n = np.searchsorted(self.window_starts, last, side="right")
-        return self.window_starts[:n][self.window_joins[:n]]
-
-    def position(self) -> np.ndarray:
-        """Newest joined stream point, or the centroid before any arrives."""
-        newest = np.flatnonzero(self.reveal.joins[: self.reveal.cursor])
-        return self.stream_coords[newest[-1]] if newest.size else self.centroid
+        return self.ready[: np.searchsorted(self.ready, last, side="right")]
 
 
 @dataclass
@@ -297,10 +292,11 @@ def prepare_clients(config: ExperimentConfig):
 
         probs = _client_plan(config, train_runs, client_p[i], np.random.default_rng(plan_ss))
         joins = np.random.default_rng(reveal_ss).random(probs.size) < probs
-        # fates never change, so whether all seq_len + 1 points of a window
-        # join is known now; joined[p] counts the joined points before p
+        # fates never change, so the windows whose seq_len + 1 points all
+        # join are known now; joined[p] counts the joined points before p
         joined = np.concatenate([[0], np.cumsum(joins)])
-        window_joins = joined[window_starts + seq_len + 1] - joined[window_starts] == seq_len + 1
+        full = joined[window_starts + seq_len + 1] - joined[window_starts] == seq_len + 1
+        ready = window_starts[full]
         draws = np.random.default_rng(conn_ss).random(config.rounds - 1)
         stays[i], recovers[i] = draws >= config.p_offline, draws < config.p_recover
 
@@ -312,7 +308,7 @@ def prepare_clients(config: ExperimentConfig):
             train_inputs=train_inputs,
             train_targets=train_targets,
             window_starts=window_starts,
-            window_joins=window_joins,
+            ready=ready,
             stream_coords=stream_coords,
             hold_inputs=holdout[0][hold],
             hold_targets=holdout[1][hold],
@@ -322,7 +318,7 @@ def prepare_clients(config: ExperimentConfig):
             model=global_model,
             rng_train=np.random.default_rng(train_ss),
             rng_eval=np.random.default_rng(eval_ss),
-            centroid=points.mean(axis=0),
+            position=points.mean(axis=0),
         ))
 
     if holdout[0].shape[0] == 0:
@@ -332,8 +328,11 @@ def prepare_clients(config: ExperimentConfig):
 
 
 def _reveal_all(clients: list[ClientRuntime]) -> None:
+    """Reveal each client's next slice; its newest joined point becomes the position."""
     for client in clients:
-        reveal_round(client.reveal)
+        joined = reveal_round(client.reveal)
+        if joined.size:
+            client.position = client.stream_coords[joined[-1]]
 
 
 def _sample_eval_batch(client: ClientRuntime, usable: np.ndarray, batch_size: int):
@@ -392,7 +391,7 @@ def _decentralized_round(
     dims = clients[0].model.dims
     # heads as they were before this pass trains anyone: np.stack copies
     heads = np.stack([c.model.fc_block for c in clients])
-    positions = np.array([c.position() for c in clients])
+    positions = np.array([c.position for c in clients])
     graph = build_neighbor_graph(positions, config.chi, np.array(offline))
     usable, diverged = _train_phase(config, clients, offline, eta, 0.0, set(offline))
     rows, batches = [], []  # the graph row and the eval batch of each exchange

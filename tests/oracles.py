@@ -162,6 +162,13 @@ def usable_windows_by_cumsum(window_starts, joins, cursor, seq_len):
     return starts[joined[starts + span] - joined[starts] == span]
 
 
+def newest_joined_by_scan(stream_coords, joins, cursor, centroid):
+    """Newest joined stream point before ``cursor``, found by scanning the
+    revealed fates, or ``centroid`` while none has joined."""
+    newest = np.flatnonzero(joins[:cursor])
+    return stream_coords[newest[-1]] if newest.size else centroid
+
+
 def windows_by_slices(points, seq_len):
     """(inputs, targets) of stride-1 windows, one slice per window."""
     points = np.asarray(points, dtype=float)

@@ -1,4 +1,5 @@
-"""Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
+"""Acceptance suite: one test per criterion, each printing a PASS/FAIL line,
+and a check of how few windows the criterion-6 fleet can train on.
 
 Run with `pytest tests/test_acceptance.py -s` to see the per-criterion lines.
 The trend criteria (5 and 6) run full experiments on two worker processes.
@@ -18,7 +19,7 @@ import pytest
 from fedsim.config import ExperimentConfig
 from fedsim.connectivity import online_chains
 from fedsim.availability import RevealState, reveal_round
-from fedsim.experiment import run_experiment
+from fedsim.experiment import prepare_clients, run_experiment
 from fedsim.nn import Dims, ParamSet, TrainBatch, backward, batch_objective, init_params
 from fedsim.collab import head_payload_values
 from fedsim.ranking import (
@@ -290,6 +291,16 @@ def test_criterion_6_feddecab_superiority_trend(crit6_runs):
         f"fedavg {medians['fedavg']:.4f}; ratio {ratio:.3f} (<= 0.95); "
         f"worst run {worst_time:.0f}s (< 300s)",
     )
+
+
+def test_headline_set_up_finds_few_fully_joined_windows():
+    # every criterion-6 client has 171 training windows, but a window is
+    # usable only when all seq_len + 1 of its points join: 54 of the fleet's
+    # 6,840 windows do, and 16 of the 40 clients have none
+    clients = prepare_clients(crit6_config("feddecab", 0))[0]
+    assert [client.window_starts.size for client in clients] == [171] * 40
+    assert sum(client.ready.size for client in clients) == 54
+    assert sum(client.ready.size == 0 for client in clients) == 16
 
 
 def test_criterion_7_communication_accounting(crit6_runs):

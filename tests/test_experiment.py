@@ -539,7 +539,7 @@ class TestEngineEdgeCases:
         client = clients[2]
         assert client.stream_coords.shape == (0, 2)
         assert client.window_starts.size == 0 and client.hold_inputs.shape[0] == 0
-        np.testing.assert_array_equal(client.position(), bbox.normalize(short.coords).mean(axis=0))
+        np.testing.assert_array_equal(client.position, bbox.normalize(short.coords).mean(axis=0))
 
         result = run_experiment(cfg)
         assert len(result.logs) == cfg.rounds

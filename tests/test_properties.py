@@ -22,7 +22,7 @@ from fedsim.config import SCENARIOS, VARIANTS, ExperimentConfig, _Interval, _RAN
 from fedsim.connectivity import online_chains, step_connectivity  # noqa: E402
 from fedsim.data import Trajectory, parse_csv, synth_trajectories, write_csv  # noqa: E402
 from fedsim.errors import FedsimError  # noqa: E402
-from fedsim.experiment import aggregate, prepare_clients, run_experiment  # noqa: E402
+from fedsim.experiment import _reveal_all, aggregate, prepare_clients, run_experiment  # noqa: E402
 from fedsim import nn  # noqa: E402
 from fedsim.nn import Dims, ParamSet, TrainBatch, init_params  # noqa: E402
 from fedsim import ranking  # noqa: E402
@@ -38,6 +38,7 @@ from conftest import REDUCTIONS, log_bytes, prepare_clients_and_plans  # noqa: E
 from oracles import (  # noqa: E402
     brute_force_top_k,
     markov_chain_by_steps,
+    newest_joined_by_scan,
     parse_rows_by_loop,
     reveal_by_slices,
     usable_windows_by_cumsum,
@@ -177,6 +178,56 @@ def test_usable_windows_found_at_set_up_match_the_cumsum_rule(
             assert client.usable_window_indices().tolist() == expected.tolist()
     if data is None:
         assert clients[1].window_starts.size == 0
+
+
+@settings(max_examples=30)
+@given(
+    st.integers(1, 3),
+    st.data(),
+    st.sampled_from([("random", None), ("regional", None), ("datasize", None), ("constant", 0.3)]),
+    st.integers(1, 9),
+    st.integers(0, 3),
+)
+# a client of two 3-point vehicles has no window, and with one point a slice,
+# some client's first point is lost and a later one joins
+@example(2, None, ("constant", 0.3), 1, 0)
+def test_a_clients_position_is_its_newest_joined_point_at_every_reveal(
+    tmp_path_factory, per_client, data, scenario, slice_points, seed
+):
+    n_clients = 3
+    if data is None:
+        lengths = [30] * per_client + [3] * per_client + [12] * per_client
+    else:
+        lengths = [30] + data.draw(
+            st.lists(st.integers(1, 30), min_size=n_clients * per_client - 1,
+                     max_size=n_clients * per_client - 1), "lengths")
+    path = tmp_path_factory.mktemp("fleet") / "fleet.csv"
+    write_csv(path, [
+        Trajectory(t.vehicle_id, t.timestamps[:n], t.coords[:n])
+        for t, n in zip(synth_trajectories(seed, len(lengths), 30, "sinusoid"), lengths)
+    ])
+    kind, p = scenario
+    config = ExperimentConfig(
+        dataset="csv", data_path=str(path), n_clients=n_clients, vehicles_per_client=per_client,
+        seq_len=4, scenario=kind, weak_areas=[[29.0, 30.0, 119.0, 121.0]],
+        constant_p=p or 1.0, reveal_slice_points=slice_points, seed=seed,
+    )
+    clients = prepare_clients(config)[0]
+    # before any reveal, a client with a stream stands at its stream's mean
+    centroids = [client.position for client in clients]
+    for client in clients:
+        if client.stream_coords.size:
+            assert client.position.tolist() == client.stream_coords.mean(axis=0).tolist()
+    # every reveal, then one past the end of the longest stream
+    for _ in range(max(client.reveal.joins.size for client in clients) // slice_points + 2):
+        _reveal_all(clients)
+        for client, centroid in zip(clients, centroids):
+            reveal = client.reveal
+            want = newest_joined_by_scan(client.stream_coords, reveal.joins, reveal.cursor, centroid)
+            assert client.position.tolist() == want.tolist()
+    if data is None:
+        assert clients[1].window_starts.size == 0
+        assert any(c.reveal.joins.any() and not c.reveal.joins[0] for c in clients)
 
 
 @st.composite

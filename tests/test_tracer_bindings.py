@@ -38,4 +38,12 @@ def test_every_hook_fires_on_a_feddecab_run():
         result = run_experiment(config)
     assert any(log.collab_sources for log in result.logs)
     assert any(log.alpha is not None and log.entries for log in result.logs)
+    # the peer round scores a group of exchanges of one eval-batch size with
+    # evaluate_candidates and lstm_hidden only when the group holds a single
+    # exchange; larger groups go through nn.stacked_hidden. This config must
+    # form such a group, or nn.lstm_hidden goes unfired (ROADMAP item 2b)
+    assert traced.spans["collab.evaluate_candidates"].calls > 0, (
+        "no peer-round group of one: nn.lstm_hidden fires only through "
+        "collab.evaluate_candidates until the tracer sees the stacked path (ROADMAP item 2b)"
+    )
     assert [key for key in tracer._HOOKS if traced.spans[key].calls == 0] == []
