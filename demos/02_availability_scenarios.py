@@ -9,11 +9,12 @@ arrive slice by slice, and a lost point never joins later.
 import numpy as np
 
 from fedsim.availability import (
+    DATASIZE_PERCENTILE,
+    P_LOW,
     RevealState,
     assign_by_datasize,
     assign_random,
     assign_regional,
-    datasize_threshold,
     reveal_round,
 )
 from fedsim.data import BBox, synth_trajectories
@@ -34,15 +35,14 @@ for alpha in (0.2, 1.0, 100.0):
 lat_mid = float(np.median(traj.coords[:, 0]))
 lon_mid = float(np.median(traj.coords[:, 1]))
 area = BBox(lat_mid - 0.3, lat_mid + 0.3, lon_mid - 0.3, lon_mid + 0.3)
-probs = assign_regional(traj.coords, [area], p_low=0.2, p_high=0.9)
-inside = int((probs == 0.2).sum())
-print(f"\nregional: {inside}/{traj.n_points} points inside the weak area at p=0.2")
+probs = assign_regional(traj.coords, [area])
+inside = int((probs == P_LOW).sum())
+print(f"\nregional: {inside}/{traj.n_points} points inside the weak area at p={P_LOW}")
 
 # scenario 3: company fleets (many points) keep high availability
 counts = [150, 300, 800, 1200, 9000, 12000]
-threshold = datasize_threshold(counts, percentile=80.0)
-per_client = assign_by_datasize(counts, threshold, p_company=0.95, p_private=0.3)
-print(f"datasize: counts {counts} at threshold {threshold:.0f} -> {per_client}")
+per_client = assign_by_datasize(counts)
+print(f"datasize: counts {counts} split at the {DATASIZE_PERCENTILE:g}th percentile -> {per_client}")
 
 # the reveal stream: fates drawn once, one slice revealed per round
 probs = assign_random(traj.n_points, 0.5, np.random.default_rng(3))

@@ -9,9 +9,6 @@ low-divergence clients. Late joiners carry a beta multiplier that decays to
 
 from fedsim.ranking import (
     ALPHA0,
-    BETA0,
-    DELTA_BETA,
-    GAMMA,
     CompensatorState,
     RankEntry,
     build_rank_entries,
@@ -35,13 +32,7 @@ print("late:  " + "  ".join(f"{w:>5.2f}" for w in late))
 # a round of ranking: divergences and participations become positions,
 # positions become weights, stragglers get boosted, top-K upload
 # the engine's compensators, with alpha's step for a 20-round run
-comp = CompensatorState(
-    alpha=ALPHA0,
-    delta_alpha=2.0 * (ALPHA0 - 1.0) / 20,
-    delta_beta=DELTA_BETA,
-    gamma=GAMMA,
-    beta0=BETA0,
-)
+comp = CompensatorState(alpha=ALPHA0, delta_alpha=2.0 * (ALPHA0 - 1.0) / 20)
 entries = [
     RankEntry(client_id=0, divergence=0.90, participation=0.8, n_updates=8),
     RankEntry(client_id=1, divergence=0.40, participation=0.2, n_updates=2),

@@ -16,6 +16,15 @@ import numpy as np
 
 from .data import BBox
 
+# Regional scenario: a point's availability inside any weak-signal box, and outside them all.
+P_LOW = 0.2
+P_HIGH = 0.9
+# Datasize scenario: clients at or above this percentile of point counts are company
+# devices, available at P_COMPANY; the others are private devices, at P_PRIVATE.
+DATASIZE_PERCENTILE = 90.0
+P_COMPANY = 0.95
+P_PRIVATE = 0.3
+
 
 @dataclass
 class RevealState:
@@ -41,33 +50,26 @@ def assign_random(n_points: int, alpha_dir: float, rng: np.random.Generator) -> 
     return np.minimum(1.0, n_points * draw)
 
 
-def assign_regional(
-    coords: np.ndarray, weak_areas: list[BBox], p_low: float, p_high: float
-) -> np.ndarray:
-    """Region availability over float64 (n, 2) coordinates: p_low inside any
-    weak-signal box, p_high outside."""
-    probs = np.full(coords.shape[0], p_high, dtype=float)
+def assign_regional(coords: np.ndarray, weak_areas: list[BBox]) -> np.ndarray:
+    """Region availability over float64 (n, 2) coordinates: P_LOW inside any
+    weak-signal box, P_HIGH outside."""
+    probs = np.full(coords.shape[0], P_HIGH, dtype=float)
     for area in weak_areas:
-        probs[area.contains(coords)] = p_low
+        probs[area.contains(coords)] = P_LOW
     return probs
 
 
-def assign_by_datasize(
-    client_point_counts: list[int], threshold: float, p_company: float, p_private: float
-) -> np.ndarray:
-    """Data-size availability: one probability per client, by fleet size.
+def assign_by_datasize(counts: list[int]) -> np.ndarray:
+    """Data-size availability: one probability per client, by its point count.
 
-    Clients at or above the threshold count as company devices and receive
-    p_company; the rest are private devices at p_private.
+    The threshold is the DATASIZE_PERCENTILE of the counts, rounded up to a
+    count that occurs, so the largest client always reaches it. Clients at or
+    above it are company devices at P_COMPANY; the rest are private devices
+    at P_PRIVATE.
     """
-    counts = np.asarray(client_point_counts, dtype=float)
-    return np.where(counts >= threshold, p_company, p_private)
-
-
-def datasize_threshold(client_point_counts: list[int], percentile: float) -> float:
-    """Count threshold at the given percentile of per-client point counts."""
-    counts = np.asarray(client_point_counts, dtype=float)
-    return float(np.percentile(counts, percentile, method="higher"))
+    counts = np.asarray(counts)
+    threshold = np.percentile(counts, DATASIZE_PERCENTILE, method="higher")
+    return np.where(counts >= threshold, P_COMPANY, P_PRIVATE)
 
 
 def reveal_round(state: RevealState) -> np.ndarray:

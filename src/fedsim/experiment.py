@@ -40,7 +40,6 @@ from .availability import (
     assign_by_datasize,
     assign_random,
     assign_regional,
-    datasize_threshold,
     reveal_round,
 )
 from .collab import evaluate_exchanges, head_payload_values
@@ -51,9 +50,6 @@ from .errors import ConfigError, NumericError
 from .nn import Dims, ParamSet, init_params, model_divergence
 from .ranking import (
     ALPHA0,
-    BETA0,
-    DELTA_BETA,
-    GAMMA,
     CompensatorState,
     RankEntry,
     build_rank_entries,
@@ -65,14 +61,6 @@ from .training import evaluate_rmse, train_local
 
 # Share of each client's windows, the last by stream order, held out for testing.
 HOLDOUT_FRACTION = 0.2
-# Regional scenario: a point's availability inside any weak-signal box, and outside them all.
-P_LOW = 0.2
-P_HIGH = 0.9
-# Datasize scenario: clients at or above this percentile of point counts are company
-# devices, available at P_COMPANY; the others are private devices, at P_PRIVATE.
-DATASIZE_PERCENTILE = 90.0
-P_COMPANY = 0.95
-P_PRIVATE = 0.3
 
 
 @dataclass
@@ -82,8 +70,7 @@ class ClientRuntime:
     n_points: int                     # raw dataset size (all segments)
     train_inputs: np.ndarray          # (n_stream - S, S, 2) read-only view of stream_coords
     train_targets: np.ndarray         # (n_stream - S, 2), both indexed by stream position
-    window_starts: np.ndarray         # stream positions of the training windows
-    ready: np.ndarray                 # the window_starts whose seq_len + 1 points all join
+    ready: np.ndarray                 # training-window positions whose S + 1 points all join
     stream_coords: np.ndarray         # (n_stream, 2) normalized training stream
     hold_inputs: np.ndarray           # this client's rows of the pooled holdout
     hold_targets: np.ndarray
@@ -191,7 +178,7 @@ def _client_plan(
     points = np.concatenate([np.zeros((0, 2))] + train_runs)
     if config.scenario == "regional":
         areas = [BBox(*box) for box in config.weak_areas]
-        return assign_regional(points, areas, P_LOW, P_HIGH)
+        return assign_regional(points, areas)
     return np.full(points.shape[0], client_p, dtype=float)
 
 
@@ -244,8 +231,7 @@ def prepare_clients(config: ExperimentConfig):
     counts = [sum(seg.shape[0] for seg in segments) for segments in datasets]
     client_p = [config.constant_p] * len(datasets)
     if config.scenario == "datasize":
-        threshold = datasize_threshold(counts, DATASIZE_PERCENTILE)
-        client_p = assign_by_datasize(counts, threshold, P_COMPANY, P_PRIVATE)
+        client_p = assign_by_datasize(counts)
 
     root = np.random.SeedSequence(config.seed)
     server_ss, select_ss, clients_ss = root.spawn(3)
@@ -281,7 +267,7 @@ def prepare_clients(config: ExperimentConfig):
         plan_ss, reveal_ss, conn_ss, train_ss, eval_ss = ss.spawn(5)
         stream_coords = bbox.normalize(np.concatenate([np.zeros((0, 2))] + train_runs))
         # windows at every stream position; those that cross from one run
-        # into the next are never listed in window_starts
+        # into the next are not training windows, so window_starts skips them
         train_inputs, train_targets = make_windows(stream_coords, seq_len)
         offsets = np.cumsum([0] + [run.shape[0] for run in train_runs])
         window_starts = np.concatenate(
@@ -307,7 +293,6 @@ def prepare_clients(config: ExperimentConfig):
             n_points=counts[i],
             train_inputs=train_inputs,
             train_targets=train_targets,
-            window_starts=window_starts,
             ready=ready,
             stream_coords=stream_coords,
             hold_inputs=holdout[0][hold],
@@ -488,13 +473,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             client.model = init_params(global_model.dims, client.rng_train)
         global_model = None
     # alpha reaches 1, and the linear phase, halfway through the run
-    comp = CompensatorState(
-        alpha=ALPHA0,
-        delta_alpha=2.0 * (ALPHA0 - 1.0) / config.rounds,
-        delta_beta=DELTA_BETA,
-        gamma=GAMMA,
-        beta0=BETA0,
-    )
+    comp = CompensatorState(alpha=ALPHA0, delta_alpha=2.0 * (ALPHA0 - 1.0) / config.rounds)
 
     # one slice arrives before the first round so early training is possible
     _reveal_all(clients)

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# The compensators' start values and beta's decay rate; alpha's rate depends
-# on the run's length, so ``run_experiment`` derives it.
+# The compensators' start values, beta's decay rate and the straggler boost;
+# alpha's rate depends on the run's length, so ``run_experiment`` derives it.
 ALPHA0 = 2.0
 BETA0 = 1.5
 DELTA_BETA = 0.05
@@ -29,19 +29,16 @@ class CompensatorState:
     """Decaying ranking compensators shared by the server.
 
     alpha: divergence-phase compensator, decays by delta_alpha per round.
-    beta: per-client late-join multiplier, decays toward a floor of 1 each
-    round the client is ranked. gamma: straggler boost multiplier.
+    beta: per-client late-join multiplier, starts at BETA0 and decays by
+    DELTA_BETA toward a floor of 1 each round the client is ranked.
     """
 
     alpha: float
     delta_alpha: float
-    delta_beta: float
-    gamma: float
     beta: dict[int, float] = field(default_factory=dict)
-    beta0: float = 1.0
 
     def beta_for(self, client_id: int) -> float:
-        return self.beta.get(client_id, self.beta0)
+        return self.beta.get(client_id, BETA0)
 
 
 @dataclass
@@ -90,12 +87,12 @@ def combined_weight(
     return pos_divergence * pos_participation / (m_t * m_t) * beta
 
 
-def straggler_boost(entries: list[RankEntry], gamma: float) -> None:
-    """Multiply weights of below-mean updaters by gamma in place (strict inequality)."""
+def straggler_boost(entries: list[RankEntry]) -> None:
+    """Multiply weights of below-mean updaters by GAMMA in place (strict inequality)."""
     mean_updates = sum(e.n_updates for e in entries) / len(entries)
     for entry in entries:
         if entry.n_updates < mean_updates:
-            entry.weight *= gamma
+            entry.weight *= GAMMA
 
 
 def build_rank_entries(participants: list[RankEntry], comp: CompensatorState) -> None:
@@ -113,13 +110,13 @@ def build_rank_entries(participants: list[RankEntry], comp: CompensatorState) ->
             m_t,
             comp.beta_for(entry.client_id),
         )
-    straggler_boost(participants, comp.gamma)
+    straggler_boost(participants)
 
 
 def decay_compensators(comp: CompensatorState, ranked_ids: list[int]) -> None:
     """Per-round decay: beta toward its floor for ranked clients, alpha always."""
     for cid in ranked_ids:
-        comp.beta[cid] = max(comp.beta_for(cid) - comp.delta_beta, 1.0)
+        comp.beta[cid] = max(comp.beta_for(cid) - DELTA_BETA, 1.0)
     comp.alpha -= comp.delta_alpha
 
 

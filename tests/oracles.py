@@ -2,7 +2,8 @@
 
 Everything in this file is written directly from the defining equations,
 scalar loop by scalar loop, and deliberately shares no code with the
-vectorized package under test.
+vectorized package under test. The one exception, ``training_window_starts``,
+reads the engine's train/holdout split, which tests check on their own.
 """
 
 import csv
@@ -10,6 +11,9 @@ import math
 from datetime import datetime, timezone
 
 import numpy as np
+
+from fedsim.data import partition_by_vehicle
+from fedsim.experiment import _split_runs, load_trajectories
 
 
 def sigmoid_scalar(x):
@@ -150,6 +154,21 @@ def best_head_by_loop(hidden, targets, own_id, own_head, neighbor_heads, n_hidde
         if best_loss is None or loss < best_loss:
             best_id, best_loss = cid, loss
     return best_id
+
+
+def training_window_starts(config):
+    """Each client's training-window starts: the stream positions, in its
+    training runs laid end to end, of the windows that lie inside one run."""
+    trajectories, _ = load_trajectories(config)
+    starts = []
+    for segments in partition_by_vehicle(trajectories, config.vehicles_per_client):
+        train_runs, _ = _split_runs(segments, config.seq_len)
+        offsets = np.cumsum([0] + [run.shape[0] for run in train_runs])
+        starts.append(np.concatenate([np.zeros(0, dtype=int)] + [
+            offset + np.arange(run.shape[0] - config.seq_len)
+            for offset, run in zip(offsets, train_runs)
+        ]))
+    return starts
 
 
 def usable_windows_by_cumsum(window_starts, joins, cursor, seq_len):

@@ -36,6 +36,7 @@ from oracles import (
     finite_difference_gradient,
     gradcheck_relative_error,
     markov_online_fraction,
+    training_window_starts,
 )
 
 
@@ -297,8 +298,9 @@ def test_headline_set_up_finds_few_fully_joined_windows():
     # every criterion-6 client has 171 training windows, but a window is
     # usable only when all seq_len + 1 of its points join: 54 of the fleet's
     # 6,840 windows do, and 16 of the 40 clients have none
-    clients = prepare_clients(crit6_config("feddecab", 0))[0]
-    assert [client.window_starts.size for client in clients] == [171] * 40
+    config = crit6_config("feddecab", 0)
+    clients = prepare_clients(config)[0]
+    assert [starts.size for starts in training_window_starts(config)] == [171] * 40
     assert sum(client.ready.size for client in clients) == 54
     assert sum(client.ready.size == 0 for client in clients) == 16
 

@@ -2,11 +2,14 @@ import numpy as np
 import pytest
 
 from fedsim.availability import (
+    P_COMPANY,
+    P_HIGH,
+    P_LOW,
+    P_PRIVATE,
     RevealState,
     assign_by_datasize,
     assign_random,
     assign_regional,
-    datasize_threshold,
     reveal_round,
 )
 from fedsim.data import BBox
@@ -41,49 +44,47 @@ class TestAssignRandom:
 class TestAssignRegional:
     def test_no_weak_areas_gives_p_high_everywhere(self):
         coords = np.column_stack([np.linspace(30, 31, 10), np.linspace(120, 121, 10)])
-        probs = assign_regional(coords, [], p_low=0.2, p_high=0.9)
-        assert np.all(probs == 0.9)
+        probs = assign_regional(coords, [])
+        assert np.all(probs == P_HIGH)
 
     def test_entirely_inside_one_area_gives_p_low(self):
         coords = np.column_stack([np.full(5, 30.5), np.full(5, 120.5)])
         area = BBox(30.0, 31.0, 120.0, 121.0)
-        probs = assign_regional(coords, [area], p_low=0.2, p_high=0.9)
-        assert np.all(probs == 0.2)
+        probs = assign_regional(coords, [area])
+        assert np.all(probs == P_LOW)
 
     def test_path_crossing_box_covering_points_4_to_7(self):
         # 10 points marching east; the box spans exactly points with index 3..6
-        # (the 4th through 7th points), so 4 entries land at p_low.
+        # (the 4th through 7th points), so 4 entries land at P_LOW.
         lats = np.full(10, 30.0)
         lons = 120.0 + 0.1 * np.arange(10)
         coords = np.column_stack([lats, lons])
         area = BBox(29.5, 30.5, 120.25, 120.65)
         expected_inside = (lons >= 120.25) & (lons <= 120.65)
         assert expected_inside.sum() == 4
-        probs = assign_regional(coords, [area], p_low=0.2, p_high=0.9)
-        assert np.array_equal(probs == 0.2, expected_inside)
-
-    def test_an_integer_p_high_keeps_a_fractional_p_low(self):
-        # a caller may pass an int p_high, and an int array would cut 0.2 to 0
-        coords = np.array([[30.5, 120.5], [35.0, 125.0]])
-        probs = assign_regional(coords, [BBox(30.0, 31.0, 120.0, 121.0)], p_low=0.2, p_high=1)
-        assert probs.tolist() == [0.2, 1.0]
+        probs = assign_regional(coords, [area])
+        assert np.array_equal(probs == P_LOW, expected_inside)
 
 
 class TestAssignByDatasize:
     def test_counts_straddling_threshold(self):
-        probs = assign_by_datasize([100, 5000], threshold=1000, p_company=0.95, p_private=0.3)
-        assert np.array_equal(probs, [0.3, 0.95])
+        probs = assign_by_datasize([100, 5000])
+        assert np.array_equal(probs, [P_PRIVATE, P_COMPANY])
 
-    def test_threshold_above_all_counts(self):
-        probs = assign_by_datasize([10, 20, 30], threshold=100, p_company=0.95, p_private=0.3)
-        assert np.all(probs == 0.3)
+    def test_the_largest_client_and_equal_counts_are_company_devices(self):
+        # the threshold is always one of the counts, so it never exceeds them all
+        rng = np.random.default_rng(5)
+        for n in range(1, 30):
+            counts = rng.integers(1, 50, size=n).tolist()
+            probs = assign_by_datasize(counts)
+            assert probs[int(np.argmax(counts))] == P_COMPANY
+            assert np.all(assign_by_datasize([counts[0]] * n) == P_COMPANY)
 
     def test_percentile_threshold_selects_top_decile(self):
         rng = np.random.default_rng(4)
         counts = rng.integers(100, 10_000, size=40).tolist()
-        threshold = datasize_threshold(counts, percentile=90.0)
-        probs = assign_by_datasize(counts, threshold, p_company=0.95, p_private=0.3)
-        n_company = int((probs == 0.95).sum())
+        probs = assign_by_datasize(counts)
+        n_company = int((probs == P_COMPANY).sum())
         assert n_company == int(np.ceil(0.1 * len(counts)))
 
 

@@ -24,9 +24,10 @@ import numpy as np
 import pytest
 
 import fedsim.training
+from fedsim.availability import P_COMPANY, P_HIGH, P_LOW, P_PRIVATE
 from fedsim.config import ExperimentConfig
 from fedsim.data import Trajectory, synth_trajectories, write_csv
-from fedsim.experiment import P_COMPANY, P_HIGH, P_LOW, P_PRIVATE, run_experiment
+from fedsim.experiment import run_experiment
 from fedsim.reports import emit_reports
 
 from conftest import _numeric_platform, prepare_clients_and_plans, write_ragged_fleet_csv

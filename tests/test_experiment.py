@@ -1,7 +1,12 @@
+import ast
+import dataclasses
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import fedsim.experiment
+import fedsim.ranking
 from fedsim.availability import reveal_round
 from fedsim.config import ExperimentConfig
 from fedsim.data import (
@@ -19,7 +24,12 @@ from fedsim.reports import rows_for_log, write_rounds_csv
 from fedsim.training import evaluate_rmse, train_local
 
 from conftest import REDUCTIONS, log_bytes, write_ragged_fleet_csv
-from oracles import brute_force_neighbors, brute_force_top_k, markov_chain_by_steps
+from oracles import (
+    brute_force_neighbors,
+    brute_force_top_k,
+    markov_chain_by_steps,
+    training_window_starts,
+)
 
 
 def small_config(**overrides):
@@ -538,7 +548,7 @@ class TestEngineEdgeCases:
         clients, _, bbox, *_ = prepare_clients(cfg)
         client = clients[2]
         assert client.stream_coords.shape == (0, 2)
-        assert client.window_starts.size == 0 and client.hold_inputs.shape[0] == 0
+        assert training_window_starts(cfg)[2].size == 0 and client.hold_inputs.shape[0] == 0
         np.testing.assert_array_equal(client.position, bbox.normalize(short.coords).mean(axis=0))
 
         result = run_experiment(cfg)
@@ -637,8 +647,8 @@ class TestPrepareClients:
         cfg = small_config()
         clients, _, _, (hold_in, hold_tg), *_ = prepare_clients(cfg)
         assert hold_in.shape[0] == sum(c.hold_inputs.shape[0] for c in clients)
-        for client in clients:
-            train_windows = client.train_inputs[client.window_starts]
+        for client, starts in zip(clients, training_window_starts(cfg)):
+            train_windows = client.train_inputs[starts]
             if train_windows.shape[0] and client.hold_inputs.shape[0]:
                 # stream-tail holdout: no training window may equal a holdout window
                 train_keys = {window.tobytes() for window in train_windows}
@@ -649,8 +659,8 @@ class TestPrepareClients:
         # the fixed 20% of each client's windows, rounded and at least one
         cfg = small_config(synth_points_each=37)
         clients, *_ = prepare_clients(cfg)
-        for client in clients:
-            m = client.window_starts.size + client.hold_inputs.shape[0]
+        for client, starts in zip(clients, training_window_starts(cfg)):
+            m = starts.size + client.hold_inputs.shape[0]
             assert m == 33 and client.hold_inputs.shape[0] == 7
 
     @pytest.mark.parametrize("points_each", [6, 10])
@@ -660,9 +670,9 @@ class TestPrepareClients:
         cfg = small_config(synth_points_each=points_each)
         clients, *_ = prepare_clients(cfg)
         m = points_each - cfg.seq_len
-        for client in clients:
+        for client, starts in zip(clients, training_window_starts(cfg)):
             assert client.hold_inputs.shape[0] == 1
-            assert client.window_starts.size == m - 1
+            assert starts.size == m - 1
 
     def test_bootstrap_not_yet_revealed_at_build(self):
         cfg = small_config()
@@ -682,7 +692,7 @@ class TestPrepareClients:
         clients, _, bbox, *_ = prepare_clients(cfg)
         datasets = partition_by_vehicle(parse_csv(path)[0], 2)
         short_segments = spanning_holdouts = 0
-        for cid, segments in enumerate(datasets):
+        for cid, (segments, starts) in enumerate(zip(datasets, training_window_starts(cfg))):
             client = clients[cid]
             windows = [make_windows(bbox.normalize(seg), cfg.seq_len) for seg in segments]
             inputs = np.concatenate([w[0] for w in windows])
@@ -690,7 +700,6 @@ class TestPrepareClients:
             m = inputs.shape[0]
             n_hold = max(1, round(0.2 * m)) if m >= 2 else 0
             n_train = m - n_hold
-            starts = client.window_starts
             np.testing.assert_array_equal(client.train_inputs[starts], inputs[:n_train])
             np.testing.assert_array_equal(client.train_targets[starts], targets[:n_train])
             np.testing.assert_array_equal(client.hold_inputs, inputs[n_train:])
@@ -710,15 +719,15 @@ class TestPrepareClients:
         )
         clients, *_ = prepare_clients(cfg)
         seams = 0
-        for client in clients:
+        for client, starts in zip(clients, training_window_starts(cfg)):
             positions = np.arange(client.train_inputs.shape[0])
-            spanning = np.setdiff1d(positions, client.window_starts)
+            spanning = np.setdiff1d(positions, starts)
             seams += spanning.size > 0
             while client.reveal.cursor < client.reveal.joins.size:
                 reveal_round(client.reveal)
                 assert not np.isin(client.usable_window_indices(), spanning).any()
             # with every point revealed, every training window is usable
-            np.testing.assert_array_equal(client.usable_window_indices(), client.window_starts)
+            np.testing.assert_array_equal(client.usable_window_indices(), starts)
         assert seams == len(clients)
 
     def test_client_arrays_are_views_of_the_stream_and_the_pooled_holdout(self):
@@ -735,3 +744,17 @@ class TestPrepareClients:
             for value in vars(client).values():
                 if isinstance(value, np.ndarray) and value.ndim == 3:
                     assert not value.flags.owndata
+
+
+def test_every_runtime_and_compensator_field_is_read_by_the_package():
+    # state that set-up or a round writes and no code reads is dead weight
+    # on every client; a field read only by tests counts as unread
+    read = {
+        node.attr
+        for path in Path(fedsim.experiment.__file__).parent.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    for record in (fedsim.experiment.ClientRuntime, fedsim.ranking.CompensatorState):
+        unread = [f.name for f in dataclasses.fields(record) if f.name not in read]
+        assert not unread, f"{record.__name__} fields never read: {unread}"

@@ -41,6 +41,7 @@ from oracles import (  # noqa: E402
     newest_joined_by_scan,
     parse_rows_by_loop,
     reveal_by_slices,
+    training_window_starts,
     usable_windows_by_cumsum,
 )
 
@@ -169,15 +170,14 @@ def test_usable_windows_found_at_set_up_match_the_cumsum_rule(
         seed=seed,
     )
     clients = prepare_clients(config)[0]
-    for client in clients:
+    window_starts = training_window_starts(config)
+    for client, starts in zip(clients, window_starts):
         for cursor in range(client.reveal.joins.size + 1):
             client.reveal.cursor = cursor
-            expected = usable_windows_by_cumsum(
-                client.window_starts, client.reveal.joins, cursor, seq_len
-            )
+            expected = usable_windows_by_cumsum(starts, client.reveal.joins, cursor, seq_len)
             assert client.usable_window_indices().tolist() == expected.tolist()
     if data is None:
-        assert clients[1].window_starts.size == 0
+        assert window_starts[1].size == 0
 
 
 @settings(max_examples=30)
@@ -226,7 +226,7 @@ def test_a_clients_position_is_its_newest_joined_point_at_every_reveal(
             want = newest_joined_by_scan(client.stream_coords, reveal.joins, reveal.cursor, centroid)
             assert client.position.tolist() == want.tolist()
     if data is None:
-        assert clients[1].window_starts.size == 0
+        assert training_window_starts(config)[1].size == 0
         assert any(c.reveal.joins.any() and not c.reveal.joins[0] for c in clients)
 
 
@@ -297,11 +297,7 @@ def test_every_rank_weight_is_positive_and_finite(m_t, rounds, decays, order, se
     # proportional selection draws with p = w / w.sum() and has no branch for
     # a weight that is zero, negative, NaN or infinite, so no round may give one
     comp = CompensatorState(
-        alpha=ranking.ALPHA0,
-        delta_alpha=2.0 * (ranking.ALPHA0 - 1.0) / rounds,
-        delta_beta=ranking.DELTA_BETA,
-        gamma=ranking.GAMMA,
-        beta0=ranking.BETA0,
+        alpha=ranking.ALPHA0, delta_alpha=2.0 * (ranking.ALPHA0 - 1.0) / rounds
     )
     # alpha in round decays + 1, after the decays of the rounds before it
     for _ in range(decays % rounds):

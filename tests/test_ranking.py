@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from fedsim.ranking import (
+    BETA0,
+    GAMMA,
     CompensatorState,
     RankEntry,
     build_rank_entries,
@@ -117,26 +119,19 @@ class TestCombinedWeight:
 class TestStragglerBoost:
     def test_all_equal_updates_no_boost(self):
         entries = [entry(0, weight=1.0, n_updates=4), entry(1, weight=2.0, n_updates=4)]
-        straggler_boost(entries, gamma=1.5)
+        straggler_boost(entries)
         assert [e.weight for e in entries] == [1.0, 2.0]
 
     def test_below_mean_boosted(self):
         entries = [entry(0, weight=1.0, n_updates=0), entry(1, weight=1.0, n_updates=10)]
-        straggler_boost(entries, gamma=1.2)
-        assert entries[0].weight == pytest.approx(1.2)
+        straggler_boost(entries)
+        assert entries[0].weight == GAMMA
         assert entries[1].weight == 1.0
-
-    def test_gamma_one_is_identity(self):
-        entries = [entry(0, weight=0.7, n_updates=0), entry(1, weight=0.5, n_updates=9)]
-        straggler_boost(entries, gamma=1.0)
-        assert [e.weight for e in entries] == [0.7, 0.5]
 
 
 class TestDecayCompensators:
-    def make_comp(self, alpha=2.0, delta_alpha=0.01, beta0=1.5, delta_beta=0.05, gamma=1.2):
-        return CompensatorState(
-            alpha=alpha, delta_alpha=delta_alpha, delta_beta=delta_beta, gamma=gamma, beta0=beta0
-        )
+    def make_comp(self, alpha=2.0, delta_alpha=0.01):
+        return CompensatorState(alpha=alpha, delta_alpha=delta_alpha)
 
     def test_beta_decay_arithmetic(self):
         comp = self.make_comp()
@@ -144,7 +139,11 @@ class TestDecayCompensators:
         assert comp.beta[0] == pytest.approx(1.45)
 
     def test_beta_floor_at_one(self):
-        comp = self.make_comp(beta0=1.02)
+        # BETA0 = 1.5 falls by 0.05 a ranked round and meets the floor at the tenth
+        comp = self.make_comp()
+        for _ in range(9):
+            decay_compensators(comp, [0])
+        assert comp.beta[0] > 1.0
         decay_compensators(comp, [0])
         assert comp.beta[0] == 1.0
         decay_compensators(comp, [0])
@@ -159,7 +158,7 @@ class TestDecayCompensators:
     def test_unranked_client_keeps_beta(self):
         comp = self.make_comp()
         decay_compensators(comp, [1])
-        assert comp.beta_for(0) == 1.5
+        assert comp.beta_for(0) == BETA0
 
 
 class TestSelectTopK:
@@ -193,7 +192,7 @@ class TestSelectTopK:
 
 class TestBuildRankEntries:
     def test_full_round_of_weights(self):
-        comp = CompensatorState(alpha=2.0, delta_alpha=0.0, delta_beta=0.05, gamma=1.2, beta0=1.0)
+        comp = CompensatorState(alpha=2.0, delta_alpha=0.0)
         participants = [
             entry(0, divergence=0.9, part=0.1, n_updates=1),
             entry(1, divergence=0.5, part=0.5, n_updates=5),
@@ -202,15 +201,15 @@ class TestBuildRankEntries:
         build_rank_entries(participants, comp)
         assert [e.pos_divergence for e in participants] == [1, 2, 3]
         assert [e.pos_participation for e in participants] == [3, 2, 1]
-        # client 0: quadratic(1) * 3/3 * 1, then straggler boost 1.2;
+        # client 0: quadratic(1) * 3/3 * BETA0, then the straggler boost GAMMA;
         # client 2 updated above the mean and keeps its weight
         b = solve_quadratic(2.0, 3)
-        expected0 = weight_early(1, *b) * 3 / 3 * 1.0 * 1.2
+        expected0 = weight_early(1, *b) * 3 / 3 * 1.5 * 1.2
         assert participants[0].weight == pytest.approx(expected0)
-        assert participants[2].weight == combined_weight(3, 1, 2.0, 3, 1.0)
+        assert participants[2].weight == combined_weight(3, 1, 2.0, 3, 1.5)
 
     def test_positions_are_one_based_and_bounded(self):
-        comp = CompensatorState(alpha=1.5, delta_alpha=0.0, delta_beta=0.0, gamma=1.0)
+        comp = CompensatorState(alpha=1.5, delta_alpha=0.0)
         rng = np.random.default_rng(3)
         participants = [
             entry(cid, divergence=float(rng.uniform()), part=float(rng.uniform()))
